@@ -54,13 +54,6 @@ fn bench_ablations(r: &mut Runner, w: &Workload) {
                 ..Default::default()
             },
         ),
-        (
-            "no-batching",
-            DetectorConfig {
-                batch_windows: false,
-                ..Default::default()
-            },
-        ),
     ];
     r.sample_target(Duration::from_millis(100));
     for (name, cfg) in variants {
@@ -87,10 +80,6 @@ fn ablation_results_agree(w: &Workload) {
         },
         DetectorConfig {
             phase_hints: false,
-            ..Default::default()
-        },
-        DetectorConfig {
-            batch_windows: false,
             ..Default::default()
         },
     ] {

@@ -17,7 +17,6 @@ use rvbench::kind::{
     atomicity_workload, channel_workload, deadlock_workload, gated_deadlock_workload,
     rwlock_racy_workload, rwlock_workload,
 };
-use rvbench::perf::double_flag_workload;
 use rvbench::serve::tenant_mix_workload;
 use rvbench::slice::wide_window_workload;
 use rvbench::stream::racy_stream_workload;
@@ -37,8 +36,6 @@ fn named_workload(name: &str) -> Option<Workload> {
         "wide_large" => wide_window_workload("wide_large", 10, 14),
         "tier_small" => flag_handoff_workload("tier_small", 2, 4),
         "tier_medium" => flag_handoff_workload("tier_medium", 8, 60),
-        "residue_small" => double_flag_workload("residue_small", 4, 12),
-        "residue_large" => double_flag_workload("residue_large", 8, 40),
         "tenant_mix" => tenant_mix_workload("tenant_mix", 60),
         "boundary_handoff" => boundary_handoff_workload("boundary_handoff", 1_000, 4),
         "boundary_control" => boundary_control_workload("boundary_control", 1_000, 4),

@@ -23,9 +23,6 @@
 //! * `cargo run -p rvbench --release --bin kind_pipeline` — the
 //!   multi-class violation benchmark (race/deadlock/atomicity under the
 //!   `--kind` axis, see [`kind`]), emitting `BENCH_pr9.json`;
-//! * `cargo run -p rvbench --release --bin perf_pipeline` — the hot-path
-//!   overhaul vs the PR4-era baseline pipeline, plus the portfolio
-//!   byte-identity matrix (see [`perf`]), emitting `BENCH_pr10.json`;
 //! * `cargo run -p rvbench --release --bin emit_trace` — serializes a
 //!   named workload trace (JSON or NDJSON) for feeding `rvpredict`;
 //! * `cargo bench -p rvbench` — micro-benchmarks (see [`micro`]) for the
@@ -37,7 +34,6 @@
 pub mod boundary;
 pub mod kind;
 pub mod micro;
-pub mod perf;
 pub mod pipeline;
 pub mod serve;
 pub mod slice;

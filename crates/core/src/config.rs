@@ -153,29 +153,6 @@ pub struct DetectorConfig {
     /// Seed SAT decision phases from the original trace order (the observed
     /// trace is a near-model of `Φ_mhb ∧ Φ_lock`); off only for ablation.
     pub phase_hints: bool,
-    /// Batch all of a window's COPs into one incremental solver with
-    /// per-COP selector assumptions, sharing the base encoding and learnt
-    /// clauses (instead of re-encoding and re-solving per COP). Same
-    /// verdicts, much less work; off only for ablation.
-    pub batch_windows: bool,
-    /// Keep one incremental solver session resident per window and retain
-    /// learnt clauses across COP queries. In batch mode this is the shared
-    /// selector-assumption solver; in per-COP mode it switches the driver
-    /// to an incremental session that encodes the window's union cone once
-    /// and discharges each residue COP as an assumption set instead of
-    /// encoding from scratch. Retained clauses are sound to keep because
-    /// assumptions are never asserted: every learnt clause is implied by
-    /// the shared skeleton alone (see DESIGN.md, "Hot path"). Same
-    /// verdicts; exposed as CLI `--no-incremental` for ablation.
-    pub incremental: bool,
-    /// Race the incremental SMT encoding against the tier screens per COP
-    /// on a cloned solver, first verdict wins (CLI `--portfolio`).
-    /// Implies per-COP incremental sessions (`batch_windows` off,
-    /// `incremental` on). Cancelled solver results are always discarded
-    /// and screen verdicts are adopted with zero solver effort, so
-    /// reports, count-type metrics and witnesses are byte-identical with
-    /// portfolio on or off at any `parallelism`. Off by default.
-    pub portfolio: bool,
     /// Upper bound on concrete COPs examined per signature before giving up
     /// on that signature for the window (bounds the quadratic pair
     /// enumeration on hot variables).
@@ -194,9 +171,8 @@ pub struct DetectorConfig {
     pub retry_split: bool,
     /// Per-*window* wall-clock budget (CLI `--timeout-ms`; the daemon's
     /// per-tenant budget). When the deadline passes mid-window, every COP
-    /// not yet decided is recorded as `Undecided(Timeout)` — the PR 2
-    /// degradation path — in both the per-COP and batched solve modes, and
-    /// the remaining per-COP solver budget is clamped to the window's
+    /// not yet decided is recorded as `Undecided(Timeout)`, and the
+    /// remaining per-COP solver budget is clamped to the window's
     /// remaining time. `None` (the default) means unbounded.
     pub window_timeout: Option<Duration>,
     /// Deterministic fault-injection plan (tests only; `None` in
@@ -230,9 +206,6 @@ impl Default for DetectorConfig {
             tiers: true,
             validate_witnesses: true,
             phase_hints: true,
-            batch_windows: true,
-            incremental: true,
-            portfolio: false,
             max_cops_per_signature: 10,
             parallelism: default_parallelism(),
             retry_split: false,
@@ -285,11 +258,6 @@ mod tests {
         assert!(c.quick_check && c.dedup_signatures && c.prune_write_sets);
         assert!(c.slice, "relevance slicing is on by default");
         assert!(c.tiers, "the tiered cascade is on by default");
-        assert!(
-            c.incremental,
-            "incremental solver sessions are on by default"
-        );
-        assert!(!c.portfolio, "portfolio racing is opt-in");
         assert_eq!(c.mode, ConsistencyMode::ControlFlow);
         assert!(c.parallelism >= 1, "at least one worker");
         assert!(!c.retry_split, "retry policy is opt-in");

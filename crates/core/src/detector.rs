@@ -26,10 +26,9 @@
 //! As an optimization, merged signatures are also published through a shared
 //! `RwLock<HashSet<_>>` so workers can skip work that is already known
 //! redundant. To keep output bit-identical across thread counts the skip is
-//! only taken where it cannot perturb any surviving verdict: per COP in
-//! per-COP mode (every COP gets a fresh solver), and only for a whole
-//! window in batch mode (selector solves share learnt clauses, so dropping
-//! one mid-window could change a later model and thus a reported schedule).
+//! only taken for a whole solver session at once: the COPs of a session
+//! share learnt clauses, so dropping one mid-session would shift the solver
+//! effort recorded for later COPs with worker timing.
 //!
 //! # Fault tolerance
 //!
@@ -51,7 +50,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -63,7 +62,7 @@ use rvtrace::{
 
 use crate::config::{DetectorConfig, Fault, WindowMode};
 use crate::cop::enumerate_cops;
-use crate::encoder::{encode, encode_window, encode_with_skeleton, EncoderOptions};
+use crate::encoder::{encode, encode_window, EncoderOptions};
 use crate::report::{DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason};
 use crate::slice::WindowSkeleton;
 use crate::tiers::{Tier, TierAnalysis, TierDecision};
@@ -212,11 +211,6 @@ fn undecided_of_stop(reason: StopReason) -> UndecidedReason {
     match reason {
         StopReason::Timeout => UndecidedReason::Timeout,
         StopReason::Conflicts => UndecidedReason::ConflictBudget,
-        // Cancelled results carry no verdict and are discarded by the
-        // portfolio driver before they can reach a record; this arm is
-        // defensive (a cancellation is budget-shaped, so account it as
-        // one if it ever leaks).
-        StopReason::Cancelled => UndecidedReason::Timeout,
     }
 }
 
@@ -880,10 +874,9 @@ impl RaceDetector {
         let cfg = &self.config;
         // The per-window wall-clock budget (`--timeout-ms`, or a daemon
         // tenant budget). COPs reached after the deadline are recorded as
-        // `Undecided(Timeout)` — same verdict path in per-COP and batched
-        // mode — and per-COP solver budgets are clamped to the remainder.
-        // (An unrepresentable deadline — overflowing `Instant` — means the
-        // budget can never fire, i.e. unbounded.)
+        // `Undecided(Timeout)`, and per-COP solver budgets are clamped to
+        // the remainder. (An unrepresentable deadline — overflowing
+        // `Instant` — means the budget can never fire, i.e. unbounded.)
         let deadline = cfg.window_timeout.and_then(|t| window_start.checked_add(t));
         let enumeration = enumerate_cops(view, cfg.quick_check, cfg.max_cops_per_signature);
         let budget = Budget {
@@ -923,57 +916,21 @@ impl RaceDetector {
             tier_b_time: Duration::ZERO,
             spill_events: 0,
         };
-        // Signatures confirmed inside this window, shared by the normal
-        // pass and the straddle pass below, so a straddling COP whose
-        // signature an in-window COP already confirmed dedups exactly like
-        // any same-window duplicate — deterministically, at every thread
-        // count (the set is window-local; the merge replay re-checks
-        // everything cross-window).
-        let mut local_confirmed: HashSet<RaceSignature> = HashSet::new();
         // The tiered cascade shares one per-window analysis (base
         // entailment graph + memoized read facts) across all COPs.
         let mut tiers = (cfg.tiers && !enumeration.cops.is_empty())
             .then(|| TierAnalysis::new(view, cfg.mode, cfg.prune_write_sets));
-        // Portfolio racing implies per-COP incremental sessions: it wins
-        // the dispatch over `batch_windows` so `portfolio: true` works
-        // regardless of how the other knobs were left.
-        if cfg.batch_windows && !cfg.portfolio {
-            self.solve_window_batched(
-                view,
-                enumeration.cops,
-                opts,
-                &budget,
-                deadline,
-                &known_racy,
-                tiers.as_mut(),
-                &mut local_confirmed,
-                &mut out,
-            );
-        } else if cfg.incremental || cfg.portfolio {
-            self.solve_window_incremental(
-                view,
-                enumeration.cops,
-                opts,
-                &budget,
-                deadline,
-                &known_racy,
-                tiers.as_mut(),
-                &mut local_confirmed,
-                &mut out,
-            );
-        } else {
-            self.solve_window_per_cop(
-                view,
-                enumeration.cops,
-                opts,
-                &budget,
-                deadline,
-                &known_racy,
-                tiers.as_mut(),
-                &mut local_confirmed,
-                &mut out,
-            );
-        }
+        self.solve_session(
+            view,
+            enumeration.cops,
+            opts,
+            &budget,
+            deadline,
+            &known_racy,
+            tiers.as_mut(),
+            true,
+            &mut out,
+        );
         if let Some(t) = &tiers {
             out.tier_a_time = t.tier_a_time();
             out.tier_b_time = t.tier_b_time();
@@ -982,15 +939,7 @@ impl RaceDetector {
             self.retry_timeouts(view, opts, &budget, deadline, &mut out);
         }
         if let Some(plan) = plan {
-            self.solve_straddles(
-                view,
-                plan,
-                &budget,
-                deadline,
-                &known_racy,
-                &mut local_confirmed,
-                &mut out,
-            );
+            self.solve_straddles(view, plan, opts, &budget, deadline, &known_racy, &mut out);
         }
         out.window_time = window_start.elapsed();
         out
@@ -1100,150 +1049,9 @@ impl RaceDetector {
         }
     }
 
-    /// Per-COP mode: a fresh encoding and solver per COP. Solves are
-    /// independent, so skipping a known-redundant COP cannot perturb any
-    /// other verdict — the `known_racy` skip is safe at COP granularity.
-    fn solve_window_per_cop(
-        &self,
-        view: &View<'_>,
-        cops: Vec<Cop>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
-        mut tiers: Option<&mut TierAnalysis<'_>>,
-        local_confirmed: &mut HashSet<RaceSignature>,
-        out: &mut SolvedWindow,
-    ) {
-        let cfg = &self.config;
-        // With the cascade off every record's stage is `None`, so the
-        // tier counters stay zero under `--no-tiers`.
-        let cascade_on = tiers.is_some();
-        // One skeleton per window: its indexes are shared by every COP's
-        // cone computation.
-        let skel = opts.slicing_active().then(|| WindowSkeleton::new(view));
-        for (cop_index, cop) in cops.into_iter().enumerate() {
-            let signature = RaceSignature::of_cop(view.trace(), cop);
-            // Faults fire before any skip so a planned coordinate always
-            // takes effect, at every thread count.
-            if let Some(verdict) = self.apply_fault(out.window_index, cop_index) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: cascade_on.then_some(Tier::Solver),
-                    ext_range: None,
-                });
-                continue;
-            }
-            // Window budget exhausted: every remaining COP degrades to the
-            // per-COP-timeout verdict — no screens, no encoding, no solve.
-            if past_deadline(deadline) {
-                out.records
-                    .push(deadline_expired_record(cop, signature, cascade_on));
-                continue;
-            }
-            if cfg.dedup_signatures
-                && (local_confirmed.contains(&signature) || known_racy.contains(&signature))
-            {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-                continue;
-            }
-            // The tiered screens decide most COPs without an encoding;
-            // whatever they leave is the residue the solver sees.
-            if let Some(t) = tiers.as_deref_mut() {
-                match t.decide(&cop) {
-                    TierDecision::Confirmed => {
-                        let budget = &clamp_budget(budget, deadline);
-                        let record =
-                            self.tier_confirmed_record(view, cop, signature, opts, budget, out);
-                        if matches!(record.verdict, CopVerdict::Race(_)) {
-                            local_confirmed.insert(signature);
-                        }
-                        out.records.push(record);
-                        continue;
-                    }
-                    TierDecision::Refuted => {
-                        out.records.push(tier_refuted_record(cop, signature));
-                        continue;
-                    }
-                    TierDecision::Residue => {}
-                }
-            }
-            let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            let encoded = match &skel {
-                Some(s) => encode_with_skeleton(s, cop, opts),
-                None => encode(view, cop, opts),
-            };
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            let verdict = match solver.solve(budget) {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        let witness = if skel.is_some() {
-                            // Sliced model: re-solve unsliced for the
-                            // canonical witness (see `canonical_witness`).
-                            self.canonical_witness(view, cop, opts, budget)
-                        } else {
-                            extract_witness(view, cop, &encoded, &solver, cfg.mode).map_err(|_| ())
-                        };
-                        match witness {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            // Fresh solver per COP: its lifetime stats *are* this solve's
-            // delta.
-            let mut profile = SolverTotals::default();
-            profile.record_solve(&solver.stats().sat);
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: None,
-            });
-        }
-    }
-
     /// The record of a Tier A confirmation: the verdict is a race, and the
     /// reported schedule is the canonical fresh-solve witness — the exact
-    /// schedule every solver path reports — so reports are byte-identical
+    /// schedule the solver session reports — so reports are byte-identical
     /// to solver-only mode. The cascade never zeroes a planned witness: a
     /// canonical solve that fails at a budget boundary is reported
     /// honestly as a witness failure, just like the solver paths.
@@ -1285,12 +1093,12 @@ impl RaceDetector {
     /// encoding of the COP, solved from scratch with phase hints, and the
     /// witness extracted from that model. Used whenever the verdict came
     /// from a sliced or selector-guarded model, so reported schedules are
-    /// byte-identical across `slice` on/off, `batch_windows` on/off, and
-    /// every `--jobs` value. (A sliced model leaves non-cone events
-    /// unplaced, and an incremental batch model depends on the window's
-    /// solve history; the fresh solve depends on neither. The verdict
-    /// itself is already SAT, so this solve can only fail at a budget
-    /// boundary, which is reported honestly as a witness failure.)
+    /// byte-identical across `slice` on/off, `tiers` on/off, and every
+    /// `--jobs` value. (A sliced model leaves non-cone events unplaced,
+    /// and a session model depends on the session's solve history; the
+    /// fresh solve depends on neither. The verdict itself is already SAT,
+    /// so this solve can only fail at a budget boundary, which is reported
+    /// honestly as a witness failure.)
     fn canonical_witness(
         &self,
         view: &View<'_>,
@@ -1313,12 +1121,28 @@ impl RaceDetector {
         extract_witness(view, cop, &encoded, &solver, self.config.mode).map_err(|_| ())
     }
 
-    /// Batch mode: one shared encoding + incremental solver per window,
-    /// per-COP selector assumptions. Selector solves share learnt clauses,
-    /// so the `known_racy` skip is only taken when it covers the *whole*
-    /// window — a partial skip could change a later COP's model and hence
-    /// its reported witness schedule.
-    fn solve_window_batched(
+    /// The race solve path: decides `cops` against `view` on one resident
+    /// incremental session. The tier screens run first; the residue shares
+    /// one encoding (with slicing, of the residue's union cone) with one
+    /// selector per COP, and each residue COP is one `solve_assuming`
+    /// query on one solver, whose learnt clauses are retained across COPs.
+    /// Retention is sound because selectors are only ever *assumed*, never
+    /// asserted: every clause the session learns is implied by the
+    /// asserted skeleton alone — possibly ¬sel-guarded — and so stays
+    /// valid after its COP retires (see DESIGN.md, "Hot path").
+    ///
+    /// The cross-window `known_racy` skip is only taken when it covers
+    /// *every* COP: a partial skip would drop a query from the shared
+    /// session and shift the effort deltas of later COPs with worker
+    /// timing, breaking the byte-identity of the count-type metrics across
+    /// `--jobs`. (Witnesses are unaffected either way: they always come
+    /// from the canonical fresh solve.) The skip of signatures confirmed
+    /// earlier in the same call is deterministic, so it stays per COP.
+    ///
+    /// `faults` says whether the fault plan's coordinates index `cops`:
+    /// true for a window's own COPs, false for its straddle pass.
+    #[allow(clippy::too_many_arguments)]
+    fn solve_session(
         &self,
         view: &View<'_>,
         cops: Vec<Cop>,
@@ -1326,14 +1150,15 @@ impl RaceDetector {
         budget: &Budget,
         deadline: Option<Instant>,
         known_racy: &HashSet<RaceSignature>,
-        mut tiers: Option<&mut TierAnalysis<'_>>,
-        local_confirmed: &mut HashSet<RaceSignature>,
+        tiers: Option<&mut TierAnalysis<'_>>,
+        faults: bool,
         out: &mut SolvedWindow,
     ) {
         if cops.is_empty() {
             return;
         }
         let cfg = &self.config;
+        let window_index = out.window_index;
         // With the cascade off every record's stage is `None`, so the
         // tier counters stay zero under `--no-tiers`.
         let cascade_on = tiers.is_some();
@@ -1363,23 +1188,23 @@ impl RaceDetector {
         // of the window, so deciding them before the solve loop changes
         // nothing about solve order). A COP with a planned fault is never
         // screened — the fault must fire at its coordinate either way.
-        let decisions: Vec<Option<TierDecision>> = match tiers.as_deref_mut() {
+        let decisions: Vec<Option<TierDecision>> = match tiers {
             Some(t) => cops
                 .iter()
                 .enumerate()
                 .map(|(i, cop)| {
-                    let faulted = cfg
-                        .fault_plan
-                        .as_ref()
-                        .is_some_and(|p| p.fault_at(out.window_index, i).is_some());
+                    let faulted = faults
+                        && cfg
+                            .fault_plan
+                            .as_ref()
+                            .is_some_and(|p| p.fault_at(window_index, i).is_some());
                     (!faulted).then(|| t.decide(cop))
                 })
                 .collect(),
             None => vec![None; cops.len()],
         };
         // The residue (plus faulted coordinates, which keep their index
-        // semantics) shares one incremental encoding, exactly as the whole
-        // window used to.
+        // semantics) shares one incremental encoding.
         let mut residue: Vec<Cop> = Vec::new();
         let mut sel_index: Vec<Option<usize>> = Vec::with_capacity(cops.len());
         for (i, &cop) in cops.iter().enumerate() {
@@ -1408,6 +1233,8 @@ impl RaceDetector {
             out.solver_time += solve_start.elapsed();
             enc_solver = Some((encoded, solver));
         }
+        // Signatures confirmed by this call, for the per-COP dedup skip.
+        let mut local_confirmed: HashSet<RaceSignature> = HashSet::new();
         for (i, cop) in cops.into_iter().enumerate() {
             let signature = signatures[i];
             // Faults fire before any skip so a planned coordinate always
@@ -1415,7 +1242,7 @@ impl RaceDetector {
             // solve perturbs later models only relative to a run *without*
             // the fault; the plan is fixed, so every thread count sees the
             // same sequence of solves.)
-            if let Some(verdict) = self.apply_fault(out.window_index, i) {
+            if let Some(verdict) = faults.then(|| self.apply_fault(window_index, i)).flatten() {
                 out.records.push(CopRecord {
                     cop,
                     signature,
@@ -1478,284 +1305,20 @@ impl RaceDetector {
             let solve_start = Instant::now();
             let budget = &clamp_budget(budget, deadline);
             // Shared incremental solver: counters are cumulative over the
-            // window, so this COP's effort is the before/after delta.
-            // Under `--no-incremental` the shared encoding is kept but the
-            // solver is rebuilt per selector, ablating learnt-clause
-            // retention (the fresh solver's lifetime stats are the delta).
+            // session, so this COP's effort is the before/after delta.
+            let before = solver.stats().sat;
+            let result = solver.solve_assuming(budget, &[encoded.selectors[sel]]);
             let mut profile = SolverTotals::default();
-            let result = if cfg.incremental {
-                let before = solver.stats().sat;
-                let r = solver.solve_assuming(budget, &[encoded.selectors[sel]]);
-                profile.record_solve(&solver.stats().sat.delta_since(&before));
-                r
-            } else {
-                let mut fresh = Solver::new(&encoded.fb);
-                if cfg.phase_hints {
-                    fresh.hint_atom_phases(|a| encoded.phase_hint(a));
-                }
-                let r = fresh.solve_assuming(budget, &[encoded.selectors[sel]]);
-                profile.record_solve(&fresh.stats().sat);
-                r
-            };
+            profile.record_solve(&solver.stats().sat.delta_since(&before));
             let verdict = match result {
                 SmtResult::Unsat => CopVerdict::Unsat,
                 SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
                 SmtResult::Sat => {
                     if cfg.validate_witnesses {
-                        // The incremental model depends on the window's
-                        // solve history (and, sliced, leaves non-cone
-                        // events unplaced): always report the canonical
-                        // fresh-solve witness instead, so schedules are
-                        // identical to per-COP mode at every configuration.
-                        match self.canonical_witness(view, cop, opts, budget) {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: None,
-            });
-        }
-    }
-
-    /// Per-COP incremental mode (`batch_windows` off, `incremental` on):
-    /// per-COP verdict semantics — inline tier screens, per-COP dedup of
-    /// window-local confirmations, faults and deadlines at COP granularity
-    /// — on one *resident solver session* per window. The union cone over
-    /// all the window's COPs is encoded once with one selector per COP,
-    /// and each residue COP is discharged as an assumption query on the
-    /// shared session: per-COP work is assumption-sized instead of
-    /// encode-from-scratch, and learnt clauses are retained across COPs.
-    /// Retention is sound because selectors are only ever *assumed* (first
-    /// forced decisions), never asserted: every clause the session learns
-    /// is implied by the asserted skeleton alone — possibly ¬sel-guarded —
-    /// and so stays valid after its COP retires (see DESIGN.md, "Hot
-    /// path").
-    ///
-    /// The cross-window `known_racy` skip follows batch mode (whole-window
-    /// only): a partial skip would drop a query from the shared session
-    /// and perturb later effort deltas across thread counts. The
-    /// `local_confirmed` skip is window-local and deterministic, so it
-    /// stays per-COP, as in per-COP mode.
-    ///
-    /// With `portfolio` on, each residue COP *races* the session query —
-    /// on a clone of the session solver, in a helper thread under a
-    /// cancellation token — against the tier screen on this thread. If the
-    /// screen decides, the clone is cancelled and discarded: the session
-    /// and the record are exactly portfolio-off's. If the screen leaves a
-    /// residue, the helper's verdict and effort delta are adopted and its
-    /// clone *becomes* the session — the clone ran the exact query the
-    /// session would have, from the same pre-query state, so records,
-    /// witnesses and count-type metrics are byte-identical with portfolio
-    /// on or off, at every thread count. Cancelled results never survive:
-    /// they are discarded with the clone.
-    fn solve_window_incremental(
-        &self,
-        view: &View<'_>,
-        cops: Vec<Cop>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
-        mut tiers: Option<&mut TierAnalysis<'_>>,
-        local_confirmed: &mut HashSet<RaceSignature>,
-        out: &mut SolvedWindow,
-    ) {
-        if cops.is_empty() {
-            return;
-        }
-        let cfg = &self.config;
-        // With the cascade off every record's stage is `None`, so the
-        // tier counters stay zero under `--no-tiers`.
-        let cascade_on = tiers.is_some();
-        let signatures: Vec<RaceSignature> = cops
-            .iter()
-            .map(|&c| RaceSignature::of_cop(view.trace(), c))
-            .collect();
-        if cfg.dedup_signatures && signatures.iter().all(|s| known_racy.contains(s)) {
-            for (cop, signature) in cops.into_iter().zip(signatures) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-            }
-            return;
-        }
-        // One shared encoding + resident solver for the whole window,
-        // built up front (before any screen) so the portfolio can race a
-        // session query against a screen for *any* COP. The base formula
-        // covers the union cone of all the window's COPs — a superset of
-        // every per-COP cone, so each selector query decides exactly its
-        // COP's formula (the cone-superset argument batch mode relies on).
-        let mut enc_session = None;
-        if !past_deadline(deadline) {
-            let solve_start = Instant::now();
-            let encoded = encode_window(view, &cops, opts);
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            out.solver_time += solve_start.elapsed();
-            enc_session = Some((encoded, solver));
-        }
-        for (i, cop) in cops.into_iter().enumerate() {
-            let signature = signatures[i];
-            // Faults fire before any skip so a planned coordinate always
-            // takes effect, at every thread count.
-            if let Some(verdict) = self.apply_fault(out.window_index, i) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: cascade_on.then_some(Tier::Solver),
-                    ext_range: None,
-                });
-                continue;
-            }
-            // Window budget exhausted: every remaining COP degrades to the
-            // per-COP-timeout verdict. (The deadline is monotonic, so a
-            // COP that passes this check always finds the session built
-            // above.)
-            if past_deadline(deadline) {
-                out.records
-                    .push(deadline_expired_record(cop, signature, cascade_on));
-                continue;
-            }
-            if cfg.dedup_signatures && local_confirmed.contains(&signature) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-                continue;
-            }
-            let (encoded, solver) = enc_session
-                .as_mut()
-                .expect("undecided COP without a session encoding");
-            let budget = &clamp_budget(budget, deadline);
-            // The screen and the session query. Portfolio overlaps them
-            // and lets the first verdict win; otherwise the screen runs
-            // first and only the residue is queried.
-            let mut raced: Option<(SmtResult, SolverTotals)> = None;
-            let decision = match tiers.as_deref_mut() {
-                None => None,
-                Some(t) if cfg.portfolio => {
-                    let race_start = Instant::now();
-                    let token = Arc::new(AtomicBool::new(false));
-                    let mut racer = solver.clone();
-                    racer.set_cancel(Some(token.clone()));
-                    let sel = encoded.selectors[i];
-                    let before = racer.stats().sat;
-                    let (decision, joined) = std::thread::scope(|s| {
-                        let handle = s.spawn(move || {
-                            let r = racer.solve_assuming(budget, &[sel]);
-                            let mut profile = SolverTotals::default();
-                            profile.record_solve(&racer.stats().sat.delta_since(&before));
-                            (r, profile, racer)
-                        });
-                        let decision = t.decide(&cop);
-                        if !matches!(decision, TierDecision::Residue) {
-                            // Screen won: stop the racer at its next
-                            // checkpoint; its result is discarded below.
-                            token.store(true, Ordering::Relaxed);
-                        }
-                        (decision, handle.join())
-                    });
-                    if matches!(decision, TierDecision::Residue) {
-                        // Adopt the racer's verdict, effort delta and
-                        // solver state: it ran the exact query the session
-                        // would have, from the same pre-query state. (A
-                        // panicked racer falls through to an inline
-                        // re-query on the untouched session.)
-                        if let Ok((r, profile, mut adopted)) = joined {
-                            adopted.set_cancel(None);
-                            *solver = adopted;
-                            raced = Some((r, profile));
-                        }
-                    }
-                    out.solver_time += race_start.elapsed();
-                    Some(decision)
-                }
-                Some(t) => Some(t.decide(&cop)),
-            };
-            match decision {
-                Some(TierDecision::Confirmed) => {
-                    let record =
-                        self.tier_confirmed_record(view, cop, signature, opts, budget, out);
-                    if matches!(record.verdict, CopVerdict::Race(_)) {
-                        local_confirmed.insert(signature);
-                    }
-                    out.records.push(record);
-                    continue;
-                }
-                Some(TierDecision::Refuted) => {
-                    out.records.push(tier_refuted_record(cop, signature));
-                    continue;
-                }
-                _ => {}
-            }
-            let solve_start = Instant::now();
-            let (result, profile) = match raced {
-                Some(rp) => rp,
-                None => {
-                    // Shared session: counters are cumulative over the
-                    // window, so this COP's effort is the before/after
-                    // delta.
-                    let before = solver.stats().sat;
-                    let r = solver.solve_assuming(budget, &[encoded.selectors[i]]);
-                    let mut profile = SolverTotals::default();
-                    profile.record_solve(&solver.stats().sat.delta_since(&before));
-                    (r, profile)
-                }
-            };
-            let verdict = match result {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        // The session model depends on the window's solve
+                        // The session model depends on the session's solve
                         // history (and, sliced, leaves non-cone events
                         // unplaced): always report the canonical
-                        // fresh-solve witness instead, so schedules are
-                        // identical to every other mode.
+                        // fresh-solve witness instead.
                         match self.canonical_witness(view, cop, opts, budget) {
                             Ok(witness) => {
                                 local_confirmed.insert(signature);
@@ -1806,21 +1369,27 @@ impl RaceDetector {
     /// `--no-slice`, or the slice flag would change report bytes. COPs
     /// whose partner fell outside the spill budget are reported honestly
     /// as `Undecided(BoundaryBudget)` — never a silent "no race", never a
-    /// solve on a truncated view.
+    /// solve on a truncated view. The COPs themselves go through the same
+    /// [`solve_session`](Self::solve_session) as the window's own COPs,
+    /// on a session of their own over the extended view. A straddling COP
+    /// whose signature the window's own pass confirmed is solved anyway
+    /// and dropped by the merge replay like any same-window duplicate: the
+    /// window's own confirmations depend on worker timing (a session
+    /// skipped whole for published signatures confirms nothing), so
+    /// skipping on them would shift this session's effort deltas.
     #[allow(clippy::too_many_arguments)]
     fn solve_straddles(
         &self,
         view: &View<'_>,
         plan: &StraddlePlan,
+        opts: EncoderOptions,
         budget: &Budget,
         deadline: Option<Instant>,
         known_racy: &HashSet<RaceSignature>,
-        local_confirmed: &mut HashSet<RaceSignature>,
         out: &mut SolvedWindow,
     ) {
         let cfg = &self.config;
         let trace = view.trace();
-        let cascade_on = cfg.tiers;
         for &cop in &plan.over_budget {
             out.records.push(CopRecord {
                 cop,
@@ -1831,18 +1400,13 @@ impl RaceDetector {
                 cone_events: 0,
                 window_events: 0,
                 constraints: 0,
-                decided_by: cascade_on.then_some(Tier::Solver),
+                decided_by: cfg.tiers.then_some(Tier::Solver),
                 ext_range: Some(plan.window.clone()),
             });
         }
         if plan.cops.is_empty() {
             return;
         }
-        let opts = EncoderOptions {
-            mode: cfg.mode,
-            prune_write_sets: cfg.prune_write_sets,
-            slice: cfg.slice,
-        };
         // Lazy cone growth: pull the view start back to the last in-budget
         // write of any variable the union cone reads, until the dependence
         // frontier stabilizes or the budget floor is hit.
@@ -1866,105 +1430,23 @@ impl RaceDetector {
         let mut tiers = cfg
             .tiers
             .then(|| TierAnalysis::new(&ext, cfg.mode, cfg.prune_write_sets));
-        let skel = opts.slicing_active().then(|| WindowSkeleton::new(&ext));
-        for &cop in &plan.cops {
-            let signature = RaceSignature::of_cop(trace, cop);
-            // The fault plan is deliberately not consulted here: its
-            // coordinates index the normal pass's solve order, which must
-            // not shift between fixed and cone mode.
-            if past_deadline(deadline) {
-                let mut record = deadline_expired_record(cop, signature, cascade_on);
-                record.ext_range = Some(ext.range());
-                out.records.push(record);
-                continue;
-            }
-            if cfg.dedup_signatures
-                && (local_confirmed.contains(&signature) || known_racy.contains(&signature))
-            {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: Some(ext.range()),
-                });
-                continue;
-            }
-            if let Some(t) = tiers.as_mut() {
-                match t.decide(&cop) {
-                    TierDecision::Confirmed => {
-                        let budget = &clamp_budget(budget, deadline);
-                        let mut record =
-                            self.tier_confirmed_record(&ext, cop, signature, opts, budget, out);
-                        record.ext_range = Some(ext.range());
-                        if matches!(record.verdict, CopVerdict::Race(_)) {
-                            local_confirmed.insert(signature);
-                        }
-                        out.records.push(record);
-                        continue;
-                    }
-                    TierDecision::Refuted => {
-                        let mut record = tier_refuted_record(cop, signature);
-                        record.ext_range = Some(ext.range());
-                        out.records.push(record);
-                        continue;
-                    }
-                    TierDecision::Residue => {}
-                }
-            }
-            let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            let encoded = match &skel {
-                Some(s) => encode_with_skeleton(s, cop, opts),
-                None => encode(&ext, cop, opts),
-            };
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            let verdict = match solver.solve(budget) {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        let witness = if skel.is_some() {
-                            self.canonical_witness(&ext, cop, opts, budget)
-                        } else {
-                            extract_witness(&ext, cop, &encoded, &solver, cfg.mode).map_err(|_| ())
-                        };
-                        match witness {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            let mut profile = SolverTotals::default();
-            profile.record_solve(&solver.stats().sat);
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: Some(ext.range()),
-            });
+        let first = out.records.len();
+        // The fault plan is deliberately not consulted here: its
+        // coordinates index the window's own solve order, which must not
+        // shift between fixed and cone mode.
+        self.solve_session(
+            &ext,
+            plan.cops.clone(),
+            opts,
+            budget,
+            deadline,
+            known_racy,
+            tiers.as_mut(),
+            false,
+            out,
+        );
+        for record in &mut out.records[first..] {
+            record.ext_range = Some(ext.range());
         }
         if let Some(t) = &tiers {
             out.tier_a_time += t.tier_a_time();
@@ -2233,59 +1715,6 @@ mod tests {
         let big = RaceDetector::new().detect(&trace);
         assert!(big.n_races() >= 1);
         assert!(small.n_races() <= big.n_races());
-    }
-
-    #[test]
-    fn batch_and_per_cop_agree() {
-        // Batch (incremental, selector-guarded equality) and per-COP
-        // (glued-variable) solving must report identical signatures.
-        for seed in [3u64, 17, 99] {
-            let trace = {
-                let p = crate::config::DetectorConfig::default();
-                let _ = p;
-                // A small racy/locked mix.
-                let mut b = TraceBuilder::new();
-                let x = b.var("x");
-                let y = b.var("y");
-                let l = b.new_lock("l");
-                let t1 = ThreadId::MAIN;
-                let t2 = b.fork(t1);
-                let t3 = b.fork(t1);
-                b.acquire(t1, l);
-                b.write(t1, x, seed as i64);
-                b.write(t1, y, 1);
-                b.release(t1, l);
-                b.acquire(t2, l);
-                b.read(t2, y, 1);
-                b.release(t2, l);
-                b.read(t2, x, seed as i64);
-                b.write(t3, y, 2);
-                b.join(t1, t2);
-                b.join(t1, t3);
-                b.finish()
-            };
-            for mode in [ConsistencyMode::ControlFlow, ConsistencyMode::WholeTrace] {
-                let batched = RaceDetector::with_config(DetectorConfig {
-                    batch_windows: true,
-                    mode,
-                    ..Default::default()
-                })
-                .detect(&trace);
-                let per_cop = RaceDetector::with_config(DetectorConfig {
-                    batch_windows: false,
-                    mode,
-                    ..Default::default()
-                })
-                .detect(&trace);
-                assert_eq!(
-                    batched.signatures(),
-                    per_cop.signatures(),
-                    "seed {seed} mode {mode:?}"
-                );
-                assert_eq!(batched.stats.witness_failures, 0);
-                assert_eq!(per_cop.stats.witness_failures, 0);
-            }
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ struct Edge {
 /// let conflict = idl.assert(Atom { x: c, y: a, k: -1 }, tag(2)).unwrap_err();
 /// assert_eq!(conflict.len(), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Idl {
     n: usize,
     out: Vec<Vec<u32>>,

@@ -53,10 +53,6 @@ pub enum StopReason {
     Conflicts,
     /// The wall-clock budget ([`Budget::timeout`]) was exhausted.
     Timeout,
-    /// The query was cancelled via [`Sat::set_cancel`] (a competing
-    /// strategy answered first). The solver stays usable; cancelled
-    /// results carry no verdict and must be discarded by the caller.
-    Cancelled,
 }
 
 /// Outcome of a (budgeted) solve call.
@@ -109,7 +105,7 @@ impl SatStats {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Clause {
     lits: Vec<Lit>,
     learnt: bool,
@@ -157,7 +153,7 @@ impl Budget {
 /// assert_eq!(s.solve(&mut NoTheory, &Budget::UNLIMITED), SatOutcome::Sat);
 /// assert_eq!(s.value(b).as_bool(), Some(true));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Sat {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watcher>>,
@@ -182,12 +178,6 @@ pub struct Sat {
     max_learnts: usize,
     ok: bool,
     stats: SatStats,
-    /// Cooperative cancellation token, polled at the same periodic
-    /// points as the wall-clock budget. `None` (the default) costs
-    /// nothing; when set and raised mid-search, the solve returns
-    /// [`SatOutcome::Unknown`]`(`[`StopReason::Cancelled`]`)` and the
-    /// solver stays usable.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 /// f64 ordered wrapper (activities are never NaN).
@@ -242,24 +232,7 @@ impl Sat {
             max_learnts: 8192,
             ok: true,
             stats: SatStats::default(),
-            cancel: None,
         }
-    }
-
-    /// Installs (or clears) a cooperative cancellation token. The token is
-    /// polled at the same periodic checkpoints as the wall-clock budget;
-    /// raising it makes the current (and any future) solve return
-    /// [`SatOutcome::Unknown`]`(`[`StopReason::Cancelled`]`)`. Cloning a
-    /// solver clones the token reference; call with `None` to detach.
-    pub fn set_cancel(&mut self, token: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.cancel = token;
-    }
-
-    #[inline]
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
     }
 
     /// Allocates a fresh variable.
@@ -703,9 +676,6 @@ impl Sat {
         }
         // Restart from a clean level for a fresh query.
         self.cancel_until(0, theory);
-        if self.cancelled() {
-            return SatOutcome::Unknown(StopReason::Cancelled);
-        }
         let start = std::time::Instant::now();
         let base_conflicts = self.stats.conflicts;
         let mut luby_index = 0u64;
@@ -763,9 +733,6 @@ impl Sat {
                         }
                     }
                     if self.stats.conflicts.is_multiple_of(64) {
-                        if self.cancelled() {
-                            return SatOutcome::Unknown(StopReason::Cancelled);
-                        }
                         if let Some(t) = budget.timeout {
                             if start.elapsed() >= t {
                                 return SatOutcome::Unknown(StopReason::Timeout);
@@ -786,9 +753,6 @@ impl Sat {
                         continue;
                     }
                     if self.stats.decisions.is_multiple_of(2048) {
-                        if self.cancelled() {
-                            return SatOutcome::Unknown(StopReason::Cancelled);
-                        }
                         if let Some(t) = budget.timeout {
                             if start.elapsed() >= t {
                                 return SatOutcome::Unknown(StopReason::Timeout);

@@ -38,7 +38,7 @@ pub struct SmtStats {
 
 /// The IDL theory client: maps theory SAT variables to difference atoms and
 /// keeps the theory's assertion stack aligned with the trail.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct IdlTheory {
     idl: Idl,
     atom_of_var: Vec<Option<Atom>>,
@@ -96,7 +96,7 @@ impl TheoryClient for IdlTheory {
 /// let m = |v| s.int_value(v);
 /// assert!(m(b) < m(c) && m(c) < m(a));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Solver {
     sat: Sat,
     theory: IdlTheory,
@@ -368,15 +368,6 @@ impl Solver {
             input_clauses: self.input_clauses,
             vars: self.sat.n_vars(),
         }
-    }
-
-    /// Installs (or clears) a cooperative cancellation token on the
-    /// underlying SAT core (see [`rvsmt::sat::Sat::set_cancel`]): raising
-    /// it makes in-flight and future queries stop with
-    /// [`rvsmt::sat::StopReason::Cancelled`]. Used by portfolio callers
-    /// racing a cloned solver against a cheaper screen.
-    pub fn set_cancel(&mut self, token: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.sat.set_cancel(token);
     }
 
     /// DIMACS dump of the propositional skeleton (debugging aid).

@@ -52,16 +52,6 @@
 //!                              the linear-time screens confirm/refute it first);
 //!                              verdicts and witnesses are identical either way —
 //!                              this exists for A/B checking and ablation
-//!   --no-incremental           disable incremental solver sessions (rebuild the
-//!                              solver for every per-COP query instead of retaining
-//!                              learnt clauses across a window's COPs); verdicts
-//!                              and witnesses are identical either way — this
-//!                              exists for A/B checking and ablation
-//!   --portfolio                race the incremental SMT query against the tier
-//!                              screens per COP (first verdict wins, the loser is
-//!                              cancelled); implies per-COP incremental sessions.
-//!                              Reports, witnesses and count-type metrics are
-//!                              byte-identical with the flag on or off
 //!   --inject-fault W:C:KIND    (testing) inject a fault at window W, COP C;
 //!                              KIND is panic, timeout or encode-error; repeatable
 //!   --metrics OUT.json         write the run's metrics registry (versioned JSON:
@@ -126,8 +116,6 @@ struct Options {
     retry_split: bool,
     no_slice: bool,
     no_tiers: bool,
-    no_incremental: bool,
-    portfolio: bool,
     faults: Vec<(usize, usize, Fault)>,
     metrics: Option<String>,
     trace_log: bool,
@@ -149,8 +137,6 @@ impl Options {
             retry_split: self.retry_split,
             no_slice: self.no_slice,
             no_tiers: self.no_tiers,
-            no_incremental: self.no_incremental,
-            portfolio: self.portfolio,
             faults: self.faults.clone(),
             window_mode: self.window_mode,
             spill_budget: self
@@ -202,8 +188,6 @@ fn parse_args() -> Result<Options, String> {
         retry_split: false,
         no_slice: false,
         no_tiers: false,
-        no_incremental: false,
-        portfolio: false,
         faults: Vec::new(),
         metrics: None,
         trace_log: false,
@@ -307,14 +291,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.no_tiers = true;
                 i += 1;
             }
-            "--no-incremental" => {
-                opts.no_incremental = true;
-                i += 1;
-            }
-            "--portfolio" => {
-                opts.portfolio = true;
-                i += 1;
-            }
             "--inject-fault" => {
                 let spec = args.get(i + 1).ok_or("--inject-fault needs W:C:KIND")?;
                 opts.faults.push(driver::parse_fault_spec(spec)?);
@@ -354,7 +330,6 @@ fn usage() {
          [--timeout-ms MS] [--jobs N] [--window-mode fixed|cone] \
          [--spill-budget BYTES] [--connect SOCK] [--stream] [--witnesses] \
          [--lenient] [--retry-split] [--no-slice] [--no-tiers] \
-         [--no-incremental] [--portfolio] \
          [--inject-fault W:C:KIND]... [--metrics OUT.json] \
          [--trace-log] (--demo | TRACE.json | -)"
     );

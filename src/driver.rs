@@ -24,7 +24,7 @@ use rvcore::{
     AtomicityReport, DeadlockReport, DetectionReport, DetectorConfig, Fault, FaultPlan, Metrics,
     WindowMode,
 };
-use rvtrace::{escape_json, parse_json, IngestStats, SalvageReport, Trace};
+use rvtrace::{escape_json, parse_json, IngestStats, JsonValue, SalvageReport, Trace};
 
 /// Exit code: detection completed, no violations, nothing undecided.
 pub const EXIT_OK: u8 = 0;
@@ -449,6 +449,18 @@ pub fn record_salvage_metrics(report: &SalvageReport, metrics: &mut Metrics) {
     metrics.record_time("trace.salvage_time", report.elapsed);
 }
 
+/// A wire integer narrowed to `T` (a size, a budget, an exit code), or a
+/// shape error: `-1` must not wrap to `usize::MAX`, and `256` must not
+/// truncate to a `u8` exit code.
+fn json_uint<T: TryFrom<i64>>(value: &JsonValue) -> Result<T, rvtrace::JsonError> {
+    let n = value.as_int()?;
+    T::try_from(n).map_err(|_| rvtrace::JsonError {
+        message: format!("integer {n} out of range"),
+        offset: 0,
+        snippet: String::new(),
+    })
+}
+
 /// One session's detector settings on the wire: everything the standalone
 /// CLI's flags can express for the `rv` detector, so a daemon session
 /// reproduces a CLI run exactly.
@@ -470,11 +482,6 @@ pub struct SessionRequest {
     pub no_slice: bool,
     /// Disable the tiered cascade (`--no-tiers`).
     pub no_tiers: bool,
-    /// Disable incremental solver sessions (`--no-incremental`).
-    pub no_incremental: bool,
-    /// Race the incremental encoding against the tier screens per COP
-    /// (`--portfolio`; implies per-COP incremental sessions).
-    pub portfolio: bool,
     /// Planned fault coordinates (`--inject-fault W:C:KIND`, repeatable).
     pub faults: Vec<(usize, usize, Fault)>,
     /// Window bounding discipline (`--window-mode fixed|cone`).
@@ -498,8 +505,6 @@ impl Default for SessionRequest {
             retry_split: false,
             no_slice: false,
             no_tiers: false,
-            no_incremental: false,
-            portfolio: false,
             faults: Vec::new(),
             window_mode: WindowMode::default(),
             spill_budget: DetectorConfig::default().spill_budget,
@@ -519,11 +524,6 @@ impl SessionRequest {
             retry_split: self.retry_split,
             slice: !self.no_slice,
             tiers: !self.no_tiers,
-            incremental: !self.no_incremental,
-            portfolio: self.portfolio,
-            // Portfolio racing runs per-COP incremental sessions: batch
-            // mode has no per-COP screen/solve interleaving to race.
-            batch_windows: !self.portfolio,
             window_timeout: self.timeout_ms.map(Duration::from_millis),
             window_mode: self.window_mode,
             spill_budget: self.spill_budget,
@@ -562,8 +562,6 @@ impl SessionRequest {
         out.push_str(&format!(", \"retry_split\": {}", self.retry_split));
         out.push_str(&format!(", \"no_slice\": {}", self.no_slice));
         out.push_str(&format!(", \"no_tiers\": {}", self.no_tiers));
-        out.push_str(&format!(", \"no_incremental\": {}", self.no_incremental));
-        out.push_str(&format!(", \"portfolio\": {}", self.portfolio));
         out.push_str(", \"faults\": [");
         for (i, &(w, c, fault)) in self.faults.iter().enumerate() {
             if i > 0 {
@@ -597,16 +595,14 @@ impl SessionRequest {
         for (key, value) in obj {
             let r: Result<(), rvtrace::JsonError> = (|| {
                 match key.as_str() {
-                    "window" => req.window = value.as_int()? as usize,
-                    "budget_secs" => req.budget_secs = value.as_int()? as u64,
-                    "timeout_ms" => req.timeout_ms = Some(value.as_int()? as u64),
+                    "window" => req.window = json_uint(value)?,
+                    "budget_secs" => req.budget_secs = json_uint(value)?,
+                    "timeout_ms" => req.timeout_ms = Some(json_uint(value)?),
                     "witnesses" => req.witnesses = value.as_bool()?,
                     "lenient" => req.lenient = value.as_bool()?,
                     "retry_split" => req.retry_split = value.as_bool()?,
                     "no_slice" => req.no_slice = value.as_bool()?,
                     "no_tiers" => req.no_tiers = value.as_bool()?,
-                    "no_incremental" => req.no_incremental = value.as_bool()?,
-                    "portfolio" => req.portfolio = value.as_bool()?,
                     "window_mode" => {
                         req.window_mode =
                             parse_window_mode(value.as_str()?).map_err(|m| rvtrace::JsonError {
@@ -615,7 +611,7 @@ impl SessionRequest {
                                 snippet: String::new(),
                             })?
                     }
-                    "spill_budget" => req.spill_budget = value.as_int()? as usize,
+                    "spill_budget" => req.spill_budget = json_uint(value)?,
                     "want_metrics" => req.want_metrics = value.as_bool()?,
                     "kind" => {
                         req.kind = parse_kind(value.as_str()?).map_err(|m| rvtrace::JsonError {
@@ -708,7 +704,7 @@ impl SessionResponse {
         for (key, value) in obj {
             let r: Result<(), rvtrace::JsonError> = (|| {
                 match key.as_str() {
-                    "exit" => resp.exit = value.as_int()? as u8,
+                    "exit" => resp.exit = json_uint(value)?,
                     "stdout" => resp.stdout = value.as_str()?.to_string(),
                     "stderr" => resp.stderr = value.as_str()?.to_string(),
                     "metrics" => resp.metrics = Some(value.as_str()?.to_string()),
@@ -744,8 +740,6 @@ mod tests {
             retry_split: true,
             no_slice: true,
             no_tiers: false,
-            no_incremental: true,
-            portfolio: true,
             faults: vec![(0, 1, Fault::Panic), (2, 0, Fault::Timeout)],
             window_mode: WindowMode::Fixed,
             spill_budget: 1 << 16,
@@ -788,25 +782,6 @@ mod tests {
         assert_eq!(fixed.window_mode, WindowMode::Fixed);
         assert_eq!(fixed.spill_budget, 512);
         assert_eq!(fixed.spill_events(), 0, "fixed mode never looks back");
-
-        let default_cfg = SessionRequest::default().detector_config();
-        assert!(default_cfg.incremental && !default_cfg.portfolio);
-        assert!(default_cfg.batch_windows);
-        let ablated = SessionRequest {
-            no_incremental: true,
-            ..SessionRequest::default()
-        }
-        .detector_config();
-        assert!(!ablated.incremental && ablated.batch_windows);
-        let racing = SessionRequest {
-            portfolio: true,
-            ..SessionRequest::default()
-        }
-        .detector_config();
-        assert!(
-            racing.portfolio && racing.incremental && !racing.batch_windows,
-            "portfolio implies per-COP incremental sessions"
-        );
     }
 
     #[test]
@@ -868,5 +843,20 @@ mod tests {
     fn unknown_request_fields_rejected() {
         assert!(SessionRequest::from_json("{\"windw\": 3}").is_err());
         assert!(SessionResponse::from_json("{\"exitcode\": 3}").is_err());
+        // Fields of removed options are unknown, not silently ignored.
+        for removed in ["{\"portfolio\": false}", "{\"no_incremental\": false}"] {
+            assert!(SessionRequest::from_json(removed).is_err(), "{removed}");
+        }
+    }
+
+    #[test]
+    fn negative_or_oversized_integers_are_rejected() {
+        for field in ["window", "budget_secs", "timeout_ms", "spill_budget"] {
+            let err = SessionRequest::from_json(&format!("{{\"{field}\": -1}}")).expect_err(field);
+            assert!(err.contains("out of range"), "{field}: {err}");
+        }
+        assert!(SessionResponse::from_json("{\"exit\": 256}").is_err());
+        assert!(SessionResponse::from_json("{\"exit\": -1}").is_err());
+        assert_eq!(SessionResponse::from_json("{\"exit\": 3}").unwrap().exit, 3);
     }
 }

@@ -5,25 +5,19 @@
 //! tiered-cascade on/off comparison), `BENCH_pr7.json` (the
 //! multi-tenant session manager vs solo runs), `BENCH_pr8.json` (the
 //! fixed-vs-cone window-mode comparison on boundary-handoff workloads)
-//! `BENCH_pr9.json` (the multi-class violation benchmark behind the
-//! `--kind` axis) and `BENCH_pr10.json` (the hot-path overhaul vs the
-//! PR4-era baseline pipeline). Each smoke run must emit a document that
-//! validates, parses with the in-tree JSON reader, and carries the
-//! invariants the schema documents.
+//! and `BENCH_pr9.json` (the multi-class violation benchmark behind the
+//! `--kind` axis). Each smoke run must emit a document that validates,
+//! parses with the in-tree JSON reader, and carries the invariants the
+//! schema documents.
 //!
 //! When `BENCH_PR3_PATH` / `BENCH_PR4_PATH` / `BENCH_PR5_PATH` /
 //! `BENCH_PR6_PATH` / `BENCH_PR7_PATH` / `BENCH_PR8_PATH` /
-//! `BENCH_PR9_PATH` / `BENCH_PR10_PATH` are set (CI's bench-smoke steps
-//! export them after running the `pipeline`, `stream_pipeline`,
-//! `slice_pipeline`, `tier_pipeline`, `serve_pipeline`,
-//! `boundary_pipeline`, `kind_pipeline` and `perf_pipeline` binaries),
-//! the files they name are validated too, so a committed or freshly
-//! generated document cannot drift from the schema.
-//!
-//! A cross-PR trend gate closes the loop: when the committed full-mode
-//! `BENCH_pr10.json` and `BENCH_pr4.json` are both present, the
-//! overhauled pipeline's end-to-end wall clock on the shared 100K-event
-//! `stream_large` workload must beat the PR4-era measurement.
+//! `BENCH_PR9_PATH` are set (CI's bench-smoke steps export them after
+//! running the `pipeline`, `stream_pipeline`, `slice_pipeline`,
+//! `tier_pipeline`, `serve_pipeline`, `boundary_pipeline` and
+//! `kind_pipeline` binaries), the files they name are validated too, so
+//! a committed or freshly generated document cannot drift from the
+//! schema.
 
 use rvbench::boundary::{
     run_boundary_pipeline, smoke_boundary_workloads, validate_boundary_bench_json,
@@ -32,10 +26,6 @@ use rvbench::boundary::{
 use rvbench::kind::{
     run_kind_pipeline, smoke_kind_workloads, validate_kind_bench_json, KindBenchOptions,
     KIND_BENCH_SCHEMA_VERSION, KIND_BENCH_SUITE,
-};
-use rvbench::perf::{
-    run_perf_pipeline, smoke_perf_workloads, validate_perf_bench_json, PerfBenchOptions,
-    PERF_BENCH_SCHEMA_VERSION, PERF_BENCH_SUITE,
 };
 use rvbench::pipeline::{
     run_pipeline, smoke_workloads, validate_bench_json, PipelineOptions, BENCH_SCHEMA_VERSION,
@@ -853,196 +843,4 @@ fn kind_validator_rejects_corruption() {
 #[test]
 fn generated_kind_bench_file_validates_when_present() {
     validate_env_bench_file("BENCH_PR9_PATH", validate_kind_bench_json);
-}
-
-// ---------------------------------------------------------------------
-// BENCH_pr10.json — the hot-path overhaul vs the PR4-era baseline.
-// ---------------------------------------------------------------------
-
-fn perf_document() -> String {
-    run_perf_pipeline(
-        &smoke_perf_workloads(),
-        &PerfBenchOptions::default(),
-        "smoke",
-    )
-}
-
-/// The smoke perf pipeline emits a valid version-1 document.
-#[test]
-fn perf_run_validates_against_schema() {
-    let json = perf_document();
-    validate_perf_bench_json(&json).unwrap_or_else(|e| panic!("schema violation: {e}\n{json}"));
-}
-
-/// Cross-check the emitted document with the in-tree parser: tags,
-/// verdict equality between the two configurations, a clean baseline, a
-/// recorded warmup pass, and portfolio byte-identity — independent of
-/// the validator's own logic.
-#[test]
-fn perf_run_parses_and_keeps_invariants() {
-    let json = perf_document();
-    let doc = parse_json(&json).expect("document must parse with rvtrace::parse_json");
-    assert_eq!(
-        doc.field("schema_version")
-            .and_then(|v| v.as_int())
-            .unwrap(),
-        PERF_BENCH_SCHEMA_VERSION as i64
-    );
-    assert_eq!(
-        doc.field("suite").and_then(|v| v.as_str()).unwrap(),
-        PERF_BENCH_SUITE
-    );
-    assert!(
-        doc.field("warmup_iters").and_then(|v| v.as_int()).unwrap() >= 1,
-        "the harness must run (and record) a warmup pass"
-    );
-    let entries = doc.field("workloads").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(entries.len(), 2, "smoke mode runs two workloads");
-    for w in entries {
-        let run = |key: &str, field: &str| {
-            w.field(key)
-                .and_then(|r| r.field(field))
-                .and_then(|v| v.as_int())
-                .unwrap()
-        };
-        for what in ["races", "sat", "unsat", "cops_solved"] {
-            assert_eq!(
-                run("baseline", what),
-                run("optimized", what),
-                "{what} must be identical between the configurations"
-            );
-        }
-        // The baseline leg runs the PR4-era pipeline: no screens, no
-        // slicing, and (with everything off) one fresh solve per COP.
-        assert_eq!(run("baseline", "tier_confirmed"), 0);
-        assert_eq!(run("baseline", "tier_refuted"), 0);
-        assert_eq!(run("baseline", "tier_residue"), 0);
-        assert_eq!(run("baseline", "sliced_out"), 0);
-        assert_eq!(
-            run("baseline", "solver_solves"),
-            run("baseline", "cops_solved")
-        );
-    }
-    // The residue workload must actually exercise the sliced incremental
-    // solver under the optimized configuration.
-    let residue = entries
-        .iter()
-        .find(|w| {
-            w.field("name")
-                .and_then(|v| v.as_str())
-                .is_ok_and(|n| n.starts_with("residue"))
-        })
-        .expect("smoke set carries a residue workload");
-    let opt = residue.field("optimized").unwrap();
-    let get = |f: &str| opt.field(f).and_then(|v| v.as_int()).unwrap();
-    assert!(get("tier_residue") > 0, "screens must leave a residue");
-    assert!(get("sliced_out") > 0, "the slicer must slice");
-    assert!(get("solver_solves") > 0, "the session must solve");
-    let portfolio = doc.field("portfolio").unwrap();
-    let p = |f: &str| portfolio.field(f).and_then(|v| v.as_int()).unwrap();
-    assert_eq!(
-        p("matched"),
-        p("configs"),
-        "portfolio on/off × jobs must stay byte-identical"
-    );
-    assert!(
-        p("configs") >= 8,
-        "the matrix covers 2 portfolio modes × 4 job counts"
-    );
-}
-
-/// The validator is load-bearing: corrupted documents must be rejected
-/// with a pointed message.
-#[test]
-fn perf_validator_rejects_corruption() {
-    let json = perf_document();
-    for (needle, replacement, expect) in [
-        ("\"suite\": \"pr10\"", "\"suite\": \"pr11\"", "suite"),
-        (
-            "\"schema_version\": 1",
-            "\"schema_version\": 3",
-            "schema_version",
-        ),
-        ("\"mode\": \"smoke\"", "\"mode\": \"fast\"", "mode"),
-        // A verdict split between the configurations is the one thing
-        // this suite exists to catch.
-        (
-            "\"unsat\": 48, \"cops_solved\": 49",
-            "\"unsat\": 47, \"cops_solved\": 49",
-            "verdict",
-        ),
-        // The harness must have warmed up before sampling.
-        ("\"warmup_iters\": 1", "\"warmup_iters\": 0", "warmup_iters"),
-        // A portfolio divergence breaks the determinism contract.
-        ("\"matched\": 8", "\"matched\": 6", "byte-identical"),
-    ] {
-        let tampered = json.replacen(needle, replacement, 1);
-        assert_ne!(tampered, json, "tamper needle `{needle}` did not hit");
-        let err = validate_perf_bench_json(&tampered)
-            .expect_err(&format!("tampering `{needle}` must be rejected"));
-        assert!(
-            err.contains(expect),
-            "error for `{needle}` should mention `{expect}`, got: {err}"
-        );
-    }
-}
-
-/// When CI (or a developer) points `BENCH_PR10_PATH` at a generated
-/// `BENCH_pr10.json`, it must satisfy the same schema — verdict
-/// equality, a clean baseline, the speedup floor and the nonzero
-/// optimizer counters on full documents, portfolio byte-identity.
-/// Skipped when the variable is unset.
-#[test]
-fn generated_perf_bench_file_validates_when_present() {
-    validate_env_bench_file("BENCH_PR10_PATH", validate_perf_bench_json);
-}
-
-/// The cross-PR trend gate: the committed full-mode `BENCH_pr10.json`
-/// must beat the committed `BENCH_pr4.json` on the shared 100K-event
-/// `stream_large` workload — the overhauled end-to-end pipeline
-/// (optimized leg, parse included) against the PR4-era whole-file
-/// pipeline, as measured and committed by each PR. Both documents are
-/// committed artifacts, so the comparison is deterministic; the gate
-/// skips only when either file is absent or not a full run (e.g. a
-/// checkout that regenerated one in smoke mode).
-#[test]
-fn perf_trend_gate_beats_pr4_baseline_on_stream_large() {
-    let root = env!("CARGO_MANIFEST_DIR");
-    let read = |name: &str| std::fs::read_to_string(format!("{root}/{name}")).ok();
-    let (Some(pr10), Some(pr4)) = (read("BENCH_pr10.json"), read("BENCH_pr4.json")) else {
-        eprintln!("trend gate skipped: committed bench documents not present");
-        return;
-    };
-    let stream_large_wall = |json: &str, run_key: &str| -> Option<i64> {
-        let doc = parse_json(json).ok()?;
-        if doc.field("mode").and_then(|v| v.as_str()).ok()? != "full" {
-            return None;
-        }
-        doc.field("workloads")
-            .and_then(|v| v.as_array().map(<[_]>::to_vec))
-            .ok()?
-            .iter()
-            .find(|w| {
-                w.field("name")
-                    .and_then(|v| v.as_str())
-                    .is_ok_and(|n| n == "stream_large")
-            })?
-            .field(run_key)
-            .and_then(|r| r.field("wall_time_us"))
-            .and_then(|v| v.as_int())
-            .ok()
-    };
-    let (Some(pr10_wall), Some(pr4_wall)) = (
-        stream_large_wall(&pr10, "optimized"),
-        stream_large_wall(&pr4, "whole_file"),
-    ) else {
-        eprintln!("trend gate skipped: stream_large full-mode entries not present");
-        return;
-    };
-    assert!(
-        pr10_wall < pr4_wall,
-        "perf regression on the shared 100K-event workload: BENCH_pr10 optimized \
-         wall ({pr10_wall}µs) does not beat the BENCH_pr4 whole-file baseline \
-         ({pr4_wall}µs)"
-    );
 }

@@ -132,6 +132,7 @@ fn cli_usage_on_missing_args() {
 
 /// `--kind` admits exactly `race|deadlock|atomicity|all`; anything else is
 /// a usage error (exit 2) that names the flag, and a missing value is too.
+/// So are the solver-mode flags that no longer exist.
 #[test]
 fn cli_rejects_unknown_kind() {
     let out = Command::new(bin())
@@ -151,6 +152,17 @@ fn cli_rejects_unknown_kind() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "--kind without a value");
+
+    // Removed solver-mode flags are usage errors, not silently ignored.
+    for flag in ["--portfolio", "--no-incremental"] {
+        let out = Command::new(bin())
+            .args([flag, "--demo"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} is a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "diagnostic names the flag: {err}");
+    }
 }
 
 /// Runs `--metrics` and returns (full document, timing-free prefix): the

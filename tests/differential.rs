@@ -272,8 +272,7 @@ fn verdict_fingerprint(report: &rvpredict::DetectionReport) -> String {
 }
 
 /// The `--no-slice` A/B check, randomized: relevance slicing must not
-/// change verdicts, witnesses, or dedup signatures — in batch and per-COP
-/// mode, at every worker count. The sliced runs must also demonstrably
+/// change verdicts, witnesses, or dedup signatures, at every worker count. The sliced runs must also demonstrably
 /// slice (cone events < window events overall).
 #[test]
 fn slicing_is_verdict_and_witness_identical() {
@@ -299,36 +298,33 @@ fn slicing_is_verdict_and_witness_identical() {
         checked += 1;
         let trace = &exec.trace;
         // A small window size so multi-window dedup is exercised too.
-        for batch in [true, false] {
-            let mut baseline: Option<String> = None;
-            for slice in [true, false] {
-                for jobs in [1usize, 2, 4, 8] {
-                    let cfg = DetectorConfig {
-                        window_size: 16,
-                        batch_windows: batch,
-                        slice,
-                        parallelism: jobs,
-                        ..Default::default()
-                    };
-                    let report = RaceDetector::with_config(cfg).detect(trace);
-                    if slice && report.stats.sliced_out > 0 {
-                        sliced_somewhere = true;
-                    }
-                    assert!(
-                        report.stats.cone_events <= report.stats.window_events_encoded,
-                        "cone larger than window on trace {:?}",
+        let mut baseline: Option<String> = None;
+        for slice in [true, false] {
+            for jobs in [1usize, 2, 4, 8] {
+                let cfg = DetectorConfig {
+                    window_size: 16,
+                    slice,
+                    parallelism: jobs,
+                    ..Default::default()
+                };
+                let report = RaceDetector::with_config(cfg).detect(trace);
+                if slice && report.stats.sliced_out > 0 {
+                    sliced_somewhere = true;
+                }
+                assert!(
+                    report.stats.cone_events <= report.stats.window_events_encoded,
+                    "cone larger than window on trace {:?}",
+                    trace.events()
+                );
+                let fp = verdict_fingerprint(&report);
+                match &baseline {
+                    None => baseline = Some(fp),
+                    Some(b) => assert_eq!(
+                        &fp,
+                        b,
+                        "slice={slice} jobs={jobs} diverged on trace {:?}",
                         trace.events()
-                    );
-                    let fp = verdict_fingerprint(&report);
-                    match &baseline {
-                        None => baseline = Some(fp),
-                        Some(b) => assert_eq!(
-                            &fp,
-                            b,
-                            "slice={slice} jobs={jobs} batch={batch} diverged on trace {:?}",
-                            trace.events()
-                        ),
-                    }
+                    ),
                 }
             }
         }
@@ -341,8 +337,8 @@ fn slicing_is_verdict_and_witness_identical() {
 }
 
 /// The `--no-tiers` A/B check, randomized: the pre-solver cascade must
-/// not change verdicts, witnesses, or dedup signatures — in batch and
-/// per-COP mode, at every worker count. The screens must also demonstrably
+/// not change verdicts, witnesses, or dedup signatures, at every worker
+/// count. The screens must also demonstrably
 /// decide something across the workload.
 #[test]
 fn tiers_are_verdict_and_witness_identical() {
@@ -368,50 +364,47 @@ fn tiers_are_verdict_and_witness_identical() {
         checked += 1;
         let trace = &exec.trace;
         // A small window size so multi-window dedup is exercised too.
-        for batch in [true, false] {
-            let mut baseline: Option<String> = None;
-            for tiers in [true, false] {
-                for jobs in [1usize, 2, 4, 8] {
-                    let cfg = DetectorConfig {
-                        window_size: 16,
-                        batch_windows: batch,
-                        tiers,
-                        parallelism: jobs,
-                        ..Default::default()
-                    };
-                    let report = RaceDetector::with_config(cfg).detect(trace);
-                    if tiers {
-                        assert_eq!(
-                            report.stats.tier_confirmed
-                                + report.stats.tier_refuted
-                                + report.stats.tier_residue,
-                            report.stats.cops_solved,
-                            "tier counters must partition cops_solved on trace {:?}",
-                            trace.events()
-                        );
-                        if report.stats.tier_confirmed + report.stats.tier_refuted > 0 {
-                            screened_somewhere = true;
-                        }
-                    } else {
-                        assert_eq!(
-                            report.stats.tier_confirmed
-                                + report.stats.tier_refuted
-                                + report.stats.tier_residue,
-                            0,
-                            "tiers off must not attribute stages on trace {:?}",
-                            trace.events()
-                        );
+        let mut baseline: Option<String> = None;
+        for tiers in [true, false] {
+            for jobs in [1usize, 2, 4, 8] {
+                let cfg = DetectorConfig {
+                    window_size: 16,
+                    tiers,
+                    parallelism: jobs,
+                    ..Default::default()
+                };
+                let report = RaceDetector::with_config(cfg).detect(trace);
+                if tiers {
+                    assert_eq!(
+                        report.stats.tier_confirmed
+                            + report.stats.tier_refuted
+                            + report.stats.tier_residue,
+                        report.stats.cops_solved,
+                        "tier counters must partition cops_solved on trace {:?}",
+                        trace.events()
+                    );
+                    if report.stats.tier_confirmed + report.stats.tier_refuted > 0 {
+                        screened_somewhere = true;
                     }
-                    let fp = verdict_fingerprint(&report);
-                    match &baseline {
-                        None => baseline = Some(fp),
-                        Some(b) => assert_eq!(
-                            &fp,
-                            b,
-                            "tiers={tiers} jobs={jobs} batch={batch} diverged on trace {:?}",
-                            trace.events()
-                        ),
-                    }
+                } else {
+                    assert_eq!(
+                        report.stats.tier_confirmed
+                            + report.stats.tier_refuted
+                            + report.stats.tier_residue,
+                        0,
+                        "tiers off must not attribute stages on trace {:?}",
+                        trace.events()
+                    );
+                }
+                let fp = verdict_fingerprint(&report);
+                match &baseline {
+                    None => baseline = Some(fp),
+                    Some(b) => assert_eq!(
+                        &fp,
+                        b,
+                        "tiers={tiers} jobs={jobs} diverged on trace {:?}",
+                        trace.events()
+                    ),
                 }
             }
         }
@@ -526,74 +519,13 @@ fn figure1_differential() {
     assert_eq!(got.len(), 1);
 }
 
-/// The `--no-incremental` A/B check, randomized: one resident solver
-/// session per window (per-COP assumption queries, learnt clauses
-/// retained across COPs) must decide exactly what encode-from-scratch
-/// decides — same verdicts, witnesses, and dedup signatures — in batch
-/// and per-COP mode, sliced and unsliced, at every worker count.
-#[test]
-fn incremental_solver_is_verdict_and_witness_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x1CC);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let mut checked = 0;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() < 6 || exec.trace.len() > 40 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
-        // A small window size so multi-window dedup is exercised too.
-        let mut baseline: Option<String> = None;
-        for incremental in [true, false] {
-            for batch in [true, false] {
-                for slice in [true, false] {
-                    for jobs in [1usize, 2, 4, 8] {
-                        let cfg = DetectorConfig {
-                            window_size: 16,
-                            incremental,
-                            batch_windows: batch,
-                            slice,
-                            parallelism: jobs,
-                            ..Default::default()
-                        };
-                        let report = RaceDetector::with_config(cfg).detect(trace);
-                        let fp = verdict_fingerprint(&report);
-                        match &baseline {
-                            None => baseline = Some(fp),
-                            Some(b) => assert_eq!(
-                                &fp,
-                                b,
-                                "incremental={incremental} batch={batch} slice={slice} \
-                                 jobs={jobs} diverged on trace {:?}",
-                                trace.events()
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(checked, cases, "not enough small completed executions");
-}
-
 /// The learnt-clause poison test: a window whose session first *retires*
 /// two refuted COPs (their selector stays un-assumed forever after) and
 /// only then checks a satisfiable one. If any clause learnt under a
 /// retired COP's pinned race cut were retained unsoundly, the later COP
-/// would flip to `Unsat` under the incremental session — so the verdicts
-/// must equal the encode-from-scratch run's, both with the cascade on
-/// (the COPs below defeat both screens) and off (pure solver order).
+/// would flip to `Unsat` — so the late race must survive, with the
+/// cascade on (the handoff COPs defeat both screens) and off (pure solver
+/// order), and both runs must agree.
 #[test]
 fn retained_clauses_are_inert_after_a_cop_retires() {
     use rvtrace::{ThreadId, TraceBuilder};
@@ -631,96 +563,28 @@ fn retained_clauses_are_inert_after_a_cop_retires() {
 
     let mut baseline: Option<String> = None;
     for tiers in [true, false] {
-        for incremental in [true, false] {
-            for batch in [true, false] {
-                let cfg = DetectorConfig {
-                    tiers,
-                    incremental,
-                    batch_windows: batch,
-                    ..Default::default()
-                };
-                let report = RaceDetector::with_config(cfg).detect(&trace);
-                assert_eq!(report.n_races(), 1, "the late COP stays a race");
-                assert_eq!(report.stats.unsat, 2, "both handoff COPs stay refuted");
-                if tiers {
-                    // Tier A confirms the sync-free late COP directly; the
-                    // two handoff COPs still retire through the session. The
-                    // tiers-off leg is the full poison ordering: the same
-                    // session refutes both handoff COPs and *then* must still
-                    // find the late COP satisfiable.
-                    assert_eq!(report.stats.tier_residue, 2);
-                    assert_eq!(report.stats.tier_confirmed, 1);
-                } else {
-                    assert_eq!(report.stats.sat, 1, "the solver itself finds the race");
-                }
-                let fp = verdict_fingerprint(&report);
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(b) => assert_eq!(
-                        &fp, b,
-                        "tiers={tiers} incremental={incremental} batch={batch} diverged"
-                    ),
-                }
-            }
+        let cfg = DetectorConfig {
+            tiers,
+            ..Default::default()
+        };
+        let report = RaceDetector::with_config(cfg).detect(&trace);
+        assert_eq!(report.n_races(), 1, "the late COP stays a race");
+        assert_eq!(report.stats.unsat, 2, "both handoff COPs stay refuted");
+        if tiers {
+            // Tier A confirms the sync-free late COP directly; the two
+            // handoff COPs still retire through the session. The tiers-off
+            // leg is the full poison ordering: the same session refutes
+            // both handoff COPs and *then* must still find the late COP
+            // satisfiable.
+            assert_eq!(report.stats.tier_residue, 2);
+            assert_eq!(report.stats.tier_confirmed, 1);
+        } else {
+            assert_eq!(report.stats.sat, 1, "the solver itself finds the race");
+        }
+        let fp = verdict_fingerprint(&report);
+        match &baseline {
+            None => baseline = Some(fp),
+            Some(b) => assert_eq!(&fp, b, "tiers={tiers} diverged"),
         }
     }
-}
-
-/// The `--portfolio` A/B check, randomized: racing the session query
-/// against the tier screens (on a cancellable clone of the session
-/// solver) must keep the *whole report* — verdicts, witnesses, solver
-/// effort, count-type counters — byte-identical to portfolio-off, at
-/// every worker count. Compared via `deterministic_summary`, the
-/// strictest rendering the repo has.
-#[test]
-fn portfolio_reports_are_byte_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x90F0);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let mut checked = 0;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() < 6 || exec.trace.len() > 40 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
-        // Portfolio races per-COP session queries, so pin the per-COP
-        // incremental mode on both sides of the comparison.
-        let mut baseline: Option<String> = None;
-        for portfolio in [false, true] {
-            for jobs in [1usize, 2, 4, 8] {
-                let cfg = DetectorConfig {
-                    window_size: 16,
-                    batch_windows: false,
-                    incremental: true,
-                    portfolio,
-                    parallelism: jobs,
-                    ..Default::default()
-                };
-                let summary = RaceDetector::with_config(cfg)
-                    .detect(trace)
-                    .deterministic_summary();
-                match &baseline {
-                    None => baseline = Some(summary),
-                    Some(b) => assert_eq!(
-                        &summary,
-                        b,
-                        "portfolio={portfolio} jobs={jobs} diverged on trace {:?}",
-                        trace.events()
-                    ),
-                }
-            }
-        }
-    }
-    assert_eq!(checked, cases, "not enough small completed executions");
 }

@@ -123,7 +123,7 @@ fn assert_monotone(earlier: &rvsmt::SatStats, later: &rvsmt::SatStats, what: &st
 
 /// Solver effort counters are lifetime totals: across successive
 /// `solve_assuming` calls on one incremental solver (the exact usage the
-/// batch-mode per-COP profile capture relies on) they never decrease, so
+/// session's per-COP profile capture relies on) they never decrease, so
 /// `delta_since` is always well defined and non-negative.
 #[test]
 fn solver_counters_are_monotone_across_solves() {
