@@ -6,13 +6,16 @@
 use rvbench::micro::Runner;
 use rvsmt::{Atom, BVar, Budget, FormulaBuilder, Idl, IntVar, Lit, SmtResult, Solver};
 
-/// Asserting a long chain of strict orderings (one potential repair each).
+/// Asserting a long chain of strict orderings one `Idl::assert` at a time.
+/// Each link extends the chain at its top (`O_{n-1} < O_{n-2}`, then
+/// `O_{n-2} < O_{n-3}`, …), so every assert lowers the whole chain built so
+/// far again: n²/2 relaxations, the cost the SAT core avoids by batching
+/// root literals (see `dpllt/po-chain`).
 fn bench_idl_chain(r: &mut Runner) {
     for n in [1_000usize, 10_000] {
         r.bench(&format!("idl/chain/{n}"), || {
             let mut idl = Idl::new(n);
             for i in 0..n - 1 {
-                // Reverse order so every assert repairs potentials.
                 let atom = Atom {
                     x: IntVar((n - 1 - i) as u32),
                     y: IntVar((n - 2 - i) as u32),
@@ -21,6 +24,25 @@ fn bench_idl_chain(r: &mut Runner) {
                 idl.assert(atom, Lit::pos(BVar(i as u32))).unwrap();
             }
             idl.n_edges()
+        });
+    }
+}
+
+/// The encoder's program-order shape: one ascending chain `O_0 < O_1 < …`
+/// asserted at the root and decided by `Solver::solve`, whose SAT core hands
+/// the theory all level-0 literals as one batch.
+fn bench_dpllt_po_chain(r: &mut Runner) {
+    for n in [1_000usize, 10_000] {
+        r.bench(&format!("dpllt/po-chain/{n}"), || {
+            let mut f = FormulaBuilder::new();
+            let vars: Vec<IntVar> = (0..n).map(|_| f.int_var()).collect();
+            for w in vars.windows(2) {
+                let t = f.lt(w[0], w[1]);
+                f.assert_term(t);
+            }
+            let mut s = Solver::new(&f);
+            assert_eq!(s.solve(&Budget::UNLIMITED), SmtResult::Sat);
+            s.stats().idl.relaxations
         });
     }
 }
@@ -109,6 +131,7 @@ fn main() {
     let mut r = Runner::from_env("solver");
     bench_idl_chain(&mut r);
     bench_idl_conflict(&mut r);
+    bench_dpllt_po_chain(&mut r);
     bench_dpllt_race_shape(&mut r);
     bench_dpllt_unsat(&mut r);
     r.finish();

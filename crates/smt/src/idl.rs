@@ -10,6 +10,11 @@
 //!
 //! Retraction is stack-like ([`Idl::truncate`]): removing constraints keeps
 //! the current potential feasible, so backtracking is O(edges removed).
+//!
+//! Constraints that are never retracted one at a time (the SAT core's
+//! decision-level-0 literals) can go in as one [`Idl::assert_batch`]. It
+//! ends in the state that asserting them in order reaches, but repairs them
+//! in an order that keeps long chains linear.
 
 use crate::formula::{Atom, IntVar};
 use crate::lit::Lit;
@@ -25,6 +30,17 @@ struct Edge {
     w: i64,
     /// The SAT literal whose assertion installed this edge.
     tag: Lit,
+}
+
+impl Edge {
+    fn new(atom: Atom, tag: Lit) -> Self {
+        Edge {
+            u: atom.y.0,
+            v: atom.x.0,
+            w: atom.k,
+            tag,
+        }
+    }
 }
 
 /// Incremental difference-logic solver over `n` integer variables.
@@ -51,15 +67,22 @@ pub struct Idl {
     out: Vec<Vec<u32>>,
     edges: Vec<Edge>,
     pot: Vec<i64>,
-    // Scratch space for the relaxation, reset lazily via `touched`.
+    // Scratch space for the relaxation, reset after each repair via
+    // `touched`.
     gamma: Vec<i64>,
     parent: Vec<u32>,
     processed: Vec<bool>,
     touched: Vec<u32>,
-    /// Potentials mutated during the current repair, for rollback on
-    /// conflict: the old potential stays feasible for the old edges, the
-    /// half-repaired one need not be.
+    heap: BinaryHeap<(Reverse<i64>, u32)>,
+    /// Potentials mutated since the current assert or batch began, for
+    /// rollback on conflict: the old potential stays feasible for the old
+    /// edges, the half-repaired one need not be.
     saved_pot: Vec<(u32, i64)>,
+    // Scratch for ordering a batch, all 0 / `END` between batches: per
+    // node, the number of batch edges into it and the first batch edge out
+    // of it.
+    batch_indeg: Vec<u32>,
+    batch_first: Vec<u32>,
     stats: IdlStats,
 }
 
@@ -75,6 +98,8 @@ pub struct IdlStats {
 }
 
 const NO_PARENT: u32 = u32::MAX;
+/// End of a per-node list of batch edges.
+const END: u32 = u32::MAX;
 
 impl Idl {
     /// Creates a solver over `n` integer variables, all initially `0`.
@@ -88,7 +113,10 @@ impl Idl {
             parent: vec![NO_PARENT; n],
             processed: vec![false; n],
             touched: Vec::new(),
+            heap: BinaryHeap::new(),
             saved_pot: Vec::new(),
+            batch_indeg: vec![0; n],
+            batch_first: vec![END; n],
             stats: IdlStats::default(),
         }
     }
@@ -119,7 +147,6 @@ impl Idl {
             self.processed[t as usize] = false;
         }
         self.touched.clear();
-        self.saved_pot.clear();
     }
 
     /// Asserts `atom` (`x − y ≤ k`), tagged with the SAT literal that caused
@@ -133,26 +160,126 @@ impl Idl {
     /// constraint is *not* installed in that case.
     pub fn assert(&mut self, atom: Atom, tag: Lit) -> Result<(), Vec<Lit>> {
         self.stats.asserts += 1;
-        let (u, v, w) = (atom.y.index(), atom.x.index(), atom.k);
+        self.saved_pot.clear();
+        let result = self.repair(Edge::new(atom, tag));
+        if result.is_err() {
+            self.stats.conflicts += 1;
+        }
+        result
+    }
+
+    /// Asserts every `(atom, tag)` of `batch` and ends in exactly the state
+    /// that [`Idl::assert`]ing them one by one, in slice order, reaches: the
+    /// same potential, with the edges installed in slice order.
+    ///
+    /// Asserting in order can take quadratic time. In the ascending chain
+    /// `O_1 < O_2 < … < O_n` every new constraint lowers the chain's top,
+    /// which lowers the whole prefix below it again. This method repairs
+    /// the batch in topological order of its own edges instead, so the
+    /// chain is repaired from `O_n` down, each node once. The order cannot
+    /// change the outcome. Without a negative cycle, repairing from `π`
+    /// yields the greatest feasible potential below `π`,
+    /// `π'(x) = min_y π(y) + dist(y, x)`, which depends only on the set of
+    /// edges, whatever order they were repaired in.
+    ///
+    /// # Errors
+    ///
+    /// As [`Idl::assert`], for the first constraint in slice order that
+    /// closes a negative cycle. The constraints before it stay installed;
+    /// it and the ones after it are not.
+    pub(crate) fn assert_batch(&mut self, batch: &[(Atom, Lit)]) -> Result<(), Vec<Lit>> {
+        let base = self.edges.len();
+        self.saved_pot.clear();
+        let mut feasible = true;
+        for j in self.batch_order(batch) {
+            let (atom, tag) = batch[j];
+            if self.repair(Edge::new(atom, tag)).is_err() {
+                feasible = false;
+                break;
+            }
+        }
+        self.truncate(base);
+        if !feasible {
+            // Some prefix of the batch closes a negative cycle. Undo, then
+            // assert in order, so that the conflict and the installed
+            // prefix are the ones sequential assertion yields.
+            for &(node, old) in self.saved_pot.iter().rev() {
+                self.pot[node as usize] = old;
+            }
+            return batch
+                .iter()
+                .try_for_each(|&(atom, tag)| self.assert(atom, tag));
+        }
+        self.stats.asserts += batch.len() as u64;
+        for &(atom, tag) in batch {
+            self.install(Edge::new(atom, tag));
+        }
+        Ok(())
+    }
+
+    /// The order in which [`Idl::assert_batch`] repairs `batch`: Kahn's
+    /// topological order over the batch's own edges, so that an edge comes
+    /// after every batch edge into its source. Edges on or behind a cycle
+    /// follow, in slice order.
+    fn batch_order(&mut self, batch: &[(Atom, Lit)]) -> Vec<usize> {
+        let ends = |j: usize| (batch[j].0.y.index(), batch[j].0.x.index());
+        let mut next = vec![END; batch.len()];
+        for (j, slot) in next.iter_mut().enumerate() {
+            let (u, v) = ends(j);
+            self.batch_indeg[v] += 1;
+            *slot = self.batch_first[u];
+            self.batch_first[u] = j as u32;
+        }
+        let mut ready: Vec<usize> = (0..batch.len())
+            .map(|j| ends(j).0)
+            .filter(|&u| self.batch_indeg[u] == 0)
+            .collect();
+        let mut order = Vec::with_capacity(batch.len());
+        while let Some(x) = ready.pop() {
+            // Taking the list marks `x` done; a duplicate entry finds it
+            // empty.
+            let mut j = std::mem::replace(&mut self.batch_first[x], END);
+            while j != END {
+                order.push(j as usize);
+                let v = ends(j as usize).1;
+                self.batch_indeg[v] -= 1;
+                if self.batch_indeg[v] == 0 {
+                    ready.push(v);
+                }
+                j = next[j as usize];
+            }
+        }
+        order.extend((0..batch.len()).filter(|&j| self.batch_first[ends(j).0] != END));
+        for j in 0..batch.len() {
+            let (u, v) = ends(j);
+            self.batch_indeg[v] = 0;
+            self.batch_first[u] = END;
+        }
+        order
+    }
+
+    /// Lowers potentials until `e` holds, relaxing from its target over the
+    /// installed edges, then installs `e`. Every potential it changes is
+    /// logged in `saved_pot`.
+    ///
+    /// # Errors
+    ///
+    /// If `e` closes a negative cycle, undoes this call's changes and
+    /// returns the cycle's tags; `e` is not installed.
+    fn repair(&mut self, e: Edge) -> Result<(), Vec<Lit>> {
+        let (u, v, w) = (e.u as usize, e.v as usize, e.w);
         debug_assert!(u < self.n && v < self.n, "IntVar out of range");
-        let new_edge = Edge {
-            u: u as u32,
-            v: v as u32,
-            w,
-            tag,
-        };
         if self.pot[v] <= self.pot[u] + w {
-            self.install(new_edge);
+            self.install(e);
             return Ok(());
         }
-        // Repair potentials by relaxing from v.
-        self.reset_scratch();
-        let mut heap: BinaryHeap<(Reverse<i64>, u32)> = BinaryHeap::new();
+        let mark = self.saved_pot.len();
+        self.heap.clear();
         self.gamma[v] = self.pot[u] + w - self.pot[v]; // < 0
         self.parent[v] = NO_PARENT; // reached via the new edge
         self.touched.push(v as u32);
-        heap.push((Reverse(self.gamma[v]), v as u32));
-        while let Some((Reverse(g), s)) = heap.pop() {
+        self.heap.push((Reverse(self.gamma[v]), v as u32));
+        while let Some((Reverse(g), s)) = self.heap.pop() {
             let s = s as usize;
             if self.processed[s] || g != self.gamma[s] {
                 continue;
@@ -161,11 +288,11 @@ impl Idl {
                 // Reaching the source of the new edge with negative slack
                 // closes a negative cycle. Roll the half-repaired potential
                 // back: it may violate still-active edges.
-                let conflict = self.collect_cycle(u, tag);
-                self.stats.conflicts += 1;
-                for &(node, old) in self.saved_pot.iter().rev() {
+                let conflict = self.collect_cycle(u, e.tag);
+                for &(node, old) in self.saved_pot[mark..].iter().rev() {
                     self.pot[node as usize] = old;
                 }
+                self.saved_pot.truncate(mark);
                 self.reset_scratch();
                 return Err(conflict);
             }
@@ -188,13 +315,13 @@ impl Idl {
                     }
                     self.gamma[t] = cand;
                     self.parent[t] = eid;
-                    heap.push((Reverse(cand), t as u32));
+                    self.heap.push((Reverse(cand), t as u32));
                 }
             }
         }
         self.reset_scratch();
         debug_assert!(self.pot[v] <= self.pot[u] + w);
-        self.install(new_edge);
+        self.install(e);
         Ok(())
     }
 
@@ -363,5 +490,109 @@ mod tests {
             }
         }
         assert!(idl.is_consistent_model());
+    }
+
+    /// Everything a later assert, conflict or model read can observe.
+    type Observable = (Vec<i64>, Vec<(u32, u32, i64, Lit)>, Vec<Vec<u32>>);
+
+    fn observable(idl: &Idl) -> Observable {
+        let edges = idl.edges.iter().map(|e| (e.u, e.v, e.w, e.tag)).collect();
+        (idl.pot.clone(), edges, idl.out.clone())
+    }
+
+    /// `assert_batch` against one `assert` per constraint, on random edge
+    /// sets with truncations in between. Forward-only batches are mostly
+    /// feasible; free ones often close zero-weight and negative cycles.
+    /// Both must give the same result and conflict, potentials and edge
+    /// order.
+    #[test]
+    fn batch_matches_sequential_assertion() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        let zero_cycle = |batch: &[(Atom, Lit)]| {
+            batch.iter().any(|(a, _)| {
+                batch
+                    .iter()
+                    .any(|(b, _)| (b.x, b.y) == (a.y, a.x) && a.k + b.k == 0)
+            })
+        };
+        let (mut oks, mut errs, mut zero_cycles) = (0, 0, 0);
+        for _round in 0..300 {
+            let n = 2 + next(10);
+            let mut batched = Idl::new(n as usize);
+            let mut sequential = Idl::new(n as usize);
+            let mut next_tag = 0;
+            for _step in 0..6 {
+                if next(4) == 0 {
+                    let mark = next(batched.n_edges() as u64 + 1) as usize;
+                    batched.truncate(mark);
+                    sequential.truncate(mark);
+                    continue;
+                }
+                let forward = next(2) == 0;
+                let mut batch = Vec::new();
+                for _ in 0..1 + next(12) {
+                    let (x, y) = (next(n) as u32, next(n) as u32);
+                    let k = next(5) as i64 - 2;
+                    next_tag += 1;
+                    let atom = match (x == y, forward) {
+                        (true, _) => continue,
+                        (false, true) => le(x.min(y), x.max(y), -k.abs()),
+                        (false, false) => le(x, y, k),
+                    };
+                    batch.push((atom, tag(next_tag)));
+                    if !forward && next(4) == 0 {
+                        next_tag += 1;
+                        batch.push((le(y, x, -k), tag(next_tag)));
+                    }
+                }
+                let got = batched.assert_batch(&batch);
+                let want = batch
+                    .iter()
+                    .try_for_each(|&(atom, t)| sequential.assert(atom, t));
+                assert_eq!(got, want, "batch {batch:?}");
+                match got {
+                    Ok(()) => oks += 1,
+                    Err(_) => errs += 1,
+                }
+                if want.is_ok() && zero_cycle(&batch) {
+                    zero_cycles += 1;
+                }
+                assert_eq!(observable(&batched), observable(&sequential));
+                assert!(batched.is_consistent_model());
+                let (b, s) = (batched.stats(), sequential.stats());
+                assert_eq!((b.asserts, b.conflicts), (s.asserts, s.conflicts));
+            }
+        }
+        assert!(
+            oks > 100 && errs > 100 && zero_cycles > 30,
+            "coverage: {oks} ok, {errs} conflicts, {zero_cycles} zero-weight cycles"
+        );
+    }
+
+    /// Batched, the encoder's ascending program-order chain costs one
+    /// relaxation per node; asserted in order it costs one per node per
+    /// later link.
+    #[test]
+    fn ascending_chain_batch_relaxes_each_node_once() {
+        let n = 2_000u32;
+        let chain: Vec<(Atom, Lit)> = (0..n - 1).map(|i| (le(i, i + 1, -1), tag(i))).collect();
+        let mut batched = Idl::new(n as usize);
+        batched.assert_batch(&chain).unwrap();
+        assert_eq!(batched.stats().relaxations, u64::from(n - 1));
+        let mut sequential = Idl::new(n as usize);
+        for &(atom, t) in &chain {
+            sequential.assert(atom, t).unwrap();
+        }
+        assert_eq!(
+            sequential.stats().relaxations,
+            u64::from(n - 1) * u64::from(n) / 2
+        );
+        assert_eq!(observable(&batched), observable(&sequential));
     }
 }

@@ -4,8 +4,9 @@
 //! two-watched-literal propagation, first-UIP conflict analysis, VSIDS-style
 //! decision ordering (lazy re-insertion heap), phase saving, and Luby
 //! restarts. Theory literals are pushed to the [`TheoryClient`] as soon as
-//! they are assigned; a theory conflict is turned into a learnt clause and
-//! handled like a propositional conflict.
+//! they are assigned (those of decision level 0 as one batch); a theory
+//! conflict is turned into a learnt clause and handled like a
+//! propositional conflict.
 
 use crate::lit::{BVar, LBool, Lit};
 
@@ -20,6 +21,20 @@ pub trait TheoryClient {
     /// literal from the current decision level, which eager assertion
     /// guarantees). The offending assertion must not be recorded.
     fn assert_lit(&mut self, lit: Lit) -> Result<(), Vec<Lit>>;
+
+    /// Called at decision level 0 with every theory literal assigned there
+    /// since the last call, in trail order. Level-0 literals are never
+    /// retracted, so a theory may take them in one step, but it must end
+    /// in the state that passing each to [`TheoryClient::assert_lit`] in
+    /// turn reaches.
+    ///
+    /// # Errors
+    ///
+    /// As [`TheoryClient::assert_lit`], for the first literal whose
+    /// assertion fails; neither it nor the literals after it are recorded.
+    fn assert_root_lits(&mut self, lits: &[Lit]) -> Result<(), Vec<Lit>> {
+        lits.iter().try_for_each(|&lit| self.assert_lit(lit))
+    }
 
     /// Whether `lit` is a theory literal (only those are passed to
     /// [`TheoryClient::assert_lit`]).
@@ -67,7 +82,7 @@ pub enum SatOutcome {
 }
 
 /// Search statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SatStats {
     /// Decisions made.
     pub decisions: u64,
@@ -489,9 +504,22 @@ impl Sat {
         None
     }
 
-    /// Feeds newly assigned theory literals to the theory. On theory
-    /// conflict, materializes the conflict as a learnt clause and returns it.
+    /// Feeds newly assigned theory literals to the theory, as one batch at
+    /// decision level 0. On theory conflict, materializes the conflict as a
+    /// learnt clause and returns it.
     fn theory_propagate<T: TheoryClient>(&mut self, theory: &mut T) -> Option<ClauseRef> {
+        if self.decision_level() == 0 {
+            let lits: Vec<Lit> = self.trail[self.theory_head..]
+                .iter()
+                .copied()
+                .filter(|&l| theory.is_theory_lit(l))
+                .collect();
+            self.theory_head = self.trail.len();
+            return theory
+                .assert_root_lits(&lits)
+                .err()
+                .map(|true_lits| self.theory_conflict(true_lits));
+        }
         while self.theory_head < self.trail.len() {
             let l = self.trail[self.theory_head];
             self.theory_head += 1;
@@ -499,26 +527,31 @@ impl Sat {
                 continue;
             }
             if let Err(true_lits) = theory.assert_lit(l) {
-                self.stats.theory_conflicts += 1;
-                let lits: Vec<Lit> = true_lits.into_iter().map(|t| !t).collect();
-                debug_assert!(lits.iter().all(|&x| self.lit_value(x) == LBool::False));
-                // A virtual conflicting clause; attach so analysis can use it.
-                let cref = self.clauses.len() as ClauseRef;
-                if lits.len() >= 2 {
-                    self.attach_conflict_clause(lits)
-                } else {
-                    self.clauses.push(Clause {
-                        lits,
-                        learnt: false,
-                        deleted: false,
-                        activity: 0.0,
-                    });
-                    cref
-                };
-                return Some(cref);
+                return Some(self.theory_conflict(true_lits));
             }
         }
         None
+    }
+
+    /// Turns a theory conflict (currently true literals whose conjunction
+    /// the theory refutes) into a falsified clause for conflict analysis.
+    fn theory_conflict(&mut self, true_lits: Vec<Lit>) -> ClauseRef {
+        self.stats.theory_conflicts += 1;
+        let lits: Vec<Lit> = true_lits.into_iter().map(|t| !t).collect();
+        debug_assert!(lits.iter().all(|&x| self.lit_value(x) == LBool::False));
+        // A virtual conflicting clause; attach so analysis can use it.
+        if lits.len() >= 2 {
+            self.attach_conflict_clause(lits)
+        } else {
+            let cref = self.clauses.len() as ClauseRef;
+            self.clauses.push(Clause {
+                lits,
+                learnt: false,
+                deleted: false,
+                activity: 0.0,
+            });
+            cref
+        }
     }
 
     /// Attaches a theory-conflict clause, placing the two highest-level

@@ -45,13 +45,32 @@ struct IdlTheory {
     fed: Vec<Lit>,
 }
 
+impl IdlTheory {
+    /// The difference constraint that `lit` asserts.
+    fn constraint(&self, lit: Lit) -> Atom {
+        let atom = self.atom_of_var[lit.var().index()].expect("theory lit has atom");
+        if lit.is_neg() {
+            atom.negated()
+        } else {
+            atom
+        }
+    }
+}
+
 impl TheoryClient for IdlTheory {
     fn assert_lit(&mut self, lit: Lit) -> Result<(), Vec<Lit>> {
-        let atom = self.atom_of_var[lit.var().index()].expect("theory lit has atom");
-        let constraint = if lit.is_neg() { atom.negated() } else { atom };
-        self.idl.assert(constraint, lit)?;
+        self.idl.assert(self.constraint(lit), lit)?;
         self.fed.push(lit);
         Ok(())
+    }
+
+    fn assert_root_lits(&mut self, lits: &[Lit]) -> Result<(), Vec<Lit>> {
+        let batch: Vec<(Atom, Lit)> = lits.iter().map(|&l| (self.constraint(l), l)).collect();
+        let result = self.idl.assert_batch(&batch);
+        // On a conflict only the literals before the failing one went in.
+        let installed = self.idl.n_edges() - self.fed.len();
+        self.fed.extend_from_slice(&lits[..installed]);
+        result
     }
 
     fn is_theory_lit(&self, lit: Lit) -> bool {
@@ -380,10 +399,15 @@ impl Solver {
 mod tests {
     use super::*;
 
+    /// The encoder's program-order shape: one ascending chain asserted at
+    /// the root. Batched root assertion relaxes each node about once; one
+    /// assert at a time re-lowers the whole prefix for every link
+    /// (~n²/2 relaxations).
     #[test]
     fn pure_ordering_chain_sat() {
+        let n = 10_000;
         let mut f = FormulaBuilder::new();
-        let vars: Vec<IntVar> = (0..10).map(|_| f.int_var()).collect();
+        let vars: Vec<IntVar> = (0..n).map(|_| f.int_var()).collect();
         for w in vars.windows(2) {
             let t = f.lt(w[0], w[1]);
             f.assert_term(t);
@@ -393,6 +417,95 @@ mod tests {
         for w in vars.windows(2) {
             assert!(s.int_value(w[0]) < s.int_value(w[1]));
         }
+        let relaxations = s.stats().idl.relaxations;
+        assert!(
+            relaxations <= 2 * n as u64,
+            "{relaxations} relaxations for a {n}-variable chain"
+        );
+    }
+
+    /// The IDL theory with root literals asserted one at a time: the
+    /// reference that batched root assertion must match.
+    struct Sequential<'a>(&'a mut IdlTheory);
+
+    impl TheoryClient for Sequential<'_> {
+        fn assert_lit(&mut self, lit: Lit) -> Result<(), Vec<Lit>> {
+            self.0.assert_lit(lit)
+        }
+        fn is_theory_lit(&self, lit: Lit) -> bool {
+            self.0.is_theory_lit(lit)
+        }
+        fn retract_unassigned(&mut self, still_assigned: &dyn Fn(BVar) -> bool) {
+            self.0.retract_unassigned(still_assigned)
+        }
+    }
+
+    /// Random DPLL(T) formulas, solved with root literals batched and one
+    /// at a time, then re-solved under random selector assumptions
+    /// (restarts and learnt units re-enter level 0). Outcomes, every
+    /// `int_value` and the full `SatStats` must match.
+    #[test]
+    fn root_batching_matches_sequential_root_assertion() {
+        let mut seed = 0x0bad_5eed_1234_5678u64;
+        let mut next = move |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        let mut outcomes = [0usize; 2];
+        for _round in 0..300 {
+            let mut f = FormulaBuilder::new();
+            let n = 3 + next(6);
+            let vars: Vec<IntVar> = (0..n).map(|_| f.int_var()).collect();
+            let sels: Vec<TermId> = (0..3).map(|_| f.bool_var()).collect();
+            for _ in 0..4 + next(10) {
+                let width = if next(2) == 0 { 1 } else { 2 + next(2) };
+                let mut clause = Vec::new();
+                for _ in 0..width {
+                    let (x, y) = (vars[next(n) as usize], vars[next(n) as usize]);
+                    clause.push(f.diff_le(x, y, next(5) as i64 - 2));
+                }
+                if next(3) == 0 {
+                    let guard = f.not(sels[next(3) as usize]);
+                    clause.push(guard);
+                }
+                let c = f.or_n(clause);
+                f.assert_term(c);
+            }
+            let mut batched = Solver::new(&f);
+            let mut sequential = Solver::new(&f);
+            if batched.trivially_unsat {
+                continue;
+            }
+            for query in 0..4 {
+                let assumptions: Vec<Lit> = sels
+                    .iter()
+                    .filter(|_| query > 0 && next(2) == 0)
+                    .filter_map(|t| batched.bool_term_vars.get(t).map(|&v| Lit::pos(v)))
+                    .collect();
+                let budget = Budget::UNLIMITED;
+                let got = batched
+                    .sat
+                    .solve_assuming(&mut batched.theory, &budget, &assumptions);
+                let want = sequential.sat.solve_assuming(
+                    &mut Sequential(&mut sequential.theory),
+                    &budget,
+                    &assumptions,
+                );
+                assert_eq!(got, want);
+                assert_eq!(batched.sat.stats(), sequential.sat.stats());
+                let (b, s) = (batched.theory.idl.stats(), sequential.theory.idl.stats());
+                assert_eq!((b.asserts, b.conflicts), (s.asserts, s.conflicts));
+                if got == SatOutcome::Sat {
+                    for &v in &vars {
+                        assert_eq!(batched.int_value(v), sequential.int_value(v));
+                    }
+                }
+                outcomes[usize::from(got == SatOutcome::Sat)] += 1;
+            }
+        }
+        assert!(outcomes.iter().all(|&c| c > 100), "outcomes {outcomes:?}");
     }
 
     #[test]
