@@ -8,9 +8,9 @@
 //! * **time-to-first-race** — the racy COP sits in window 0, so the
 //!   streamed run reports it after parsing ~one window instead of the
 //!   whole document;
-//! * **peak window residency** — the eager driver materializes every
-//!   window up front; the streamed driver holds at most the worker pool
-//!   plus its bounded queue.
+//! * **peak window residency** — both pipelines feed the same bounded
+//!   window pool, so each holds at most the worker pool plus its queue
+//!   (`2 * jobs + 3` windows) however long the trace is.
 //!
 //! ```sh
 //! cargo run -p rvbench --release --bin stream_pipeline -- --out BENCH_pr4.json
@@ -37,12 +37,15 @@
 //!
 //! `races` is count-type and must be equal between the two pipelines for
 //! every workload (the determinism contract: streaming never changes the
-//! verdict). The `*_us` and residency fields are run-shape dependent; the
-//! validator only enforces the *ordering* invariant — in a `"full"`
-//! document, the streamed pipeline must be strictly ahead of the
-//! whole-file pipeline on both TTFR and peak residency for the largest
-//! workload. (`"smoke"` documents run one small workload where the margins
-//! are noise-level, so only equality of `races` is checked.)
+//! verdict), and both pipelines' `peak_window_residency` must stay within
+//! the pool bound `2 * jobs + 3`. The `*_us` fields are run-shape
+//! dependent; the validator only enforces the *ordering* invariant — in a
+//! `"full"` document, the streamed pipeline must be strictly ahead of the
+//! whole-file pipeline on TTFR for the largest workload. (`"smoke"`
+//! documents run one small workload where the margins are noise-level, so
+//! TTFR ordering is not checked there.) Documents from before the two
+//! pipelines shared one pool (`BENCH_pr4.json`, whose whole-file run held
+//! every window at once) fail the residency bound; they are history.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -226,9 +229,10 @@ const RUN_INT_KEYS: [&str; 4] = ["races", "ttfr_us", "wall_time_us", "peak_windo
 
 /// Validates a `BENCH_pr4.json` document: version/suite/mode tags,
 /// required keys, non-negative integers, `races` equality between the two
-/// pipelines on every workload, and — for `"full"` documents — the
-/// streamed pipeline strictly ahead on TTFR and peak window residency for
-/// the largest workload. Returns a description of the first violation.
+/// pipelines and both pipelines' peak window residency within
+/// `2 * jobs + 3` on every workload, and — for `"full"` documents — the
+/// streamed pipeline strictly ahead on TTFR for the largest workload.
+/// Returns a description of the first violation.
 pub fn validate_stream_bench_json(json: &str) -> Result<(), String> {
     let doc = parse_json(json).map_err(|e| format!("not valid JSON: {e}"))?;
     let version = doc
@@ -256,6 +260,7 @@ pub fn validate_stream_bench_json(json: &str) -> Result<(), String> {
     if mode != "smoke" && mode != "full" {
         return Err(format!("mode is `{mode}`, expected `smoke` or `full`"));
     }
+    let mut jobs = 0;
     for key in ["jobs", "window_size"] {
         let v = doc
             .field(key)
@@ -264,7 +269,11 @@ pub fn validate_stream_bench_json(json: &str) -> Result<(), String> {
         if v <= 0 {
             return Err(format!("{key} must be positive, got {v}"));
         }
+        if key == "jobs" {
+            jobs = v;
+        }
     }
+    let residency_bound = 2 * jobs + 3;
     let entries = doc
         .field("workloads")
         .and_then(|v| v.as_array().map(<[_]>::to_vec))
@@ -272,7 +281,7 @@ pub fn validate_stream_bench_json(json: &str) -> Result<(), String> {
     if entries.is_empty() {
         return Err("workloads array is empty".into());
     }
-    let mut largest: Option<(i64, String, i64, i64, i64, i64)> = None;
+    let mut largest: Option<(i64, String, i64, i64)> = None;
     for (i, entry) in entries.iter().enumerate() {
         let name = entry
             .field("name")
@@ -315,23 +324,24 @@ pub fn validate_stream_bench_json(json: &str) -> Result<(), String> {
                  found {s_races} — streaming must not change the verdict"
             ));
         }
+        for (run_key, peak) in [("whole_file", w_peak), ("streamed", s_peak)] {
+            if peak > residency_bound {
+                return Err(format!(
+                    "workload `{name}`: {run_key} peak_window_residency ({peak}) exceeds \
+                     the pool bound 2 * jobs + 3 = {residency_bound}"
+                ));
+            }
+        }
         if largest.as_ref().is_none_or(|(e, ..)| events > *e) {
-            largest = Some((events, name, w_ttfr, s_ttfr, w_peak, s_peak));
+            largest = Some((events, name, w_ttfr, s_ttfr));
         }
     }
     if mode == "full" {
-        let (_, name, w_ttfr, s_ttfr, w_peak, s_peak) =
-            largest.expect("workloads array checked non-empty");
+        let (_, name, w_ttfr, s_ttfr) = largest.expect("workloads array checked non-empty");
         if s_ttfr >= w_ttfr {
             return Err(format!(
                 "workload `{name}`: streamed ttfr_us ({s_ttfr}) is not strictly ahead \
                  of whole_file ({w_ttfr})"
-            ));
-        }
-        if s_peak >= w_peak {
-            return Err(format!(
-                "workload `{name}`: streamed peak_window_residency ({s_peak}) is not \
-                 strictly ahead of whole_file ({w_peak})"
             ));
         }
     }
@@ -404,5 +414,23 @@ mod tests {
         // Same document in smoke mode passes: ordering is not enforced.
         let smoke = not_ahead.replace("\"mode\": \"full\"", "\"mode\": \"smoke\"");
         validate_stream_bench_json(&smoke).unwrap();
+        // Either pipeline past the pool bound (2 * 1 + 3 = 5) is rejected,
+        // in every mode.
+        for (run, from) in [
+            ("whole_file", "\"peak_window_residency\": 4}"),
+            ("streamed", "\"peak_window_residency\": 1}"),
+        ] {
+            let over = smoke.replace(from, "\"peak_window_residency\": 6}");
+            let err = validate_stream_bench_json(&over).unwrap_err();
+            assert!(
+                err.contains(&format!("{run} peak_window_residency (6)")),
+                "{err}"
+            );
+        }
+        // The pre-shared-pool history document fails the bound.
+        let history = include_str!("../../../BENCH_pr4.json");
+        assert!(validate_stream_bench_json(history)
+            .unwrap_err()
+            .contains("whole_file peak_window_residency (51)"));
     }
 }

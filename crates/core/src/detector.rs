@@ -7,18 +7,23 @@
 //! # Parallel driver
 //!
 //! Windows are independent solving problems (each gets its own encoder and
-//! solver), so [`RaceDetector::detect`] farms them out to a bounded pool of
-//! scoped worker threads ([`DetectorConfig::parallelism`]). Determinism is
-//! preserved by splitting the work into a *solve* phase and a *merge*
-//! phase:
+//! solver). One window driver serves every entry point: a
+//! [`WindowCursor`] cuts the trace (whole, or the prefixes a stream
+//! parser produces) into windows, each becomes a `WindowJob` solved
+//! under panic isolation, and an `InOrderMerge` folds the results.
+//! [`RaceDetector::detect`] and [`RaceDetector::detect_stream`] run the
+//! jobs on one bounded pool of scoped worker threads
+//! ([`DetectorConfig::parallelism`]); daemon sessions run them on the
+//! session scheduler. Determinism is preserved by splitting the work into
+//! a *solve* phase and a *merge* phase:
 //!
-//! * each worker produces a [`WindowOutcome`]: an ordered list of per-COP
+//! * each worker produces a [`WindowResult`]: an ordered list of per-COP
 //!   records whose content depends only on the window itself (workers never
 //!   consult cross-window state when deciding verdicts);
-//! * the driver merges outcomes **in window order**, replaying each record
+//! * the merge folds results **in window order**, replaying each record
 //!   against the authoritative set of confirmed signatures — a record whose
 //!   signature was already confirmed (in an earlier window, or earlier in
-//!   the same window) is discarded wholesale, exactly as the serial driver
+//!   the same window) is discarded wholesale, exactly as a serial loop
 //!   would have skipped it before solving.
 //!
 //! Speculative work (a worker solving a COP whose signature an earlier,
@@ -50,14 +55,15 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rvsmt::{Budget, SmtResult, Solver, StopReason};
 use rvtrace::{
-    validate_wait_links, BoundaryTracker, Cop, IngestStats, JsonError, RaceSignature, Schedule,
-    StraddlePlan, StreamParser, Trace, View, ViewExt, WindowBoundary,
+    validate_wait_links, Cop, CursorWindow, IngestStats, JsonError, RaceSignature, Schedule,
+    StraddlePlan, StreamParser, Trace, View, WindowCursor,
 };
 
 use crate::config::{DetectorConfig, Fault, WindowMode};
@@ -158,51 +164,52 @@ enum WindowOutcome {
     Failed(FailedWindow),
 }
 
-impl WindowOutcome {
-    fn window_index(&self) -> usize {
-        match self {
-            WindowOutcome::Solved(s) => s.window_index,
-            WindowOutcome::Failed(f) => f.window_index,
-        }
-    }
-}
-
 /// An opaque solved-window result: produced by
 /// [`RaceDetector::solve_window_result`], consumed (in window order) by
 /// [`RaceDetector::merge_window_result`]. These are the two halves of the
-/// solve-then-merge protocol every built-in driver runs; exposing them
-/// lets an external driver — the multi-tenant session layer — schedule
-/// the solves on its own worker pool while keeping the merged report
-/// byte-identical to the built-in drivers.
+/// solve-then-merge protocol the built-in drivers run; exposing them lets
+/// an external driver schedule the solves on its own worker pool while
+/// keeping the merged report byte-identical to the built-in drivers.
 #[derive(Debug)]
 pub struct WindowResult(WindowOutcome);
 
 impl WindowResult {
     /// The window index this result belongs to (the merge-order key).
     pub fn window_index(&self) -> usize {
-        self.0.window_index()
-    }
-
-    /// A synthetic failure result for a window whose solve never
-    /// completed (e.g. a worker that died outside the isolated solve).
-    /// Merges exactly like a window poisoned by an in-solve panic.
-    pub fn failed(window_index: usize, range: std::ops::Range<usize>, reason: String) -> Self {
-        WindowResult(WindowOutcome::Failed(FailedWindow {
-            window_index,
-            range,
-            reason,
-        }))
+        match &self.0 {
+            WindowOutcome::Solved(s) => s.window_index,
+            WindowOutcome::Failed(f) => f.window_index,
+        }
     }
 }
 
 /// Renders a panic payload for a [`FailedWindow`] record.
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// Runs one window solve under panic isolation: a panic anywhere in
+/// `solve` (including injected `Fault::Panic`s and view construction)
+/// becomes a [`WindowOutcome::Failed`] record instead of unwinding into
+/// the worker loop.
+fn isolated(
+    window_index: usize,
+    range: std::ops::Range<usize>,
+    solve: impl FnOnce() -> SolvedWindow,
+) -> WindowResult {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)) {
+        Ok(solved) => WindowResult(WindowOutcome::Solved(solved)),
+        Err(payload) => WindowResult(WindowOutcome::Failed(FailedWindow {
+            window_index,
+            range,
+            reason: panic_reason(payload.as_ref()),
+        })),
     }
 }
 
@@ -270,11 +277,10 @@ fn deadline_expired_record(cop: Cop, signature: RaceSignature, cascade_on: bool)
 
 /// Signatures confirmed by a merge loop, readable by in-flight workers.
 ///
-/// Internal to the built-in drivers historically; public so external
-/// drivers (the multi-tenant session layer) can run the same
-/// solve-then-merge protocol with the same early-skip optimization. The
-/// set is only ever used to *skip* solves whose records the merge replay
-/// is guaranteed to discard, so sharing it never changes merged output.
+/// Public so external drivers can run the same solve-then-merge protocol
+/// with the same early-skip optimization. The set is only ever used to
+/// *skip* solves whose records the merge replay is guaranteed to discard,
+/// so sharing it never changes merged output.
 #[derive(Debug, Default)]
 pub struct PublishedSet(RwLock<HashSet<RaceSignature>>);
 
@@ -285,24 +291,89 @@ impl PublishedSet {
     }
 }
 
-/// Signatures confirmed by the merge loop, readable by in-flight workers.
-type Published = PublishedSet;
+/// One window of detection work: a window the [`WindowCursor`] yielded
+/// plus a trace that covers it — the whole trace (`&Trace`) or an [`Arc`]
+/// snapshot of the prefix ingested so far. A window's view, and therefore
+/// its SMT encoding and verdicts, is a pure function of the window's own
+/// events plus its boundary, so solving against any prefix that reaches
+/// the window's end is byte-identical to solving against the full trace.
+pub(crate) struct WindowJob<T> {
+    pub(crate) window: CursorWindow,
+    pub(crate) trace: T,
+}
 
-/// One window of streamed detection work: the window's range, the boundary
-/// state (lock/value carry) at its start, and an [`Arc`] snapshot of a
-/// trace *prefix* that covers it. A window's view — and therefore its SMT
-/// encoding and verdicts — is a pure function of the window's own events
-/// plus the boundary, so solving against any prefix that reaches the
-/// window's end is byte-identical to solving against the full trace.
-struct StreamJob {
-    index: usize,
-    range: std::ops::Range<usize>,
-    boundary: WindowBoundary,
-    trace: Arc<Trace>,
-    /// The window's straddle plan (cone mode only). Like the boundary, a
-    /// pure function of the event prefix, so streamed plans are identical
-    /// to the whole-file drivers'.
-    plan: Option<StraddlePlan>,
+impl<T: Deref<Target = Trace>> WindowJob<T> {
+    /// Builds the window's view and solves it, both under panic
+    /// isolation. The result must be merged in window order through an
+    /// [`InOrderMerge`].
+    pub(crate) fn solve(&self, detector: &RaceDetector, published: &PublishedSet) -> WindowResult {
+        let w = &self.window;
+        isolated(w.index, w.range.clone(), || {
+            let view = w.view(&self.trace);
+            detector.solve_window(w.index, &view, w.plan.as_ref(), Some(published))
+        })
+    }
+}
+
+/// The in-order merge: buffers window results as they arrive in
+/// completion order and merges them strictly in window order against one
+/// confirmed-signature set, stamping the time of the first merged race.
+/// Every driver merges through this, which is what makes reports
+/// independent of solve scheduling.
+pub(crate) struct InOrderMerge {
+    pending: BTreeMap<usize, WindowResult>,
+    merged: usize,
+    report: DetectionReport,
+    confirmed: HashSet<RaceSignature>,
+    start: Instant,
+}
+
+impl InOrderMerge {
+    /// An empty merge; time to first race is measured from `start`.
+    pub(crate) fn new(start: Instant) -> Self {
+        InOrderMerge {
+            pending: BTreeMap::new(),
+            merged: 0,
+            report: DetectionReport::default(),
+            confirmed: HashSet::new(),
+            start,
+        }
+    }
+
+    /// Results received so far (merged or buffered).
+    pub(crate) fn absorbed(&self) -> usize {
+        self.merged + self.pending.len()
+    }
+
+    /// Buffers one result and merges everything now contiguous, pushing
+    /// newly confirmed signatures to `published`.
+    pub(crate) fn absorb(
+        &mut self,
+        detector: &RaceDetector,
+        result: WindowResult,
+        published: &PublishedSet,
+    ) {
+        self.pending.insert(result.window_index(), result);
+        while let Some(result) = self.pending.remove(&self.merged) {
+            detector.merge_outcome(
+                result,
+                &mut self.report,
+                &mut self.confirmed,
+                Some(published),
+            );
+            self.merged += 1;
+            let stats = &mut self.report.stats;
+            if stats.time_to_first_race.is_none() && !self.report.races.is_empty() {
+                stats.time_to_first_race = Some(self.start.elapsed());
+            }
+        }
+    }
+
+    /// The merged report. Every absorbed result must have merged.
+    pub(crate) fn finish(self) -> DetectionReport {
+        debug_assert!(self.pending.is_empty(), "every window outcome merged");
+        self.report
+    }
 }
 
 /// The result of [`RaceDetector::detect_stream`]: the fully ingested
@@ -327,13 +398,6 @@ fn io_error(bytes_fed: usize, e: std::io::Error) -> JsonError {
         message: format!("read error: {e}"),
         offset: bytes_fed,
         snippet: String::new(),
-    }
-}
-
-/// Records the time of the first merged race, once.
-fn note_first_race(report: &mut DetectionReport, start: Instant) {
-    if report.stats.time_to_first_race.is_none() && !report.races.is_empty() {
-        report.stats.time_to_first_race = Some(start.elapsed());
     }
 }
 
@@ -380,71 +444,34 @@ impl RaceDetector {
         &self.config
     }
 
-    /// True when cross-boundary prediction (`--window-mode cone`) is on.
-    fn cone_mode(&self) -> bool {
-        self.config.window_mode == WindowMode::Cone
-    }
-
-    /// The straddle plan for every window of `trace`, computed by one
-    /// sequential [`BoundaryTracker`] sweep. Plans are pure functions of
-    /// the trace prefix and the spill budget, so every driver — eager,
-    /// pipelined, streamed, session — derives identical plans at every
-    /// worker count. All-`None` in fixed mode (and for every window whose
-    /// COPs all sit inside their own window, which keeps the non-straddling
-    /// fast path byte-identical to fixed mode).
-    fn window_plans(&self, trace: &Trace) -> Vec<Option<StraddlePlan>> {
-        let size = self.config.window_size.max(1);
-        if !self.cone_mode() {
-            return (0..trace.len().div_ceil(size)).map(|_| None).collect();
-        }
-        let mut tracker =
-            BoundaryTracker::new(WindowBoundary::initial(trace), self.config.spill_events());
-        let mut plans = Vec::with_capacity(trace.len().div_ceil(size));
-        let mut start = 0usize;
-        while start < trace.len() {
-            let end = (start + size).min(trace.len());
-            plans.push(tracker.plan(trace.events(), start..end, |v| trace.is_volatile(v)));
-            tracker.advance(trace.events(), start..end);
-            start = end;
-        }
-        plans
+    /// The window cursor for this configuration: `window_size`-event
+    /// windows, planning straddles in cone mode.
+    pub(crate) fn cursor(&self) -> WindowCursor {
+        let cone = self.config.window_mode == WindowMode::Cone;
+        WindowCursor::new(
+            self.config.window_size,
+            cone.then(|| self.config.spill_events()),
+        )
     }
 
     /// Runs detection over the whole trace, window by window.
     ///
-    /// With `config.parallelism == 1` windows are solved inline; otherwise
-    /// a scoped pool of worker threads claims windows from a shared
-    /// counter. Either way outcomes are merged in window order, so races,
-    /// signatures and verdict counters are identical for every thread
-    /// count (wall-clock timings, of course, are not).
+    /// The window cursor feeds the window pool and results merge in
+    /// window order, so races, signatures and verdict counters are
+    /// identical for every thread count (wall-clock timings, of course,
+    /// are not).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_size` is zero.
     pub fn detect(&self, trace: &Trace) -> DetectionReport {
         let start = Instant::now();
-        let mut report = DetectionReport::default();
-        let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-        let workers = self.config.parallelism.max(1);
-        // Eager windowing: every view is materialized up front, so the
-        // whole run's window state is resident at once (cf. the bounded
-        // `detect_pipelined`/`detect_stream` drivers).
-        let views: Vec<View<'_>> = trace.windows(self.config.window_size);
-        let plans = self.window_plans(trace);
-        report.stats.peak_window_residency = views.len();
-        if workers == 1 {
-            // Inline solve-then-merge per window. The published set is
-            // always fully caught up here, so the early-skip rules fire
-            // exactly as in the historical serial driver.
-            let published: Published = PublishedSet::new();
-            for (index, view) in views.iter().enumerate() {
-                let plan = plans.get(index).and_then(Option::as_ref);
-                let outcome = self.solve_window_isolated(index, view, plan, Some(&published));
-                self.merge_outcome(outcome, &mut report, &mut confirmed, Some(&published));
-                note_first_race(&mut report, start);
+        let mut cursor = self.cursor();
+        let (mut report, ()) = self.run_pool(start, |dispatch| {
+            while let Some(window) = cursor.next(trace, true) {
+                dispatch(WindowJob { window, trace });
             }
-        } else {
-            // The window carry (lock/value state at each window boundary)
-            // forces view *construction* to stay sequential; only solving
-            // fans out.
-            self.detect_parallel(&views, &plans, workers, &mut report, &mut confirmed, start);
-        }
+        });
         report.stats.wall_time = start.elapsed();
         report
     }
@@ -455,101 +482,8 @@ impl RaceDetector {
         let start = Instant::now();
         let mut report = DetectionReport::default();
         let mut confirmed = HashSet::new();
-        let outcome = self.solve_window_isolated(0, view, None, None);
-        self.merge_outcome(outcome, &mut report, &mut confirmed, None);
-        report.stats.wall_time = start.elapsed();
-        report
-    }
-
-    /// Like [`RaceDetector::detect`], but windows are built lazily from a
-    /// [`WindowStream`] and handed to the workers through a bounded queue,
-    /// so at most `parallelism + queue` window views are resident at once
-    /// instead of all of them. Output is byte-identical to `detect` —
-    /// summary and count-type metrics — at every worker count; only the
-    /// `peak_window_residency` gauge and the wall-clock timings differ.
-    pub fn detect_pipelined(&self, trace: &Trace) -> DetectionReport {
-        let start = Instant::now();
-        let mut report = DetectionReport::default();
-        let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-        let workers = self.config.parallelism.max(1);
-        let size = self.config.window_size;
-        let published: Published = PublishedSet::new();
-        // Plans are tiny relative to views (only straddling windows carry
-        // one), so computing them eagerly keeps residency claims about
-        // *views* intact.
-        let plans = self.window_plans(trace);
-        if workers == 1 {
-            // One view alive at a time: build, solve, merge, drop.
-            let mut peak = 0usize;
-            for (index, view) in trace.window_stream(size).enumerate() {
-                peak = 1;
-                let plan = plans.get(index).and_then(Option::as_ref);
-                let outcome = self.solve_window_isolated(index, &view, plan, Some(&published));
-                drop(view);
-                self.merge_outcome(outcome, &mut report, &mut confirmed, Some(&published));
-                note_first_race(&mut report, start);
-            }
-            report.stats.peak_window_residency = peak;
-        } else {
-            let residency = AtomicUsize::new(0);
-            let peak = AtomicUsize::new(0);
-            // The bounded queue is the backpressure: when every worker is
-            // busy and the queue is full, the producer blocks instead of
-            // materializing further views.
-            let (job_tx, job_rx) = mpsc::sync_channel::<(usize, View<'_>)>(workers + 2);
-            let job_rx = Mutex::new(job_rx);
-            let (out_tx, out_rx) = mpsc::channel::<WindowOutcome>();
-            std::thread::scope(|scope| {
-                let published = &published;
-                let residency = &residency;
-                let peak = &peak;
-                let job_rx = &job_rx;
-                let plans = &plans;
-                for _ in 0..workers {
-                    let out_tx = out_tx.clone();
-                    scope.spawn(move || loop {
-                        let job = job_rx
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .recv();
-                        let Ok((index, view)) = job else { break };
-                        let plan = plans.get(index).and_then(Option::as_ref);
-                        let outcome =
-                            self.solve_window_isolated(index, &view, plan, Some(published));
-                        drop(view);
-                        residency.fetch_sub(1, Ordering::Relaxed);
-                        if out_tx.send(outcome).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(out_tx);
-                // The producer gets its own thread so this one can merge
-                // outcomes (and publish confirmed signatures) while views
-                // are still being constructed.
-                scope.spawn(move || {
-                    for (index, view) in trace.window_stream(size).enumerate() {
-                        let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
-                        peak.fetch_max(live, Ordering::Relaxed);
-                        if job_tx.send((index, view)).is_err() {
-                            break;
-                        }
-                    }
-                });
-                let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-                let mut cursor = 0usize;
-                for outcome in out_rx {
-                    pending.insert(outcome.window_index(), outcome);
-                    while let Some(outcome) = pending.remove(&cursor) {
-                        self.merge_outcome(outcome, &mut report, &mut confirmed, Some(published));
-                        note_first_race(&mut report, start);
-                        cursor += 1;
-                    }
-                }
-                debug_assert!(pending.is_empty(), "every window outcome merged");
-            });
-            report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
-        }
+        let result = self.solve_window_result(0, view, None, None);
+        self.merge_outcome(result, &mut report, &mut confirmed, None);
         report.stats.wall_time = start.elapsed();
         report
     }
@@ -576,21 +510,109 @@ impl RaceDetector {
     /// syntax and shape errors surface with the same message and byte
     /// offset, and wait-link validation runs once ingestion completes
     /// (speculatively solved windows are discarded on failure).
-    pub fn detect_stream<R: Read>(&self, mut reader: R) -> Result<StreamDetection, JsonError> {
+    pub fn detect_stream<R: Read>(&self, reader: R) -> Result<StreamDetection, JsonError> {
         let start = Instant::now();
+        let (mut report, ingested) =
+            self.run_pool(start, |dispatch| self.ingest(reader, start, dispatch));
+        let (trace, ingest, overlap) = ingested?;
+        report.stats.ingest_overlap = Some(overlap);
+        report.stats.wall_time = start.elapsed();
+        // Every worker has exited, so the final Arc is the last one
+        // standing.
+        let trace = Arc::try_unwrap(trace).unwrap_or_else(|a| (*a).clone());
+        Ok(StreamDetection {
+            trace,
+            report,
+            ingest,
+        })
+    }
+
+    /// The ingest side of [`detect_stream`](Self::detect_stream): parses
+    /// `reader` chunk by chunk and dispatches every window the cursor
+    /// completes, then the tail once the input ends. Returns the whole
+    /// trace, the ingestion counters and how long solving overlapped
+    /// ingestion.
+    fn ingest<R: Read>(
+        &self,
+        mut reader: R,
+        start: Instant,
+        dispatch: &mut dyn FnMut(WindowJob<Arc<Trace>>),
+    ) -> Result<(Arc<Trace>, IngestStats, Duration), JsonError> {
+        let mut parser = StreamParser::new();
+        let mut chunk = vec![0u8; STREAM_CHUNK];
+        let mut cursor = self.cursor();
+        let mut first_dispatch: Option<Duration> = None;
+        loop {
+            let n = reader
+                .read(&mut chunk)
+                .map_err(|e| io_error(parser.bytes_fed(), e))?;
+            if n == 0 {
+                break;
+            }
+            parser.feed(&chunk[..n])?;
+            // Gated on the metadata: boundary state needs the initial
+            // values, and a snapshot without the full metadata would not
+            // be prefix-equivalent to the final trace.
+            if !parser.metadata_complete() || !cursor.ready(parser.events().len(), false) {
+                continue;
+            }
+            let snapshot = Arc::new(Trace::from_data(parser.data().clone()));
+            while let Some(window) = cursor.next(&snapshot, false) {
+                first_dispatch.get_or_insert_with(|| start.elapsed());
+                dispatch(WindowJob {
+                    window,
+                    trace: snapshot.clone(),
+                });
+            }
+        }
+        parser.finish()?;
+        // Strict-path parity: the whole-file reader validates wait links
+        // after parsing; so does the stream. On failure every speculative
+        // verdict is discarded.
+        validate_wait_links(parser.data())?;
+        let ingest = parser.stats();
+        let ingest_done = start.elapsed();
+        let trace = Arc::new(Trace::from_data(parser.into_data()));
+        while let Some(window) = cursor.next(&trace, true) {
+            dispatch(WindowJob {
+                window,
+                trace: trace.clone(),
+            });
+        }
+        let overlap = first_dispatch
+            .map(|t| ingest_done.saturating_sub(t))
+            .unwrap_or(Duration::ZERO);
+        Ok((trace, ingest, overlap))
+    }
+
+    /// The window pool both in-process drivers share: `parallelism` scoped
+    /// workers fed through a bounded queue, and a merge thread running the
+    /// [`InOrderMerge`]. `feed` runs on the calling thread and hands each
+    /// window to `dispatch`, in window order.
+    ///
+    /// The `sync_channel(workers + 2)` queue is the backpressure: when
+    /// every worker is busy and the queue is full, `dispatch` blocks
+    /// instead of materializing further windows. A window counts as
+    /// resident from dispatch until its worker drops it, so the
+    /// `peak_window_residency` gauge is at most `2 * workers + 3`
+    /// (one per worker, the queue, and one blocked in `dispatch`).
+    fn run_pool<T, R>(
+        &self,
+        start: Instant,
+        feed: impl FnOnce(&mut dyn FnMut(WindowJob<T>)) -> R,
+    ) -> (DetectionReport, R)
+    where
+        T: Deref<Target = Trace> + Send,
+    {
         let workers = self.config.parallelism.max(1);
-        let size = self.config.window_size.max(1);
-        let published: Published = PublishedSet::new();
+        let published = PublishedSet::new();
         let residency = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let (job_tx, job_rx) = mpsc::sync_channel::<StreamJob>(workers + 2);
+        let (job_tx, job_rx) = mpsc::sync_channel::<WindowJob<T>>(workers + 2);
         let job_rx = Mutex::new(job_rx);
-        let (out_tx, out_rx) = mpsc::channel::<WindowOutcome>();
+        let (out_tx, out_rx) = mpsc::channel::<WindowResult>();
         std::thread::scope(|scope| {
-            let published = &published;
-            let residency = &residency;
-            let peak = &peak;
-            let job_rx = &job_rx;
+            let (published, residency, job_rx) = (&published, &residency, &job_rx);
             for _ in 0..workers {
                 let out_tx = out_tx.clone();
                 scope.spawn(move || loop {
@@ -599,239 +621,41 @@ impl RaceDetector {
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .recv();
                     let Ok(job) = job else { break };
-                    let view = job.boundary.view(&job.trace, job.range.clone());
-                    let outcome = self.solve_window_isolated(
-                        job.index,
-                        &view,
-                        job.plan.as_ref(),
-                        Some(published),
-                    );
-                    drop(view);
+                    let result = job.solve(self, published);
                     drop(job);
                     residency.fetch_sub(1, Ordering::Relaxed);
-                    if out_tx.send(outcome).is_err() {
+                    if out_tx.send(result).is_err() {
                         break;
                     }
                 });
             }
             drop(out_tx);
             let merger = scope.spawn(move || {
-                let mut report = DetectionReport::default();
-                let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-                let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-                let mut cursor = 0usize;
-                for outcome in out_rx {
-                    pending.insert(outcome.window_index(), outcome);
-                    while let Some(outcome) = pending.remove(&cursor) {
-                        self.merge_outcome(outcome, &mut report, &mut confirmed, Some(published));
-                        note_first_race(&mut report, start);
-                        cursor += 1;
-                    }
+                let mut merge = InOrderMerge::new(start);
+                for result in out_rx {
+                    merge.absorb(self, result, published);
                 }
-                debug_assert!(pending.is_empty(), "every window outcome merged");
-                report
+                merge.finish()
             });
-            // Ingest + dispatch on this thread. The immediately-invoked
-            // closure lets `?` short-circuit on a parse error while the
-            // cleanup below still runs: dropping `job_tx` closes the job
-            // queue, the workers drain and exit, the merger finishes.
-            let dispatch = |job: StreamJob| {
+            let fed = feed(&mut |job| {
                 let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
                 peak.fetch_max(live, Ordering::Relaxed);
-                // Send fails only if every worker died; the report will
-                // show the windows that never merged as missing — but
-                // worker panics are caught per window, so in practice the
-                // queue outlives ingestion.
+                // Send fails only if every worker died; worker panics are
+                // caught per window, so in practice the queue outlives the
+                // feed.
                 let _ = job_tx.send(job);
-            };
-            let io_result = (|| -> Result<(Arc<Trace>, IngestStats, Duration), JsonError> {
-                let mut parser = StreamParser::new();
-                let mut chunk = vec![0u8; STREAM_CHUNK];
-                let mut boundary: Option<WindowBoundary> = None;
-                // Cone mode: the dispatcher also runs the straddle
-                // tracker, in lockstep with the boundary.
-                let mut tracker: Option<BoundaryTracker> = None;
-                let mut next_start = 0usize;
-                let mut next_index = 0usize;
-                let mut first_dispatch: Option<Duration> = None;
-                loop {
-                    let n = reader
-                        .read(&mut chunk)
-                        .map_err(|e| io_error(parser.bytes_fed(), e))?;
-                    if n == 0 {
-                        break;
-                    }
-                    parser.feed(&chunk[..n])?;
-                    // Dispatch every newly completed window. Gated on the
-                    // metadata: boundary state needs the initial values,
-                    // and a snapshot without the full metadata would not
-                    // be prefix-equivalent to the final trace.
-                    if !parser.metadata_complete() || parser.events().len() < next_start + size {
-                        continue;
-                    }
-                    let snapshot = Arc::new(Trace::from_data(parser.data().clone()));
-                    let boundary = boundary.get_or_insert_with(|| {
-                        WindowBoundary::from_initial_values(&snapshot.data().initial_values)
-                    });
-                    if self.cone_mode() && tracker.is_none() {
-                        tracker = Some(BoundaryTracker::new(
-                            WindowBoundary::from_initial_values(&snapshot.data().initial_values),
-                            self.config.spill_events(),
-                        ));
-                    }
-                    while next_start + size <= snapshot.len() {
-                        let range = next_start..next_start + size;
-                        first_dispatch.get_or_insert_with(|| start.elapsed());
-                        let plan = tracker.as_ref().and_then(|t| {
-                            t.plan(snapshot.events(), range.clone(), |v| {
-                                snapshot.is_volatile(v)
-                            })
-                        });
-                        dispatch(StreamJob {
-                            index: next_index,
-                            range: range.clone(),
-                            boundary: boundary.clone(),
-                            trace: snapshot.clone(),
-                            plan,
-                        });
-                        if let Some(t) = tracker.as_mut() {
-                            t.advance(snapshot.events(), range.clone());
-                        }
-                        boundary.advance(snapshot.events(), range);
-                        next_start += size;
-                        next_index += 1;
-                    }
-                }
-                parser.finish()?;
-                // Strict-path parity: the whole-file reader validates
-                // wait links after parsing; so does the stream. On
-                // failure every speculative verdict is discarded.
-                validate_wait_links(parser.data())?;
-                let ingest = parser.stats();
-                let ingest_done = start.elapsed();
-                let trace = Arc::new(Trace::from_data(parser.into_data()));
-                let boundary = boundary.get_or_insert_with(|| {
-                    WindowBoundary::from_initial_values(&trace.data().initial_values)
-                });
-                if self.cone_mode() && tracker.is_none() {
-                    tracker = Some(BoundaryTracker::new(
-                        WindowBoundary::from_initial_values(&trace.data().initial_values),
-                        self.config.spill_events(),
-                    ));
-                }
-                while next_start < trace.len() {
-                    let end = (next_start + size).min(trace.len());
-                    let range = next_start..end;
-                    let plan = tracker.as_ref().and_then(|t| {
-                        t.plan(trace.events(), range.clone(), |v| trace.is_volatile(v))
-                    });
-                    dispatch(StreamJob {
-                        index: next_index,
-                        range: range.clone(),
-                        boundary: boundary.clone(),
-                        trace: trace.clone(),
-                        plan,
-                    });
-                    if let Some(t) = tracker.as_mut() {
-                        t.advance(trace.events(), range.clone());
-                    }
-                    boundary.advance(trace.events(), range);
-                    next_start = end;
-                    next_index += 1;
-                }
-                let overlap = first_dispatch
-                    .map(|t| ingest_done.saturating_sub(t))
-                    .unwrap_or(Duration::ZERO);
-                Ok((trace, ingest, overlap))
-            })();
+            });
+            // Closing the queue lets the workers drain and exit, which
+            // ends the merge.
             drop(job_tx);
             let mut report = merger.join().expect("merge thread panicked");
-            let (trace, ingest, overlap) = io_result?;
             report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
-            report.stats.ingest_overlap = Some(overlap);
-            report.stats.wall_time = start.elapsed();
-            // Every worker has exited (the merger saw the channel close),
-            // so the final Arc is the last one standing.
-            let trace = Arc::try_unwrap(trace).unwrap_or_else(|a| (*a).clone());
-            Ok(StreamDetection {
-                trace,
-                report,
-                ingest,
-            })
+            (report, fed)
         })
     }
 
-    /// Fans `views` out to a bounded scoped pool; merges in window order as
-    /// outcomes stream back.
-    fn detect_parallel(
-        &self,
-        views: &[View<'_>],
-        plans: &[Option<StraddlePlan>],
-        workers: usize,
-        report: &mut DetectionReport,
-        confirmed: &mut HashSet<RaceSignature>,
-        start: Instant,
-    ) {
-        let published: Published = PublishedSet::new();
-        let next_window = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<WindowOutcome>();
-        std::thread::scope(|scope| {
-            let published = &published;
-            let next_window = &next_window;
-            for _ in 0..workers.min(views.len()) {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let index = next_window.fetch_add(1, Ordering::Relaxed);
-                    let Some(view) = views.get(index) else { break };
-                    let plan = plans.get(index).and_then(Option::as_ref);
-                    let outcome = self.solve_window_isolated(index, view, plan, Some(published));
-                    if tx.send(outcome).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Outcomes arrive in completion order; buffer and merge them in
-            // window order so dedup decisions are reproducible.
-            let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-            let mut cursor = 0usize;
-            for outcome in rx {
-                pending.insert(outcome.window_index(), outcome);
-                while let Some(outcome) = pending.remove(&cursor) {
-                    self.merge_outcome(outcome, report, confirmed, Some(published));
-                    note_first_race(report, start);
-                    cursor += 1;
-                }
-            }
-            debug_assert!(pending.is_empty(), "every window outcome merged");
-        });
-    }
-
-    /// Solves one window under panic isolation: a panic anywhere in the
-    /// solve (including injected `Fault::Panic`s) becomes a
-    /// [`WindowOutcome::Failed`] record instead of unwinding into the
-    /// worker loop or the serial driver.
-    fn solve_window_isolated(
-        &self,
-        window_index: usize,
-        view: &View<'_>,
-        plan: Option<&StraddlePlan>,
-        published: Option<&Published>,
-    ) -> WindowOutcome {
-        let solve =
-            std::panic::AssertUnwindSafe(|| self.solve_window(window_index, view, plan, published));
-        match std::panic::catch_unwind(solve) {
-            Ok(solved) => WindowOutcome::Solved(solved),
-            Err(payload) => WindowOutcome::Failed(FailedWindow {
-                window_index,
-                range: view.range(),
-                reason: panic_reason(payload.as_ref()),
-            }),
-        }
-    }
-
     /// Solves one window under panic isolation, as a building block for
-    /// external drivers (the session layer): the result must be handed to
+    /// external drivers: the result must be handed to
     /// [`RaceDetector::merge_window_result`] in window order. The solve is
     /// a pure function of the window's view (plus the skip-only
     /// `published` set and the window's deterministic straddle `plan`, if
@@ -843,7 +667,9 @@ impl RaceDetector {
         plan: Option<&StraddlePlan>,
         published: Option<&PublishedSet>,
     ) -> WindowResult {
-        WindowResult(self.solve_window_isolated(window_index, view, plan, published))
+        isolated(window_index, view.range(), || {
+            self.solve_window(window_index, view, plan, published)
+        })
     }
 
     /// Merges one window's result into `report`. Must be called in window
@@ -857,7 +683,7 @@ impl RaceDetector {
         confirmed: &mut HashSet<RaceSignature>,
         published: Option<&PublishedSet>,
     ) {
-        self.merge_outcome(result.0, report, confirmed, published);
+        self.merge_outcome(result, report, confirmed, published);
     }
 
     /// Solves one window into an outcome record. Pure with respect to
@@ -868,7 +694,7 @@ impl RaceDetector {
         window_index: usize,
         view: &View<'_>,
         plan: Option<&StraddlePlan>,
-        published: Option<&Published>,
+        published: Option<&PublishedSet>,
     ) -> SolvedWindow {
         let window_start = Instant::now();
         let cfg = &self.config;
@@ -1462,15 +1288,15 @@ impl RaceDetector {
     /// signatures are pushed to `published` for in-flight workers.
     fn merge_outcome(
         &self,
-        outcome: WindowOutcome,
+        result: WindowResult,
         report: &mut DetectionReport,
         confirmed: &mut HashSet<RaceSignature>,
-        published: Option<&Published>,
+        published: Option<&PublishedSet>,
     ) {
         let cfg = &self.config;
         let stats = &mut report.stats;
         stats.windows += 1;
-        let outcome = match outcome {
+        let outcome = match result.0 {
             WindowOutcome::Failed(failed) => {
                 stats.failed_windows += 1;
                 report.failed_windows.push(failed);
@@ -1888,34 +1714,43 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_eager_at_every_worker_count() {
-        let trace = multi_window_trace();
-        let eager = RaceDetector::with_config(DetectorConfig {
-            window_size: 8,
-            parallelism: 1,
-            ..Default::default()
-        })
-        .detect(&trace);
-        assert!(eager.n_races() >= 1, "sanity: the workload races");
-        assert_eq!(eager.stats.peak_window_residency, eager.stats.windows);
-        for workers in [1usize, 2, 4, 8] {
-            let cfg = DetectorConfig {
+    fn window_residency_is_bounded_by_the_pool_for_both_sources() {
+        // 24 windows of 8 events: far more windows than any pool holds.
+        let mut b = TraceBuilder::new();
+        let x = b.var("x");
+        let y = b.var("y");
+        let t1 = ThreadId::MAIN;
+        let t2 = b.fork(t1);
+        for i in 0..48 {
+            b.write(t1, x, i);
+            b.read(t2, x, i);
+            b.write(t2, y, i);
+            b.read(t1, y, i);
+        }
+        let trace = b.finish();
+        let ndjson = rvtrace::to_ndjson(&trace);
+        let mut baseline: Option<String> = None;
+        for jobs in [1usize, 2, 4, 8] {
+            let detector = RaceDetector::with_config(DetectorConfig {
                 window_size: 8,
-                parallelism: workers,
+                parallelism: jobs,
                 ..Default::default()
-            };
-            let piped = RaceDetector::with_config(cfg).detect_pipelined(&trace);
-            assert_eq!(
-                piped.deterministic_summary(),
-                eager.deterministic_summary(),
-                "workers={workers}"
-            );
-            assert!(
-                piped.stats.peak_window_residency <= workers + (workers + 2) + 1,
-                "workers={workers} peak={}",
-                piped.stats.peak_window_residency
-            );
-            assert!(piped.stats.time_to_first_race.is_some());
+            });
+            let whole = detector.detect(&trace);
+            let streamed = detector.detect_stream(ndjson.as_bytes()).unwrap().report;
+            assert!(whole.stats.windows >= 20, "windows={}", whole.stats.windows);
+            assert!(whole.n_races() >= 1, "sanity: the workload races");
+            for (source, report) in [("detect", &whole), ("detect_stream", &streamed)] {
+                let peak = report.stats.peak_window_residency;
+                assert!(
+                    (1..=2 * jobs + 3).contains(&peak),
+                    "{source} jobs={jobs} peak={peak}"
+                );
+                assert!(report.stats.time_to_first_race.is_some(), "{source}");
+            }
+            let summary = whole.deterministic_summary();
+            assert_eq!(summary, streamed.deterministic_summary(), "jobs={jobs}");
+            assert_eq!(*baseline.get_or_insert_with(|| summary.clone()), summary);
         }
     }
 
@@ -1927,14 +1762,14 @@ mod tests {
             parallelism: 2,
             ..Default::default()
         };
-        let eager = RaceDetector::with_config(cfg()).detect(&trace);
+        let whole = RaceDetector::with_config(cfg()).detect(&trace);
         for input in [rvtrace::to_json(&trace), rvtrace::to_ndjson(&trace)] {
             let streamed = RaceDetector::with_config(cfg())
                 .detect_stream(input.as_bytes())
                 .unwrap();
             assert_eq!(
                 streamed.report.deterministic_summary(),
-                eager.deterministic_summary()
+                whole.deterministic_summary()
             );
             assert_eq!(streamed.trace.events(), trace.events());
             assert_eq!(streamed.ingest.bytes, input.len());
@@ -1946,7 +1781,7 @@ mod tests {
     #[test]
     fn stream_detection_handles_empty_and_partial_windows() {
         // Shorter than one window, and an exact multiple of the window
-        // size: the streamed window count must match the eager one.
+        // size: the streamed window count must match the whole-file one.
         let trace = multi_window_trace(); // 65 events with the fork
         for window_size in [usize::MAX, 65, 13] {
             let cfg = || DetectorConfig {
@@ -1954,13 +1789,13 @@ mod tests {
                 parallelism: 2,
                 ..Default::default()
             };
-            let eager = RaceDetector::with_config(cfg()).detect(&trace);
+            let whole = RaceDetector::with_config(cfg()).detect(&trace);
             let streamed = RaceDetector::with_config(cfg())
                 .detect_stream(rvtrace::to_ndjson(&trace).as_bytes())
                 .unwrap();
             assert_eq!(
                 streamed.report.deterministic_summary(),
-                eager.deterministic_summary(),
+                whole.deterministic_summary(),
                 "window_size={window_size}"
             );
         }
@@ -2111,7 +1946,7 @@ mod tests {
     fn straddle_dedup_is_deterministic_across_worker_counts_and_drivers() {
         // The same signature races in-window (window 0) *and* astride a
         // later boundary: the straddling duplicate must dedup identically
-        // whether windows were solved serially, pipelined, or streamed.
+        // whether windows came from the whole trace or from a stream.
         let mut b = TraceBuilder::new();
         let x = b.var("x");
         let y = b.var("y");
@@ -2138,14 +1973,12 @@ mod tests {
                     parallelism: workers,
                     ..Default::default()
                 };
-                let eager = RaceDetector::with_config(cfg()).detect(&trace);
-                let piped = RaceDetector::with_config(cfg()).detect_pipelined(&trace);
+                let whole = RaceDetector::with_config(cfg()).detect(&trace);
                 let streamed = RaceDetector::with_config(cfg())
                     .detect_stream(rvtrace::to_ndjson(&trace).as_bytes())
                     .unwrap();
                 [
-                    eager.deterministic_summary(),
-                    piped.deterministic_summary(),
+                    whole.deterministic_summary(),
                     streamed.report.deterministic_summary(),
                 ]
             })

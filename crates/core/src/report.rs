@@ -254,10 +254,9 @@ pub struct DetectionStats {
     /// Per-window worker time (enumerate + encode + solve), indexed by
     /// window.
     pub window_times: Vec<Duration>,
-    /// High-water mark of window [`View`](rvtrace::View)s alive at once.
-    /// The eager driver materializes every window up front, so this equals
-    /// [`DetectionStats::windows`]; the pipelined/streaming drivers bound
-    /// it by the worker count plus the dispatch queue. Gauge-type: depends
+    /// High-water mark of windows alive at once, from dispatch until their
+    /// worker drops them. Every driver bounds it by its worker pool plus
+    /// its dispatch queue (`2 * jobs + 3` in process). Gauge-type: depends
     /// on worker count and scheduling, excluded from the deterministic
     /// summary.
     pub peak_window_residency: usize,

@@ -29,12 +29,13 @@
 //! A session's merged report is byte-identical (summary and count-type
 //! metrics) to running the same trace through the standalone drivers, at
 //! any worker count and any co-tenant mix: windows are solved as pure
-//! functions of their view via [`RaceDetector::solve_window_result`] and
-//! merged in window order via [`RaceDetector::merge_window_result`], with
-//! a per-session published-signature set — the same solve-then-merge
-//! protocol as `detect`/`detect_pipelined`/`detect_stream`. (Shedding and
-//! real wall-clock window budgets are by nature load-dependent; the
-//! contract holds whenever they do not fire.)
+//! functions of their view, and merged in window order, by the same window
+//! cursor, job solve and in-order merge that `detect` and `detect_stream`
+//! use, with a per-session published-signature set. Only the scheduler is
+//! the session layer's own: cross-tenant round-robin and load shedding
+//! over `'static` workers. (Shedding and real wall-clock window budgets
+//! are by nature load-dependent; the contract holds whenever they do not
+//! fire.)
 //!
 //! # Examples
 //!
@@ -56,21 +57,20 @@
 //! assert_eq!(outcome.report.n_races(), 1);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rvtrace::{
-    salvage_trace, validate_wait_links, BoundaryTracker, IngestStats, JsonError, RaceSignature,
-    SalvageReport, StraddlePlan, StreamParser, Trace, WindowBoundary,
+    salvage_trace, validate_wait_links, IngestStats, JsonError, SalvageReport, StreamParser, Trace,
+    WindowCursor,
 };
 
-use crate::config::{DetectorConfig, WindowMode};
-use crate::detector::{panic_reason, PublishedSet, RaceDetector, WindowResult};
+use crate::config::DetectorConfig;
+use crate::detector::{InOrderMerge, PublishedSet, RaceDetector, WindowJob, WindowResult};
 use crate::metrics::Metrics;
 use crate::report::DetectionReport;
 
@@ -147,14 +147,8 @@ pub struct SessionOutcome {
 /// receiving results (the sender errors are ignored).
 struct SessionJob {
     session: u64,
-    index: usize,
-    range: Range<usize>,
-    boundary: WindowBoundary,
-    /// The window's straddle plan (cone mode only) — computed by the
-    /// session's sequential tracker, so it is identical to the standalone
-    /// drivers' plans regardless of pool size or co-tenant mix.
-    plan: Option<StraddlePlan>,
-    trace: Arc<Trace>,
+    /// The window and its prefix snapshot, as the session's cursor cut it.
+    job: WindowJob<Arc<Trace>>,
     detector: Arc<RaceDetector>,
     shed_detector: Arc<RaceDetector>,
     published: Arc<PublishedSet>,
@@ -273,15 +267,15 @@ impl SessionManager {
     /// metrics registry, multiplexed onto the shared pool.
     pub fn open_session(&self, config: SessionConfig) -> Session {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut detector_cfg = config.detector.clone();
-        // The pool is the parallelism; a session never spawns workers.
-        detector_cfg.parallelism = 1;
+        let detector_cfg = config.detector.clone();
         let shed_cfg = DetectorConfig {
             // An already-expired window deadline: every COP takes the
             // `--timeout-ms` path without a single solver call.
             window_timeout: Some(Duration::ZERO),
             ..detector_cfg.clone()
         };
+        let detector = RaceDetector::with_config(detector_cfg);
+        let start = Instant::now();
         let (out_tx, out_rx) = mpsc::channel();
         let mut metrics = Metrics::new();
         // Session bookkeeping lives in the *gauges* section: a daemon
@@ -292,27 +286,20 @@ impl SessionManager {
         Session {
             id,
             shared: self.shared.clone(),
-            detector: Arc::new(RaceDetector::with_config(detector_cfg)),
+            cursor: detector.cursor(),
+            detector: Arc::new(detector),
             shed_detector: Arc::new(RaceDetector::with_config(shed_cfg)),
             config,
             parser: StreamParser::new(),
-            boundary: None,
-            tracker: None,
-            next_start: 0,
-            next_index: 0,
             submitted: 0,
-            received: 0,
-            merge_cursor: 0,
             peak_resident: 0,
             shed_windows: 0,
             published: Arc::new(PublishedSet::new()),
             out_tx,
             out_rx,
-            report: DetectionReport::default(),
-            confirmed: HashSet::new(),
-            pending: BTreeMap::new(),
+            merge: InOrderMerge::new(start),
             metrics,
-            start: Instant::now(),
+            start,
         }
     }
 }
@@ -342,10 +329,10 @@ impl SessionManager {
     }
 }
 
-/// The pool worker: pop fairly, solve under panic isolation, post the
-/// result to the owning session. A panic anywhere — view construction
-/// included — becomes that window's `Failed` record; the worker and its
-/// neighbors keep running.
+/// The pool worker: pop fairly, solve under panic isolation
+/// ([`WindowJob::solve`]), post the result to the owning session. A panic
+/// anywhere — view construction included — becomes that window's `Failed`
+/// record; the worker and its neighbors keep running.
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
@@ -360,30 +347,14 @@ fn worker_loop(shared: &PoolShared) {
                 s = shared.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let SessionJob {
-            index,
-            range,
-            boundary,
-            plan,
-            trace,
-            detector,
-            shed_detector,
-            published,
-            out,
-            shed,
-            ..
-        } = job;
-        let fallback_range = range.clone();
-        let solve = std::panic::AssertUnwindSafe(|| {
-            let det = if shed { &shed_detector } else { &detector };
-            let view = boundary.view(&trace, range);
-            det.solve_window_result(index, &view, plan.as_ref(), Some(&published))
-        });
-        let result = std::panic::catch_unwind(solve).unwrap_or_else(|payload| {
-            WindowResult::failed(index, fallback_range, panic_reason(payload.as_ref()))
-        });
+        let detector = if job.shed {
+            &job.shed_detector
+        } else {
+            &job.detector
+        };
+        let result = job.job.solve(detector, &job.published);
         // A retired session dropped its receiver; nobody wants the result.
-        let _ = out.send(result);
+        let _ = job.out.send(result);
     }
 }
 
@@ -398,23 +369,14 @@ pub struct Session {
     shed_detector: Arc<RaceDetector>,
     config: SessionConfig,
     parser: StreamParser,
-    boundary: Option<WindowBoundary>,
-    /// The straddle tracker (cone mode only), advanced in lockstep with
-    /// `boundary` as windows are dispatched.
-    tracker: Option<BoundaryTracker>,
-    next_start: usize,
-    next_index: usize,
+    cursor: WindowCursor,
     submitted: usize,
-    received: usize,
-    merge_cursor: usize,
     peak_resident: usize,
     shed_windows: u64,
     published: Arc<PublishedSet>,
     out_tx: mpsc::Sender<WindowResult>,
     out_rx: mpsc::Receiver<WindowResult>,
-    report: DetectionReport,
-    confirmed: HashSet<RaceSignature>,
-    pending: BTreeMap<usize, WindowResult>,
+    merge: InOrderMerge,
     metrics: Metrics,
     start: Instant,
 }
@@ -424,7 +386,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("id", &self.id)
             .field("submitted", &self.submitted)
-            .field("merged", &self.merge_cursor)
+            .field("received", &self.merge.absorbed())
             .finish()
     }
 }
@@ -437,7 +399,7 @@ impl Session {
 
     /// Windows submitted but not yet merged.
     fn in_flight(&self) -> usize {
-        self.submitted - self.received
+        self.submitted - self.merge.absorbed()
     }
 
     /// Feeds the next chunk of the stream. Strict sessions dispatch every
@@ -453,121 +415,60 @@ impl Session {
         Ok(())
     }
 
-    /// Dispatches every complete window the parser has accumulated,
-    /// mirroring `detect_stream`: gated on the metadata (boundary state
-    /// needs the initial values), solving against prefix snapshots.
+    /// Dispatches every complete window the parser has accumulated, as
+    /// `detect_stream` does: gated on the metadata (boundary state needs
+    /// the initial values), solving against prefix snapshots.
     fn dispatch_ready(&mut self) {
-        let size = self.detector.config().window_size.max(1);
-        if !self.parser.metadata_complete() || self.parser.events().len() < self.next_start + size {
+        if !self.parser.metadata_complete() || !self.cursor.ready(self.parser.events().len(), false)
+        {
             return;
         }
         let snapshot = Arc::new(Trace::from_data(self.parser.data().clone()));
-        let mut boundary = self.boundary.take().unwrap_or_else(|| {
-            WindowBoundary::from_initial_values(&snapshot.data().initial_values)
-        });
-        if self.cone_mode() && self.tracker.is_none() {
-            self.tracker = Some(BoundaryTracker::new(
-                WindowBoundary::from_initial_values(&snapshot.data().initial_values),
-                self.detector.config().spill_events(),
-            ));
-        }
-        while self.next_start + size <= snapshot.len() {
-            let range = self.next_start..self.next_start + size;
-            let job_boundary = boundary.clone();
-            let plan = self.tracker.as_ref().and_then(|t| {
-                t.plan(snapshot.events(), range.clone(), |v| {
-                    snapshot.is_volatile(v)
-                })
-            });
-            if let Some(t) = self.tracker.as_mut() {
-                t.advance(snapshot.events(), range.clone());
-            }
-            boundary.advance(snapshot.events(), range.clone());
-            self.next_start += size;
-            self.submit(range, job_boundary, plan, snapshot.clone());
-        }
-        self.boundary = Some(boundary);
+        self.submit_windows(&snapshot, false);
     }
 
-    /// True when cross-boundary prediction (`--window-mode cone`) is on
-    /// for this session's detector.
-    fn cone_mode(&self) -> bool {
-        self.detector.config().window_mode == WindowMode::Cone
-    }
-
-    /// Submits one window to the pool, applying backpressure first: while
+    /// Submits every window the cursor yields over `trace` (a prefix
+    /// unless `complete`) to the pool, applying backpressure first: while
     /// this session is at its residency cap, block merging its own results
     /// (stalling only this stream's ingest).
-    fn submit(
-        &mut self,
-        range: Range<usize>,
-        boundary: WindowBoundary,
-        plan: Option<StraddlePlan>,
-        trace: Arc<Trace>,
-    ) {
-        while self.in_flight() >= self.config.max_resident_windows.max(1) {
-            let result = self
-                .out_rx
-                .recv()
-                .expect("solver pool shut down with windows in flight");
-            self.absorb(result);
-        }
-        let shed = {
-            let mut s = self.shared.lock();
-            let shed = s.total_pending >= self.shared.shed_threshold;
-            s.push_job(SessionJob {
-                session: self.id,
-                index: self.next_index,
-                range,
-                boundary,
-                plan,
-                trace,
-                detector: self.detector.clone(),
-                shed_detector: self.shed_detector.clone(),
-                published: self.published.clone(),
-                out: self.out_tx.clone(),
-                shed,
-            });
-            self.shared.ready.notify_one();
-            shed
-        };
-        if shed {
-            self.shed_windows += 1;
-        }
-        self.next_index += 1;
-        self.submitted += 1;
-        self.peak_resident = self.peak_resident.max(self.in_flight());
-    }
-
-    /// Buffers one result and merges everything now contiguous, in window
-    /// order — the replay that keeps reports deterministic.
-    fn absorb(&mut self, result: WindowResult) {
-        self.received += 1;
-        self.pending.insert(result.window_index(), result);
-        while let Some(result) = self.pending.remove(&self.merge_cursor) {
-            self.detector.merge_window_result(
-                result,
-                &mut self.report,
-                &mut self.confirmed,
-                Some(&self.published),
-            );
-            self.merge_cursor += 1;
-        }
-        if self.report.stats.time_to_first_race.is_none() && !self.report.races.is_empty() {
-            self.report.stats.time_to_first_race = Some(self.start.elapsed());
+    fn submit_windows(&mut self, trace: &Arc<Trace>, complete: bool) {
+        while let Some(window) = self.cursor.next(trace, complete) {
+            while self.in_flight() >= self.config.max_resident_windows.max(1) {
+                self.absorb_one();
+            }
+            let shed = {
+                let mut s = self.shared.lock();
+                let shed = s.total_pending >= self.shared.shed_threshold;
+                s.push_job(SessionJob {
+                    session: self.id,
+                    job: WindowJob {
+                        window,
+                        trace: trace.clone(),
+                    },
+                    detector: self.detector.clone(),
+                    shed_detector: self.shed_detector.clone(),
+                    published: self.published.clone(),
+                    out: self.out_tx.clone(),
+                    shed,
+                });
+                self.shared.ready.notify_one();
+                shed
+            };
+            if shed {
+                self.shed_windows += 1;
+            }
+            self.submitted += 1;
+            self.peak_resident = self.peak_resident.max(self.in_flight());
         }
     }
 
-    /// Blocks until every submitted window has merged.
-    fn drain(&mut self) {
-        while self.received < self.submitted {
-            let result = self
-                .out_rx
-                .recv()
-                .expect("solver pool shut down with windows in flight");
-            self.absorb(result);
-        }
-        debug_assert!(self.pending.is_empty(), "every window outcome merged");
+    /// Waits for one result and merges everything now contiguous.
+    fn absorb_one(&mut self) {
+        let result = self
+            .out_rx
+            .recv()
+            .expect("solver pool shut down with windows in flight");
+        self.merge.absorb(&self.detector, result, &self.published);
     }
 
     /// Ends the stream: completes the parse, dispatches the tail window,
@@ -586,34 +487,12 @@ impl Session {
             validate_wait_links(parser.data())?;
             (Arc::new(Trace::from_data(parser.into_data())), None)
         };
-        let size = self.detector.config().window_size.max(1);
-        let mut boundary = self
-            .boundary
-            .take()
-            .unwrap_or_else(|| WindowBoundary::from_initial_values(&trace.data().initial_values));
-        if self.cone_mode() && self.tracker.is_none() {
-            self.tracker = Some(BoundaryTracker::new(
-                WindowBoundary::from_initial_values(&trace.data().initial_values),
-                self.detector.config().spill_events(),
-            ));
+        self.submit_windows(&trace, true);
+        while self.in_flight() > 0 {
+            self.absorb_one();
         }
-        while self.next_start < trace.len() {
-            let end = (self.next_start + size).min(trace.len());
-            let range = self.next_start..end;
-            let job_boundary = boundary.clone();
-            let plan = self
-                .tracker
-                .as_ref()
-                .and_then(|t| t.plan(trace.events(), range.clone(), |v| trace.is_volatile(v)));
-            if let Some(t) = self.tracker.as_mut() {
-                t.advance(trace.events(), range.clone());
-            }
-            boundary.advance(trace.events(), range.clone());
-            self.next_start = end;
-            self.submit(range, job_boundary, plan, trace.clone());
-        }
-        self.drain();
-        let mut report = std::mem::take(&mut self.report);
+        let merge = std::mem::replace(&mut self.merge, InOrderMerge::new(self.start));
+        let mut report = merge.finish();
         report.stats.peak_window_residency = self.peak_resident;
         report.stats.wall_time = self.start.elapsed();
         self.metrics
@@ -770,16 +649,16 @@ mod tests {
         let mut sched = Sched::default();
         let (tx, _rx) = mpsc::channel();
         let trace = Arc::new(racy_trace(1));
-        let boundary = WindowBoundary::from_initial_values(&trace.data().initial_values);
         let det = Arc::new(RaceDetector::new());
         let mut push = |session: u64, index: usize| {
+            let mut window = det.cursor().next(&trace, true).expect("one window");
+            window.index = index;
             sched.push_job(SessionJob {
                 session,
-                index,
-                range: 0..1,
-                boundary: boundary.clone(),
-                plan: None,
-                trace: trace.clone(),
+                job: WindowJob {
+                    window,
+                    trace: trace.clone(),
+                },
                 detector: det.clone(),
                 shed_detector: det.clone(),
                 published: Arc::new(PublishedSet::new()),
@@ -793,7 +672,7 @@ mod tests {
         }
         push(1, 0);
         let order: Vec<(u64, usize)> = std::iter::from_fn(|| sched.pop_job())
-            .map(|j| (j.session, j.index))
+            .map(|j| (j.session, j.job.window.index))
             .collect();
         assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (0, 2)]);
         assert_eq!(sched.total_pending, 0);

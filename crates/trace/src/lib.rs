@@ -74,6 +74,6 @@ pub use stream::{read_trace, read_trace_data, StreamFormat, StreamParser};
 pub use trace::{MsgLink, Trace, TraceData, TraceStats, WaitLink};
 pub use vector_clock::VectorClock;
 pub use view::{
-    BoundarySpill, BoundaryTracker, CsSpan, StraddlePlan, View, ViewExt, WindowBoundary,
-    WindowStream,
+    BoundarySpill, BoundaryTracker, CsSpan, CursorWindow, StraddlePlan, View, ViewExt,
+    WindowBoundary, WindowCursor,
 };

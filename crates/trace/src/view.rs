@@ -40,9 +40,8 @@ pub struct CsSpan {
 /// Public so streaming drivers can materialize window [`View`]s one at a
 /// time — advance the boundary over each window's events as they arrive
 /// (no trace-length state beyond this struct), and build the next window's
-/// view from it. [`WindowStream`] packages the common case; the streaming
-/// detector threads a boundary through trace *prefixes* as the parser
-/// produces them.
+/// view from it. [`WindowCursor`] is the one driver that does so, over a
+/// whole trace or over the trace *prefixes* a streaming parser produces.
 #[derive(Debug, Clone)]
 pub struct WindowBoundary {
     values: Vec<Value>,
@@ -612,61 +611,107 @@ impl<'a> View<'a> {
     }
 }
 
-/// Lazy iterator of fixed-size window [`View`]s over a trace.
-///
-/// Each call to [`next`](Iterator::next) materializes exactly one window
-/// and advances the carried [`WindowBoundary`], so at most one view's
-/// indexes exist per un-consumed item — the pipelined detector holds a
-/// bounded number of in-flight views instead of the eager whole-trace
-/// `Vec<View>` that [`ViewExt::windows`] builds. The views produced are
-/// identical to the corresponding `windows(size)` elements.
-#[derive(Debug)]
-pub struct WindowStream<'a> {
-    trace: &'a Trace,
-    size: usize,
-    start: usize,
-    boundary: WindowBoundary,
+/// One window yielded by a [`WindowCursor`]: its place in window order,
+/// its trace range, the boundary state at its start and, in cone mode, its
+/// straddle plan. Everything a solver needs to build the window's [`View`]
+/// from any trace (or trace prefix) that covers `range`.
+#[derive(Debug, Clone)]
+pub struct CursorWindow {
+    /// Position in window order (the merge key).
+    pub index: usize,
+    /// The events the window covers.
+    pub range: Range<usize>,
+    /// Boundary state at `range.start`.
+    pub boundary: WindowBoundary,
+    /// The straddle plan (cone mode only; `None` when no pair crosses the
+    /// window start).
+    pub plan: Option<StraddlePlan>,
 }
 
-impl<'a> WindowStream<'a> {
-    /// A stream of `size`-event windows over `trace` (the last may be
-    /// shorter).
+impl CursorWindow {
+    /// The window's view over `trace`, which must cover `range`.
+    pub fn view<'a>(&self, trace: &'a Trace) -> View<'a> {
+        self.boundary.view(trace, self.range.clone())
+    }
+}
+
+/// The one window cursor: cuts a trace into fixed-size windows, carrying
+/// the [`WindowBoundary`] and (cone mode) the [`BoundaryTracker`] from
+/// each window to the next.
+///
+/// The cursor can be driven over a growing trace: each call to
+/// [`next`](WindowCursor::next) may pass a longer prefix of the same
+/// trace. Inside a prefix it yields only full windows; once the caller
+/// says the trace is `complete` it also yields the shorter tail window.
+/// The boundary is created lazily from the trace metadata's initial
+/// values, so it is valid on prefixes. Windows, boundaries and plans are
+/// pure functions of the event prefix, so every driver that walks a
+/// trace with a cursor sees identical windows.
+#[derive(Debug, Clone)]
+pub struct WindowCursor {
+    size: usize,
+    spill_events: Option<usize>,
+    next_start: usize,
+    next_index: usize,
+    carry: Option<(WindowBoundary, Option<BoundaryTracker>)>,
+}
+
+impl WindowCursor {
+    /// A cursor over `size`-event windows. With `spill_events` set (cone
+    /// mode) it also plans boundary-straddling pairs with that much
+    /// lookback.
     ///
     /// # Panics
     ///
     /// Panics if `size == 0`.
-    pub fn new(trace: &'a Trace, size: usize) -> Self {
+    pub fn new(size: usize, spill_events: Option<usize>) -> Self {
         assert!(size > 0, "window size must be nonzero");
-        WindowStream {
-            trace,
+        WindowCursor {
             size,
-            start: 0,
-            boundary: WindowBoundary::initial(trace),
+            spill_events,
+            next_start: 0,
+            next_index: 0,
+            carry: None,
         }
     }
 
-    /// The trace range the next window will cover, or `None` when the
-    /// stream is exhausted.
-    pub fn next_range(&self) -> Option<Range<usize>> {
-        (self.start < self.trace.len())
-            .then(|| self.start..(self.start + self.size).min(self.trace.len()))
+    /// Whether [`next`](WindowCursor::next) would yield a window over a
+    /// trace of `len` events (a prefix unless `complete`).
+    pub fn ready(&self, len: usize, complete: bool) -> bool {
+        let left = len.saturating_sub(self.next_start);
+        left >= self.size || (complete && left > 0)
     }
 
-    /// The boundary state at the start of the next window.
-    pub fn boundary(&self) -> &WindowBoundary {
-        &self.boundary
-    }
-}
-
-impl<'a> Iterator for WindowStream<'a> {
-    type Item = View<'a>;
-
-    fn next(&mut self) -> Option<View<'a>> {
-        let range = self.next_range()?;
-        let view = self.boundary.view(self.trace, range.clone());
-        self.boundary.advance(self.trace.events(), range.clone());
-        self.start = range.end;
-        Some(view)
+    /// The next window of `trace`, or `None` when `trace` holds no further
+    /// full window (or, once `complete`, no further events). Successive
+    /// calls must pass prefixes of one trace, each at least as long as
+    /// the last.
+    pub fn next(&mut self, trace: &Trace, complete: bool) -> Option<CursorWindow> {
+        if !self.ready(trace.len(), complete) {
+            return None;
+        }
+        let range = self.next_start..trace.len().min(self.next_start.saturating_add(self.size));
+        let spill_events = self.spill_events;
+        let (boundary, tracker) = self.carry.get_or_insert_with(|| {
+            let b = WindowBoundary::from_initial_values(&trace.data().initial_values);
+            let t = spill_events.map(|s| BoundaryTracker::new(b.clone(), s));
+            (b, t)
+        });
+        let plan = tracker.as_mut().and_then(|t| {
+            let plan = t.plan(trace.events(), range.clone(), |v| trace.is_volatile(v));
+            t.advance(trace.events(), range.clone());
+            plan
+        });
+        let window = CursorWindow {
+            index: self.next_index,
+            range: range.clone(),
+            boundary: boundary.clone(),
+            plan,
+        };
+        boundary.advance(trace.events(), range.clone());
+        self.next_start = range.end;
+        self.next_index += 1;
+        Some(window)
     }
 }
 
@@ -821,8 +866,8 @@ impl StraddlePlan {
 /// Protocol per window `range` (in order): [`plan`](BoundaryTracker::plan)
 /// first, then [`advance`](BoundaryTracker::advance). Both are
 /// deterministic functions of the event prefix, so plans are identical
-/// across eager, pipelined, streamed, and session drivers at any
-/// parallelism.
+/// for every driver and at any parallelism. [`WindowCursor`] runs the
+/// protocol for the detector's drivers.
 #[derive(Debug, Clone)]
 pub struct BoundaryTracker {
     spill: BoundarySpill,
@@ -984,14 +1029,6 @@ pub trait ViewExt {
     ///
     /// Panics if `size == 0`.
     fn windows(&self, size: usize) -> Vec<View<'_>>;
-
-    /// A lazy [`WindowStream`] over the same windows `windows(size)`
-    /// returns, materializing one [`View`] at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    fn window_stream(&self, size: usize) -> WindowStream<'_>;
 }
 
 impl ViewExt for Trace {
@@ -1000,11 +1037,10 @@ impl ViewExt for Trace {
     }
 
     fn windows(&self, size: usize) -> Vec<View<'_>> {
-        self.window_stream(size).collect()
-    }
-
-    fn window_stream(&self, size: usize) -> WindowStream<'_> {
-        WindowStream::new(self, size)
+        let mut cursor = WindowCursor::new(size, None);
+        std::iter::from_fn(|| cursor.next(self, true))
+            .map(|w| w.view(self))
+            .collect()
     }
 }
 
@@ -1167,39 +1203,86 @@ mod tests {
     }
 
     #[test]
-    fn window_stream_matches_eager_windows() {
+    fn windows_match_boundaries_advanced_from_the_trace_start() {
         let (tr, _) = sample();
         for size in [1, 2, 3, 4, tr.len(), tr.len() + 7] {
-            let eager = tr.windows(size);
-            let streamed: Vec<View<'_>> = tr.window_stream(size).collect();
-            assert_eq!(eager.len(), streamed.len(), "size={size}");
-            for (e, s) in eager.iter().zip(&streamed) {
-                assert_eq!(e.range(), s.range(), "size={size}");
-                assert_eq!(e.held_at_start(), s.held_at_start(), "size={size}");
+            let windows = tr.windows(size);
+            assert_eq!(windows.len(), tr.len().div_ceil(size), "size={size}");
+            let mut carry = WindowBoundary::initial(&tr);
+            for (i, w) in windows.iter().enumerate() {
+                let range = i * size..((i + 1) * size).min(tr.len());
+                assert_eq!(w.range(), range, "size={size}");
+                let fresh = carry.view(&tr, range.clone());
+                assert_eq!(w.held_at_start(), fresh.held_at_start(), "size={size}");
                 for v in 0..tr.n_vars() as u32 {
                     assert_eq!(
-                        e.initial_value(VarId(v)),
-                        s.initial_value(VarId(v)),
+                        w.initial_value(VarId(v)),
+                        fresh.initial_value(VarId(v)),
                         "size={size} var={v}"
                     );
                 }
-                for id in e.ids() {
-                    assert_eq!(e.lockset(id), s.lockset(id), "size={size} {id}");
-                    assert_eq!(e.clock(id), s.clock(id), "size={size} {id}");
+                for id in w.ids() {
+                    assert_eq!(w.lockset(id), fresh.lockset(id), "size={size} {id}");
+                    assert_eq!(w.clock(id), fresh.clock(id), "size={size} {id}");
                 }
+                carry.advance(tr.events(), range);
             }
         }
     }
 
     #[test]
-    fn window_stream_reports_next_range() {
-        let (tr, _) = sample();
-        let mut ws = tr.window_stream(4);
-        assert_eq!(ws.next_range(), Some(0..4));
-        ws.next();
-        assert_eq!(ws.next_range(), Some(4..8));
-        while ws.next().is_some() {}
-        assert_eq!(ws.next_range(), None);
+    fn cursor_yields_full_windows_on_prefixes_and_the_tail_once_complete() {
+        let (tr, _) = sample(); // 10 events
+        let prefix = |n: usize| {
+            let mut data = tr.data().clone();
+            data.events.truncate(n);
+            Trace::from_data(data)
+        };
+        let mut cursor = WindowCursor::new(4, None);
+        assert!(
+            cursor.next(&prefix(3), false).is_none(),
+            "no full window yet"
+        );
+        let first = cursor.next(&prefix(9), false).expect("window 0");
+        assert_eq!((first.index, first.range.clone()), (0, 0..4));
+        let second = cursor.next(&prefix(9), false).expect("window 1");
+        assert_eq!((second.index, second.range.clone()), (1, 4..8));
+        assert!(cursor.next(&prefix(9), false).is_none(), "1-event partial");
+        assert!(!cursor.ready(tr.len(), false));
+        assert!(cursor.ready(tr.len(), true));
+        let tail = cursor.next(&tr, true).expect("tail window");
+        assert_eq!((tail.index, tail.range.clone()), (2, 8..10));
+        assert!(cursor.next(&tr, true).is_none());
+        // Prefix-built windows equal the whole-trace ones.
+        let whole = tr.windows(4);
+        for (w, c) in whole.iter().zip([&first, &second, &tail]) {
+            let v = c.view(&tr);
+            assert_eq!(w.range(), v.range());
+            assert_eq!(w.held_at_start(), v.held_at_start());
+        }
+    }
+
+    #[test]
+    fn cursor_plans_match_a_sequential_tracker_sweep() {
+        let tr = straddling_trace();
+        let mut tk = BoundaryTracker::new(WindowBoundary::initial(&tr), 1024);
+        let mut cursor = WindowCursor::new(3, Some(1024));
+        let mut start = 0;
+        while let Some(w) = cursor.next(&tr, true) {
+            let range = start..(start + 3).min(tr.len());
+            assert_eq!(w.range, range);
+            let plan = tk.plan(tr.events(), range.clone(), |v| tr.is_volatile(v));
+            tk.advance(tr.events(), range.clone());
+            assert_eq!(
+                w.plan.as_ref().map(|p| p.cops.clone()),
+                plan.map(|p| p.cops)
+            );
+            start = range.end;
+        }
+        assert_eq!(start, tr.len());
+        assert!(WindowCursor::new(3, None)
+            .next(&tr, true)
+            .is_some_and(|w| w.plan.is_none()));
     }
 
     #[test]

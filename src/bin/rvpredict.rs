@@ -213,6 +213,9 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--window needs a value")?
                     .parse()
                     .map_err(|e| format!("--window: {e}"))?;
+                if opts.window == 0 {
+                    return Err("--window must be at least 1".into());
+                }
                 i += 2;
             }
             "--budget" => {
@@ -507,7 +510,7 @@ fn build_rv_config(opts: &Options) -> rvpredict::DetectorConfig {
 
 /// Prints the maximal detector's report, folds it into the metrics
 /// registry, and maps the outcome to an exit code. Shared by the
-/// whole-file, pipelined and streaming drivers so their stdout is
+/// whole-file and streaming drivers so their stdout is
 /// byte-identical by construction.
 fn report_rv(
     report: &DetectionReport,
@@ -704,10 +707,10 @@ fn main() -> ExitCode {
         return run_client(&opts, &log);
     }
 
-    // Strict `rv --stream` never materializes the windows up front: it
-    // goes through the incremental parser + pipelined worker pool.
-    // (`--lenient --stream` must see the whole trace before salvage can
-    // run, so it streams the parse, salvages, then pipelines the solve.)
+    // Strict `rv --stream` overlaps parsing with solving: it goes through
+    // the incremental parser feeding the window pool. (`--lenient
+    // --stream` must see the whole trace before salvage can run, so it
+    // streams the parse, salvages, then solves like a whole-file run.)
     if opts.stream
         && opts.detector == "rv"
         && opts.kind == driver::Kind::Race
@@ -738,15 +741,10 @@ fn main() -> ExitCode {
                 trace.len()
             ));
             if opts.kind == driver::Kind::Race {
-                let detector = RaceDetector::with_config(cfg);
-                let report = if opts.stream {
-                    detector.detect_pipelined(&trace)
-                } else {
-                    detector.detect(&trace)
-                };
+                let report = RaceDetector::with_config(cfg).detect(&trace);
                 return report_rv(&report, &trace, &opts, &mut metrics, &log);
             }
-            let run = driver::run_kinds(opts.kind, &trace, &cfg, opts.stream);
+            let run = driver::run_kinds(opts.kind, &trace, &cfg);
             print!(
                 "{}",
                 driver::render_kind_report(&run, &trace, opts.witnesses)

@@ -230,12 +230,10 @@ fn compose_response(req: &SessionRequest, outcome: &SessionOutcome) -> SessionRe
         run.race = Some(outcome.report.clone());
     }
     if matches!(req.kind, driver::Kind::Deadlock | driver::Kind::All) {
-        run.deadlock =
-            driver::run_kinds(driver::Kind::Deadlock, &outcome.trace, &cfg, false).deadlock;
+        run.deadlock = driver::run_kinds(driver::Kind::Deadlock, &outcome.trace, &cfg).deadlock;
     }
     if matches!(req.kind, driver::Kind::Atomicity | driver::Kind::All) {
-        run.atomicity =
-            driver::run_kinds(driver::Kind::Atomicity, &outcome.trace, &cfg, false).atomicity;
+        run.atomicity = driver::run_kinds(driver::Kind::Atomicity, &outcome.trace, &cfg).atomicity;
     }
     stdout.push_str(&driver::render_kind_report(
         &run,

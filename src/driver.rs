@@ -138,7 +138,7 @@ pub fn trace_line(trace: &Trace) -> String {
 
 /// The maximal detector's stdout: the report summary and one line per
 /// race (plus the witness schedule under `--witnesses`). Shared by the
-/// whole-file, pipelined, streaming and daemon drivers, so their stdout
+/// whole-file, streaming and daemon drivers, so their stdout
 /// is byte-identical by construction.
 pub fn render_rv_report(report: &DetectionReport, trace: &Trace, witnesses: bool) -> String {
     let mut out = String::new();
@@ -272,19 +272,14 @@ pub struct KindRun {
 }
 
 /// Runs the violation classes selected by `kind` over one trace with one
-/// shared configuration. Race detection honors the config's parallelism
-/// (and `pipelined` for the `--stream` path); the deadlock and atomicity
-/// analyses are windowed single-threaded passes, so their reports are
-/// deterministic at any `--jobs` by construction.
-pub fn run_kinds(kind: Kind, trace: &Trace, cfg: &DetectorConfig, pipelined: bool) -> KindRun {
+/// shared configuration. Race detection honors the config's parallelism;
+/// the deadlock and atomicity analyses are windowed single-threaded
+/// passes, so their reports are deterministic at any `--jobs` by
+/// construction.
+pub fn run_kinds(kind: Kind, trace: &Trace, cfg: &DetectorConfig) -> KindRun {
     let mut run = KindRun::default();
     if matches!(kind, Kind::Race | Kind::All) {
-        let detector = rvcore::RaceDetector::with_config(cfg.clone());
-        run.race = Some(if pipelined {
-            detector.detect_pipelined(trace)
-        } else {
-            detector.detect(trace)
-        });
+        run.race = Some(rvcore::RaceDetector::with_config(cfg.clone()).detect(trace));
     }
     if matches!(kind, Kind::Deadlock | Kind::All) {
         run.deadlock = Some(
@@ -595,7 +590,16 @@ impl SessionRequest {
         for (key, value) in obj {
             let r: Result<(), rvtrace::JsonError> = (|| {
                 match key.as_str() {
-                    "window" => req.window = json_uint(value)?,
+                    "window" => {
+                        req.window = json_uint(value)?;
+                        if req.window == 0 {
+                            return Err(rvtrace::JsonError {
+                                message: "window 0 out of range".into(),
+                                offset: 0,
+                                snippet: String::new(),
+                            });
+                        }
+                    }
                     "budget_secs" => req.budget_secs = json_uint(value)?,
                     "timeout_ms" => req.timeout_ms = Some(json_uint(value)?),
                     "witnesses" => req.witnesses = value.as_bool()?,
@@ -855,6 +859,8 @@ mod tests {
             let err = SessionRequest::from_json(&format!("{{\"{field}\": -1}}")).expect_err(field);
             assert!(err.contains("out of range"), "{field}: {err}");
         }
+        let err = SessionRequest::from_json("{\"window\": 0}").expect_err("window 0");
+        assert!(err.contains("out of range"), "{err}");
         assert!(SessionResponse::from_json("{\"exit\": 256}").is_err());
         assert!(SessionResponse::from_json("{\"exit\": -1}").is_err());
         assert_eq!(SessionResponse::from_json("{\"exit\": 3}").unwrap().exit, 3);

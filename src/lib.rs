@@ -67,6 +67,6 @@ pub use rvtrace::{
     read_trace_data, salvage_trace, schedule_read_values, to_json, to_ndjson, validate_wait_links,
     write_frame, Cop, Event, EventId, EventKind, IngestStats, JsonError, JsonValue, Loc, LockId,
     RaceSignature, SalvageReport, Schedule, ScheduleError, StreamFormat, StreamParser, ThreadId,
-    Trace, TraceBuilder, TraceData, TraceError, VarId, View, ViewExt, WindowBoundary, WindowStream,
+    Trace, TraceBuilder, TraceData, TraceError, VarId, View, ViewExt, WindowBoundary, WindowCursor,
     MAX_FRAME,
 };

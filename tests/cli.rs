@@ -165,6 +165,37 @@ fn cli_rejects_unknown_kind() {
     }
 }
 
+#[test]
+fn cli_rejects_window_zero_on_every_path() {
+    // A zero-event window is a usage error wherever it would have been
+    // used: whole-file, other kinds, strict and lenient streams, and the
+    // baseline detectors.
+    let w = rvsim::workloads::figures::figure1();
+    let dir = std::env::temp_dir().join("rvpredict-cli-window-zero");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("figure1.json");
+    std::fs::write(&path, rvpredict::to_json(&w.trace)).unwrap();
+    let path = path.to_str().unwrap();
+    for extra in [
+        &[][..],
+        &["--kind", "deadlock"],
+        &["--kind", "atomicity"],
+        &["--stream"],
+        &["--stream", "--lenient"],
+        &["--detector", "hb"],
+    ] {
+        let out = Command::new(bin())
+            .args(["--window", "0"])
+            .args(extra)
+            .arg(path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--window 0 {extra:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--window"), "diagnostic names the flag: {err}");
+    }
+}
+
 /// Runs `--metrics` and returns (full document, timing-free prefix): the
 /// emitted JSON up to but excluding the `timings_us` section, i.e. exactly
 /// the counters and histograms — the sections the determinism contract

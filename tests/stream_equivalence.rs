@@ -807,9 +807,9 @@ fn killed_session_leaves_neighbors_byte_identical() {
     }
 }
 
-/// Library-level contract: the three drivers (eager, pipelined, streamed)
-/// render byte-identical `deterministic_summary` outputs at every
-/// parallelism level, with and without a fault plan.
+/// Library-level contract: whole-file and streamed detection render
+/// byte-identical `deterministic_summary` outputs at every parallelism
+/// level, with and without a fault plan.
 #[test]
 fn drivers_render_identical_deterministic_summaries() {
     let trace = multi_window_trace();
@@ -830,17 +830,15 @@ fn drivers_render_identical_deterministic_summaries() {
                 )));
             }
             let detector = RaceDetector::with_config(cfg);
-            let eager = detector.detect(&trace).deterministic_summary();
-            let pipelined = detector.detect_pipelined(&trace).deterministic_summary();
+            let whole = detector.detect(&trace).deterministic_summary();
             let streamed = detector
                 .detect_stream(json.as_bytes())
                 .expect("valid trace streams")
                 .report
                 .deterministic_summary();
-            assert_eq!(eager, pipelined, "faulty={faulty} jobs={jobs}");
-            assert_eq!(eager, streamed, "faulty={faulty} jobs={jobs}");
-            let base = baseline.get_or_insert_with(|| eager.clone());
-            assert_eq!(*base, eager, "faulty={faulty} jobs={jobs}");
+            assert_eq!(whole, streamed, "faulty={faulty} jobs={jobs}");
+            let base = baseline.get_or_insert_with(|| whole.clone());
+            assert_eq!(*base, whole, "faulty={faulty} jobs={jobs}");
         }
     }
 }
