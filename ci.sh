@@ -35,12 +35,36 @@ say "benchmark suite (its own package, outside the workspace)"
 cargo test --release --manifest-path crates/bench/src/bin/suite/Cargo.toml
 
 if [ "${1:-}" != "quick" ]; then
-    say "bench smoke (pipeline harness -> BENCH_pr3.json, schema-validated)"
-    # Smoke document goes under target/ so the committed full-suite
-    # BENCH_pr3.json (regenerated by running the bin without --smoke)
-    # is not clobbered by every CI run.
-    cargo run -p rvbench --release --bin pipeline -- --smoke --out target/BENCH_pr3_smoke.json
-    BENCH_PR3_PATH=target/BENCH_pr3_smoke.json cargo test -q --test bench_schema
+    say "workload sweep (every emit_trace workload: whole-file JSON vs streamed NDJSON)"
+    # Each named workload is emitted in both formats and detected once per
+    # ingestion path. Exit codes must agree and reports must match modulo
+    # wall-clock (the `, solver ..., wall ...` tail and the `window times:`
+    # line). The names come from emit_trace's own usage text, so a new
+    # workload joins the sweep without touching this script.
+    workloads=$(./target/release/emit_trace --help 2>&1 | sed -n 's/^workloads: //p' | tr -d ',')
+    [ -n "$workloads" ]
+    for name in $workloads; do
+        out="target/sweep_$name"
+        ./target/release/emit_trace --workload "$name" --out "$out.json" 2>/dev/null
+        ./target/release/emit_trace --workload "$name" --format ndjson \
+            --out "$out.ndjson" 2>/dev/null
+        whole_code=0
+        ./target/release/rvpredict --window 1000 "$out.json" \
+            > "$out.whole.out" || whole_code=$?
+        stream_code=0
+        ./target/release/rvpredict --stream --window 1000 "$out.ndjson" \
+            > "$out.stream.out" || stream_code=$?
+        # Both paths agree, and agree on a verdict (0 clean, 1 races).
+        [ "$whole_code" = "$stream_code" ] && [ "$whole_code" -le 1 ] || {
+            echo "workload sweep: $name exits $whole_code whole-file, $stream_code streamed" >&2
+            exit 1
+        }
+        for side in whole stream; do
+            sed -e 's/, solver .*//' -e '/window times:/d' \
+                "$out.$side.out" > "$out.$side.stripped"
+        done
+        diff "$out.whole.stripped" "$out.stream.stripped"
+    done
 
     say "stream smoke (streamed vs whole-file: identical report + metrics)"
     # One workload through both ingestion modes, under each flag set that
@@ -77,10 +101,6 @@ if [ "${1:-}" != "quick" ]; then
             "target/stream_smoke_${variant}_streamed.counts"
     done
 
-    say "stream bench smoke (stream_pipeline -> BENCH_pr4.json, schema-validated)"
-    cargo run -p rvbench --release --bin stream_pipeline -- --smoke --out target/BENCH_pr4_smoke.json
-    BENCH_PR4_PATH=target/BENCH_pr4_smoke.json cargo test -q --test bench_schema
-
     say "slice smoke (sliced vs --no-slice: identical report)"
     # One wide-window workload with relevance slicing on (the default) and
     # off. The race reports must match byte-for-byte modulo wall-clock
@@ -99,10 +119,6 @@ if [ "${1:-}" != "quick" ]; then
     done
     diff target/slice_smoke_sliced.stripped target/slice_smoke_unsliced.stripped
 
-    say "slice bench smoke (slice_pipeline -> BENCH_pr5.json, schema-validated)"
-    cargo run -p rvbench --release --bin slice_pipeline -- --smoke --out target/BENCH_pr5_smoke.json
-    BENCH_PR5_PATH=target/BENCH_pr5_smoke.json cargo test -q --test bench_schema
-
     say "tier smoke (cascade vs --no-tiers: identical report)"
     # One flag-handoff workload with the tiered cascade on (the default)
     # and off. The race reports must match byte-for-byte modulo wall-clock
@@ -120,10 +136,6 @@ if [ "${1:-}" != "quick" ]; then
             "target/tier_smoke_$mode.out" > "target/tier_smoke_$mode.stripped"
     done
     diff target/tier_smoke_tiered.stripped target/tier_smoke_untiered.stripped
-
-    say "tier bench smoke (tier_pipeline -> BENCH_pr6.json, schema-validated)"
-    cargo run -p rvbench --release --bin tier_pipeline -- --smoke --out target/BENCH_pr6_smoke.json
-    BENCH_PR6_PATH=target/BENCH_pr6_smoke.json cargo test -q --test bench_schema
 
     say "serve smoke (daemon sessions vs standalone CLI: identical reports)"
     # One tenant-mix trace through the rvserved daemon under three session
@@ -170,10 +182,6 @@ if [ "${1:-}" != "quick" ]; then
     done
     wait "$served_pid"
 
-    say "serve bench smoke (serve_pipeline -> BENCH_pr7.json, schema-validated)"
-    cargo run -p rvbench --release --bin serve_pipeline -- --smoke --out target/BENCH_pr7_smoke.json
-    BENCH_PR7_PATH=target/BENCH_pr7_smoke.json cargo test -q --test bench_schema
-
     say "boundary smoke (fixed vs cone windows: identical off-boundary, strictly better astride)"
     # Non-straddling control: the two window modes must agree byte-for-byte
     # modulo wall-clock (same strip as the other smokes). Boundary handoff:
@@ -202,10 +210,6 @@ if [ "${1:-}" != "quick" ]; then
         > target/boundary_smoke_handoff_cone.out || cone_code=$?
     [ "$cone_code" = 1 ]
     grep -q "4 race(s)" target/boundary_smoke_handoff_cone.out
-
-    say "boundary bench smoke (boundary_pipeline -> BENCH_pr8.json, schema-validated)"
-    cargo run -p rvbench --release --bin boundary_pipeline -- --smoke --out target/BENCH_pr8_smoke.json
-    BENCH_PR8_PATH=target/BENCH_pr8_smoke.json cargo test -q --test bench_schema
 
     say "kind smoke (deadlock + atomicity detectors, deterministic across --jobs)"
     # One inverted-nesting fixture through --kind deadlock and one
@@ -238,10 +242,6 @@ if [ "${1:-}" != "quick" ]; then
     ./target/release/rvpredict --kind livelock \
         target/kind_smoke_deadlock.json 2>/dev/null || usage_code=$?
     [ "$usage_code" = 2 ]
-
-    say "kind bench smoke (kind_pipeline -> BENCH_pr9.json, schema-validated)"
-    cargo run -p rvbench --release --bin kind_pipeline -- --smoke --out target/BENCH_pr9_smoke.json
-    BENCH_PR9_PATH=target/BENCH_pr9_smoke.json cargo test -q --test bench_schema
 fi
 
 say "formatting"

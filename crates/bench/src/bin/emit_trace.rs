@@ -1,6 +1,6 @@
 //! Serializes a named workload trace to JSON or NDJSON, for feeding
-//! `rvpredict` (in particular its `--stream` mode and CI's stream-smoke
-//! step) without hand-writing trace files.
+//! `rvpredict` (in particular its `--stream` mode and the `ci.sh`
+//! workload sweep) without hand-writing trace files.
 //!
 //! ```sh
 //! cargo run -p rvbench --release --bin emit_trace -- \
@@ -12,15 +12,11 @@
 
 use std::process::ExitCode;
 
-use rvbench::boundary::{boundary_control_workload, boundary_handoff_workload};
-use rvbench::kind::{
-    atomicity_workload, channel_workload, deadlock_workload, gated_deadlock_workload,
-    rwlock_racy_workload, rwlock_workload,
+use rvsim::workloads::synthetic::{
+    atomicity_workload, boundary_control_workload, boundary_handoff_workload, channel_workload,
+    deadlock_workload, flag_handoff_workload, gated_deadlock_workload, racy_stream_workload,
+    rwlock_racy_workload, rwlock_workload, tenant_mix_workload, wide_window_workload,
 };
-use rvbench::serve::tenant_mix_workload;
-use rvbench::slice::wide_window_workload;
-use rvbench::stream::racy_stream_workload;
-use rvbench::tier::flag_handoff_workload;
 use rvsim::workloads::{self, Workload};
 
 fn named_workload(name: &str) -> Option<Workload> {

@@ -1,28 +1,12 @@
-//! # rvbench — the evaluation harness
+//! # rvbench — the paper's evaluation
 //!
-//! Regenerates the paper's Table 1 and the ablation/scalability studies.
+//! Regenerates the paper's Table 1 and the ablation/scalability
+//! micro-benchmarks. Speed claims are not made here: the seeded suite in
+//! `src/bin/suite` (described by `BENCHMARK.json` at the repository root)
+//! is the one measurement path for those.
 //!
 //! * `cargo run -p rvbench --release --bin table1` — the full table
 //!   (trace metrics, QC, races per detector, times);
-//! * `cargo run -p rvbench --release --bin pipeline` — the end-to-end
-//!   pipeline benchmark (see [`pipeline`]), emitting `BENCH_pr3.json`;
-//! * `cargo run -p rvbench --release --bin stream_pipeline` — the
-//!   whole-file vs streaming-ingestion comparison (see [`stream`]),
-//!   emitting `BENCH_pr4.json`;
-//! * `cargo run -p rvbench --release --bin slice_pipeline` — the
-//!   relevance-slicing on/off comparison (see [`slice`]), emitting
-//!   `BENCH_pr5.json`;
-//! * `cargo run -p rvbench --release --bin tier_pipeline` — the tiered
-//!   cascade on/off comparison (see [`tier`]), emitting `BENCH_pr6.json`;
-//! * `cargo run -p rvbench --release --bin serve_pipeline` — concurrent
-//!   tenants on a shared session manager vs their solo runs (see
-//!   [`serve`]), emitting `BENCH_pr7.json`;
-//! * `cargo run -p rvbench --release --bin boundary_pipeline` — fixed vs
-//!   cone window mode on boundary-handoff workloads (see [`boundary`]),
-//!   emitting `BENCH_pr8.json`;
-//! * `cargo run -p rvbench --release --bin kind_pipeline` — the
-//!   multi-class violation benchmark (race/deadlock/atomicity under the
-//!   `--kind` axis, see [`kind`]), emitting `BENCH_pr9.json`;
 //! * `cargo run -p rvbench --release --bin emit_trace` — serializes a
 //!   named workload trace (JSON or NDJSON) for feeding `rvpredict`;
 //! * `cargo bench -p rvbench` — micro-benchmarks (see [`micro`]) for the
@@ -31,14 +15,7 @@
 
 #![warn(missing_docs)]
 
-pub mod boundary;
-pub mod kind;
 pub mod micro;
-pub mod pipeline;
-pub mod serve;
-pub mod slice;
-pub mod stream;
-pub mod tier;
 
 use std::collections::BTreeSet;
 use std::time::Duration;

@@ -14,11 +14,15 @@
 //!   Grande rows (`crypt`, `lufact`, `series`);
 //! * [`systems`] — parameterized server-style generators standing in for
 //!   the real-system rows (`ftpserver`, `jigsaw`, `derby`, …), scalable to
-//!   millions of events.
+//!   millions of events;
+//! * [`synthetic`] — traces shaped directly with the trace builder, each
+//!   aimed at one detector path (streaming, slicing, tiers, sessions,
+//!   window boundaries, the deadlock/atomicity/rwlock/channel kinds).
 
 pub mod contest;
 pub mod figures;
 pub mod grande;
+pub mod synthetic;
 pub mod systems;
 
 use rvtrace::Trace;

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use rvcore::oracle_races;
 use rvpredict::{
     check_schedule, DetectorConfig, RaceDetector, RaceSignature, ThreadId, Trace, TraceBuilder,
-    ViewExt, WindowBoundary, WindowMode,
+    ViewExt, WindowBoundary, WindowMode, SPILL_EVENT_BYTES,
 };
 use rvsim::rng::SmallRng;
 use rvsim::stmts::*;
@@ -308,4 +308,58 @@ fn starved_spill_budget_degrades_instead_of_guessing() {
     assert!(report.stats.boundary_over_budget >= 1, "{report}");
     assert!(report.stats.undecided >= 1);
     assert!(report.is_degraded(), "race freedom must not be claimed");
+}
+
+/// The named boundary workloads `emit_trace` serves, in both window
+/// modes. Fixed windows never look back, so every straddle counter stays
+/// zero. Cone mode keeps its spill within the byte budget, recovers every
+/// handoff race astride a boundary through the straddle pass, and on the
+/// non-straddling control reports exactly what fixed mode reports.
+#[test]
+fn handoff_and_control_workloads_keep_the_window_mode_contract() {
+    use rvsim::workloads::synthetic::{boundary_control_workload, boundary_handoff_workload};
+
+    let config = |window_mode| DetectorConfig {
+        window_size: 1_000,
+        window_mode,
+        ..Default::default()
+    };
+    let handoff = boundary_handoff_workload("boundary_handoff", 1_000, 4);
+    let control = boundary_control_workload("boundary_control", 1_000, 4);
+    for (w, straddling) in [(&handoff, true), (&control, false)] {
+        let name = &w.name;
+        let fixed = RaceDetector::with_config(config(WindowMode::Fixed)).detect(&w.trace);
+        let cone_config = config(WindowMode::Cone);
+        let spill_cap = cone_config.spill_budget / SPILL_EVENT_BYTES;
+        let cone = RaceDetector::with_config(cone_config).detect(&w.trace);
+        let boundary = |s: &rvpredict::DetectionStats| {
+            [
+                s.straddle_cops,
+                s.straddle_races,
+                s.boundary_over_budget,
+                s.spill_peak_events,
+            ]
+        };
+        assert_eq!(
+            boundary(&fixed.stats),
+            [0; 4],
+            "{name}: fixed windows never look back"
+        );
+        assert!(
+            cone.stats.spill_peak_events <= spill_cap,
+            "{name}: spill peak {} over the budget cap {spill_cap}",
+            cone.stats.spill_peak_events
+        );
+        if straddling {
+            assert_eq!(fixed.n_races(), 0, "{name}: fixed mode is blind astride");
+            assert_eq!(cone.n_races(), 4, "{name}: one race per crossing");
+            assert_eq!(cone.stats.straddle_races, cone.n_races(), "{name}");
+            assert_eq!(cone.stats.boundary_over_budget, 0, "{name}");
+        } else {
+            assert_eq!(cone.n_races(), 1, "{name}: the planted race");
+            assert_eq!(sigs(&cone), sigs(&fixed), "{name}");
+            assert_eq!(boundary(&cone.stats), boundary(&fixed.stats), "{name}");
+            assert_eq!(cone.stats.undecided, fixed.stats.undecided, "{name}");
+        }
+    }
 }

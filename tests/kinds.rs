@@ -376,6 +376,61 @@ fn rwlock_read_mode_is_shared_write_mode_is_exclusive() {
     );
 }
 
+/// The named micro workloads `emit_trace` serves for every kind: each
+/// class's detector reports the expected number of violations, decides
+/// every candidate and agrees with the oracle. The gate-lock control must
+/// show a refutation (`unsat ≥ 1`), so a cycle the enumeration missed
+/// cannot pass for one the solver ruled out.
+#[test]
+fn micro_workloads_report_expected_violation_counts() {
+    use rvsim::workloads::synthetic::{
+        atomicity_workload, channel_workload, deadlock_workload, gated_deadlock_workload,
+        rwlock_racy_workload, rwlock_workload,
+    };
+    for (w, kind, expected) in [
+        (deadlock_workload("deadlock_micro", 1), "deadlock", 1),
+        (gated_deadlock_workload("deadlock_gated"), "deadlock", 0),
+        (atomicity_workload("atomicity_micro", 1), "atomicity", 3),
+        (rwlock_workload("rwlock_guarded", 2), "race", 0),
+        (rwlock_racy_workload("rwlock_shared_readers"), "race", 1),
+        (channel_workload("channel_pipeline", 2), "race", 0),
+    ] {
+        let (trace, name) = (&w.trace, w.name.as_str());
+        let view = trace.full_view();
+        let config = DetectorConfig::default();
+        // (violations, unsat, unknown, agrees with the oracle)
+        let (violations, unsat, unknown, agrees) = match kind {
+            "deadlock" => {
+                let r = DeadlockDetector { config }.detect(trace);
+                let got: BTreeSet<Vec<_>> = r.cycles.iter().map(|c| c.locks.clone()).collect();
+                let agrees = got == oracle_deadlocks(&view, MAX_ORACLE_EVENTS);
+                (r.n_cycles(), r.unsat, r.unknown, agrees)
+            }
+            "atomicity" => {
+                let r = AtomicityDetector { config }.detect(trace);
+                let real = oracle_atomicity(&view, MAX_ORACLE_EVENTS);
+                let agrees = r.violations.is_empty() == real.is_empty();
+                (r.violations.len(), r.unsat, r.unknown, agrees)
+            }
+            _ => {
+                let r = RaceDetector::with_config(config).detect(trace);
+                let got: BTreeSet<RaceSignature> = r.signatures().into_iter().collect();
+                let real: BTreeSet<RaceSignature> = oracle_races(&view, MAX_ORACLE_EVENTS)
+                    .into_iter()
+                    .map(|cop| RaceSignature::of_cop(trace, cop))
+                    .collect();
+                (r.n_races(), r.stats.unsat, r.stats.undecided, got == real)
+            }
+        };
+        assert_eq!(violations, expected, "{name}: violation count");
+        assert_eq!(unknown, 0, "{name}: every candidate decided");
+        assert!(agrees, "{name}: detector and oracle disagree");
+        if name == "deadlock_gated" {
+            assert!(unsat >= 1, "{name}: the cycle was missed, not refuted");
+        }
+    }
+}
+
 // -------------------------------------------------------- byte identity
 
 fn cli() -> &'static str {

@@ -5,8 +5,8 @@
 //! the full-window encoding.
 
 use rvpredict::{
-    encode, Budget, Cop, EncoderOptions, EventKind, FormulaBuilder, LockId, SmtResult, Solver,
-    ThreadId, Trace, TraceBuilder, ViewExt, WindowSkeleton,
+    encode, Budget, Cop, DetectorConfig, EncoderOptions, EventKind, FormulaBuilder, LockId,
+    RaceDetector, SmtResult, Solver, ThreadId, Trace, TraceBuilder, ViewExt, WindowSkeleton,
 };
 
 fn solve(fb: &FormulaBuilder) -> SmtResult {
@@ -192,4 +192,31 @@ fn first_lock_is_id_zero() {
     let mut b = TraceBuilder::new();
     let l = b.new_lock("l");
     assert_eq!(l, LockId(0));
+}
+
+/// Detector level, on the wide-window workload `emit_trace` serves: one
+/// window holds a head with two races (on `x` and on the flag) and a long
+/// tail of lock-ring filler that no COP depends on. The sliced run must
+/// actually slice (cone smaller than the window, fewer constraints) while
+/// `--no-slice` encodes every event, and both report the same races. The
+/// screens are off so every COP reaches the encoder.
+#[test]
+fn sliced_detection_drops_the_filler_tail_and_keeps_the_verdict() {
+    let w = rvsim::workloads::synthetic::wide_window_workload("wide_small", 4, 4);
+    let detect = |slice| {
+        RaceDetector::with_config(DetectorConfig {
+            window_size: w.trace.len(),
+            slice,
+            tiers: false,
+            ..Default::default()
+        })
+        .detect(&w.trace)
+    };
+    let (sliced, full) = (detect(true), detect(false));
+    assert_eq!(sliced.n_races(), 2, "{sliced}");
+    assert_eq!(sliced.signatures(), full.signatures());
+    let (s, f) = (&sliced.stats, &full.stats);
+    assert!(s.cone_events < s.window_events_encoded, "{s:?}");
+    assert_eq!(f.cone_events, f.window_events_encoded, "{f:?}");
+    assert!(s.constraints_encoded < f.constraints_encoded);
 }
