@@ -120,22 +120,25 @@ if [ "${1:-}" != "quick" ]; then
     diff target/slice_smoke_sliced.stripped target/slice_smoke_unsliced.stripped
 
     say "tier smoke (cascade vs --no-tiers: identical report)"
-    # One flag-handoff workload with the tiered cascade on (the default)
-    # and off. The race reports must match byte-for-byte modulo wall-clock
-    # (same strip as the other smokes); the cascade is only allowed to
-    # change where the work happens, never what is reported.
-    cargo run -p rvbench --release --bin emit_trace -- \
-        --workload tier_medium --out target/tier_smoke_trace.json
-    for mode in tiered untiered; do
-        if [ "$mode" = untiered ]; then flag="--no-tiers"; else flag=""; fi
-        # shellcheck disable=SC2086  # $flag is intentionally word-split
-        ./target/release/rvpredict $flag --witnesses \
-            target/tier_smoke_trace.json \
-            > "target/tier_smoke_$mode.out" || [ $? -eq 1 ]
-        sed -e 's/, solver .*//' -e '/window times:/d' \
-            "target/tier_smoke_$mode.out" > "target/tier_smoke_$mode.stripped"
+    # Flag-handoff workloads with the tiered cascade on (the default) and
+    # off: one flag write per handoff (a unique justifier) and two (a
+    # common dominator). The race reports must match byte-for-byte modulo
+    # wall-clock (same strip as the other smokes); the cascade is only
+    # allowed to change where the work happens, never what is reported.
+    for name in tier_medium tier_double; do
+        cargo run -p rvbench --release --bin emit_trace -- \
+            --workload "$name" --out "target/tier_smoke_$name.json"
+        for mode in tiered untiered; do
+            if [ "$mode" = untiered ]; then flag="--no-tiers"; else flag=""; fi
+            out="target/tier_smoke_${name}_$mode"
+            # shellcheck disable=SC2086  # $flag is intentionally word-split
+            ./target/release/rvpredict $flag --witnesses \
+                "target/tier_smoke_$name.json" > "$out.out" || [ $? -eq 1 ]
+            sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
+        done
+        diff "target/tier_smoke_${name}_tiered.stripped" \
+            "target/tier_smoke_${name}_untiered.stripped"
     done
-    diff target/tier_smoke_tiered.stripped target/tier_smoke_untiered.stripped
 
     say "serve smoke (daemon sessions vs standalone CLI: identical reports)"
     # One tenant-mix trace through the rvserved daemon under three session

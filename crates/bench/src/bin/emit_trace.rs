@@ -14,8 +14,9 @@ use std::process::ExitCode;
 
 use rvsim::workloads::synthetic::{
     atomicity_workload, boundary_control_workload, boundary_handoff_workload, channel_workload,
-    deadlock_workload, flag_handoff_workload, gated_deadlock_workload, racy_stream_workload,
-    rwlock_racy_workload, rwlock_workload, tenant_mix_workload, wide_window_workload,
+    deadlock_workload, double_handoff_workload, flag_handoff_workload, gated_deadlock_workload,
+    racy_stream_workload, rwlock_racy_workload, rwlock_workload, tenant_mix_workload,
+    wide_window_workload,
 };
 use rvsim::workloads::{self, Workload};
 
@@ -32,6 +33,7 @@ fn named_workload(name: &str) -> Option<Workload> {
         "wide_large" => wide_window_workload("wide_large", 10, 14),
         "tier_small" => flag_handoff_workload("tier_small", 2, 4),
         "tier_medium" => flag_handoff_workload("tier_medium", 8, 60),
+        "tier_double" => double_handoff_workload("tier_double", 8, 60),
         "tenant_mix" => tenant_mix_workload("tenant_mix", 60),
         "boundary_handoff" => boundary_handoff_workload("boundary_handoff", 1_000, 4),
         "boundary_control" => boundary_control_workload("boundary_control", 1_000, 4),
@@ -45,7 +47,7 @@ fn named_workload(name: &str) -> Option<Workload> {
     })
 }
 
-const WORKLOAD_NAMES: [&str; 20] = [
+const WORKLOAD_NAMES: [&str; 21] = [
     "figure1",
     "figure2_read",
     "array_index",
@@ -57,6 +59,7 @@ const WORKLOAD_NAMES: [&str; 20] = [
     "wide_large",
     "tier_small",
     "tier_medium",
+    "tier_double",
     "tenant_mix",
     "boundary_handoff",
     "boundary_control",

@@ -1,5 +1,5 @@
-//! Tiered pre-solver screens (ROADMAP item 1): sound near-linear analyses
-//! that *decide* COPs before the Φ encoding is ever built.
+//! Tiered pre-solver screens (ROADMAP item 1): sound analyses that
+//! *decide* COPs before the Φ encoding is ever built.
 //!
 //! Two screens run per window, per COP, ahead of the SMT core:
 //!
@@ -13,14 +13,17 @@
 //!   preservation for every read the consistency mode constrains. When the
 //!   replay succeeds the schedule *is* a model of `Φ`, so the COP is a
 //!   race without a solver call.
-//! * **Tier B — entailment refutation** (WCP/weak-HB flavored): computes
+//! * **Tier B — entailment refutation** (WCP/weak-HB flavored): collects
 //!   the order edges `Φ_mhb ∧ Φ_lock ∧ π_cf` *entails* — program order,
-//!   fork/join, wait links, one-sided lock disjunctions, unique-justifier
-//!   read matches and their interference edges — and refutes the COP when
+//!   fork/join, wait links, one-sided lock disjunctions, read facts (a
+//!   unique justifier's match, or the common MHB dominators of several
+//!   justifiers) and their interference edges — and refutes the COP when
 //!   the entailed order already contradicts the race adjacency (a path
 //!   `second → first`, or any event strictly between the two). Every edge
 //!   is a consequence of the formula, so refutation implies the solver
-//!   would answer `Unsat`.
+//!   would answer `Unsat`. Reachability is answered from the view's MHB
+//!   vector clocks plus a small search over the few entailed edges MHB
+//!   does not already imply, so a query costs no pass over the window.
 //!
 //! Whatever neither screen decides is the *residue* that reaches the
 //! existing sliced Φ encoding unchanged. Both screens are window-local and
@@ -32,7 +35,7 @@
 //! Soundness arguments for each screen are spelled out in DESIGN.md
 //! ("Tiered cascade").
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -77,8 +80,10 @@ pub enum TierDecision {
 }
 
 /// Entailed order facts of one read's match constraint: either the
-/// disjunction is empty (`refute`), or it has a unique disjunct whose
-/// conjuncts become unconditional `edges` and forced-feasible `forces`.
+/// disjunction is empty (`refute`), or every disjunct shares the
+/// conjuncts in `edges` — a unique justifier's whole conjunct, whose
+/// write is then forced-feasible (`forces`), or the edges from the
+/// common MHB dominators of several justifiers into the read.
 #[derive(Debug, Clone, Default)]
 struct ReadFacts {
     refute: bool,
@@ -111,7 +116,55 @@ const MAX_CS_PAIRS: usize = 256;
 /// Bound on per-COP lock-disjunction propagation rounds.
 const MAX_E2_ROUNDS: usize = 3;
 
-/// The per-window tier state: the entailed base order graph, memoized
+/// The reach set of one search, per thread: every event at or after
+/// view position `pos[t]` of an `active` thread `t` is reached, and so is
+/// everything those events MHB-precede. Unreached threads hold
+/// `u32::MAX`, so a reset touches only the active ones.
+#[derive(Debug)]
+struct Frontier {
+    pos: Vec<u32>,
+    active: Vec<usize>,
+}
+
+impl Frontier {
+    fn new(n_threads: usize) -> Self {
+        Frontier {
+            pos: vec![u32::MAX; n_threads],
+            active: Vec::new(),
+        }
+    }
+
+    fn reset(&mut self) {
+        for &t in &self.active {
+            self.pos[t] = u32::MAX;
+        }
+        self.active.clear();
+    }
+
+    /// Adds `e` (and so everything it MHB-precedes) to the reach set.
+    fn add(&mut self, view: &View<'_>, e: EventId) {
+        let t = thread_of(view, e);
+        if self.pos[t] == u32::MAX {
+            self.active.push(t);
+        }
+        self.pos[t] = self.pos[t].min(view.vpos(e) as u32);
+    }
+
+    /// Whether `e` is in the reach set: some reached event MHB-precedes
+    /// or equals it, read off `e`'s clock in O(active threads).
+    fn reached(&self, view: &View<'_>, e: EventId) -> bool {
+        let clock = view.clock(e);
+        self.active.iter().any(|&t| clock.get(t) > self.pos[t])
+    }
+}
+
+fn thread_of(view: &View<'_>, e: EventId) -> usize {
+    view.trace()
+        .thread_index(view.event(e).thread)
+        .expect("event thread indexed")
+}
+
+/// The per-window tier state: the entailed edges beyond MHB, memoized
 /// per-read facts, the wait links and undischarged lock disjunctions, and
 /// the per-tier time accumulators the detector folds into its report.
 #[derive(Debug)]
@@ -119,11 +172,9 @@ pub struct TierAnalysis<'a> {
     view: &'a View<'a>,
     mode: ConsistencyMode,
     prune: bool,
-    start: u32,
-    n: usize,
-    /// Entailed base edges (dense index), forward and reverse.
-    fwd: Vec<Vec<u32>>,
-    rev: Vec<Vec<u32>>,
+    /// Entailed base edges the view's MHB clocks do not already imply
+    /// (wait links, lock algebra, whole-trace read facts), sorted.
+    sparse: Vec<(EventId, EventId)>,
     /// True when the window formula is `Unsat` regardless of the COP.
     refute_all: bool,
     /// Complete in-view wait links (the exact set the encoder constrains).
@@ -137,28 +188,21 @@ pub struct TierAnalysis<'a> {
     facts: HashMap<EventId, ReadFacts>,
     tier_a_time: Duration,
     tier_b_time: Duration,
-    // BFS scratch (epoch-marked so per-COP queries need no clearing).
-    mark_fwd: Vec<u32>,
-    mark_rev: Vec<u32>,
-    epoch: u32,
+    frontier: Frontier,
 }
 
 impl<'a> TierAnalysis<'a> {
-    /// Builds the base entailment graph for `view`: program order, fork →
-    /// begin, end → join, wait links, single-disjunct lock orderings,
-    /// whole-trace read matches (in [`ConsistencyMode::WholeTrace`]), and
-    /// the fixpoint of lock disjunctions already discharged by those edges.
+    /// Builds the base entailment order for `view`: the view's MHB clocks
+    /// (program order, fork → begin, end → join), wait links,
+    /// single-disjunct lock orderings, whole-trace read facts (in
+    /// [`ConsistencyMode::WholeTrace`]), and the fixpoint of lock
+    /// disjunctions already discharged by those edges.
     pub fn new(view: &'a View<'a>, mode: ConsistencyMode, prune: bool) -> Self {
-        let n = view.len();
-        let start = view.range().start as u32;
         let mut a = TierAnalysis {
             view,
             mode,
             prune,
-            start,
-            n,
-            fwd: vec![Vec::new(); n],
-            rev: vec![Vec::new(); n],
+            sparse: Vec::new(),
             refute_all: false,
             links: Vec::new(),
             cs_pairs: Vec::new(),
@@ -166,9 +210,7 @@ impl<'a> TierAnalysis<'a> {
             facts: HashMap::new(),
             tier_a_time: Duration::ZERO,
             tier_b_time: Duration::ZERO,
-            mark_fwd: vec![0; n],
-            mark_rev: vec![0; n],
-            epoch: 0,
+            frontier: Frontier::new(view.threads().len()),
         };
         let t0 = Instant::now();
         a.build_base();
@@ -176,57 +218,17 @@ impl<'a> TierAnalysis<'a> {
         a
     }
 
-    #[inline]
-    fn idx(&self, e: EventId) -> u32 {
-        e.0 - self.start
-    }
-
+    /// Records an entailed base edge unless MHB already implies it. The
+    /// caller sorts `sparse` again before the next query.
     fn add_edge(&mut self, from: EventId, to: EventId) {
-        let (f, t) = (self.idx(from), self.idx(to));
-        self.fwd[f as usize].push(t);
-        self.rev[t as usize].push(f);
+        if from != to && !self.view.mhb(from, to) {
+            self.sparse.push((from, to));
+        }
     }
 
     fn build_base(&mut self) {
         let view = self.view;
         let trace = view.trace();
-        // Program order: adjacent pairs suffice (reachability is
-        // transitive, like the encoder's IDL `<`).
-        for &t in trace.threads() {
-            let evs: Vec<EventId> = view.thread_events(t).to_vec();
-            for w in evs.windows(2) {
-                self.add_edge(w[0], w[1]);
-            }
-        }
-        // fork→begin and end→join edges within the view.
-        let mut fork_of: HashMap<rvtrace::ThreadId, EventId> = HashMap::new();
-        let mut end_of: HashMap<rvtrace::ThreadId, EventId> = HashMap::new();
-        for id in view.ids() {
-            match view.event(id).kind {
-                EventKind::Fork { child } => {
-                    fork_of.insert(child, id);
-                }
-                EventKind::End => {
-                    end_of.insert(view.event(id).thread, id);
-                }
-                _ => {}
-            }
-        }
-        for id in view.ids() {
-            match view.event(id).kind {
-                EventKind::Begin => {
-                    if let Some(&f) = fork_of.get(&view.event(id).thread) {
-                        self.add_edge(f, id);
-                    }
-                }
-                EventKind::Join { child } => {
-                    if let Some(&e) = end_of.get(&child) {
-                        self.add_edge(e, id);
-                    }
-                }
-                _ => {}
-            }
-        }
         // Complete in-view wait links: release < notify < re-acquire.
         let in_view = |e: EventId| view.contains(e);
         self.links = trace
@@ -251,16 +253,20 @@ impl<'a> TierAnalysis<'a> {
         // mode matches the *conditional* `Φ_lock` instead: every pair keeps
         // its acquire escape hatches and is discharged per COP, because a
         // span acquired past the racing pair constrains nothing.
-        let mut pairs_dropped = 0usize;
-        for lock_idx in 0..trace.n_locks() as u32 {
-            let spans = view.critical_sections(rvtrace::LockId(lock_idx)).to_vec();
-            for i in 0..spans.len() {
-                for j in i + 1..spans.len() {
-                    let (s1, s2) = (&spans[i], &spans[j]);
+        'locks: for lock_idx in 0..trace.n_locks() as u32 {
+            let spans = view.critical_sections(rvtrace::LockId(lock_idx));
+            for (i, s1) in spans.iter().enumerate() {
+                for s2 in &spans[i + 1..] {
                     if s1.thread == s2.thread {
                         continue;
                     }
                     if self.mode == ConsistencyMode::ControlFlow {
+                        if self.cond_pairs.len() == MAX_CS_PAIRS {
+                            // Past the cap only the degenerate pair below
+                            // could still matter, and it needs two spans
+                            // of one lock open at window start.
+                            break 'locks;
+                        }
                         let p = CondPair {
                             d1: s1.release.zip(s2.acquire),
                             d2: s2.release.zip(s1.acquire),
@@ -269,10 +275,8 @@ impl<'a> TierAnalysis<'a> {
                         };
                         if p.d1.is_none() && p.d2.is_none() && p.h1.is_none() && p.h2.is_none() {
                             self.refute_all = true; // empty disjunction: ff
-                        } else if self.cond_pairs.len() < MAX_CS_PAIRS {
-                            self.cond_pairs.push(p);
                         } else {
-                            pairs_dropped += 1;
+                            self.cond_pairs.push(p);
                         }
                         continue;
                     }
@@ -280,8 +284,6 @@ impl<'a> TierAnalysis<'a> {
                         (Some(r1), Some(a2), Some(r2), Some(a1)) => {
                             if self.cs_pairs.len() < MAX_CS_PAIRS {
                                 self.cs_pairs.push((r1, a2, r2, a1));
-                            } else {
-                                pairs_dropped += 1;
                             }
                         }
                         (Some(r1), Some(a2), _, _) => self.add_edge(r1, a2),
@@ -291,24 +293,22 @@ impl<'a> TierAnalysis<'a> {
                 }
             }
         }
-        let _ = pairs_dropped; // refutation power only; soundness unaffected
-                               // Said et al.: every window read keeps its value, unconditionally,
-                               // so every read's entailed facts are global edges.
+        // Said et al.: every window read keeps its value, unconditionally,
+        // so every read's entailed facts are global edges.
         if self.mode == ConsistencyMode::WholeTrace {
             let reads: Vec<EventId> = view
                 .ids()
                 .filter(|&id| view.event(id).kind.is_read())
                 .collect();
             for r in reads {
-                let f = self.read_fact(r);
-                if f.refute {
-                    self.refute_all = true;
-                }
+                let f = read_facts(view, self.prune, r);
+                self.refute_all |= f.refute;
                 for (x, y) in f.edges {
                     self.add_edge(x, y);
                 }
             }
         }
+        self.sparse.sort();
         // Base E2 fixpoint: discharge two-sided lock disjunctions whose
         // losing side the base edges already contradict.
         for _ in 0..MAX_E2_ROUNDS + 1 {
@@ -317,20 +317,25 @@ impl<'a> TierAnalysis<'a> {
             let mut keep = Vec::with_capacity(pairs.len());
             for (r1, a2, r2, a1) in pairs {
                 // `O_r1 < O_a2` is impossible iff a2 already reaches r1.
-                let d1_dead = self.base_reaches(a2, r1);
-                let d2_dead = self.base_reaches(a1, r2);
-                match (d1_dead, d2_dead) {
-                    (true, true) => self.refute_all = true,
-                    (true, false) => {
-                        self.add_edge(r2, a1);
-                        changed = true;
+                let d1_dead = self.reaches(&[a2], &[r1], &[]);
+                let d2_dead = self.reaches(&[a1], &[r2], &[]);
+                let (x, y) = match (d1_dead, d2_dead) {
+                    (true, true) => {
+                        self.refute_all = true;
+                        continue;
                     }
-                    (false, true) => {
-                        self.add_edge(r1, a2);
-                        changed = true;
+                    (true, false) => (r2, a1),
+                    (false, true) => (r1, a2),
+                    (false, false) => {
+                        keep.push((r1, a2, r2, a1));
+                        continue;
                     }
-                    (false, false) => keep.push((r1, a2, r2, a1)),
-                }
+                };
+                // One edge appended to a sorted run: `sort` merges it in
+                // linear time.
+                self.add_edge(x, y);
+                self.sparse.sort();
+                changed = true;
             }
             self.cs_pairs = keep;
             if !changed {
@@ -341,74 +346,62 @@ impl<'a> TierAnalysis<'a> {
 
     /// The entailed order facts of `read`'s match disjunction, mirroring
     /// exactly the disjuncts `read_match` builds (memoized).
-    fn read_fact(&mut self, read: EventId) -> ReadFacts {
-        if let Some(f) = self.facts.get(&read) {
-            return f.clone();
-        }
-        let view = self.view;
-        let (var, value) = match view.event(read).kind {
-            EventKind::Read { var, value } => (var, value),
-            _ => unreachable!("read_fact on non-read"),
-        };
-        let (wr, wrv) = write_sets(view, read, self.prune);
-        let initial_ok = value == view.initial_value(var);
-        let mut f = ReadFacts::default();
-        if !initial_ok && wrv.is_empty() {
-            // `or_n([])` is `ff`: the read can never observe its value.
-            f.refute = true;
-        } else if !initial_ok && wrv.len() == 1 {
-            // A unique justifying write: its whole conjunct is entailed.
-            let w = wrv[0];
-            f.edges.push((w, read));
-            f.forces.push(w);
-            for &w2 in &wr {
-                if w2 == w || view.mhb(w2, w) {
-                    continue;
-                }
-                // `Φ_mhb` kills one side of the interference disjunction:
-                // w2 ⪯ read forces w2 < w; w ⪯ w2 forces read < w2. (The
-                // encoder degenerates these only under `prune`, but the
-                // entailment holds either way.)
-                if view.mhb(w2, read) {
-                    f.edges.push((w2, w));
-                } else if view.mhb(w, w2) {
-                    f.edges.push((read, w2));
-                }
-            }
-        } else if initial_ok && wrv.is_empty() {
-            // Only the virtual initial write can justify the read.
-            for &w2 in &wr {
-                f.edges.push((read, w2));
-            }
-        }
-        self.facts.insert(read, f.clone());
-        f
+    fn read_fact(&mut self, read: EventId) -> &ReadFacts {
+        let (view, prune) = (self.view, self.prune);
+        self.facts
+            .entry(read)
+            .or_insert_with(|| read_facts(view, prune, read))
     }
 
-    /// Reachability over the base graph only (no per-COP edges).
-    fn base_reaches(&mut self, from: EventId, to: EventId) -> bool {
-        self.epoch += 1;
-        let (src, dst) = (self.idx(from), self.idx(to));
-        let mut queue = vec![src];
-        self.mark_fwd[src as usize] = self.epoch;
-        while let Some(x) = queue.pop() {
-            if x == dst {
+    /// Whether some event of `sources` reaches some event of `targets`
+    /// through MHB, the base edges and `extra`. MHB paths are read off the
+    /// clocks, so the search only walks the sparse edges, and of the base
+    /// ones only those inside the trace range a path can use: base edges
+    /// and MHB point forward in trace order (the observed trace is a model
+    /// of `Φ`), so a path leaves `[lo, hi]` only through an `extra` edge.
+    /// On a trace that breaks that assumption the range only loses paths,
+    /// and every caller treats "not reached" as "no entailment".
+    fn reaches(
+        &mut self,
+        sources: &[EventId],
+        targets: &[EventId],
+        extra: &[(EventId, EventId)],
+    ) -> bool {
+        let view = self.view;
+        let lo = sources.iter().chain(extra.iter().map(|e| &e.1)).min();
+        let hi = targets.iter().chain(extra.iter().map(|e| &e.0)).max();
+        let (Some(&lo), Some(&hi)) = (lo, hi) else {
+            return false;
+        };
+        let from = self.sparse.partition_point(|e| e.0 < lo);
+        let to = self.sparse.partition_point(|e| e.0 <= hi);
+        let base = &self.sparse[from..to.max(from)];
+        let fr = &mut self.frontier;
+        fr.reset();
+        for &s in sources {
+            fr.add(view, s);
+        }
+        loop {
+            if targets.iter().any(|&v| fr.reached(view, v)) {
                 return true;
             }
-            for &y in &self.fwd[x as usize] {
-                if self.mark_fwd[y as usize] != self.epoch {
-                    self.mark_fwd[y as usize] = self.epoch;
-                    queue.push(y);
+            let mut changed = false;
+            for &(x, y) in base.iter().chain(extra) {
+                if !fr.reached(view, y) && fr.reached(view, x) {
+                    fr.add(view, y);
+                    changed = true;
                 }
             }
+            if !changed {
+                return false;
+            }
         }
-        false
     }
 
-    /// True when the base entailment graph already orders `a` before `b`
+    /// True when the base entailment order already puts `a` before `b`
     /// (exposed for the tier-algebra unit tests).
     pub fn entailed_before(&mut self, a: EventId, b: EventId) -> bool {
-        a != b && self.base_reaches(a, b)
+        a != b && self.reaches(&[a], &[b], &[])
     }
 
     /// Time spent in the confirmation screen so far.
@@ -417,7 +410,7 @@ impl<'a> TierAnalysis<'a> {
     }
 
     /// Time spent in the refutation screen so far (including the base
-    /// graph construction).
+    /// order construction).
     pub fn tier_b_time(&self) -> Duration {
         self.tier_b_time
     }
@@ -444,60 +437,64 @@ impl<'a> TierAnalysis<'a> {
 
     // ----- Tier B: entailment refutation ------------------------------
 
-    /// Marks everything forward-reachable from `src` through base + extra
-    /// edges with a fresh epoch; returns the epoch used.
-    fn flood(
-        mark: &mut [u32],
-        base: &[Vec<u32>],
-        extra: &HashMap<u32, Vec<u32>>,
-        src: u32,
-        epoch: u32,
-    ) {
-        let mut queue = vec![src];
-        mark[src as usize] = epoch;
-        while let Some(x) = queue.pop() {
-            let neighbors = base[x as usize]
-                .iter()
-                .chain(extra.get(&x).into_iter().flatten());
-            for &y in neighbors {
-                if mark[y as usize] != epoch {
-                    mark[y as usize] = epoch;
-                    queue.push(y);
-                }
-            }
-        }
-    }
-
     /// The refutation test proper: with the per-COP extra edges in place,
     /// `Φ ∧ Φ_race(cop)` is unsatisfiable iff the entailed order puts
     /// `second` before `first`, or any third event strictly between them
-    /// (the race adjacency leaves no room for either).
-    fn adjacency_contradicted(
-        &mut self,
-        cop: &Cop,
-        extra_fwd: &HashMap<u32, Vec<u32>>,
-        extra_rev: &HashMap<u32, Vec<u32>>,
-    ) -> bool {
-        let (a, b) = (self.idx(cop.first), self.idx(cop.second));
-        self.epoch += 1;
-        let epoch = self.epoch;
-        // Forward cone of `first`, reverse cone of `second`.
-        Self::flood(&mut self.mark_fwd, &self.fwd, extra_fwd, a, epoch);
-        Self::flood(&mut self.mark_rev, &self.rev, extra_rev, b, epoch);
-        // Any x ∉ {first, second} with first → x and x → second.
-        for x in 0..self.n as u32 {
-            if x == a || x == b {
-                continue;
-            }
-            if self.mark_fwd[x as usize] == epoch && self.mark_rev[x as usize] == epoch {
-                return true;
+    /// (the race adjacency leaves no room for either). The latter holds
+    /// iff some successor of `first` other than `second` reaches
+    /// `second`; an access's only MHB successor is the next event of its
+    /// thread, the rest are sparse edges out of it.
+    fn adjacency_contradicted(&mut self, cop: &Cop, extra: &[(EventId, EventId)]) -> bool {
+        let (a, b) = (cop.first, cop.second);
+        if self.reaches(&[b], &[a], extra) {
+            return true;
+        }
+        let view = self.view;
+        let next = view
+            .thread_events(view.event(a).thread)
+            .get(view.vpos(a) + 1)
+            .copied();
+        let base_out = &self.sparse[self.sparse.partition_point(|e| e.0 < a)..];
+        let out = base_out.iter().take_while(|e| e.0 == a);
+        let succ: Vec<EventId> = next
+            .into_iter()
+            .chain(out.chain(extra.iter().filter(|e| e.0 == a)).map(|e| e.1))
+            .filter(|&s| s != b)
+            .collect();
+        self.reaches(&succ, &[b], extra)
+    }
+
+    /// Collects into `extra` the read facts of the COP's forced-feasibility
+    /// closure (ControlFlow only): the branches `Φ_race` asserts, their
+    /// thread-prior reads, and each unique justifier's own closure — of
+    /// the reads at or after `lo` only. Dropping facts only weakens the
+    /// entailed order, so any `lo` is sound. Returns true when a closure
+    /// read can never observe its value.
+    fn closure(&mut self, cop: &Cop, lo: EventId, extra: &mut Vec<(EventId, EventId)>) -> bool {
+        let view = self.view;
+        let mut seen: HashSet<EventId> = HashSet::new();
+        let mut work: Vec<EventId> = Vec::new();
+        let mut reads_before = |e: EventId, work: &mut Vec<EventId>| {
+            let reads = view.thread_reads_before(e);
+            let from = reads.partition_point(|&r| r < lo);
+            work.extend(reads[from..].iter().filter(|&&r| seen.insert(r)));
+        };
+        for e in [cop.first, cop.second] {
+            for br in view.last_branches_before(e) {
+                reads_before(br, &mut work);
             }
         }
-        // second → first: flood forward from `second`.
-        self.epoch += 1;
-        let epoch = self.epoch;
-        Self::flood(&mut self.mark_fwd, &self.fwd, extra_fwd, b, epoch);
-        self.mark_fwd[a as usize] == epoch
+        while let Some(r) = work.pop() {
+            let f = self.read_fact(r);
+            if f.refute {
+                return true;
+            }
+            extra.extend_from_slice(&f.edges);
+            for &w in &f.forces {
+                reads_before(w, &mut work);
+            }
+        }
+        false
     }
 
     fn refutes(&mut self, cop: &Cop) -> bool {
@@ -507,175 +504,90 @@ impl<'a> TierAnalysis<'a> {
         if !self.view.contains(cop.first) || !self.view.contains(cop.second) {
             return false;
         }
-        // Per-COP forced-feasibility closure (ControlFlow only): the
-        // branches `Φ_race` asserts, their thread-prior reads, and each
-        // unique justifier's own closure.
-        let mut extra_fwd: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut extra_rev: HashMap<u32, Vec<u32>> = HashMap::new();
-        if self.mode == ConsistencyMode::ControlFlow {
-            let mut seen: std::collections::HashSet<EventId> = std::collections::HashSet::new();
-            let mut work: Vec<EventId> = Vec::new();
-            for e in [cop.first, cop.second] {
-                for br in self.view.last_branches_before(e) {
-                    if seen.insert(br) {
-                        work.push(br);
-                    }
-                }
-            }
-            while let Some(e) = work.pop() {
-                match self.view.event(e).kind {
-                    EventKind::Branch | EventKind::Write { .. } => {
-                        for &r in self.view.thread_reads_before(e) {
-                            if seen.insert(r) {
-                                work.push(r);
-                            }
-                        }
-                    }
-                    EventKind::Read { .. } => {
-                        let f = self.read_fact(e);
-                        if f.refute {
-                            return true;
-                        }
-                        for (x, y) in f.edges {
-                            let (xi, yi) = (self.idx(x), self.idx(y));
-                            extra_fwd.entry(xi).or_default().push(yi);
-                            extra_rev.entry(yi).or_default().push(xi);
-                        }
-                        for w in f.forces {
-                            if seen.insert(w) {
-                                work.push(w);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
+        let control_flow = self.mode == ConsistencyMode::ControlFlow;
+        // A path between the accesses never visits an event before
+        // `first` (every entailed edge points forward in the observed
+        // trace), so the adjacency test needs only the closure's reads
+        // from `first` on: its cost tracks the pair's distance, not the
+        // window's length.
+        let mut extra: Vec<(EventId, EventId)> = Vec::new();
+        if control_flow && self.closure(cop, cop.first, &mut extra) {
+            return true;
         }
-        if self.adjacency_contradicted(cop, &extra_fwd, &extra_rev) {
+        if self.adjacency_contradicted(cop, &extra) {
             return true;
         }
         // Per-COP E2 rounds: with the extra edges in place, more lock
         // disjunctions may discharge; propagate a bounded number of times.
+        // Lock spans anywhere in the window take part, so the closure is
+        // widened to the whole window first.
         if self.cs_pairs.is_empty() && self.cond_pairs.is_empty() {
             return false;
+        }
+        if control_flow {
+            extra.clear();
+            let start = EventId(self.view.range().start as u32);
+            if self.closure(cop, start, &mut extra) {
+                return true;
+            }
         }
         let mut discharged: Vec<bool> = vec![false; self.cs_pairs.len()];
         let mut cond_discharged: Vec<bool> = vec![false; self.cond_pairs.len()];
         for _ in 0..MAX_E2_ROUNDS {
             let mut changed = false;
-            for pi in 0..self.cs_pairs.len() {
-                if discharged[pi] {
+            for (pi, done) in discharged.iter_mut().enumerate() {
+                if *done {
                     continue;
                 }
                 let (r1, a2, r2, a1) = self.cs_pairs[pi];
-                let d1_dead = self.percop_reaches(a2, r1, &extra_fwd);
-                let d2_dead = self.percop_reaches(a1, r2, &extra_fwd);
+                let d1_dead = self.reaches(&[a2], &[r1], &extra);
+                let d2_dead = self.reaches(&[a1], &[r2], &extra);
                 match (d1_dead, d2_dead) {
                     (true, true) => return true,
-                    (true, false) => {
-                        let (x, y) = (self.idx(r2), self.idx(a1));
-                        extra_fwd.entry(x).or_default().push(y);
-                        extra_rev.entry(y).or_default().push(x);
-                        discharged[pi] = true;
-                        changed = true;
-                    }
-                    (false, true) => {
-                        let (x, y) = (self.idx(r1), self.idx(a2));
-                        extra_fwd.entry(x).or_default().push(y);
-                        extra_rev.entry(y).or_default().push(x);
-                        discharged[pi] = true;
-                        changed = true;
-                    }
-                    (false, false) => {}
+                    (true, false) => extra.push((r2, a1)),
+                    (false, true) => extra.push((r1, a2)),
+                    (false, false) => continue,
                 }
+                *done = true;
+                changed = true;
             }
             // Conditional pairs (maximal mode): a hatch `D < O_a` is dead
             // once the acquire is entailed at-or-before the cut, i.e. it
             // reaches either access of the glued pair. With every disjunct
             // dead the window refutes the COP; with exactly one alive its
             // content becomes entailed extra edges.
-            if !self.cond_pairs.is_empty() {
-                self.epoch += 1;
-                let cut = self.epoch;
-                let (ci, cj) = (self.idx(cop.first), self.idx(cop.second));
-                Self::flood(&mut self.mark_rev, &self.rev, &extra_rev, ci, cut);
-                Self::flood(&mut self.mark_rev, &self.rev, &extra_rev, cj, cut);
-                for pi in 0..self.cond_pairs.len() {
-                    if cond_discharged[pi] {
-                        continue;
-                    }
-                    let p = self.cond_pairs[pi];
-                    let hatch_alive = |marks: &[u32], me: &Self, h: Option<EventId>| {
-                        h.map_or(false, |a| marks[me.idx(a) as usize] != cut)
-                    };
-                    let h1 = hatch_alive(&self.mark_rev, self, p.h1);
-                    let h2 = hatch_alive(&self.mark_rev, self, p.h2);
-                    let d1 = match p.d1 {
-                        Some((r1, a2)) => !self.percop_reaches(a2, r1, &extra_fwd),
-                        None => false,
-                    };
-                    let d2 = match p.d2 {
-                        Some((r2, a1)) => !self.percop_reaches(a1, r2, &extra_fwd),
-                        None => false,
-                    };
-                    let push = |x: EventId,
-                                y: EventId,
-                                me: &Self,
-                                ef: &mut HashMap<u32, Vec<u32>>,
-                                er: &mut HashMap<u32, Vec<u32>>| {
-                        let (xi, yi) = (me.idx(x), me.idx(y));
-                        ef.entry(xi).or_default().push(yi);
-                        er.entry(yi).or_default().push(xi);
-                    };
-                    match (d1, d2, h1, h2) {
-                        (false, false, false, false) => return true,
-                        (true, false, false, false) => {
-                            let (r1, a2) = p.d1.expect("alive");
-                            push(r1, a2, self, &mut extra_fwd, &mut extra_rev);
-                            cond_discharged[pi] = true;
-                            changed = true;
-                        }
-                        (false, true, false, false) => {
-                            let (r2, a1) = p.d2.expect("alive");
-                            push(r2, a1, self, &mut extra_fwd, &mut extra_rev);
-                            cond_discharged[pi] = true;
-                            changed = true;
-                        }
-                        (false, false, true, false) | (false, false, false, true) => {
-                            // Forced hatch: the span must open past the
-                            // cut, so both accesses precede its acquire.
-                            let a = if h1 { p.h1 } else { p.h2 }.expect("alive");
-                            push(cop.first, a, self, &mut extra_fwd, &mut extra_rev);
-                            push(cop.second, a, self, &mut extra_fwd, &mut extra_rev);
-                            cond_discharged[pi] = true;
-                            changed = true;
-                        }
-                        _ => {} // two or more alive: no entailment yet
-                    }
+            let accesses = [cop.first, cop.second];
+            for (pi, done) in cond_discharged.iter_mut().enumerate() {
+                if *done {
+                    continue;
                 }
+                let p = self.cond_pairs[pi];
+                let h1 = p.h1.filter(|&a| !self.reaches(&[a], &accesses, &extra));
+                let h2 = p.h2.filter(|&a| !self.reaches(&[a], &accesses, &extra));
+                let d1 = p.d1.filter(|&(r1, a2)| !self.reaches(&[a2], &[r1], &extra));
+                let d2 = p.d2.filter(|&(r2, a1)| !self.reaches(&[a1], &[r2], &extra));
+                match (d1, d2, h1, h2) {
+                    (None, None, None, None) => return true,
+                    (Some(d), None, None, None) | (None, Some(d), None, None) => extra.push(d),
+                    (None, None, Some(a), None) | (None, None, None, Some(a)) => {
+                        // Forced hatch: the span must open past the
+                        // cut, so both accesses precede its acquire.
+                        extra.push((cop.first, a));
+                        extra.push((cop.second, a));
+                    }
+                    _ => continue, // two or more alive: no entailment yet
+                }
+                *done = true;
+                changed = true;
             }
             if !changed {
                 break;
             }
-            if self.adjacency_contradicted(cop, &extra_fwd, &extra_rev) {
+            if self.adjacency_contradicted(cop, &extra) {
                 return true;
             }
         }
         false
-    }
-
-    /// Reachability over base + per-COP extra edges.
-    fn percop_reaches(
-        &mut self,
-        from: EventId,
-        to: EventId,
-        extra: &HashMap<u32, Vec<u32>>,
-    ) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let (src, dst) = (self.idx(from), self.idx(to));
-        Self::flood(&mut self.mark_fwd, &self.fwd, extra, src, epoch);
-        self.mark_fwd[dst as usize] == epoch
     }
 
     // ----- Tier A: sync-preserving confirmation -----------------------
@@ -716,7 +628,7 @@ impl<'a> TierAnalysis<'a> {
             }
         }
         let in_prefix: std::collections::HashSet<EventId> = prefix.iter().copied().collect();
-        let mut order: Vec<EventId> = Vec::with_capacity(self.n);
+        let mut order: Vec<EventId> = Vec::with_capacity(view.len());
         order.extend_from_slice(&prefix);
         order.push(a);
         order.push(b);
@@ -775,6 +687,65 @@ impl<'a> TierAnalysis<'a> {
         }
         true
     }
+}
+
+/// The entailed order facts of `read`'s match disjunction, mirroring
+/// exactly the disjuncts `read_match` builds.
+fn read_facts(view: &View<'_>, prune: bool, read: EventId) -> ReadFacts {
+    let (var, value) = match view.event(read).kind {
+        EventKind::Read { var, value } => (var, value),
+        _ => unreachable!("read_facts on non-read"),
+    };
+    let (wr, wrv) = write_sets(view, read, prune);
+    let initial_ok = value == view.initial_value(var);
+    let mut f = ReadFacts::default();
+    if !initial_ok && wrv.is_empty() {
+        // `or_n([])` is `ff`: the read can never observe its value.
+        f.refute = true;
+    } else if !initial_ok && wrv.len() == 1 {
+        // A unique justifying write: its whole conjunct is entailed.
+        let w = wrv[0];
+        f.edges.push((w, read));
+        f.forces.push(w);
+        for &w2 in &wr {
+            if w2 == w || view.mhb(w2, w) {
+                continue;
+            }
+            // `Φ_mhb` kills one side of the interference disjunction:
+            // w2 ⪯ read forces w2 < w; w ⪯ w2 forces read < w2. (The
+            // encoder degenerates these only under `prune`, but the
+            // entailment holds either way.)
+            if view.mhb(w2, read) {
+                f.edges.push((w2, w));
+            } else if view.mhb(w, w2) {
+                f.edges.push((read, w2));
+            }
+        }
+    } else if !initial_ok {
+        // Several justifiers: every disjunct orders its own write before
+        // the read, so whatever MHB-precedes every justifier precedes the
+        // read. Per thread that is a prefix ending at the least of the
+        // justifiers' clock entries: at most one edge per thread.
+        let own = thread_of(view, read);
+        for (t, &tid) in view.threads().iter().enumerate() {
+            let common = wrv.iter().map(|&w| view.clock(w).get(t)).min();
+            match common {
+                Some(m) if m > 0 && t != own => {
+                    let x = view.thread_events(tid)[m as usize - 1];
+                    if !view.mhb(x, read) {
+                        f.edges.push((x, read));
+                    }
+                }
+                _ => {}
+            }
+        }
+    } else if wrv.is_empty() {
+        // Only the virtual initial write can justify the read.
+        for &w2 in &wr {
+            f.edges.push((read, w2));
+        }
+    }
+    f
 }
 
 #[cfg(test)]

@@ -98,6 +98,26 @@ pub fn wide_window_workload(name: &str, fillers: usize, cluster: usize) -> Workl
 /// Payload and flag variables are distinct per round so every block is
 /// its own COP with its own unique justifier.
 pub fn flag_handoff_workload(name: &str, pairs: usize, blocks: usize) -> Workload {
+    handoff_workload(name, pairs, blocks, 1)
+}
+
+/// [`flag_handoff_workload`] with every flag published twice, each time in
+/// its own critical section:
+///
+/// ```text
+/// producer_j:  w y_jk 1;  acq l_j;  w f_jk 1;  rel l_j;  acq l_j;  w f_jk 1;  rel l_j
+/// ```
+///
+/// The consumer's flag read now has two same-value justifiers, so no
+/// single write is forced. Both follow the payload write in program
+/// order, though, so their common MHB dominator (the first flag write)
+/// precedes the read in every match disjunct, and the payload COP is
+/// refuted all the same.
+pub fn double_handoff_workload(name: &str, pairs: usize, blocks: usize) -> Workload {
+    handoff_workload(name, pairs, blocks, 2)
+}
+
+fn handoff_workload(name: &str, pairs: usize, blocks: usize, publishes: usize) -> Workload {
     assert!(pairs >= 1 && blocks >= 1);
     let mut b = TraceBuilder::new();
     let h = b.var("h");
@@ -119,9 +139,11 @@ pub fn flag_handoff_workload(name: &str, pairs: usize, blocks: usize) -> Workloa
             let y = b.var(&format!("y{j}_{k}"));
             let f = b.var(&format!("f{j}_{k}"));
             b.write(producers[j], y, 1);
-            b.acquire(producers[j], locks[j]);
-            b.write(producers[j], f, 1);
-            b.release(producers[j], locks[j]);
+            for _ in 0..publishes {
+                b.acquire(producers[j], locks[j]);
+                b.write(producers[j], f, 1);
+                b.release(producers[j], locks[j]);
+            }
             b.acquire(consumers[j], locks[j]);
             b.read(consumers[j], f, 1);
             b.release(consumers[j], locks[j]);

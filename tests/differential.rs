@@ -533,18 +533,27 @@ fn retained_clauses_are_inert_after_a_cop_retires() {
     let main = ThreadId::MAIN;
     let p = b.fork(main);
     let c = b.fork(main);
+    let q = b.fork(main);
     let l = b.new_lock("l");
-    // Two double-justifier handoff blocks: the payload COP survives the
-    // quick check, blinds Tier B (two same-value flag justifiers), fails
-    // Tier A's replay, and the solver refutes it — learning clauses
-    // while its selector is assumed.
+    // Two two-writer handoff blocks: the flag has a justifier on `p` and
+    // one on `q`, and `q` is ordered after the payload write only through
+    // its read of `g`, which `p` publishes. That is a read fact, not MHB,
+    // so the two justifiers share no MHB dominator after the payload
+    // write and Tier B cannot refute. The payload COP survives the quick
+    // check, fails Tier A's replay, and the solver refutes it — learning
+    // clauses while its selector is assumed.
     for k in 0..2 {
         let y = b.var(&format!("y{k}"));
         let f = b.var(&format!("f{k}"));
+        let g = b.var(&format!("g{k}"));
         b.write(p, y, 1);
         b.acquire(p, l);
-        b.write(p, f, 1);
+        b.write(p, g, 1);
         b.release(p, l);
+        b.acquire(q, l);
+        b.read(q, g, 1);
+        b.write(q, f, 1);
+        b.release(q, l);
         b.acquire(p, l);
         b.write(p, f, 1);
         b.release(p, l);

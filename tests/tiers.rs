@@ -3,10 +3,14 @@
 //! what the formula entails, and every tier verdict must agree with the
 //! solver oracle.
 
+use rvcore::{encode, oracle_races, EncoderOptions};
 use rvpredict::{
-    ConsistencyMode, Cop, DetectorConfig, RaceDetector, TierAnalysis, TierDecision, TraceBuilder,
-    ViewExt,
+    Budget, ConsistencyMode, Cop, DetectorConfig, EventId, RaceDetector, SmtResult, Solver,
+    ThreadId, TierAnalysis, TierDecision, Trace, TraceBuilder, ViewExt,
 };
+use rvsim::rng::SmallRng;
+
+const MODES: [ConsistencyMode; 2] = [ConsistencyMode::ControlFlow, ConsistencyMode::WholeTrace];
 
 fn config(tiers: bool) -> DetectorConfig {
     DetectorConfig {
@@ -14,6 +18,29 @@ fn config(tiers: bool) -> DetectorConfig {
         tiers,
         ..Default::default()
     }
+}
+
+fn config_in(mode: ConsistencyMode, tiers: bool) -> DetectorConfig {
+    DetectorConfig {
+        mode,
+        ..config(tiers)
+    }
+}
+
+/// The solver's verdict on `cop` over the whole trace.
+fn solver_verdict(trace: &Trace, cop: Cop, mode: ConsistencyMode) -> SmtResult {
+    let view = trace.full_view();
+    let enc = encode(
+        &view,
+        cop,
+        EncoderOptions {
+            mode,
+            ..Default::default()
+        },
+    );
+    let mut s = Solver::new(&enc.fb);
+    s.hint_atom_phases(|a| enc.phase_hint(a));
+    s.solve(&Budget::UNLIMITED)
 }
 
 // ------------------------------------------------------------ Tier A
@@ -218,4 +245,230 @@ fn entailment_discharges_one_sided_lock_disjunctions() {
     // the disjunction's surviving arm `rel1 < acq2` is entailed.
     assert!(tiers.entailed_before(r1, a2));
     assert!(tiers.entailed_before(a1, a2));
+}
+
+// ------------------------------- multi-justifier reads (common dominator)
+
+/// A flag handoff whose flag is written by `writers` in turn after the
+/// payload write `w y`; the consumer reads the flag under the lock, then
+/// branches and reads the payload. Returns the trace and the payload COP.
+fn flag_handoff(writers: &[usize], publish_via_read: bool, initial_flag: i64) -> (Trace, Cop) {
+    let mut b = TraceBuilder::new();
+    let main = ThreadId::MAIN;
+    let (p, c, q) = (b.fork(main), b.fork(main), b.fork(main));
+    let l = b.new_lock("l");
+    let (y, f, g) = (b.var("y"), b.var("f"), b.var("g"));
+    b.initial(f, initial_flag);
+    let w = b.write(p, y, 1);
+    if publish_via_read {
+        // `q` learns of the payload only by reading `g`, a read fact.
+        b.acquire(p, l);
+        b.write(p, g, 1);
+        b.release(p, l);
+        b.acquire(q, l);
+        b.read(q, g, 1);
+        b.release(q, l);
+    }
+    for &k in writers {
+        let t = [p, q][k];
+        b.acquire(t, l);
+        b.write(t, f, 1);
+        b.release(t, l);
+    }
+    b.acquire(c, l);
+    b.read(c, f, 1);
+    b.release(c, l);
+    b.branch(c);
+    let r = b.read(c, y, 1);
+    (b.finish(), Cop::new(w, r))
+}
+
+/// Two same-value flag justifiers on the producer: every match disjunct
+/// orders its own write after the payload write, so their common MHB
+/// dominator (the first flag write) precedes the read. Tier B refutes the
+/// payload COP in both modes with no solver call, as the solver would.
+#[test]
+fn tier_b_refutes_double_flag_handoff_in_both_modes() {
+    let (trace, cop) = flag_handoff(&[0, 0], false, 0);
+    for mode in MODES {
+        let view = trace.full_view();
+        let mut tiers = TierAnalysis::new(&view, mode, true);
+        assert_eq!(tiers.decide(&cop), TierDecision::Refuted, "{mode:?}");
+        assert_eq!(
+            solver_verdict(&trace, cop, mode),
+            SmtResult::Unsat,
+            "{mode:?}"
+        );
+
+        let report = RaceDetector::with_config(config_in(mode, true)).detect(&trace);
+        assert_eq!(report.n_races(), 0, "{report}");
+        assert!(report.stats.tier_refuted >= 1, "{report}");
+        assert_eq!(report.stats.tier_residue, 0, "{report}");
+        assert_eq!(report.stats.solver_totals.solves, 0, "{report}");
+        let baseline = RaceDetector::with_config(config_in(mode, false)).detect(&trace);
+        assert_eq!(report.stats.unsat, baseline.stats.unsat);
+    }
+}
+
+/// Justifiers on two threads with no common MHB dominator past the
+/// payload write: the second writer is ordered after it only through a
+/// read fact. Tier B leaves the COP to the solver, which refutes it.
+#[test]
+fn justifiers_without_common_dominator_stay_residue() {
+    let (trace, cop) = flag_handoff(&[1, 0], true, 0);
+    for mode in MODES {
+        let view = trace.full_view();
+        let mut tiers = TierAnalysis::new(&view, mode, true);
+        assert_eq!(tiers.decide(&cop), TierDecision::Residue, "{mode:?}");
+        assert_eq!(
+            solver_verdict(&trace, cop, mode),
+            SmtResult::Unsat,
+            "{mode:?}"
+        );
+
+        let report = RaceDetector::with_config(config_in(mode, true)).detect(&trace);
+        assert_eq!(report.n_races(), 0, "{report}");
+        assert!(report.stats.tier_residue >= 1, "{report}");
+        let baseline = RaceDetector::with_config(config_in(mode, false)).detect(&trace);
+        assert_eq!(report.stats.unsat, baseline.stats.unsat);
+    }
+}
+
+/// When the flag's initial value already matches the read, the virtual
+/// initial write is one more disjunct with no write before the read, so
+/// no dominator edge is entailed: the consumer may run first and the
+/// payload pair is a real race in both modes.
+#[test]
+fn initial_value_licence_disables_the_dominator_fact() {
+    let (trace, cop) = flag_handoff(&[0, 0], false, 1);
+    for mode in MODES {
+        let view = trace.full_view();
+        let mut tiers = TierAnalysis::new(&view, mode, true);
+        assert_ne!(tiers.decide(&cop), TierDecision::Refuted, "{mode:?}");
+        assert_eq!(
+            solver_verdict(&trace, cop, mode),
+            SmtResult::Sat,
+            "{mode:?}"
+        );
+
+        let report = RaceDetector::with_config(config_in(mode, true)).detect(&trace);
+        let baseline = RaceDetector::with_config(config_in(mode, false)).detect(&trace);
+        assert!(report
+            .signatures()
+            .contains(&rvpredict::RaceSignature::of_cop(&trace, cop)));
+        assert_eq!(report.signatures(), baseline.signatures());
+    }
+}
+
+/// Seeded differential over small handoffs whose flag has two or three
+/// writers (producer, a third thread, or main), a random interleaving
+/// with the payload write and an optional `g` publication, and a random
+/// initial flag value. Every tier verdict must match the encoder's
+/// solver verdict in both modes and the brute-force oracle in the
+/// maximal mode, and some COP behind a read with at least two justifiers
+/// must have been refuted by Tier B.
+#[test]
+fn multi_justifier_decisions_agree_with_oracle_and_encoder() {
+    let mut rng = SmallRng::seed_from_u64(0x2B1D);
+    let (mut checked, mut multi_refuted) = (0, 0);
+    while checked < 48 {
+        let (trace, payload, justifiers) = random_handoff(&mut rng);
+        if trace.len() > 22 {
+            continue;
+        }
+        checked += 1;
+        let view = trace.full_view();
+        let real = oracle_races(&view, 22);
+        let cops = rvcore::enumerate_cops(&view, false, usize::MAX).cops;
+        for mode in MODES {
+            let mut tiers = TierAnalysis::new(&view, mode, true);
+            for &cop in &cops {
+                let decision = tiers.decide(&cop);
+                let verdict = solver_verdict(&trace, cop, mode);
+                let exact = mode == ConsistencyMode::ControlFlow;
+                let what = format!("{mode:?} {cop:?} on {:?}", trace.events());
+                match decision {
+                    TierDecision::Confirmed => {
+                        assert_eq!(verdict, SmtResult::Sat, "confirmed {what}");
+                        assert!(!exact || real.contains(&cop), "confirmed {what}");
+                    }
+                    TierDecision::Refuted => {
+                        assert_eq!(verdict, SmtResult::Unsat, "refuted {what}");
+                        assert!(!exact || !real.contains(&cop), "refuted {what}");
+                        if cop == payload && justifiers >= 2 {
+                            multi_refuted += 1;
+                        }
+                    }
+                    TierDecision::Residue => {}
+                }
+            }
+        }
+    }
+    assert!(multi_refuted > 0, "no multi-justifier COP was refuted");
+}
+
+/// One random handoff for the differential above: the trace, its
+/// payload COP, and the number of same-value justifiers of the flag read.
+fn random_handoff(rng: &mut SmallRng) -> (Trace, Cop, usize) {
+    let mut b = TraceBuilder::new();
+    let main = ThreadId::MAIN;
+    let (p, c, q) = (b.fork(main), b.fork(main), b.fork(main));
+    let l = b.new_lock("l");
+    let (y, f, g) = (b.var("y"), b.var("f"), b.var("g"));
+    b.initial(f, rng.gen_range(0..2i64));
+    // Steps: 0 the payload write, 1 `p` publishes `g`, 2 `q` reads `g`,
+    // 3.. one flag write each, by `p` (twice as likely), `q` or main.
+    let mut steps: Vec<usize> = (0..3 + rng.gen_range(2..4usize)).collect();
+    for i in (1..steps.len()).rev() {
+        steps.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut w: Option<EventId> = None;
+    for step in steps {
+        match step {
+            0 => w = Some(b.write(p, y, 1)),
+            1 => drop(b.write(p, g, 1)),
+            2 => drop(b.read_current(q, g)),
+            _ => {
+                let t = [p, p, q, main][rng.gen_range(0..4usize)];
+                let locked = rng.gen_bool();
+                if locked {
+                    b.acquire(t, l);
+                }
+                b.write(t, f, 1);
+                if locked {
+                    b.release(t, l);
+                }
+            }
+        }
+    }
+    b.acquire(c, l);
+    let rf = b.read_current(c, f);
+    b.release(c, l);
+    b.branch(c);
+    let r = b.read(c, y, 1);
+    let trace = b.finish();
+    let value = trace.event(rf).kind.value();
+    let justifiers = if value == Some(trace.initial_value(f)) {
+        0
+    } else {
+        let writes = trace.events().iter().filter(|e| e.kind.is_write());
+        writes
+            .filter(|e| e.kind.var() == Some(f) && e.kind.value() == value)
+            .count()
+    };
+    (trace, Cop::new(w.expect("payload written"), r), justifiers)
+}
+
+/// The double-publish handoff workload `emit_trace` serves: every payload
+/// COP is refuted by Tier B, and the report matches solver-only mode.
+#[test]
+fn double_handoff_workload_is_decided_by_the_screens() {
+    let w = rvpredict::workloads::synthetic::double_handoff_workload("tier_double", 2, 3);
+    let on = RaceDetector::with_config(config(true)).detect(&w.trace);
+    assert_eq!(on.n_races(), 1, "{on}");
+    assert_eq!(on.stats.tier_refuted, 6, "{on}");
+    assert_eq!(on.stats.tier_residue, 0, "{on}");
+    let off = RaceDetector::with_config(config(false)).detect(&w.trace);
+    assert_eq!(on.signatures(), off.signatures());
+    assert_eq!(on.races[0].schedule, off.races[0].schedule);
 }
