@@ -217,30 +217,55 @@ if [ "${1:-}" != "quick" ]; then
     say "kind smoke (deadlock + atomicity detectors, deterministic across --jobs)"
     # One inverted-nesting fixture through --kind deadlock and one
     # unprotected read-modify-write fixture through --kind atomicity, each
-    # at --jobs 1 and --jobs 4. Both must report a violation (exit 1) and
-    # the reports must match byte-for-byte modulo wall-clock (same strip
-    # as the other smokes): violation renderings carry no timing, so any
-    # diff is a real nondeterminism bug. Unknown kinds are a usage error.
+    # whole-file and streamed from NDJSON, at --jobs 1 and --jobs 4. Both
+    # must report a violation (exit 1) and the reports must match
+    # byte-for-byte modulo wall-clock (same strip as the other smokes):
+    # violation renderings carry no timing, so any diff is a real
+    # nondeterminism bug. Then every kind over kinds_repeat cut into
+    # four 12-event windows, where one deadlock and two atomicity
+    # signatures recur across windows: the merge must keep one report per
+    # signature at every --jobs. Unknown kinds are a usage error.
+    for kind in deadlock atomicity; do
+        for format in json ndjson; do
+            cargo run -p rvbench --release --bin emit_trace -- --workload "${kind}_micro" \
+                --format "$format" --out "target/kind_smoke_$kind.$format"
+        done
+    done
     cargo run -p rvbench --release --bin emit_trace -- \
-        --workload deadlock_micro --out target/kind_smoke_deadlock.json
-    cargo run -p rvbench --release --bin emit_trace -- \
-        --workload atomicity_micro --out target/kind_smoke_atomicity.json
+        --workload kinds_repeat --out target/kind_smoke_repeat.json
+    kind_run() { # kind_run OUT ARGS...: runs rvpredict, requires exit 1, strips
+        out=$1
+        shift
+        kind_code=0
+        ./target/release/rvpredict "$@" > "$out.out" || kind_code=$?
+        [ "$kind_code" = 1 ]
+        sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
+    }
     for kind in deadlock atomicity; do
         for jobs in 1 4; do
-            kind_code=0
-            ./target/release/rvpredict --kind "$kind" --jobs "$jobs" \
-                "target/kind_smoke_$kind.json" \
-                > "target/kind_smoke_${kind}_j$jobs.out" || kind_code=$?
-            [ "$kind_code" = 1 ]
-            sed -e 's/, solver .*//' -e '/window times:/d' \
-                "target/kind_smoke_${kind}_j$jobs.out" \
-                > "target/kind_smoke_${kind}_j$jobs.stripped"
+            kind_run "target/kind_smoke_${kind}_j$jobs" --kind "$kind" --jobs "$jobs" \
+                "target/kind_smoke_$kind.json"
+            kind_run "target/kind_smoke_${kind}_stream_j$jobs" --kind "$kind" --jobs "$jobs" \
+                --stream "target/kind_smoke_$kind.ndjson"
         done
+        diff "target/kind_smoke_${kind}_j1.stripped" "target/kind_smoke_${kind}_j4.stripped"
         diff "target/kind_smoke_${kind}_j1.stripped" \
-            "target/kind_smoke_${kind}_j4.stripped"
+            "target/kind_smoke_${kind}_stream_j1.stripped"
+        diff "target/kind_smoke_${kind}_stream_j1.stripped" \
+            "target/kind_smoke_${kind}_stream_j4.stripped"
     done
     grep -q "deadlock:" target/kind_smoke_deadlock_j1.out
     grep -q "atomicity:" target/kind_smoke_atomicity_j1.out
+    for kind in race deadlock atomicity all; do
+        for jobs in 1 4; do
+            kind_run "target/kind_smoke_repeat_${kind}_j$jobs" --kind "$kind" --jobs "$jobs" \
+                --window 12 --witnesses target/kind_smoke_repeat.json
+        done
+        diff "target/kind_smoke_repeat_${kind}_j1.stripped" \
+            "target/kind_smoke_repeat_${kind}_j4.stripped"
+    done
+    grep -q "deadlock: 1 cycle(s); candidates=3," target/kind_smoke_repeat_all_j1.out
+    grep -q "atomicity: 2 violation(s)" target/kind_smoke_repeat_all_j1.out
     usage_code=0
     ./target/release/rvpredict --kind livelock \
         target/kind_smoke_deadlock.json 2>/dev/null || usage_code=$?

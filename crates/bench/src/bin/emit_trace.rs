@@ -15,8 +15,8 @@ use std::process::ExitCode;
 use rvsim::workloads::synthetic::{
     atomicity_workload, boundary_control_workload, boundary_handoff_workload, channel_workload,
     deadlock_workload, double_handoff_workload, flag_handoff_workload, gated_deadlock_workload,
-    racy_stream_workload, rwlock_racy_workload, rwlock_workload, tenant_mix_workload,
-    wide_window_workload,
+    racy_stream_workload, repeated_kinds_workload, rwlock_racy_workload, rwlock_workload,
+    tenant_mix_workload, wide_window_workload,
 };
 use rvsim::workloads::{self, Workload};
 
@@ -40,6 +40,7 @@ fn named_workload(name: &str) -> Option<Workload> {
         "deadlock_micro" => deadlock_workload("deadlock_micro", 1),
         "deadlock_gated" => gated_deadlock_workload("deadlock_gated"),
         "atomicity_micro" => atomicity_workload("atomicity_micro", 1),
+        "kinds_repeat" => repeated_kinds_workload("kinds_repeat", 3),
         "rwlock_guarded" => rwlock_workload("rwlock_guarded", 2),
         "rwlock_shared_readers" => rwlock_racy_workload("rwlock_shared_readers"),
         "channel_pipeline" => channel_workload("channel_pipeline", 2),
@@ -47,7 +48,7 @@ fn named_workload(name: &str) -> Option<Workload> {
     })
 }
 
-const WORKLOAD_NAMES: [&str; 21] = [
+const WORKLOAD_NAMES: [&str; 22] = [
     "figure1",
     "figure2_read",
     "array_index",
@@ -66,6 +67,7 @@ const WORKLOAD_NAMES: [&str; 21] = [
     "deadlock_micro",
     "deadlock_gated",
     "atomicity_micro",
+    "kinds_repeat",
     "rwlock_guarded",
     "rwlock_shared_readers",
     "channel_pipeline",

@@ -16,12 +16,15 @@
 //! model yields a consistent witness reordering, validated before reporting.
 
 use std::collections::HashSet;
+use std::time::Instant;
 
-use rvsmt::{Budget, SmtResult, Solver, TermId};
-use rvtrace::{EventId, RaceSignature, Schedule, Trace, View, ViewExt};
+use rvsmt::{Budget, SmtResult, Solver};
+use rvtrace::{EventId, RaceSignature, Schedule, Trace, View};
 
-use crate::config::DetectorConfig;
+use crate::config::{DetectorConfig, Kind};
+use crate::detector::{clamp_budget, past_deadline, RaceDetector};
 use crate::encoder::{encode_between, EncoderOptions};
+use crate::report::{replay, Verdict};
 use crate::witness::build_witness_core;
 
 /// An intended-atomic pair of same-thread accesses to one variable.
@@ -49,11 +52,11 @@ pub struct AtomicityViolation {
 }
 
 /// Report of an atomicity analysis run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct AtomicityReport {
-    /// Validated violations (one per signature).
+    /// Validated violations (one per signature, across all windows).
     pub violations: Vec<AtomicityViolation>,
-    /// Candidate (pair, remote) triples examined.
+    /// Candidate (pair, remote) triples enumerated, over every window.
     pub candidates: usize,
     /// Solver SAT/UNSAT/unknown counters.
     pub sat: usize,
@@ -61,6 +64,30 @@ pub struct AtomicityReport {
     pub unsat: usize,
     /// Solver SAT/UNSAT/unknown counters.
     pub unknown: usize,
+}
+
+impl AtomicityReport {
+    /// Merges one window's job result; windows must merge in order.
+    pub(crate) fn merge(&mut self, window: AtomicityWindow, dedup: bool) {
+        self.candidates += window.candidates;
+        let confirmed = self.violations.iter().map(|v| v.signature).collect();
+        let counts = [&mut self.sat, &mut self.unsat, &mut self.unknown];
+        replay(
+            window.records,
+            confirmed,
+            dedup,
+            counts,
+            &mut self.violations,
+        );
+    }
+}
+
+/// One window's atomicity job result: the candidate count and the
+/// verdict of every candidate the job decided, in candidate order.
+#[derive(Debug)]
+pub(crate) struct AtomicityWindow {
+    candidates: usize,
+    records: Vec<(RaceSignature, Verdict<AtomicityViolation>)>,
 }
 
 /// Infers intended-atomic pairs: a read immediately followed (in program
@@ -100,7 +127,9 @@ pub fn infer_rmw_pairs(view: &View<'_>) -> Vec<AtomicPair> {
     out
 }
 
-/// The predictive atomicity checker (windowed, like the race detector).
+/// The predictive atomicity checker. Windows are analyzed as atomicity
+/// jobs of the shared window driver ([`RaceDetector`] with
+/// [`Kind::Atomicity`]), so the report is identical at any thread count.
 #[derive(Debug, Default)]
 pub struct AtomicityDetector {
     /// Shared configuration (window size, budgets, mode).
@@ -110,129 +139,162 @@ pub struct AtomicityDetector {
 impl AtomicityDetector {
     /// Runs the analysis over the whole trace with inferred RMW pairs.
     pub fn detect(&self, trace: &Trace) -> AtomicityReport {
-        let mut report = AtomicityReport::default();
-        for view in trace.windows(self.config.window_size) {
-            let pairs = infer_rmw_pairs(&view);
-            self.detect_in_view(&view, &pairs, &mut report);
-        }
-        report
+        let config = DetectorConfig {
+            kind: Kind::Atomicity,
+            ..self.config.clone()
+        };
+        RaceDetector::with_config(config).detect(trace).atomicity
     }
 
-    /// Runs the analysis over one window with explicit pairs.
+    /// Analyzes one window with explicit pairs and merges it into
+    /// `report` (signatures already reported there are deduplicated).
     pub fn detect_in_view(
         &self,
         view: &View<'_>,
         pairs: &[AtomicPair],
         report: &mut AtomicityReport,
     ) {
-        let trace = view.trace();
-        // Candidate triples: for each pair on x, every remote access to x
-        // conflicting with the pair (any remote write; remote reads only if
-        // the pair writes — here second is a write, so both qualify).
-        let mut triples: Vec<(AtomicPair, EventId)> = Vec::new();
-        for &pair in pairs {
-            let var = view
-                .event(pair.first)
-                .kind
-                .var()
-                .expect("pair accesses a var");
-            if trace.is_volatile(var) {
-                continue;
-            }
-            let thread = view.event(pair.first).thread;
-            let push = |b: EventId, triples: &mut Vec<_>| {
-                if view.event(b).thread != thread {
-                    triples.push((pair, b));
-                }
-            };
-            for &wr in view.writes_of(var) {
-                push(wr, &mut triples);
-            }
-            for &r in view.reads_of(var) {
-                push(r, &mut triples);
-            }
-        }
-        report.candidates += triples.len();
-        if triples.is_empty() {
-            return;
-        }
+        let window = solve_window(&self.config, view, pairs);
+        report.merge(window, self.config.dedup_signatures);
+    }
+}
 
-        // Share one incremental encoding: base Φ plus one selector per
-        // triple guarding O_{a1} < O_b < O_{a2} and, under control flow,
-        // the π_cf obligations of all three events.
-        // `encode_between` never slices (the serialization obligations are
-        // not modeled by the COP cone analysis), so `slice` is left off.
-        let opts = EncoderOptions {
-            mode: self.config.mode,
-            prune_write_sets: self.config.prune_write_sets,
-            slice: false,
-        };
-        let raw: Vec<(EventId, EventId, EventId)> = triples
-            .iter()
-            .map(|&(p, b)| (p.first, b, p.second))
-            .collect();
-        let encoded = encode_between(view, &raw, opts);
-        let selectors: Vec<TermId> = encoded.selectors.clone();
-        let mut solver = Solver::new(&encoded.fb);
-        if self.config.phase_hints {
-            solver.hint_atom_phases(|a| encoded.phase_hint(a));
+/// The atomicity job of one window: every candidate triple's verdict, as
+/// a pure function of the window and `pairs`. A candidate reached after
+/// the window deadline is unknown, and each solve's budget is clamped to
+/// the time left.
+pub(crate) fn solve_window(
+    cfg: &DetectorConfig,
+    view: &View<'_>,
+    pairs: &[AtomicPair],
+) -> AtomicityWindow {
+    let deadline = cfg
+        .window_timeout
+        .and_then(|t| Instant::now().checked_add(t));
+    let trace = view.trace();
+    // Candidate triples: for each pair on x, every remote access to x
+    // conflicting with the pair (any remote write; remote reads only if
+    // the pair writes — here second is a write, so both qualify).
+    let mut triples: Vec<(AtomicPair, EventId)> = Vec::new();
+    for &pair in pairs {
+        let var = view
+            .event(pair.first)
+            .kind
+            .var()
+            .expect("pair accesses a var");
+        if trace.is_volatile(var) {
+            continue;
         }
-        let budget = Budget {
-            max_conflicts: self.config.max_conflicts,
-            timeout: Some(self.config.solver_timeout),
+        let thread = view.event(pair.first).thread;
+        let push = |b: EventId, triples: &mut Vec<_>| {
+            if view.event(b).thread != thread {
+                triples.push((pair, b));
+            }
         };
-
-        let mut seen: HashSet<RaceSignature> = HashSet::new();
-        for (i, &(pair, b)) in triples.iter().enumerate() {
-            let signature = RaceSignature::new(view.event(pair.first).loc, view.event(b).loc);
-            if self.config.dedup_signatures && seen.contains(&signature) {
-                continue;
-            }
-            match solver.solve_assuming(&budget, &[selectors[i]]) {
-                SmtResult::Unsat => report.unsat += 1,
-                SmtResult::Unknown(_) => report.unknown += 1,
-                SmtResult::Sat => {
-                    report.sat += 1;
-                    let val = |e: EventId| {
-                        solver.int_value(encoded.ovars[e.index() - encoded.view_start])
-                    };
-                    let key = |e: EventId| (val(e), e.index() as u64);
-                    let witness = build_witness_core(
-                        view,
-                        &[pair.first, b, pair.second],
-                        &encoded.required_branches[i],
-                        self.config.mode,
-                        &key,
-                    );
-                    if let Ok(w) = witness {
-                        // The remote access must land strictly between.
-                        let pos = |x: EventId| {
-                            w.schedule
-                                .0
-                                .iter()
-                                .position(|&e| e == x)
-                                .expect("anchor in closure")
-                        };
-                        if pos(pair.first) < pos(b) && pos(b) < pos(pair.second) {
-                            seen.insert(signature);
-                            report.violations.push(AtomicityViolation {
-                                pair,
-                                interleaved: b,
-                                signature,
-                                schedule: w.schedule,
-                            });
-                        }
-                    }
-                }
-            }
+        for &wr in view.writes_of(var) {
+            push(wr, &mut triples);
+        }
+        for &r in view.reads_of(var) {
+            push(r, &mut triples);
         }
     }
+    let signature = |&(pair, b): &(AtomicPair, EventId)| {
+        RaceSignature::new(view.event(pair.first).loc, view.event(b).loc)
+    };
+    let mut out = AtomicityWindow {
+        candidates: triples.len(),
+        records: Vec::with_capacity(triples.len()),
+    };
+    // An already-expired deadline skips the shared encoding entirely.
+    if triples.is_empty() || past_deadline(deadline) {
+        out.records = triples
+            .iter()
+            .map(|t| (signature(t), Verdict::Unknown))
+            .collect();
+        return out;
+    }
+
+    // Share one incremental encoding: base Φ plus one selector per
+    // triple guarding O_{a1} < O_b < O_{a2} and, under control flow,
+    // the π_cf obligations of all three events.
+    // `encode_between` never slices (the serialization obligations are
+    // not modeled by the COP cone analysis), so `slice` is left off.
+    let opts = EncoderOptions {
+        mode: cfg.mode,
+        prune_write_sets: cfg.prune_write_sets,
+        slice: false,
+    };
+    let raw: Vec<(EventId, EventId, EventId)> = triples
+        .iter()
+        .map(|&(p, b)| (p.first, b, p.second))
+        .collect();
+    let encoded = encode_between(view, &raw, opts);
+    let mut solver = Solver::new(&encoded.fb);
+    if cfg.phase_hints {
+        solver.hint_atom_phases(|a| encoded.phase_hint(a));
+    }
+    let budget = Budget {
+        max_conflicts: cfg.max_conflicts,
+        timeout: Some(cfg.solver_timeout),
+    };
+
+    let mut seen: HashSet<RaceSignature> = HashSet::new();
+    for (i, triple) in triples.iter().enumerate() {
+        let (pair, b) = *triple;
+        let signature = signature(triple);
+        if past_deadline(deadline) {
+            out.records.push((signature, Verdict::Unknown));
+            continue;
+        }
+        if cfg.dedup_signatures && seen.contains(&signature) {
+            continue;
+        }
+        let budget = clamp_budget(&budget, deadline);
+        let verdict = match solver.solve_assuming(&budget, &[encoded.selectors[i]]) {
+            SmtResult::Unsat => Verdict::Unsat,
+            SmtResult::Unknown(_) => Verdict::Unknown,
+            SmtResult::Sat => {
+                let val =
+                    |e: EventId| solver.int_value(encoded.ovars[e.index() - encoded.view_start]);
+                let key = |e: EventId| (val(e), e.index() as u64);
+                let witness = build_witness_core(
+                    view,
+                    &[pair.first, b, pair.second],
+                    &encoded.required_branches[i],
+                    cfg.mode,
+                    &key,
+                );
+                // The remote access must land strictly between.
+                let violation = witness.ok().filter(|w| {
+                    let pos = |x: EventId| {
+                        w.schedule
+                            .0
+                            .iter()
+                            .position(|&e| e == x)
+                            .expect("anchor in closure")
+                    };
+                    pos(pair.first) < pos(b) && pos(b) < pos(pair.second)
+                });
+                Verdict::Sat(violation.map(|w| {
+                    seen.insert(signature);
+                    AtomicityViolation {
+                        pair,
+                        interleaved: b,
+                        signature,
+                        schedule: w.schedule,
+                    }
+                }))
+            }
+        };
+        out.records.push((signature, verdict));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvtrace::{ThreadId, TraceBuilder};
+    use rvtrace::{ThreadId, TraceBuilder, ViewExt};
 
     /// The canonical lost update: two unprotected increments.
     #[test]
@@ -257,6 +319,38 @@ mod tests {
         let pos = |e: EventId| v.schedule.0.iter().position(|&x| x == e).unwrap();
         assert!(pos(v.pair.first) < pos(v.interleaved));
         assert!(pos(v.interleaved) < pos(v.pair.second));
+
+        // The threads take turns updating twice, each from its own read
+        // and write locations: the report holds one violation per
+        // signature whether the trace is one window or several that each
+        // repeat a signature (6-event windows used to list 6).
+        let mut b = TraceBuilder::new();
+        let x = b.var("x");
+        let t1 = ThreadId::MAIN;
+        let t2 = b.fork(t1);
+        let locs = [t1, t2].map(|t| (t, b.loc("read"), b.loc("write")));
+        let mut value = 0;
+        for (t, read, write) in [locs[0], locs[1], locs[0], locs[1]] {
+            b.read_at(t, x, value, read);
+            value += 1;
+            b.write_at(t, x, value, write);
+        }
+        b.join(t1, t2);
+        let trace = b.finish();
+        assert_eq!(trace.len(), 12);
+        for window_size in [100, 6] {
+            let detector = AtomicityDetector {
+                config: DetectorConfig {
+                    window_size,
+                    ..Default::default()
+                },
+            };
+            let report = detector.detect(&trace);
+            let signatures: HashSet<RaceSignature> =
+                report.violations.iter().map(|v| v.signature).collect();
+            assert_eq!(report.violations.len(), 3, "window {window_size}");
+            assert_eq!(signatures.len(), 3, "window {window_size}");
+        }
     }
 
     /// Lock-protected RMWs are atomic: no violation, and no inferred pair.

@@ -110,6 +110,49 @@ impl FaultPlan {
     }
 }
 
+/// The violation classes a run analyzes (CLI `--kind`). Every class
+/// shares ingestion, windowing, the worker pool and the in-order merge;
+/// only the property encoded over `Φ_mhb ∧ Φ_lock ∧ Φ_cf` differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Kind {
+    /// Data races (the default — the paper's `Φ_race`).
+    #[default]
+    Race,
+    /// Resource deadlocks: predictable circular lock waits.
+    Deadlock,
+    /// Single-variable atomicity violations (unserializable
+    /// interleavings of intended-atomic blocks).
+    Atomicity,
+    /// Every class above, reported in that order.
+    All,
+}
+
+impl Kind {
+    /// Whether this kind selects `class` (a single class, never `All`).
+    pub fn includes(self, class: Kind) -> bool {
+        self == class || self == Kind::All
+    }
+
+    /// The analyses this kind selects, in report and merge order: each
+    /// window becomes one job per entry.
+    pub(crate) fn analyses(self) -> &'static [Analysis] {
+        match self {
+            Kind::Race => &[Analysis::Race],
+            Kind::Deadlock => &[Analysis::Deadlock],
+            Kind::Atomicity => &[Analysis::Atomicity],
+            Kind::All => &[Analysis::Race, Analysis::Deadlock, Analysis::Atomicity],
+        }
+    }
+}
+
+/// One analysis of one window: what a window job solves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Analysis {
+    Race,
+    Deadlock,
+    Atomicity,
+}
+
 /// Configuration of the maximal race detector.
 ///
 /// The defaults mirror the paper's implementation notes (§4–5): 10K-event
@@ -147,9 +190,6 @@ pub struct DetectorConfig {
     /// solver. Verdict-preserving; exposed as CLI `--no-tiers` for A/B
     /// checks.
     pub tiers: bool,
-    /// Validate every witness schedule against the trace-consistency checker
-    /// before reporting a race (operationalizes Thm. 1/3; cheap).
-    pub validate_witnesses: bool,
     /// Seed SAT decision phases from the original trace order (the observed
     /// trace is a near-model of `Φ_mhb ∧ Φ_lock`); off only for ablation.
     pub phase_hints: bool,
@@ -163,12 +203,6 @@ pub struct DetectorConfig {
     /// window outcomes are merged in window order and deduplicated at merge
     /// time (see `RaceDetector::detect`).
     pub parallelism: usize,
-    /// One-shot retry policy for budget exhaustion: a COP whose solve came
-    /// back `Undecided(Timeout)` is re-encoded and re-solved once against
-    /// the half-size sub-window containing both its events (smaller window
-    /// ⇒ smaller formula). COPs spanning the midpoint keep their
-    /// `Undecided` verdict. Off by default.
-    pub retry_split: bool,
     /// Per-*window* wall-clock budget (CLI `--timeout-ms`; the daemon's
     /// per-tenant budget). When the deadline passes mid-window, every COP
     /// not yet decided is recorded as `Undecided(Timeout)`, and the
@@ -190,6 +224,9 @@ pub struct DetectorConfig {
     /// solved on a truncated view. The default (4 MiB) covers ~65K
     /// events — several default windows of lookback.
     pub spill_budget: usize,
+    /// The violation classes to analyze (CLI `--kind`); races only by
+    /// default.
+    pub kind: Kind,
 }
 
 impl Default for DetectorConfig {
@@ -204,15 +241,14 @@ impl Default for DetectorConfig {
             mode: ConsistencyMode::ControlFlow,
             slice: true,
             tiers: true,
-            validate_witnesses: true,
             phase_hints: true,
             max_cops_per_signature: 10,
             parallelism: default_parallelism(),
-            retry_split: false,
             window_timeout: None,
             fault_plan: None,
             window_mode: WindowMode::Cone,
             spill_budget: 4 << 20,
+            kind: Kind::Race,
         }
     }
 }
@@ -260,7 +296,7 @@ mod tests {
         assert!(c.tiers, "the tiered cascade is on by default");
         assert_eq!(c.mode, ConsistencyMode::ControlFlow);
         assert!(c.parallelism >= 1, "at least one worker");
-        assert!(!c.retry_split, "retry policy is opt-in");
+        assert_eq!(c.kind, Kind::Race, "races only by default");
         assert!(c.window_timeout.is_none(), "window budget is opt-in");
         assert!(c.fault_plan.is_none(), "no faults in production configs");
         assert_eq!(c.window_mode, WindowMode::Cone, "cross-window on");

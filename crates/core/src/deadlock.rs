@@ -30,14 +30,15 @@
 //! [`oracle_deadlocks`](crate::oracle::oracle_deadlocks).
 
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use rvsmt::{Budget, SmtResult, Solver};
-use rvtrace::{
-    check_schedule, EventId, EventKind, LockId, Schedule, ThreadId, Trace, View, ViewExt,
-};
+use rvtrace::{check_schedule, EventId, EventKind, LockId, Schedule, ThreadId, Trace, View};
 
-use crate::config::DetectorConfig;
+use crate::config::{DetectorConfig, Kind};
+use crate::detector::{clamp_budget, past_deadline, RaceDetector};
 use crate::encoder::{encode_deadlock, EncoderOptions};
+use crate::report::{replay, Verdict};
 
 /// Bound on enumerated cycle length (threads in one deadlock). Inversions
 /// among more than four locks exist but are vanishingly rare, and the
@@ -69,11 +70,11 @@ pub struct DeadlockCycle {
 }
 
 /// Report of a deadlock analysis run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DeadlockReport {
     /// Validated cycles (one per lock signature).
     pub cycles: Vec<DeadlockCycle>,
-    /// Candidate cycles examined.
+    /// Candidate cycles enumerated, over every window.
     pub candidates: usize,
     /// Solver SAT/UNSAT/unknown counters.
     pub sat: usize,
@@ -88,6 +89,22 @@ impl DeadlockReport {
     pub fn n_cycles(&self) -> usize {
         self.cycles.len()
     }
+
+    /// Merges one window's job result; windows must merge in order.
+    pub(crate) fn merge(&mut self, window: DeadlockWindow, dedup: bool) {
+        self.candidates += window.candidates;
+        let confirmed = self.cycles.iter().map(|c| c.locks.clone()).collect();
+        let counts = [&mut self.sat, &mut self.unsat, &mut self.unknown];
+        replay(window.records, confirmed, dedup, counts, &mut self.cycles);
+    }
+}
+
+/// One window's deadlock job result: the candidate count and the verdict
+/// of every candidate the job decided, in candidate order.
+#[derive(Debug)]
+pub(crate) struct DeadlockWindow {
+    candidates: usize,
+    records: Vec<(Vec<LockId>, Verdict<DeadlockCycle>)>,
 }
 
 /// Write-mode acquire-while-holding edges of one window, in deterministic
@@ -204,9 +221,9 @@ fn circular_wait(view: &View<'_>, schedule: &Schedule, cycle: &[HoldEdge]) -> bo
     })
 }
 
-/// The predictive deadlock checker (windowed, like the race detector).
-/// Deterministic at any thread count: windows are analyzed in order on one
-/// thread, and candidate order is fixed by the trace.
+/// The predictive deadlock checker. Windows are analyzed as deadlock
+/// jobs of the shared window driver ([`RaceDetector`] with
+/// [`Kind::Deadlock`]), so the report is identical at any thread count.
 #[derive(Debug, Default)]
 pub struct DeadlockDetector {
     /// Shared configuration (window size, budgets, mode).
@@ -216,83 +233,98 @@ pub struct DeadlockDetector {
 impl DeadlockDetector {
     /// Runs the analysis over the whole trace.
     pub fn detect(&self, trace: &Trace) -> DeadlockReport {
-        let mut report = DeadlockReport::default();
-        for view in trace.windows(self.config.window_size) {
-            self.detect_in_view(&view, &mut report);
-        }
-        report
+        let config = DetectorConfig {
+            kind: Kind::Deadlock,
+            ..self.config.clone()
+        };
+        RaceDetector::with_config(config).detect(trace).deadlock
     }
 
-    /// Runs the analysis over one window, appending to `report` (cycles
-    /// already reported there are deduplicated by lock signature).
+    /// Analyzes one window and merges it into `report` (cycles already
+    /// reported there are deduplicated by lock signature).
     pub fn detect_in_view(&self, view: &View<'_>, report: &mut DeadlockReport) {
-        let edges = hold_edges(view);
-        if edges.is_empty() {
-            return;
-        }
-        let cycles = enumerate_cycles(&edges);
-        report.candidates += cycles.len();
-        let opts = EncoderOptions {
-            mode: self.config.mode,
-            prune_write_sets: self.config.prune_write_sets,
-            // The prefix obligations are not modeled by the cone analysis.
-            slice: false,
-        };
-        let budget = Budget {
-            max_conflicts: self.config.max_conflicts,
-            timeout: Some(self.config.solver_timeout),
-        };
-        let mut seen: HashSet<Vec<LockId>> =
-            report.cycles.iter().map(|c| c.locks.clone()).collect();
-        for cycle in cycles {
-            let mut signature: Vec<LockId> = cycle.iter().map(|e| e.held).collect();
-            signature.sort();
-            if self.config.dedup_signatures && seen.contains(&signature) {
-                continue;
-            }
-            let acquires: Vec<EventId> = cycle.iter().map(|e| e.acquire).collect();
-            let encoded = encode_deadlock(view, &acquires, opts);
-            let mut solver = Solver::new(&encoded.fb);
-            if self.config.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            match solver.solve(&budget) {
-                SmtResult::Unsat => report.unsat += 1,
-                SmtResult::Unknown(_) => report.unknown += 1,
-                SmtResult::Sat => {
-                    report.sat += 1;
-                    // The witness: every event the model orders before D,
-                    // by (model value, event id) — a per-thread prefix.
-                    let d = solver.int_value(encoded.dvar);
-                    let mut prefix: Vec<(i64, EventId)> = view
-                        .ids()
-                        .filter_map(|id| {
-                            let v = solver.int_value(encoded.ovar(id));
-                            (v < d).then_some((v, id))
-                        })
-                        .collect();
-                    prefix.sort();
-                    let schedule = Schedule(prefix.into_iter().map(|(_, id)| id).collect());
-                    if check_schedule(view, &schedule).is_ok()
-                        && circular_wait(view, &schedule, &cycle)
-                    {
-                        seen.insert(signature.clone());
-                        report.cycles.push(DeadlockCycle {
-                            locks: signature,
-                            acquires,
-                            schedule,
-                        });
-                    }
-                }
-            }
-        }
+        let window = solve_window(&self.config, view);
+        report.merge(window, self.config.dedup_signatures);
     }
+}
+
+/// The deadlock job of one window: every candidate cycle's verdict, as a
+/// pure function of the window. A candidate reached after the window
+/// deadline is unknown, and each solve's budget is clamped to the time
+/// left.
+pub(crate) fn solve_window(cfg: &DetectorConfig, view: &View<'_>) -> DeadlockWindow {
+    let deadline = cfg
+        .window_timeout
+        .and_then(|t| Instant::now().checked_add(t));
+    let cycles = enumerate_cycles(&hold_edges(view));
+    let mut out = DeadlockWindow {
+        candidates: cycles.len(),
+        records: Vec::with_capacity(cycles.len()),
+    };
+    let opts = EncoderOptions {
+        mode: cfg.mode,
+        prune_write_sets: cfg.prune_write_sets,
+        // The prefix obligations are not modeled by the cone analysis.
+        slice: false,
+    };
+    let budget = Budget {
+        max_conflicts: cfg.max_conflicts,
+        timeout: Some(cfg.solver_timeout),
+    };
+    let mut seen: HashSet<Vec<LockId>> = HashSet::new();
+    for cycle in cycles {
+        let mut signature: Vec<LockId> = cycle.iter().map(|e| e.held).collect();
+        signature.sort();
+        if past_deadline(deadline) {
+            out.records.push((signature, Verdict::Unknown));
+            continue;
+        }
+        if cfg.dedup_signatures && seen.contains(&signature) {
+            continue;
+        }
+        let acquires: Vec<EventId> = cycle.iter().map(|e| e.acquire).collect();
+        let encoded = encode_deadlock(view, &acquires, opts);
+        let mut solver = Solver::new(&encoded.fb);
+        if cfg.phase_hints {
+            solver.hint_atom_phases(|a| encoded.phase_hint(a));
+        }
+        let verdict = match solver.solve(&clamp_budget(&budget, deadline)) {
+            SmtResult::Unsat => Verdict::Unsat,
+            SmtResult::Unknown(_) => Verdict::Unknown,
+            SmtResult::Sat => {
+                // The witness: every event the model orders before D,
+                // by (model value, event id) — a per-thread prefix.
+                let d = solver.int_value(encoded.dvar);
+                let mut prefix: Vec<(i64, EventId)> = view
+                    .ids()
+                    .filter_map(|id| {
+                        let v = solver.int_value(encoded.ovar(id));
+                        (v < d).then_some((v, id))
+                    })
+                    .collect();
+                prefix.sort();
+                let schedule = Schedule(prefix.into_iter().map(|(_, id)| id).collect());
+                let valid = check_schedule(view, &schedule).is_ok()
+                    && circular_wait(view, &schedule, &cycle);
+                if valid {
+                    seen.insert(signature.clone());
+                }
+                Verdict::Sat(valid.then(|| DeadlockCycle {
+                    locks: signature.clone(),
+                    acquires,
+                    schedule,
+                }))
+            }
+        };
+        out.records.push((signature, verdict));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvtrace::TraceBuilder;
+    use rvtrace::{TraceBuilder, ViewExt};
 
     fn inversion_trace(gated: bool) -> Trace {
         let mut b = TraceBuilder::new();

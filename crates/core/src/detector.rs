@@ -2,15 +2,17 @@
 //!
 //! For each fixed-size window: enumerate COPs, quick-check them, encode the
 //! survivors, solve with a per-COP budget, extract and validate a witness on
-//! SAT, and deduplicate by signature across the whole run.
+//! SAT, and deduplicate by signature across the whole run. The same driver
+//! runs the deadlock and atomicity analyses ([`DetectorConfig::kind`]).
 //!
 //! # Parallel driver
 //!
 //! Windows are independent solving problems (each gets its own encoder and
-//! solver). One window driver serves every entry point: a
-//! [`WindowCursor`] cuts the trace (whole, or the prefixes a stream
-//! parser produces) into windows, each becomes a `WindowJob` solved
-//! under panic isolation, and an `InOrderMerge` folds the results.
+//! solver). One window driver serves every entry point and every
+//! violation class: a [`WindowCursor`] cuts the trace (whole, or the
+//! prefixes a stream parser produces) into windows, each window becomes
+//! one `WindowJob` per selected analysis, solved under panic isolation,
+//! and an `InOrderMerge` folds the results in (window, analysis) order.
 //! [`RaceDetector::detect`] and [`RaceDetector::detect_stream`] run the
 //! jobs on one bounded pool of scoped worker threads
 //! ([`DetectorConfig::parallelism`]); daemon sessions run them on the
@@ -66,8 +68,10 @@ use rvtrace::{
     StraddlePlan, StreamParser, Trace, View, WindowCursor,
 };
 
-use crate::config::{DetectorConfig, Fault, WindowMode};
+use crate::atomicity::{self, infer_rmw_pairs, AtomicityWindow};
+use crate::config::{Analysis, DetectorConfig, Fault, Kind, WindowMode};
 use crate::cop::enumerate_cops;
+use crate::deadlock::{self, DeadlockWindow};
 use crate::encoder::{encode, encode_window, EncoderOptions};
 use crate::report::{DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason};
 use crate::slice::WindowSkeleton;
@@ -86,14 +90,13 @@ enum CopVerdict {
     /// injected. The reason is tallied honestly in the report.
     Undecided(UndecidedReason),
     WitnessFailed,
-    /// SAT with a certified (or trivially assembled, when validation is
-    /// off) witness schedule.
+    /// SAT with a certified witness schedule.
     Race(Schedule),
 }
 
 /// One solved (or skipped) COP, in the window's solve order.
 ///
-/// `profile` and `retried` ride along with the verdict so the merge loop
+/// `profile` rides along with the verdict so the merge loop
 /// can tally solver effort for *surviving* records only — a speculative
 /// solve whose record the dedup replay discards contributes nothing, which
 /// is what keeps the count-type metrics byte-identical across thread
@@ -106,8 +109,6 @@ struct CopRecord {
     /// SAT-core effort spent on this COP (all its solver invocations;
     /// zero for skipped and fault-forced records).
     profile: SolverTotals,
-    /// Whether the split-window retry policy re-solved this COP.
-    retried: bool,
     /// Events the COP's encoding actually constrained (its cone of
     /// influence; the whole window with slicing off). Zero for skipped
     /// and fault-forced records, which encode nothing.
@@ -154,31 +155,45 @@ struct SolvedWindow {
     spill_events: usize,
 }
 
-/// What a worker hands to the merge loop: the window's records, or — when
-/// the solve panicked — a failure record. Both merge in window order, so a
-/// poisoned window degrades the report deterministically instead of
-/// aborting the run.
+/// What a worker hands to the merge loop: one analysis's records for the
+/// window, or — when the job panicked — a failure record. All merge in
+/// (window, analysis) order, so a poisoned job degrades the report
+/// deterministically instead of aborting the run.
 #[derive(Debug)]
 enum WindowOutcome {
-    Solved(SolvedWindow),
-    Failed(FailedWindow),
+    Races(SolvedWindow),
+    Deadlocks(DeadlockWindow),
+    Atomicity(AtomicityWindow),
+    Failed(Analysis, FailedWindow),
 }
 
-/// An opaque solved-window result: produced by
-/// [`RaceDetector::solve_window_result`], consumed (in window order) by
-/// [`RaceDetector::merge_window_result`]. These are the two halves of the
-/// solve-then-merge protocol the built-in drivers run; exposing them lets
-/// an external driver schedule the solves on its own worker pool while
-/// keeping the merged report byte-identical to the built-in drivers.
+/// An opaque window-job result: produced by [`WindowJob::solve`] (or, for
+/// races, [`RaceDetector::solve_window_result`]) and consumed in window
+/// order by [`RaceDetector::merge_window_result`]. These are the two
+/// halves of the solve-then-merge protocol the built-in drivers run;
+/// exposing them lets an external driver schedule the solves on its own
+/// worker pool while keeping the merged report byte-identical to the
+/// built-in drivers.
 #[derive(Debug)]
-pub struct WindowResult(WindowOutcome);
+pub struct WindowResult {
+    window_index: usize,
+    outcome: WindowOutcome,
+}
 
 impl WindowResult {
     /// The window index this result belongs to (the merge-order key).
     pub fn window_index(&self) -> usize {
-        match &self.0 {
-            WindowOutcome::Solved(s) => s.window_index,
-            WindowOutcome::Failed(f) => f.window_index,
+        self.window_index
+    }
+
+    /// The analysis that produced this result (the merge order within a
+    /// window).
+    fn analysis(&self) -> Analysis {
+        match &self.outcome {
+            WindowOutcome::Races(_) => Analysis::Race,
+            WindowOutcome::Deadlocks(_) => Analysis::Deadlock,
+            WindowOutcome::Atomicity(_) => Analysis::Atomicity,
+            WindowOutcome::Failed(analysis, _) => *analysis,
         }
     }
 }
@@ -194,22 +209,37 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one window solve under panic isolation: a panic anywhere in
+/// Runs one window job under panic isolation: a panic anywhere in
 /// `solve` (including injected `Fault::Panic`s and view construction)
 /// becomes a [`WindowOutcome::Failed`] record instead of unwinding into
-/// the worker loop.
+/// the worker loop. A failed deadlock or atomicity job names its analysis
+/// in the failure reason.
 fn isolated(
+    analysis: Analysis,
     window_index: usize,
     range: std::ops::Range<usize>,
-    solve: impl FnOnce() -> SolvedWindow,
+    solve: impl FnOnce() -> WindowOutcome,
 ) -> WindowResult {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)) {
-        Ok(solved) => WindowResult(WindowOutcome::Solved(solved)),
-        Err(payload) => WindowResult(WindowOutcome::Failed(FailedWindow {
-            window_index,
-            range,
-            reason: panic_reason(payload.as_ref()),
-        })),
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
+            let reason = panic_reason(payload.as_ref());
+            let reason = match analysis {
+                Analysis::Race => reason,
+                Analysis::Deadlock => format!("deadlock analysis: {reason}"),
+                Analysis::Atomicity => format!("atomicity analysis: {reason}"),
+            };
+            WindowOutcome::Failed(
+                analysis,
+                FailedWindow {
+                    window_index,
+                    range,
+                    reason,
+                },
+            )
+        });
+    WindowResult {
+        window_index,
+        outcome,
     }
 }
 
@@ -230,7 +260,6 @@ fn tier_refuted_record(cop: Cop, signature: RaceSignature) -> CopRecord {
         signature,
         verdict: CopVerdict::Unsat,
         profile: SolverTotals::default(),
-        retried: false,
         cone_events: 0,
         window_events: 0,
         constraints: 0,
@@ -240,7 +269,7 @@ fn tier_refuted_record(cop: Cop, signature: RaceSignature) -> CopRecord {
 }
 
 /// True once the window's wall-clock deadline (if any) has passed.
-fn past_deadline(deadline: Option<Instant>) -> bool {
+pub(crate) fn past_deadline(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
@@ -248,7 +277,7 @@ fn past_deadline(deadline: Option<Instant>) -> bool {
 /// budget clamped to the window's remaining wall-clock, so a COP started
 /// near the deadline cannot overshoot the window budget by a whole
 /// per-COP budget.
-fn clamp_budget(budget: &Budget, deadline: Option<Instant>) -> Budget {
+pub(crate) fn clamp_budget(budget: &Budget, deadline: Option<Instant>) -> Budget {
     let Some(d) = deadline else { return *budget };
     let remaining = d.saturating_duration_since(Instant::now());
     Budget {
@@ -266,7 +295,6 @@ fn deadline_expired_record(cop: Cop, signature: RaceSignature, cascade_on: bool)
         signature,
         verdict: CopVerdict::Undecided(UndecidedReason::Timeout),
         profile: SolverTotals::default(),
-        retried: false,
         cone_events: 0,
         window_events: 0,
         constraints: 0,
@@ -291,50 +319,91 @@ impl PublishedSet {
     }
 }
 
-/// One window of detection work: a window the [`WindowCursor`] yielded
-/// plus a trace that covers it — the whole trace (`&Trace`) or an [`Arc`]
-/// snapshot of the prefix ingested so far. A window's view, and therefore
-/// its SMT encoding and verdicts, is a pure function of the window's own
-/// events plus its boundary, so solving against any prefix that reaches
-/// the window's end is byte-identical to solving against the full trace.
+/// One analysis of one window: a window the [`WindowCursor`] yielded,
+/// a trace that covers it — the whole trace (`&Trace`) or an [`Arc`]
+/// snapshot of the prefix ingested so far — and the analysis to run. A
+/// window's view, and therefore its SMT encodings and verdicts, is a pure
+/// function of the window's own events plus its boundary, so solving
+/// against any prefix that reaches the window's end is byte-identical to
+/// solving against the full trace.
 pub(crate) struct WindowJob<T> {
     pub(crate) window: CursorWindow,
     pub(crate) trace: T,
+    pub(crate) analysis: Analysis,
 }
 
 impl<T: Deref<Target = Trace>> WindowJob<T> {
-    /// Builds the window's view and solves it, both under panic
-    /// isolation. The result must be merged in window order through an
+    /// Builds the window's view and runs the job's analysis, both under
+    /// panic isolation. The result must be merged in order through an
     /// [`InOrderMerge`].
     pub(crate) fn solve(&self, detector: &RaceDetector, published: &PublishedSet) -> WindowResult {
         let w = &self.window;
-        isolated(w.index, w.range.clone(), || {
+        let cfg = &detector.config;
+        isolated(self.analysis, w.index, w.range.clone(), || {
             let view = w.view(&self.trace);
-            detector.solve_window(w.index, &view, w.plan.as_ref(), Some(published))
+            match self.analysis {
+                Analysis::Race => WindowOutcome::Races(detector.solve_window(
+                    w.index,
+                    &view,
+                    w.plan.as_ref(),
+                    Some(published),
+                )),
+                Analysis::Deadlock => WindowOutcome::Deadlocks(deadlock::solve_window(cfg, &view)),
+                Analysis::Atomicity => WindowOutcome::Atomicity(atomicity::solve_window(
+                    cfg,
+                    &view,
+                    &infer_rmw_pairs(&view),
+                )),
+            }
         })
     }
 }
 
-/// The in-order merge: buffers window results as they arrive in
-/// completion order and merges them strictly in window order against one
-/// confirmed-signature set, stamping the time of the first merged race.
-/// Every driver merges through this, which is what makes reports
-/// independent of solve scheduling.
+/// The jobs of one window: one per analysis `kind` selects, in merge
+/// order. Only the race job carries the window's straddle plan.
+pub(crate) fn window_jobs<T: Clone>(
+    mut window: CursorWindow,
+    trace: T,
+    kind: Kind,
+) -> impl Iterator<Item = WindowJob<T>> {
+    let plan = window.plan.take();
+    kind.analyses().iter().map(move |&analysis| WindowJob {
+        window: CursorWindow {
+            plan: (analysis == Analysis::Race).then(|| plan.clone()).flatten(),
+            ..window.clone()
+        },
+        trace: trace.clone(),
+        analysis,
+    })
+}
+
+/// The in-order merge: buffers job results as they arrive in completion
+/// order and merges them strictly in (window, analysis) order — race,
+/// deadlock, atomicity — stamping the time of the first merged race. The
+/// race job of a window merges first, so time to first race does not wait
+/// for the other analyses. Every driver merges through this, which is
+/// what makes reports independent of solve scheduling.
 pub(crate) struct InOrderMerge {
     pending: BTreeMap<usize, WindowResult>,
     merged: usize,
+    analyses: &'static [Analysis],
     report: DetectionReport,
     confirmed: HashSet<RaceSignature>,
     start: Instant,
 }
 
 impl InOrderMerge {
-    /// An empty merge; time to first race is measured from `start`.
-    pub(crate) fn new(start: Instant) -> Self {
+    /// An empty merge of the analyses `kind` selects; time to first race
+    /// is measured from `start`.
+    pub(crate) fn new(start: Instant, kind: Kind) -> Self {
         InOrderMerge {
             pending: BTreeMap::new(),
             merged: 0,
-            report: DetectionReport::default(),
+            analyses: kind.analyses(),
+            report: DetectionReport {
+                kind,
+                ..DetectionReport::default()
+            },
             confirmed: HashSet::new(),
             start,
         }
@@ -353,7 +422,10 @@ impl InOrderMerge {
         result: WindowResult,
         published: &PublishedSet,
     ) {
-        self.pending.insert(result.window_index(), result);
+        let n = self.analyses.len();
+        let pos = self.analyses.iter().position(|&a| a == result.analysis());
+        let pos = pos.expect("result of an unselected analysis");
+        self.pending.insert(result.window_index() * n + pos, result);
         while let Some(result) = self.pending.remove(&self.merged) {
             detector.merge_outcome(
                 result,
@@ -445,19 +517,21 @@ impl RaceDetector {
     }
 
     /// The window cursor for this configuration: `window_size`-event
-    /// windows, planning straddles in cone mode.
+    /// windows, planning straddles in cone mode when races are analyzed.
     pub(crate) fn cursor(&self) -> WindowCursor {
-        let cone = self.config.window_mode == WindowMode::Cone;
+        let cone =
+            self.config.window_mode == WindowMode::Cone && self.config.kind.includes(Kind::Race);
         WindowCursor::new(
             self.config.window_size,
             cone.then(|| self.config.spill_events()),
         )
     }
 
-    /// Runs detection over the whole trace, window by window.
+    /// Runs detection over the whole trace, window by window: one job per
+    /// window and analysis [`DetectorConfig::kind`] selects.
     ///
     /// The window cursor feeds the window pool and results merge in
-    /// window order, so races, signatures and verdict counters are
+    /// window order, so violations, signatures and verdict counters are
     /// identical for every thread count (wall-clock timings, of course,
     /// are not).
     ///
@@ -469,21 +543,9 @@ impl RaceDetector {
         let mut cursor = self.cursor();
         let (mut report, ()) = self.run_pool(start, |dispatch| {
             while let Some(window) = cursor.next(trace, true) {
-                dispatch(WindowJob { window, trace });
+                dispatch(window, trace);
             }
         });
-        report.stats.wall_time = start.elapsed();
-        report
-    }
-
-    /// Runs detection over a single pre-built view (used by benchmarks and
-    /// by the baselines that share this driver).
-    pub fn detect_in_window(&self, view: &View<'_>) -> DetectionReport {
-        let start = Instant::now();
-        let mut report = DetectionReport::default();
-        let mut confirmed = HashSet::new();
-        let result = self.solve_window_result(0, view, None, None);
-        self.merge_outcome(result, &mut report, &mut confirmed, None);
         report.stats.wall_time = start.elapsed();
         report
     }
@@ -536,7 +598,7 @@ impl RaceDetector {
         &self,
         mut reader: R,
         start: Instant,
-        dispatch: &mut dyn FnMut(WindowJob<Arc<Trace>>),
+        dispatch: &mut dyn FnMut(CursorWindow, Arc<Trace>),
     ) -> Result<(Arc<Trace>, IngestStats, Duration), JsonError> {
         let mut parser = StreamParser::new();
         let mut chunk = vec![0u8; STREAM_CHUNK];
@@ -559,10 +621,7 @@ impl RaceDetector {
             let snapshot = Arc::new(Trace::from_data(parser.data().clone()));
             while let Some(window) = cursor.next(&snapshot, false) {
                 first_dispatch.get_or_insert_with(|| start.elapsed());
-                dispatch(WindowJob {
-                    window,
-                    trace: snapshot.clone(),
-                });
+                dispatch(window, snapshot.clone());
             }
         }
         parser.finish()?;
@@ -574,10 +633,7 @@ impl RaceDetector {
         let ingest_done = start.elapsed();
         let trace = Arc::new(Trace::from_data(parser.into_data()));
         while let Some(window) = cursor.next(&trace, true) {
-            dispatch(WindowJob {
-                window,
-                trace: trace.clone(),
-            });
+            dispatch(window, trace.clone());
         }
         let overlap = first_dispatch
             .map(|t| ingest_done.saturating_sub(t))
@@ -588,21 +644,22 @@ impl RaceDetector {
     /// The window pool both in-process drivers share: `parallelism` scoped
     /// workers fed through a bounded queue, and a merge thread running the
     /// [`InOrderMerge`]. `feed` runs on the calling thread and hands each
-    /// window to `dispatch`, in window order.
+    /// window to `dispatch`, in window order; `dispatch` queues the
+    /// window's jobs ([`window_jobs`]).
     ///
     /// The `sync_channel(workers + 2)` queue is the backpressure: when
     /// every worker is busy and the queue is full, `dispatch` blocks
-    /// instead of materializing further windows. A window counts as
-    /// resident from dispatch until its worker drops it, so the
+    /// instead of materializing further jobs. A job counts as resident
+    /// from dispatch until its worker drops it, so the
     /// `peak_window_residency` gauge is at most `2 * workers + 3`
     /// (one per worker, the queue, and one blocked in `dispatch`).
     fn run_pool<T, R>(
         &self,
         start: Instant,
-        feed: impl FnOnce(&mut dyn FnMut(WindowJob<T>)) -> R,
+        feed: impl FnOnce(&mut dyn FnMut(CursorWindow, T)) -> R,
     ) -> (DetectionReport, R)
     where
-        T: Deref<Target = Trace> + Send,
+        T: Deref<Target = Trace> + Send + Clone,
     {
         let workers = self.config.parallelism.max(1);
         let published = PublishedSet::new();
@@ -631,19 +688,21 @@ impl RaceDetector {
             }
             drop(out_tx);
             let merger = scope.spawn(move || {
-                let mut merge = InOrderMerge::new(start);
+                let mut merge = InOrderMerge::new(start, self.config.kind);
                 for result in out_rx {
                     merge.absorb(self, result, published);
                 }
                 merge.finish()
             });
-            let fed = feed(&mut |job| {
-                let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
-                peak.fetch_max(live, Ordering::Relaxed);
-                // Send fails only if every worker died; worker panics are
-                // caught per window, so in practice the queue outlives the
-                // feed.
-                let _ = job_tx.send(job);
+            let fed = feed(&mut |window, trace| {
+                for job in window_jobs(window, trace, self.config.kind) {
+                    let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
+                    peak.fetch_max(live, Ordering::Relaxed);
+                    // Send fails only if every worker died; worker panics
+                    // are caught per job, so in practice the queue
+                    // outlives the feed.
+                    let _ = job_tx.send(job);
+                }
             });
             // Closing the queue lets the workers drain and exit, which
             // ends the merge.
@@ -667,15 +726,15 @@ impl RaceDetector {
         plan: Option<&StraddlePlan>,
         published: Option<&PublishedSet>,
     ) -> WindowResult {
-        isolated(window_index, view.range(), || {
-            self.solve_window(window_index, view, plan, published)
+        isolated(Analysis::Race, window_index, view.range(), || {
+            WindowOutcome::Races(self.solve_window(window_index, view, plan, published))
         })
     }
 
     /// Merges one window's result into `report`. Must be called in window
-    /// order with the same `confirmed` set (and `published`, if any)
-    /// across the whole run — this is the replay that makes merged output
-    /// independent of solve scheduling.
+    /// order with the same `confirmed` race-signature set (and
+    /// `published`, if any) across the whole run — this is the replay
+    /// that makes merged output independent of solve scheduling.
     pub fn merge_window_result(
         &self,
         result: WindowResult,
@@ -761,100 +820,11 @@ impl RaceDetector {
             out.tier_a_time = t.tier_a_time();
             out.tier_b_time = t.tier_b_time();
         }
-        if cfg.retry_split {
-            self.retry_timeouts(view, opts, &budget, deadline, &mut out);
-        }
         if let Some(plan) = plan {
             self.solve_straddles(view, plan, opts, &budget, deadline, &known_racy, &mut out);
         }
         out.window_time = window_start.elapsed();
         out
-    }
-
-    /// One-shot retry for budget exhaustion: each `Undecided(Timeout)` COP
-    /// is re-encoded and re-solved against the half-size sub-window that
-    /// contains both of its events (half the events ⇒ a much smaller
-    /// formula). COPs spanning the midpoint keep their `Undecided`
-    /// verdict. Window-local, so it is deterministic under parallelism;
-    /// the fault plan is deliberately not consulted (an injected
-    /// `Fault::Timeout` may be rescued here, which is itself useful for
-    /// testing the policy).
-    fn retry_timeouts(
-        &self,
-        view: &View<'_>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        out: &mut SolvedWindow,
-    ) {
-        let needs_retry = out
-            .records
-            .iter()
-            .any(|r| matches!(r.verdict, CopVerdict::Undecided(UndecidedReason::Timeout)));
-        if !needs_retry {
-            return;
-        }
-        let Some((first, second)) = view.split() else {
-            return;
-        };
-        let cfg = &self.config;
-        for record in out.records.iter_mut() {
-            if !matches!(
-                record.verdict,
-                CopVerdict::Undecided(UndecidedReason::Timeout)
-            ) {
-                continue;
-            }
-            let half = if first.contains(record.cop.first) && first.contains(record.cop.second) {
-                &first
-            } else if second.contains(record.cop.first) && second.contains(record.cop.second) {
-                &second
-            } else {
-                continue; // spans the midpoint: stays Undecided
-            };
-            // No retries past the window deadline: the budget that killed
-            // the first solve has run out for good.
-            if past_deadline(deadline) {
-                continue;
-            }
-            record.retried = true;
-            let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            let encoded = encode(half, record.cop, opts);
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            record.verdict = match solver.solve(budget) {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        let witness = if opts.slicing_active() {
-                            // `encode` sliced the half-window formula; the
-                            // reported witness must come from the
-                            // canonical unsliced solve.
-                            self.canonical_witness(half, record.cop, opts, budget)
-                        } else {
-                            extract_witness(half, record.cop, &encoded, &solver, cfg.mode)
-                                .map_err(|_| ())
-                        };
-                        match witness {
-                            Ok(witness) => CopVerdict::Race(witness.schedule),
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        CopVerdict::Race(Schedule(vec![record.cop.first, record.cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            // The retry is a second solver invocation on the same COP: its
-            // effort accumulates into the record's profile (the original
-            // timed-out solve is already in there), so the COP is counted
-            // once in `cops_solved` but both solves are in the totals.
-            record.profile.record_solve(&solver.stats().sat);
-        }
     }
 
     /// The planned fault for this (window, COP) coordinate, if any.
@@ -890,23 +860,18 @@ impl RaceDetector {
         budget: &Budget,
         out: &mut SolvedWindow,
     ) -> CopRecord {
-        let verdict = if self.config.validate_witnesses {
-            let solve_start = Instant::now();
-            let witness = self.canonical_witness(view, cop, opts, budget);
-            out.solver_time += solve_start.elapsed();
-            match witness {
-                Ok(witness) => CopVerdict::Race(witness.schedule),
-                Err(()) => CopVerdict::WitnessFailed,
-            }
-        } else {
-            CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
+        let solve_start = Instant::now();
+        let witness = self.canonical_witness(view, cop, opts, budget);
+        out.solver_time += solve_start.elapsed();
+        let verdict = match witness {
+            Ok(witness) => CopVerdict::Race(witness.schedule),
+            Err(()) => CopVerdict::WitnessFailed,
         };
         CopRecord {
             cop,
             signature,
             verdict,
             profile: SolverTotals::default(),
-            retried: false,
             cone_events: 0,
             window_events: 0,
             constraints: 0,
@@ -999,7 +964,6 @@ impl RaceDetector {
                     signature,
                     verdict: CopVerdict::Skipped,
                     profile: SolverTotals::default(),
-                    retried: false,
                     cone_events: 0,
                     window_events: 0,
                     constraints: 0,
@@ -1074,7 +1038,6 @@ impl RaceDetector {
                     signature,
                     verdict,
                     profile: SolverTotals::default(),
-                    retried: false,
                     cone_events: 0,
                     window_events: 0,
                     constraints: 0,
@@ -1098,7 +1061,6 @@ impl RaceDetector {
                     signature,
                     verdict: CopVerdict::Skipped,
                     profile: SolverTotals::default(),
-                    retried: false,
                     cone_events: 0,
                     window_events: 0,
                     constraints: 0,
@@ -1139,24 +1101,16 @@ impl RaceDetector {
             let verdict = match result {
                 SmtResult::Unsat => CopVerdict::Unsat,
                 SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        // The session model depends on the session's solve
-                        // history (and, sliced, leaves non-cone events
-                        // unplaced): always report the canonical
-                        // fresh-solve witness instead.
-                        match self.canonical_witness(view, cop, opts, budget) {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
+                // The session model depends on the session's solve history
+                // (and, sliced, leaves non-cone events unplaced): always
+                // report the canonical fresh-solve witness instead.
+                SmtResult::Sat => match self.canonical_witness(view, cop, opts, budget) {
+                    Ok(witness) => {
                         local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
+                        CopVerdict::Race(witness.schedule)
                     }
-                }
+                    Err(()) => CopVerdict::WitnessFailed,
+                },
             };
             out.solver_time += solve_start.elapsed();
             out.records.push(CopRecord {
@@ -1164,7 +1118,6 @@ impl RaceDetector {
                 signature,
                 verdict,
                 profile,
-                retried: false,
                 cone_events: encoded.cone_events,
                 window_events: encoded.window_events,
                 constraints: encoded.n_constraints,
@@ -1222,7 +1175,6 @@ impl RaceDetector {
                 signature: RaceSignature::of_cop(trace, cop),
                 verdict: CopVerdict::Undecided(UndecidedReason::BoundaryBudget),
                 profile: SolverTotals::default(),
-                retried: false,
                 cone_events: 0,
                 window_events: 0,
                 constraints: 0,
@@ -1280,12 +1232,9 @@ impl RaceDetector {
         }
     }
 
-    /// Replays one window's records against the authoritative confirmed
-    /// set, in window order. This is where cross-window deduplication
-    /// happens: a record whose signature is already confirmed is dropped
-    /// wholesale (its counters included), reproducing exactly what the
-    /// serial driver would have skipped before solving. Newly confirmed
-    /// signatures are pushed to `published` for in-flight workers.
+    /// Merges one job result into `report`, in (window, analysis) order.
+    /// Deadlock and atomicity records replay against the signatures their
+    /// sections already hold; a failed job degrades the whole report.
     fn merge_outcome(
         &self,
         result: WindowResult,
@@ -1293,17 +1242,38 @@ impl RaceDetector {
         confirmed: &mut HashSet<RaceSignature>,
         published: Option<&PublishedSet>,
     ) {
+        let dedup = self.config.dedup_signatures;
+        match result.outcome {
+            WindowOutcome::Races(solved) => self.merge_races(solved, report, confirmed, published),
+            WindowOutcome::Deadlocks(window) => report.deadlock.merge(window, dedup),
+            WindowOutcome::Atomicity(window) => report.atomicity.merge(window, dedup),
+            WindowOutcome::Failed(analysis, failed) => {
+                if analysis == Analysis::Race {
+                    report.stats.windows += 1;
+                    report.stats.failed_windows += 1;
+                }
+                report.failed_windows.push(failed);
+            }
+        }
+    }
+
+    /// Replays one window's race records against the authoritative
+    /// confirmed set, in window order. This is where cross-window
+    /// deduplication happens: a record whose signature is already
+    /// confirmed is dropped wholesale (its counters included), reproducing
+    /// exactly what the serial driver would have skipped before solving.
+    /// Newly confirmed signatures are pushed to `published` for in-flight
+    /// workers.
+    fn merge_races(
+        &self,
+        outcome: SolvedWindow,
+        report: &mut DetectionReport,
+        confirmed: &mut HashSet<RaceSignature>,
+        published: Option<&PublishedSet>,
+    ) {
         let cfg = &self.config;
         let stats = &mut report.stats;
         stats.windows += 1;
-        let outcome = match result.0 {
-            WindowOutcome::Failed(failed) => {
-                stats.failed_windows += 1;
-                report.failed_windows.push(failed);
-                return;
-            }
-            WindowOutcome::Solved(solved) => solved,
-        };
         stats.pairs_considered += outcome.pairs_considered;
         stats.qc_signatures += outcome.qc_signatures;
         stats.solver_time += outcome.solver_time;
@@ -1339,7 +1309,7 @@ impl RaceDetector {
                 Some(Tier::Solver) => stats.tier_residue += 1,
                 None => {}
             }
-            // Solver effort and retry accounting are tallied here, for
+            // Solver effort is tallied here, for
             // surviving records only: a speculative solve whose record the
             // dedup check above discards never reaches the stats, so the
             // count-type metrics are identical at every thread count.
@@ -1350,12 +1320,6 @@ impl RaceDetector {
                 stats
                     .propagations_per_cop
                     .observe(record.profile.propagations);
-            }
-            if record.retried {
-                stats.retried_cops += 1;
-                if !matches!(record.verdict, CopVerdict::Undecided(_)) {
-                    stats.retry_rescued += 1;
-                }
             }
             // Encoding-size accounting, surviving records only (same
             // determinism contract as `profile` above). Skipped and
@@ -1608,51 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_split_rescues_injected_timeout() {
-        use crate::config::{Fault, FaultPlan};
-        use std::sync::Arc;
-        // Figure 1 has one racy COP; force its solve to "time out", then
-        // let the retry policy re-solve it in a half window. The race's
-        // two events both land in one half only if the window splits
-        // around them — use a trace where the racy pair is adjacent at
-        // the front and pad the back half with race-free filler.
-        let mut b = TraceBuilder::new();
-        let x = b.var("x");
-        let y = b.var("y");
-        let t1 = ThreadId::MAIN;
-        let t2 = b.fork(t1);
-        b.write(t1, x, 1);
-        b.read(t2, x, 1);
-        for i in 0..8 {
-            b.write(t1, y, i); // same-thread filler: no new COPs
-        }
-        let trace = b.finish();
-        let base = RaceDetector::new().detect(&trace);
-        assert_eq!(base.n_races(), 1, "sanity: the pair races");
-
-        let plan = Some(Arc::new(FaultPlan::new().inject(0, 0, Fault::Timeout)));
-        let without_retry = RaceDetector::with_config(DetectorConfig {
-            fault_plan: plan.clone(),
-            ..Default::default()
-        })
-        .detect(&trace);
-        assert_eq!(without_retry.n_races(), 0);
-        assert_eq!(without_retry.stats.undecided, 1);
-        assert_eq!(without_retry.stats.retried_cops, 0);
-
-        let with_retry = RaceDetector::with_config(DetectorConfig {
-            fault_plan: plan,
-            retry_split: true,
-            ..Default::default()
-        })
-        .detect(&trace);
-        assert_eq!(with_retry.stats.retried_cops, 1);
-        assert_eq!(with_retry.n_races(), 1, "{with_retry}");
-        assert_eq!(with_retry.stats.undecided, 0);
-        assert!(!with_retry.is_degraded());
-    }
-
-    #[test]
     fn faulted_reports_identical_across_thread_counts() {
         use crate::config::{Fault, FaultPlan};
         use std::sync::Arc;
@@ -1694,6 +1613,19 @@ mod tests {
         for s in &summaries[1..] {
             assert_eq!(&summaries[0], s);
         }
+    }
+
+    #[test]
+    fn failed_kind_job_degrades_the_report() {
+        let result = isolated(Analysis::Deadlock, 0, 0..4, || panic!("boom"));
+        let mut report = DetectionReport::default();
+        RaceDetector::new().merge_window_result(result, &mut report, &mut HashSet::new(), None);
+        assert!(report.is_degraded());
+        assert_eq!(
+            report.stats.failed_windows, 0,
+            "race counters count race jobs"
+        );
+        assert_eq!(report.failed_windows[0].reason, "deadlock analysis: boom");
     }
 
     /// A multi-window trace with a racy pair in (at least) the first and

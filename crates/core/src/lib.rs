@@ -59,7 +59,7 @@ pub use atomicity::{
     infer_rmw_pairs, AtomicPair, AtomicityDetector, AtomicityReport, AtomicityViolation,
 };
 pub use config::{
-    ConsistencyMode, DetectorConfig, Fault, FaultPlan, WindowMode, SPILL_EVENT_BYTES,
+    ConsistencyMode, DetectorConfig, Fault, FaultPlan, Kind, WindowMode, SPILL_EVENT_BYTES,
 };
 pub use cop::{enumerate_cops, quick_check, CopEnumeration, QuickCheckVerdict};
 pub use deadlock::{DeadlockCycle, DeadlockDetector, DeadlockReport};

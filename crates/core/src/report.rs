@@ -7,13 +7,17 @@
 //! Reported races are always witness-validated, so degradation only ever
 //! costs completeness, never soundness.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use std::time::Duration;
 
 use rvsmt::SatStats;
 use rvtrace::{Cop, RaceSignature, Schedule, Trace};
 
+use crate::atomicity::AtomicityReport;
+use crate::config::Kind;
+use crate::deadlock::DeadlockReport;
 use crate::metrics::{Histogram, Metrics};
 
 /// One detected race, with its certifying witness.
@@ -96,6 +100,49 @@ impl fmt::Display for UndecidedReason {
     }
 }
 
+/// One deadlock or atomicity candidate's verdict, as its window job
+/// records it (candidates whose signature the job confirmed earlier in
+/// the same window are not recorded at all).
+#[derive(Debug)]
+pub(crate) enum Verdict<V> {
+    Unsat,
+    /// No verdict: the solver budget or the window deadline ran out.
+    Unknown,
+    /// SAT; the violation, when its witness validated.
+    Sat(Option<V>),
+}
+
+/// The cross-window dedup replay for deadlock and atomicity records, the
+/// analogue of the race merge: records are folded in window order, a
+/// record whose signature an earlier window confirmed is dropped, and
+/// `[sat, unsat, unknown]` tally only the records kept — so the counters
+/// equal those of a serial loop that skipped confirmed signatures before
+/// solving. `confirmed` holds the signatures reported so far.
+pub(crate) fn replay<S: Eq + Hash, V>(
+    records: Vec<(S, Verdict<V>)>,
+    mut confirmed: HashSet<S>,
+    dedup: bool,
+    [sat, unsat, unknown]: [&mut usize; 3],
+    found: &mut Vec<V>,
+) {
+    for (signature, verdict) in records {
+        if dedup && confirmed.contains(&signature) {
+            continue;
+        }
+        match verdict {
+            Verdict::Unsat => *unsat += 1,
+            Verdict::Unknown => *unknown += 1,
+            Verdict::Sat(violation) => {
+                *sat += 1;
+                if let Some(v) = violation {
+                    confirmed.insert(signature);
+                    found.push(v);
+                }
+            }
+        }
+    }
+}
+
 /// A window whose worker died (panicked) before producing any per-COP
 /// records. The run continues; the failure is reported so the user knows
 /// which part of the trace got no verdicts at all.
@@ -126,8 +173,7 @@ impl fmt::Display for FailedWindow {
 /// the determinism contract in [`crate::metrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverTotals {
-    /// Solver invocations profiled (one per solved COP, two when a COP
-    /// was retried in a split window).
+    /// Solver invocations profiled (one per solved COP).
     pub solves: u64,
     /// CDCL branching decisions.
     pub decisions: u64,
@@ -188,15 +234,6 @@ pub struct DetectionStats {
     pub undecided: usize,
     /// Per-reason breakdown of [`DetectionStats::undecided`].
     pub undecided_by_reason: BTreeMap<UndecidedReason, usize>,
-    /// Undecided-timeout COPs re-solved in a half-size window by the
-    /// one-shot retry policy ([`DetectorConfig::retry_split`]).
-    ///
-    /// [`DetectorConfig::retry_split`]: crate::DetectorConfig::retry_split
-    pub retried_cops: usize,
-    /// Retried COPs whose second solve produced a definitive verdict
-    /// (SAT or UNSAT) instead of timing out again — the retry policy's
-    /// success count. Always `retry_rescued <= retried_cops`.
-    pub retry_rescued: usize,
     /// Witness validations that failed (soundness gate trips; expected 0).
     pub witness_failures: usize,
     /// COPs the Tier A (sync-preserving) screen confirmed as races without
@@ -287,60 +324,6 @@ pub struct DetectionStats {
 }
 
 impl DetectionStats {
-    /// Accumulates `other` into `self`: counters and solver time sum,
-    /// per-window times concatenate, and wall time takes the maximum (two
-    /// merged runs are assumed concurrent; re-measure around the merge for
-    /// an end-to-end figure).
-    pub fn merge(&mut self, other: &DetectionStats) {
-        self.windows += other.windows;
-        self.failed_windows += other.failed_windows;
-        self.pairs_considered += other.pairs_considered;
-        self.qc_signatures += other.qc_signatures;
-        self.cops_solved += other.cops_solved;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.undecided += other.undecided;
-        for (&reason, &n) in &other.undecided_by_reason {
-            *self.undecided_by_reason.entry(reason).or_insert(0) += n;
-        }
-        self.retried_cops += other.retried_cops;
-        self.retry_rescued += other.retry_rescued;
-        self.witness_failures += other.witness_failures;
-        self.tier_confirmed += other.tier_confirmed;
-        self.tier_refuted += other.tier_refuted;
-        self.tier_residue += other.tier_residue;
-        self.cone_events += other.cone_events;
-        self.window_events_encoded += other.window_events_encoded;
-        self.sliced_out += other.sliced_out;
-        self.constraints_encoded += other.constraints_encoded;
-        self.cone_events_per_cop.merge(&other.cone_events_per_cop);
-        self.constraints_per_cop.merge(&other.constraints_per_cop);
-        self.solver_totals.add(&other.solver_totals);
-        self.conflicts_per_cop.merge(&other.conflicts_per_cop);
-        self.decisions_per_cop.merge(&other.decisions_per_cop);
-        self.propagations_per_cop.merge(&other.propagations_per_cop);
-        self.solver_time += other.solver_time;
-        self.tier_a_time += other.tier_a_time;
-        self.tier_b_time += other.tier_b_time;
-        self.wall_time = self.wall_time.max(other.wall_time);
-        self.window_times.extend_from_slice(&other.window_times);
-        self.peak_window_residency = self.peak_window_residency.max(other.peak_window_residency);
-        // Concurrent-runs convention, like wall_time: the merged "first
-        // race" is the earliest either run saw one.
-        self.time_to_first_race = match (self.time_to_first_race, other.time_to_first_race) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.ingest_overlap = match (self.ingest_overlap, other.ingest_overlap) {
-            (Some(a), Some(b)) => Some(a + b),
-            (a, b) => a.or(b),
-        };
-        self.straddle_cops += other.straddle_cops;
-        self.straddle_races += other.straddle_races;
-        self.boundary_over_budget += other.boundary_over_budget;
-        self.spill_peak_events = self.spill_peak_events.max(other.spill_peak_events);
-    }
-
     /// Records one undecided COP verdict.
     pub fn record_undecided(&mut self, reason: UndecidedReason) {
         self.undecided += 1;
@@ -348,21 +331,25 @@ impl DetectionStats {
     }
 }
 
-impl std::ops::AddAssign<&DetectionStats> for DetectionStats {
-    fn add_assign(&mut self, other: &DetectionStats) {
-        self.merge(other);
-    }
-}
-
-/// The result of running a detector over a trace.
+/// The result of running a detector over a trace: one section per
+/// violation class that [`kind`](DetectionReport::kind) selects. The race
+/// section is `races` plus `stats`; the other sections stay empty unless
+/// selected.
 #[derive(Debug, Clone, Default)]
 pub struct DetectionReport {
     /// Validated races, one per signature (when deduplication is on).
     pub races: Vec<RaceReport>,
-    /// Windows whose worker panicked; their COPs have no verdicts.
+    /// Window jobs that panicked; their candidates have no verdicts. A
+    /// failed job degrades every selected class.
     pub failed_windows: Vec<FailedWindow>,
-    /// Counters.
+    /// Counters of the race section.
     pub stats: DetectionStats,
+    /// The violation classes this report covers.
+    pub kind: Kind,
+    /// The deadlock section.
+    pub deadlock: DeadlockReport,
+    /// The atomicity section.
+    pub atomicity: AtomicityReport,
 }
 
 impl DetectionReport {
@@ -386,7 +373,11 @@ impl DetectionReport {
         sigs
     }
 
-    /// Folds the whole report into a [`Metrics`] registry.
+    /// Folds the whole report into a [`Metrics`] registry: the race
+    /// section's `detector.*`, `encoder.*` and `solver.*` families, and
+    /// `deadlock.*` / `atomicity.*`, each only when [`kind`] selects it.
+    ///
+    /// [`kind`]: DetectionReport::kind
     ///
     /// Counters (`detector.*`, `solver.*`) and histograms
     /// (`solver.*_per_cop`) are count-type and byte-identical across
@@ -398,8 +389,31 @@ impl DetectionReport {
     /// Strip all of those with [`Metrics::without_timings`] before
     /// comparing runs.
     pub fn to_metrics(&self) -> Metrics {
-        let s = &self.stats;
         let mut m = Metrics::new();
+        if self.kind.includes(Kind::Race) {
+            self.record_race_metrics(&mut m);
+        }
+        if self.kind.includes(Kind::Deadlock) {
+            let d = &self.deadlock;
+            m.inc("deadlock.cycles", d.n_cycles() as u64);
+            m.inc("deadlock.candidates", d.candidates as u64);
+            m.inc("deadlock.sat", d.sat as u64);
+            m.inc("deadlock.unsat", d.unsat as u64);
+            m.inc("deadlock.unknown", d.unknown as u64);
+        }
+        if self.kind.includes(Kind::Atomicity) {
+            let a = &self.atomicity;
+            m.inc("atomicity.violations", a.violations.len() as u64);
+            m.inc("atomicity.candidates", a.candidates as u64);
+            m.inc("atomicity.sat", a.sat as u64);
+            m.inc("atomicity.unsat", a.unsat as u64);
+            m.inc("atomicity.unknown", a.unknown as u64);
+        }
+        m
+    }
+
+    fn record_race_metrics(&self, m: &mut Metrics) {
+        let s = &self.stats;
         m.inc("detector.races", self.n_races() as u64);
         m.inc("detector.windows", s.windows as u64);
         m.inc("detector.failed_windows", s.failed_windows as u64);
@@ -412,8 +426,6 @@ impl DetectionReport {
         for (reason, &n) in &s.undecided_by_reason {
             m.inc(&format!("detector.undecided.{reason}"), n as u64);
         }
-        m.inc("detector.retried_cops", s.retried_cops as u64);
-        m.inc("detector.retry_rescued", s.retry_rescued as u64);
         m.inc("detector.witness_failures", s.witness_failures as u64);
         m.inc("detector.tiers.confirmed", s.tier_confirmed as u64);
         m.inc("detector.tiers.refuted", s.tier_refuted as u64);
@@ -475,7 +487,6 @@ impl DetectionReport {
                 s.spill_peak_events as u64,
             );
         }
-        m
     }
 }
 
@@ -491,7 +502,7 @@ impl DetectionReport {
         let s = &self.stats;
         let _ = writeln!(
             out,
-            "races={} windows={} failed={} pairs={} qc={} solved={} sat={} unsat={} undecided={} retried={} rescued={} witness_failures={}",
+            "races={} windows={} failed={} pairs={} qc={} solved={} sat={} unsat={} undecided={} witness_failures={}",
             self.n_races(),
             s.windows,
             s.failed_windows,
@@ -501,8 +512,6 @@ impl DetectionReport {
             s.sat,
             s.unsat,
             s.undecided,
-            s.retried_cops,
-            s.retry_rescued,
             s.witness_failures,
         );
         let t = &s.solver_totals;
@@ -609,13 +618,6 @@ impl fmt::Display for DetectionReport {
             }
             writeln!(f)?;
         }
-        if self.stats.retried_cops > 0 {
-            writeln!(
-                f,
-                "  retried {} in split windows, {} rescued",
-                self.stats.retried_cops, self.stats.retry_rescued
-            )?;
-        }
         if self.stats.straddle_cops + self.stats.boundary_over_budget > 0 {
             writeln!(
                 f,
@@ -649,8 +651,7 @@ mod tests {
         };
         let rep = DetectionReport {
             races: vec![mk(0, 1), mk(2, 3)],
-            failed_windows: Vec::new(),
-            stats: Default::default(),
+            ..Default::default()
         };
         assert_eq!(rep.n_races(), 2);
         assert_eq!(rep.signatures().len(), 1);
@@ -693,45 +694,5 @@ mod tests {
         let s = format!("{rep}");
         assert!(s.contains("0 race(s)"));
         assert!(s.contains("QC=0"));
-    }
-
-    #[test]
-    fn stats_merge_sums_counters_and_maxes_wall_time() {
-        let mut a = DetectionStats {
-            windows: 1,
-            cops_solved: 3,
-            sat: 1,
-            unsat: 2,
-            solver_time: Duration::from_millis(10),
-            wall_time: Duration::from_millis(30),
-            window_times: vec![Duration::from_millis(30)],
-            ..Default::default()
-        };
-        let b = DetectionStats {
-            windows: 2,
-            cops_solved: 4,
-            sat: 0,
-            unsat: 4,
-            solver_time: Duration::from_millis(5),
-            wall_time: Duration::from_millis(50),
-            window_times: vec![Duration::from_millis(20), Duration::from_millis(30)],
-            ..Default::default()
-        };
-        a += &b;
-        assert_eq!(a.windows, 3);
-        assert_eq!(a.cops_solved, 7);
-        assert_eq!((a.sat, a.unsat), (1, 6));
-        let mut c = DetectionStats::default();
-        c.record_undecided(UndecidedReason::ConflictBudget);
-        a += &c;
-        assert_eq!(a.undecided, 1);
-        assert_eq!(a.undecided_by_reason[&UndecidedReason::ConflictBudget], 1);
-        assert_eq!(a.solver_time, Duration::from_millis(15));
-        assert_eq!(
-            a.wall_time,
-            Duration::from_millis(50),
-            "concurrent runs: max"
-        );
-        assert_eq!(a.window_times.len(), 3);
     }
 }

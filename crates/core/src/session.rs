@@ -14,9 +14,10 @@
 //! * **Fairness** — the scheduler round-robins over sessions with pending
 //!   windows, so one firehose tenant cannot starve the others.
 //! * **Backpressure** — a session may keep at most
-//!   [`SessionConfig::max_resident_windows`] windows in flight; past that,
-//!   *its own* ingest blocks until a result merges. Slow solving stalls
-//!   only the stream that caused it.
+//!   [`SessionConfig::max_resident_windows`] window jobs in flight (one
+//!   per window and selected analysis); past that, *its own* ingest
+//!   blocks until a result merges. Slow solving stalls only the stream
+//!   that caused it.
 //! * **Degradation** — when the pool's total backlog exceeds the shed
 //!   threshold, newly submitted windows are shed: solved with an
 //!   already-expired window deadline, so every COP degrades to
@@ -70,7 +71,9 @@ use rvtrace::{
 };
 
 use crate::config::DetectorConfig;
-use crate::detector::{InOrderMerge, PublishedSet, RaceDetector, WindowJob, WindowResult};
+use crate::detector::{
+    window_jobs, InOrderMerge, PublishedSet, RaceDetector, WindowJob, WindowResult,
+};
 use crate::metrics::Metrics;
 use crate::report::DetectionReport;
 
@@ -87,8 +90,8 @@ pub struct SessionConfig {
     /// dispatch every window through the shared pool (mirroring the CLI's
     /// `--lenient` semantics, which need the full trace before repair).
     pub lenient: bool,
-    /// Backpressure: the most windows this session may have submitted but
-    /// not yet merged. Ingest blocks (stalling only this stream) once the
+    /// Backpressure: the most window jobs this session may have submitted
+    /// but not yet merged. Ingest blocks (stalling only this stream) once the
     /// cap is reached.
     pub max_resident_windows: usize,
 }
@@ -276,6 +279,7 @@ impl SessionManager {
         };
         let detector = RaceDetector::with_config(detector_cfg);
         let start = Instant::now();
+        let merge = InOrderMerge::new(start, config.detector.kind);
         let (out_tx, out_rx) = mpsc::channel();
         let mut metrics = Metrics::new();
         // Session bookkeeping lives in the *gauges* section: a daemon
@@ -297,7 +301,7 @@ impl SessionManager {
             published: Arc::new(PublishedSet::new()),
             out_tx,
             out_rx,
-            merge: InOrderMerge::new(start),
+            merge,
             metrics,
             start,
         }
@@ -427,38 +431,39 @@ impl Session {
         self.submit_windows(&snapshot, false);
     }
 
-    /// Submits every window the cursor yields over `trace` (a prefix
-    /// unless `complete`) to the pool, applying backpressure first: while
-    /// this session is at its residency cap, block merging its own results
-    /// (stalling only this stream's ingest).
+    /// Submits the jobs of every window the cursor yields over `trace` (a
+    /// prefix unless `complete`) to the pool — one per selected analysis
+    /// — applying backpressure first: while this session is at its
+    /// residency cap, block merging its own results (stalling only this
+    /// stream's ingest).
     fn submit_windows(&mut self, trace: &Arc<Trace>, complete: bool) {
+        let kind = self.config.detector.kind;
         while let Some(window) = self.cursor.next(trace, complete) {
-            while self.in_flight() >= self.config.max_resident_windows.max(1) {
-                self.absorb_one();
+            for job in window_jobs(window, trace.clone(), kind) {
+                while self.in_flight() >= self.config.max_resident_windows.max(1) {
+                    self.absorb_one();
+                }
+                let shed = {
+                    let mut s = self.shared.lock();
+                    let shed = s.total_pending >= self.shared.shed_threshold;
+                    s.push_job(SessionJob {
+                        session: self.id,
+                        job,
+                        detector: self.detector.clone(),
+                        shed_detector: self.shed_detector.clone(),
+                        published: self.published.clone(),
+                        out: self.out_tx.clone(),
+                        shed,
+                    });
+                    self.shared.ready.notify_one();
+                    shed
+                };
+                if shed {
+                    self.shed_windows += 1;
+                }
+                self.submitted += 1;
+                self.peak_resident = self.peak_resident.max(self.in_flight());
             }
-            let shed = {
-                let mut s = self.shared.lock();
-                let shed = s.total_pending >= self.shared.shed_threshold;
-                s.push_job(SessionJob {
-                    session: self.id,
-                    job: WindowJob {
-                        window,
-                        trace: trace.clone(),
-                    },
-                    detector: self.detector.clone(),
-                    shed_detector: self.shed_detector.clone(),
-                    published: self.published.clone(),
-                    out: self.out_tx.clone(),
-                    shed,
-                });
-                self.shared.ready.notify_one();
-                shed
-            };
-            if shed {
-                self.shed_windows += 1;
-            }
-            self.submitted += 1;
-            self.peak_resident = self.peak_resident.max(self.in_flight());
         }
     }
 
@@ -491,7 +496,8 @@ impl Session {
         while self.in_flight() > 0 {
             self.absorb_one();
         }
-        let merge = std::mem::replace(&mut self.merge, InOrderMerge::new(self.start));
+        let kind = self.config.detector.kind;
+        let merge = std::mem::replace(&mut self.merge, InOrderMerge::new(self.start, kind));
         let mut report = merge.finish();
         report.stats.peak_window_residency = self.peak_resident;
         report.stats.wall_time = self.start.elapsed();
@@ -658,6 +664,7 @@ mod tests {
                 job: WindowJob {
                     window,
                     trace: trace.clone(),
+                    analysis: crate::config::Analysis::Race,
                 },
                 detector: det.clone(),
                 shed_detector: det.clone(),

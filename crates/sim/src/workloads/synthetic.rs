@@ -350,6 +350,44 @@ pub fn atomicity_workload(name: &str, counters: usize) -> Workload {
     }
 }
 
+/// Builds a workload carrying every violation class, with the deadlock
+/// and atomicity signatures repeated: `blocks` times, two threads take
+/// the same two locks in opposite orders and then each do an unprotected
+/// read-modify-write of `x` from fixed locations; a final write/write
+/// pair on `y` races. At a 12-event window every block lands in its own
+/// window, so one signature recurs across windows.
+pub fn repeated_kinds_workload(name: &str, blocks: usize) -> Workload {
+    let mut b = TraceBuilder::new();
+    let main = ThreadId::MAIN;
+    let la = b.new_lock("la");
+    let lb = b.new_lock("lb");
+    let t1 = b.fork(main);
+    let t2 = b.fork(main);
+    let x = b.var("x");
+    let (read, write) = (b.loc("rmw.read"), b.loc("rmw.write"));
+    let mut value = 0;
+    for _ in 0..blocks {
+        for (t, (first, second)) in [(t1, (la, lb)), (t2, (lb, la))] {
+            b.acquire(t, first);
+            b.acquire(t, second);
+            b.release(t, second);
+            b.release(t, first);
+        }
+        for t in [t1, t2] {
+            b.read_at(t, x, value, read);
+            value += 1;
+            b.write_at(t, x, value, write);
+        }
+    }
+    let y = b.var("y");
+    b.write(t1, y, 1);
+    b.write(t2, y, 2);
+    Workload {
+        name: name.to_string(),
+        trace: b.finish(),
+    }
+}
+
 /// Builds an rwlock workload: one writer updating `x` under the write
 /// mode, `readers` reader threads loading it under the read mode. The
 /// write/read-mode exclusion serializes every access pair — race-free by

@@ -588,27 +588,6 @@ impl<'a> View<'a> {
     pub fn threads(&self) -> &[ThreadId] {
         self.trace.threads()
     }
-
-    /// Splits the view into two contiguous half-size views, each with its
-    /// own correctly carried boundary state (values and held locks at the
-    /// midpoint). Used by the detector's timeout-retry policy: a COP that
-    /// exhausted its budget in a large window may be decidable in a smaller
-    /// one. Returns `None` when the view has fewer than two events.
-    pub fn split(&self) -> Option<(View<'a>, View<'a>)> {
-        if self.len() < 2 {
-            return None;
-        }
-        let mid = self.start + self.len() / 2;
-        let mut carry = WindowBoundary {
-            values: self.initial.clone(),
-            held: self.held_at_start.clone(),
-            held_read: self.held_read_at_start.clone(),
-        };
-        let first = View::build(self.trace, self.start, mid, &carry);
-        carry.advance(self.trace.events(), self.start..mid);
-        let second = View::build(self.trace, mid, self.end, &carry);
-        Some((first, second))
-    }
 }
 
 /// One window yielded by a [`WindowCursor`]: its place in window order,
@@ -1173,33 +1152,6 @@ mod tests {
         let v = &ws[1];
         assert!(!v.mhb(w1, w2));
         assert!(!v.mhb(w2, w1));
-    }
-
-    #[test]
-    fn split_carries_boundary_state() {
-        let mut b = TraceBuilder::new();
-        let x = b.var("x");
-        let l = b.new_lock("l");
-        let t = ThreadId::MAIN;
-        b.write(t, x, 42); // first half
-        b.acquire(t, l); // first half
-        b.read(t, x, 42); // second half
-        b.release(t, l); // second half
-        let tr = b.finish();
-        let full = tr.full_view();
-        let (a, c) = full.split().expect("splittable");
-        assert_eq!(a.range(), 0..2);
-        assert_eq!(c.range(), 2..4);
-        // The second half sees the first half's effects at its boundary.
-        assert_eq!(c.initial_value(x), Value(42));
-        assert_eq!(c.held_at_start(), &[(t, l)]);
-        // Halves match the equivalent two-window split of the trace.
-        let ws = tr.windows(2);
-        assert_eq!(ws[1].initial_value(x), c.initial_value(x));
-        assert_eq!(ws[1].held_at_start(), c.held_at_start());
-        // Too-small views refuse to split.
-        let tiny = &tr.windows(1)[0];
-        assert!(tiny.split().is_none());
     }
 
     #[test]

@@ -202,50 +202,18 @@ fn compose_response(req: &SessionRequest, outcome: &SessionOutcome) -> SessionRe
     }
     driver::record_trace_metrics(&outcome.trace, &mut metrics);
     let mut stdout = driver::trace_line(&outcome.trace);
-    if req.kind == driver::Kind::Race {
-        stdout.push_str(&driver::render_rv_report(
-            &outcome.report,
-            &outcome.trace,
-            req.witnesses,
-        ));
-        metrics.merge(&outcome.report.to_metrics());
-        if let Some(note) = driver::degraded_note(&outcome.report) {
-            stderr.push_str(&note);
-        }
-        return SessionResponse {
-            exit: driver::rv_exit_code(&outcome.report),
-            stdout,
-            stderr,
-            metrics: req.want_metrics.then(|| metrics.to_json()),
-            error: None,
-        };
-    }
-    // Non-race kinds: the deadlock/atomicity passes run over the fully
-    // reconstructed trace; the race section (under `all`) reuses the
-    // session's already-solved report — identical to a fresh run by the
-    // stream-equivalence contract.
-    let cfg = req.detector_config();
-    let mut run = driver::KindRun::default();
-    if req.kind == driver::Kind::All {
-        run.race = Some(outcome.report.clone());
-    }
-    if matches!(req.kind, driver::Kind::Deadlock | driver::Kind::All) {
-        run.deadlock = driver::run_kinds(driver::Kind::Deadlock, &outcome.trace, &cfg).deadlock;
-    }
-    if matches!(req.kind, driver::Kind::Atomicity | driver::Kind::All) {
-        run.atomicity = driver::run_kinds(driver::Kind::Atomicity, &outcome.trace, &cfg).atomicity;
-    }
+    // The session ran exactly the analyses `--kind` selects; its merged
+    // report carries their sections.
+    let report = &outcome.report;
     stdout.push_str(&driver::render_kind_report(
-        &run,
+        report,
         &outcome.trace,
         req.witnesses,
     ));
-    driver::record_kind_metrics(&run, &mut metrics);
-    if let Some(note) = driver::kind_run_notes(&run) {
-        stderr.push_str(&note);
-    }
+    metrics.merge(&report.to_metrics());
+    stderr.extend(driver::kind_run_notes(report));
     SessionResponse {
-        exit: driver::kind_run_exit(&run),
+        exit: driver::kind_run_exit(report),
         stdout,
         stderr,
         metrics: req.want_metrics.then(|| metrics.to_json()),

@@ -20,6 +20,7 @@
 use std::time::Duration;
 
 use rvcore::session::SessionConfig;
+pub use rvcore::Kind;
 use rvcore::{
     AtomicityReport, DeadlockReport, DetectionReport, DetectorConfig, Fault, FaultPlan, Metrics,
     WindowMode,
@@ -91,23 +92,6 @@ fn window_mode_name(mode: WindowMode) -> &'static str {
     }
 }
 
-/// The violation class a run analyzes (`--kind`). All classes share the
-/// ingestion, windowing and constraint machinery; only the property
-/// encoded over `Φ_mhb ∧ Φ_lock ∧ Φ_cf` differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kind {
-    /// Data races (the default — the paper's `Φ_race`).
-    #[default]
-    Race,
-    /// Resource deadlocks: predictable circular lock waits.
-    Deadlock,
-    /// Single-variable atomicity violations (unserializable
-    /// interleavings of intended-atomic blocks).
-    Atomicity,
-    /// Every class above, reported in that order.
-    All,
-}
-
 /// Parses a `--kind` value (`race`, `deadlock`, `atomicity` or `all`).
 pub fn parse_kind(name: &str) -> Result<Kind, String> {
     match name {
@@ -136,11 +120,9 @@ pub fn trace_line(trace: &Trace) -> String {
     format!("trace: {}\n", trace.stats())
 }
 
-/// The maximal detector's stdout: the report summary and one line per
-/// race (plus the witness schedule under `--witnesses`). Shared by the
-/// whole-file, streaming and daemon drivers, so their stdout
-/// is byte-identical by construction.
-pub fn render_rv_report(report: &DetectionReport, trace: &Trace, witnesses: bool) -> String {
+/// The race section's stdout: the report summary and one line per race
+/// (plus the witness schedule under `--witnesses`).
+fn render_rv_report(report: &DetectionReport, trace: &Trace, witnesses: bool) -> String {
     let mut out = String::new();
     out.push_str(&format!("{report}\n"));
     for race in &report.races {
@@ -156,7 +138,7 @@ pub fn render_rv_report(report: &DetectionReport, trace: &Trace, witnesses: bool
 /// validated cycle (and its witness prefix under `--witnesses`). The
 /// rendering contains no timing, so it is byte-identical across runs,
 /// `--jobs` values and the CLI/daemon split by construction.
-pub fn render_deadlock_report(report: &DeadlockReport, trace: &Trace, witnesses: bool) -> String {
+fn render_deadlock_report(report: &DeadlockReport, trace: &Trace, witnesses: bool) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "deadlock: {} cycle(s); candidates={}, sat={}, unsat={}, unknown={}\n",
@@ -190,7 +172,7 @@ pub fn render_deadlock_report(report: &DeadlockReport, trace: &Trace, witnesses:
 /// The atomicity analysis stdout: a summary line plus one line per
 /// validated violation. Deterministic, like
 /// [`render_deadlock_report`].
-pub fn render_atomicity_report(report: &AtomicityReport, trace: &Trace, witnesses: bool) -> String {
+fn render_atomicity_report(report: &AtomicityReport, trace: &Trace, witnesses: bool) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "atomicity: {} violation(s); candidates={}, sat={}, unsat={}, unknown={}\n",
@@ -215,10 +197,9 @@ pub fn render_atomicity_report(report: &AtomicityReport, trace: &Trace, witnesse
     out
 }
 
-/// Maps a deadlock/atomicity analysis outcome to its exit code, with the
-/// same dominance as [`rv_exit_code`]: found violations are sound
-/// regardless of unknown verdicts; unknown verdicts without a violation
-/// mean freedom is not established.
+/// Maps a violation count and a count of missing verdicts to the exit
+/// code: found violations are sound regardless of missing verdicts;
+/// missing verdicts without a violation mean freedom is not established.
 pub fn kind_exit_code(violations: usize, unknown: usize) -> u8 {
     if violations > 0 {
         EXIT_RACES
@@ -232,168 +213,97 @@ pub fn kind_exit_code(violations: usize, unknown: usize) -> u8 {
 /// The degradation note for a violation-free deadlock/atomicity run with
 /// unknown solver verdicts, `None` otherwise.
 pub fn kind_degraded_note(kind: Kind, violations: usize, unknown: usize) -> Option<String> {
-    (violations == 0 && unknown > 0).then(|| {
+    section_note(kind, violations, unknown, 0)
+}
+
+/// The degradation note of one deadlock/atomicity section: unknown
+/// verdicts, and failed window jobs (which degrade every selected class).
+fn section_note(kind: Kind, violations: usize, unknown: usize, failed: usize) -> Option<String> {
+    let failed = match failed {
+        0 => String::new(),
+        n => format!(" and {n} window(s) failed"),
+    };
+    (violations == 0 && (unknown > 0 || !failed.is_empty())).then(|| {
         format!(
-            "note: no {} violations found, but {unknown} candidate(s) are undecided — \
+            "note: no {} violations found, but {unknown} candidate(s) are undecided{failed} — \
              freedom is not established for those\n",
             kind_name(kind)
         )
     })
 }
 
-/// Folds a deadlock report into the registry (`deadlock.*`).
-pub fn record_deadlock_metrics(report: &DeadlockReport, metrics: &mut Metrics) {
-    metrics.inc("deadlock.cycles", report.n_cycles() as u64);
-    metrics.inc("deadlock.candidates", report.candidates as u64);
-    metrics.inc("deadlock.sat", report.sat as u64);
-    metrics.inc("deadlock.unsat", report.unsat as u64);
-    metrics.inc("deadlock.unknown", report.unknown as u64);
-}
-
-/// Folds an atomicity report into the registry (`atomicity.*`).
-pub fn record_atomicity_metrics(report: &AtomicityReport, metrics: &mut Metrics) {
-    metrics.inc("atomicity.violations", report.violations.len() as u64);
-    metrics.inc("atomicity.candidates", report.candidates as u64);
-    metrics.inc("atomicity.sat", report.sat as u64);
-    metrics.inc("atomicity.unsat", report.unsat as u64);
-    metrics.inc("atomicity.unknown", report.unknown as u64);
-}
-
-/// The reports of one multi-class analysis run: one entry per class the
-/// requested [`Kind`] selected.
-#[derive(Debug, Default)]
-pub struct KindRun {
-    /// The race report, when the kind includes races.
-    pub race: Option<DetectionReport>,
-    /// The deadlock report, when the kind includes deadlocks.
-    pub deadlock: Option<DeadlockReport>,
-    /// The atomicity report, when the kind includes atomicity.
-    pub atomicity: Option<AtomicityReport>,
-}
-
-/// Runs the violation classes selected by `kind` over one trace with one
-/// shared configuration. Race detection honors the config's parallelism;
-/// the deadlock and atomicity analyses are windowed single-threaded
-/// passes, so their reports are deterministic at any `--jobs` by
-/// construction.
-pub fn run_kinds(kind: Kind, trace: &Trace, cfg: &DetectorConfig) -> KindRun {
-    let mut run = KindRun::default();
-    if matches!(kind, Kind::Race | Kind::All) {
-        run.race = Some(rvcore::RaceDetector::with_config(cfg.clone()).detect(trace));
-    }
-    if matches!(kind, Kind::Deadlock | Kind::All) {
-        run.deadlock = Some(
-            rvcore::DeadlockDetector {
-                config: cfg.clone(),
-            }
-            .detect(trace),
-        );
-    }
-    if matches!(kind, Kind::Atomicity | Kind::All) {
-        run.atomicity = Some(
-            rvcore::AtomicityDetector {
-                config: cfg.clone(),
-            }
-            .detect(trace),
-        );
-    }
-    run
-}
-
-/// Renders a [`KindRun`]'s stdout: the selected class reports in fixed
-/// order (races, deadlocks, atomicity). The single composition point for
-/// the CLI and the daemon, so their output is byte-identical by
-/// construction.
-pub fn render_kind_report(run: &KindRun, trace: &Trace, witnesses: bool) -> String {
+/// Renders a run's stdout: the selected sections in fixed order (races,
+/// deadlocks, atomicity). The single composition point for the CLI and
+/// the daemon, so their output is byte-identical by construction. Failed
+/// windows are listed in the race summary, or after the sections when
+/// races were not analyzed. No section carries timing except the race
+/// summary's `, solver …` tail and `window times:` line.
+pub fn render_kind_report(report: &DetectionReport, trace: &Trace, witnesses: bool) -> String {
     let mut out = String::new();
-    if let Some(r) = &run.race {
-        out.push_str(&render_rv_report(r, trace, witnesses));
+    if report.kind.includes(Kind::Race) {
+        out.push_str(&render_rv_report(report, trace, witnesses));
     }
-    if let Some(r) = &run.deadlock {
-        out.push_str(&render_deadlock_report(r, trace, witnesses));
+    if report.kind.includes(Kind::Deadlock) {
+        out.push_str(&render_deadlock_report(&report.deadlock, trace, witnesses));
     }
-    if let Some(r) = &run.atomicity {
-        out.push_str(&render_atomicity_report(r, trace, witnesses));
+    if report.kind.includes(Kind::Atomicity) {
+        out.push_str(&render_atomicity_report(
+            &report.atomicity,
+            trace,
+            witnesses,
+        ));
+    }
+    if !report.kind.includes(Kind::Race) {
+        for fw in &report.failed_windows {
+            out.push_str(&format!("  {fw}\n"));
+        }
     }
     out
 }
 
-/// The concatenated degradation notes of a [`KindRun`] (stderr), `None`
-/// when every selected class is either clean-and-complete or has found
+/// The concatenated degradation notes of a run (stderr), `None` when
+/// every selected section is either clean-and-complete or has found
 /// violations.
-pub fn kind_run_notes(run: &KindRun) -> Option<String> {
+pub fn kind_run_notes(report: &DetectionReport) -> Option<String> {
     let mut out = String::new();
-    if let Some(note) = run.race.as_ref().and_then(degraded_note) {
-        out.push_str(&note);
+    if report.kind.includes(Kind::Race) {
+        out.extend(degraded_note(report));
     }
-    if let Some(r) = &run.deadlock {
-        if let Some(note) = kind_degraded_note(Kind::Deadlock, r.n_cycles(), r.unknown) {
-            out.push_str(&note);
-        }
-    }
-    if let Some(r) = &run.atomicity {
-        if let Some(note) = kind_degraded_note(Kind::Atomicity, r.violations.len(), r.unknown) {
-            out.push_str(&note);
+    let failed = report.failed_windows.len();
+    let (d, a) = (&report.deadlock, &report.atomicity);
+    for (kind, violations, unknown) in [
+        (Kind::Deadlock, d.n_cycles(), d.unknown),
+        (Kind::Atomicity, a.violations.len(), a.unknown),
+    ] {
+        if report.kind.includes(kind) {
+            out.extend(section_note(kind, violations, unknown, failed));
         }
     }
     (!out.is_empty()).then_some(out)
 }
 
-/// Maps a [`KindRun`] to its exit code: violations in *any* selected
-/// class dominate (they are sound regardless of degradation elsewhere),
-/// then any missing verdict degrades, else clean.
-pub fn kind_run_exit(run: &KindRun) -> u8 {
-    let violations = run.race.as_ref().map_or(0, |r| r.n_races())
-        + run.deadlock.as_ref().map_or(0, |r| r.n_cycles())
-        + run.atomicity.as_ref().map_or(0, |r| r.violations.len());
-    if violations > 0 {
-        return EXIT_RACES;
-    }
-    let degraded = run.race.as_ref().is_some_and(|r| r.is_degraded())
-        || run.deadlock.as_ref().is_some_and(|r| r.unknown > 0)
-        || run.atomicity.as_ref().is_some_and(|r| r.unknown > 0);
-    if degraded {
-        EXIT_DEGRADED
-    } else {
-        EXIT_OK
-    }
+/// Maps a run to its exit code: violations in *any* selected section
+/// dominate (they are sound regardless of degradation elsewhere), then
+/// any missing verdict — an undecided COP or candidate, or a failed
+/// window job — degrades, else clean. Unselected sections are empty.
+pub fn kind_run_exit(report: &DetectionReport) -> u8 {
+    let (d, a) = (&report.deadlock, &report.atomicity);
+    let violations = report.n_races() + d.n_cycles() + a.violations.len();
+    let missing = usize::from(report.is_degraded()) + d.unknown + a.unknown;
+    kind_exit_code(violations, missing)
 }
 
-/// Folds a [`KindRun`]'s reports into the metrics registry.
-pub fn record_kind_metrics(run: &KindRun, metrics: &mut Metrics) {
-    if let Some(r) = &run.race {
-        metrics.merge(&r.to_metrics());
-    }
-    if let Some(r) = &run.deadlock {
-        record_deadlock_metrics(r, metrics);
-    }
-    if let Some(r) = &run.atomicity {
-        record_atomicity_metrics(r, metrics);
-    }
-}
-
-/// The degradation note printed to stderr when a raceless run is missing
-/// verdicts (the [`EXIT_DEGRADED`] case), `None` otherwise.
-pub fn degraded_note(report: &DetectionReport) -> Option<String> {
+/// The race section's degradation note, printed to stderr when a
+/// raceless run is missing verdicts (the [`EXIT_DEGRADED`] case).
+fn degraded_note(report: &DetectionReport) -> Option<String> {
     (report.n_races() == 0 && report.is_degraded()).then(|| {
         format!(
             "note: no races found, but {} COP(s) are undecided and {} window(s) \
              failed — race freedom is not established for those\n",
-            report.stats.undecided, report.stats.failed_windows
+            report.stats.undecided,
+            report.failed_windows.len()
         )
     })
-}
-
-/// Maps a completed detection to its exit code (races dominate
-/// degradation: found races are sound regardless of failed windows).
-pub fn rv_exit_code(report: &DetectionReport) -> u8 {
-    if report.n_races() > 0 {
-        EXIT_RACES
-    } else if report.is_degraded() {
-        EXIT_DEGRADED
-    } else {
-        EXIT_OK
-    }
 }
 
 /// The strict-mode consistency gate: the stderr diagnostics for a trace
@@ -471,8 +381,6 @@ pub struct SessionRequest {
     pub witnesses: bool,
     /// Salvage a damaged trace instead of rejecting it (`--lenient`).
     pub lenient: bool,
-    /// Re-solve per-COP timeouts in half-size windows (`--retry-split`).
-    pub retry_split: bool,
     /// Disable relevance slicing (`--no-slice`).
     pub no_slice: bool,
     /// Disable the tiered cascade (`--no-tiers`).
@@ -497,7 +405,6 @@ impl Default for SessionRequest {
             timeout_ms: None,
             witnesses: false,
             lenient: false,
-            retry_split: false,
             no_slice: false,
             no_tiers: false,
             faults: Vec::new(),
@@ -516,12 +423,12 @@ impl SessionRequest {
         let mut cfg = DetectorConfig {
             window_size: self.window,
             solver_timeout: Duration::from_secs(self.budget_secs),
-            retry_split: self.retry_split,
             slice: !self.no_slice,
             tiers: !self.no_tiers,
             window_timeout: self.timeout_ms.map(Duration::from_millis),
             window_mode: self.window_mode,
             spill_budget: self.spill_budget,
+            kind: self.kind,
             ..Default::default()
         };
         if !self.faults.is_empty() {
@@ -554,7 +461,6 @@ impl SessionRequest {
         }
         out.push_str(&format!(", \"witnesses\": {}", self.witnesses));
         out.push_str(&format!(", \"lenient\": {}", self.lenient));
-        out.push_str(&format!(", \"retry_split\": {}", self.retry_split));
         out.push_str(&format!(", \"no_slice\": {}", self.no_slice));
         out.push_str(&format!(", \"no_tiers\": {}", self.no_tiers));
         out.push_str(", \"faults\": [");
@@ -604,7 +510,6 @@ impl SessionRequest {
                     "timeout_ms" => req.timeout_ms = Some(json_uint(value)?),
                     "witnesses" => req.witnesses = value.as_bool()?,
                     "lenient" => req.lenient = value.as_bool()?,
-                    "retry_split" => req.retry_split = value.as_bool()?,
                     "no_slice" => req.no_slice = value.as_bool()?,
                     "no_tiers" => req.no_tiers = value.as_bool()?,
                     "window_mode" => {
@@ -741,7 +646,6 @@ mod tests {
             timeout_ms: Some(1_500),
             witnesses: true,
             lenient: false,
-            retry_split: true,
             no_slice: true,
             no_tiers: false,
             faults: vec![(0, 1, Fault::Panic), (2, 0, Fault::Timeout)],
@@ -774,6 +678,16 @@ mod tests {
         assert_eq!(cfg.window_timeout, Some(Duration::from_millis(250)));
         assert!(!cfg.slice && !cfg.tiers);
         assert!(cfg.fault_plan.is_none());
+        assert_eq!(cfg.kind, Kind::Race);
+        let kinds = SessionRequest {
+            kind: Kind::All,
+            ..SessionRequest::default()
+        };
+        assert_eq!(
+            kinds.detector_config().kind,
+            Kind::All,
+            "--kind maps onto the config"
+        );
         assert_eq!(cfg.window_mode, WindowMode::Cone, "cone is the default");
         assert_eq!(cfg.spill_budget, DetectorConfig::default().spill_budget);
 
@@ -818,6 +732,23 @@ mod tests {
         assert!(kind_degraded_note(Kind::Deadlock, 0, 0).is_none());
         let note = kind_degraded_note(Kind::Atomicity, 0, 2).unwrap();
         assert!(note.contains("atomicity") && note.contains("2 candidate(s)"));
+        // A failed window job degrades every selected section.
+        let mut report = DetectionReport {
+            kind: Kind::Deadlock,
+            ..DetectionReport::default()
+        };
+        assert_eq!(kind_run_exit(&report), EXIT_OK);
+        assert!(kind_run_notes(&report).is_none());
+        report.failed_windows.push(rvcore::FailedWindow {
+            window_index: 0,
+            range: 0..4,
+            reason: "deadlock analysis: boom".into(),
+        });
+        assert_eq!(kind_run_exit(&report), EXIT_DEGRADED);
+        let note = kind_run_notes(&report).unwrap();
+        assert!(note.contains("deadlock") && note.contains("1 window(s) failed"));
+        let empty = rvtrace::TraceBuilder::new().finish();
+        assert!(render_kind_report(&report, &empty, false).contains("boom"));
     }
 
     #[test]
@@ -848,7 +779,11 @@ mod tests {
         assert!(SessionRequest::from_json("{\"windw\": 3}").is_err());
         assert!(SessionResponse::from_json("{\"exitcode\": 3}").is_err());
         // Fields of removed options are unknown, not silently ignored.
-        for removed in ["{\"portfolio\": false}", "{\"no_incremental\": false}"] {
+        for removed in [
+            "{\"portfolio\": false}",
+            "{\"no_incremental\": false}",
+            "{\"retry_split\": false}",
+        ] {
             assert!(SessionRequest::from_json(removed).is_err(), "{removed}");
         }
     }

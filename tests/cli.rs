@@ -365,6 +365,44 @@ fn cli_timeout_ms_degrades_uniformly() {
             "{extra:?}"
         );
     }
+    // Every kind honors the window budget: each deadlock and atomicity
+    // candidate is reached after the deadline, so all are unknown.
+    let micro = [
+        ("deadlock", "deadlock_micro"),
+        ("atomicity", "atomicity_micro"),
+    ];
+    for (kind, name) in micro {
+        let w = match kind {
+            "deadlock" => rvsim::workloads::synthetic::deadlock_workload(name, 1),
+            _ => rvsim::workloads::synthetic::atomicity_workload(name, 1),
+        };
+        let path = dir.join(format!("{name}-timeout.json"));
+        std::fs::write(&path, rvpredict::to_json(&w.trace)).unwrap();
+        for extra in [&[][..], &["--stream"][..]] {
+            let out = Command::new(bin())
+                .args(["--kind", kind, "--timeout-ms", "0"])
+                .args(extra)
+                .arg(&path)
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(3), "{kind} {extra:?} degrades");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let summary = stdout
+                .lines()
+                .find(|l| l.starts_with(&format!("{kind}: 0 ")))
+                .unwrap_or_else(|| panic!("{kind}: {stdout}"));
+            let field = |name: &str| {
+                let at = summary.find(&format!("{name}=")).unwrap() + name.len() + 1;
+                summary[at..].split(',').next().unwrap().trim().to_string()
+            };
+            assert_ne!(field("candidates"), "0", "{summary}");
+            assert_eq!(field("unknown"), field("candidates"), "{summary}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("freedom is not established"),
+                "{kind} {extra:?}"
+            );
+        }
+    }
     // A budget that cannot fire leaves the verdict untouched.
     let out = Command::new(bin())
         .args(["--timeout-ms", "600000"])

@@ -175,11 +175,11 @@ fn concurrent_clients_match_standalone_cli() {
 
 /// `--timeout-ms 0` is deterministic (the deadline is always expired), so
 /// the daemon run must match the standalone run byte for byte: every COP
-/// undecided, exit 3.
+/// (or deadlock candidate) undecided, exit 3.
 #[test]
 fn timeout_budget_degrades_identically_through_daemon() {
     let path = trace_path("daemon-timeout.ndjson");
-    let (daemon, sock) = spawn_daemon("timeout", &["--once", "2"]);
+    let (daemon, sock) = spawn_daemon("timeout", &["--once", "3"]);
     let solo = run(&["--window", "300", "--stream", "--timeout-ms", "0", &path]);
     let conn = run(&[
         "--window",
@@ -196,6 +196,26 @@ fn timeout_budget_degrades_identically_through_daemon() {
     assert!(
         String::from_utf8_lossy(&conn.stderr).contains("race freedom is not established"),
         "degradation note relays"
+    );
+    // Deadlock sessions honor the same budget: every candidate unknown.
+    let w = rvsim::workloads::synthetic::deadlock_workload("deadlock_micro", 1);
+    let deadlock = dir().join(format!(
+        "daemon-timeout-deadlock-{}.ndjson",
+        std::process::id()
+    ));
+    std::fs::write(&deadlock, rvpredict::to_ndjson(&w.trace)).unwrap();
+    let deadlock = deadlock.to_str().unwrap();
+    let args = ["--kind", "deadlock", "--timeout-ms", "0"];
+    let solo = run(&[&args[..], &["--stream", deadlock]].concat());
+    let conn = run(&[&args[..], &["--connect", &sock, deadlock]].concat());
+    assert_eq!(solo.status.code(), Some(3), "every candidate unknown");
+    assert_eq!(conn.status.code(), Some(3));
+    assert_eq!(stripped_stdout(&conn), stripped_stdout(&solo));
+    assert!(
+        stripped_stdout(&conn)
+            .contains("deadlock: 0 cycle(s); candidates=1, sat=0, unsat=0, unknown=1"),
+        "{}",
+        stripped_stdout(&conn)
     );
     let (code, _) = finish_daemon(daemon);
     assert_eq!(code, 0);

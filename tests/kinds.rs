@@ -447,33 +447,19 @@ fn dir() -> PathBuf {
     dir
 }
 
-/// One trace carrying all three violation classes: a lock inversion
-/// (deadlock), an unprotected read-modify-write interleaving (atomicity),
-/// and a bare write/write pair (race) — so every `--kind` prints a
-/// non-trivial report.
+/// One trace carrying all three violation classes — a lock inversion
+/// (deadlock), unprotected read-modify-writes (atomicity) and a bare
+/// write/write pair (race) — so every `--kind` prints a non-trivial
+/// report. The inversion and the read-modify-writes repeat in three
+/// blocks, so under [`SPLIT_WINDOW`] the same deadlock and atomicity
+/// signatures recur in several windows and only the merge's
+/// cross-window replay keeps one of each.
 fn all_kinds_trace() -> Trace {
-    let mut b = TraceBuilder::new();
-    let main = ThreadId::MAIN;
-    let la = b.new_lock("la");
-    let lb = b.new_lock("lb");
-    let t1 = b.fork(main);
-    let t2 = b.fork(main);
-    for (t, (first, second)) in [(t1, (la, lb)), (t2, (lb, la))] {
-        b.acquire(t, first);
-        b.acquire(t, second);
-        b.release(t, second);
-        b.release(t, first);
-    }
-    let x = b.var("x");
-    b.read(t1, x, 0);
-    b.write(t1, x, 1);
-    b.read(t2, x, 1);
-    b.write(t2, x, 2);
-    let y = b.var("y");
-    b.write(t1, y, 1);
-    b.write(t2, y, 2);
-    b.finish()
+    rvsim::workloads::synthetic::repeated_kinds_workload("kinds", 3).trace
 }
+
+/// A `--window` that cuts [`all_kinds_trace`] into four windows.
+const SPLIT_WINDOW: &str = "12";
 
 /// Writes the shared fixture once in the given format (`json` for the
 /// whole-file parser, `ndjson` for the streamed one) and returns its path.
@@ -512,56 +498,83 @@ fn run(args: &[&str]) -> Output {
 /// Every kind's report is byte-identical (modulo wall clock) across
 /// worker counts, whole-file vs streamed ingestion, and the `--no-slice`
 /// / `--no-tiers` ablations — the determinism contract extended to the
-/// whole axis.
+/// whole axis — both in one window and cut into [`SPLIT_WINDOW`]
+/// windows, where the repeated deadlock and atomicity signatures go
+/// through the merge's cross-window replay.
 #[test]
 fn kind_reports_are_identical_across_jobs_stream_and_ablations() {
     let json_path = fixture_path("json");
     let ndjson_path = fixture_path("ndjson");
     for kind in ["race", "deadlock", "atomicity", "all"] {
-        let mut baseline: Option<(Option<i32>, String)> = None;
-        for extra in [
-            &[][..],
-            &["--stream"][..],
-            &["--no-slice"][..],
-            &["--no-tiers"][..],
-        ] {
-            for jobs in ["1", "2", "4", "8"] {
-                let mut args = vec!["--kind", kind, "--witnesses", "--jobs", jobs];
-                args.extend(extra);
-                args.push(if extra.contains(&"--stream") {
-                    &ndjson_path
-                } else {
-                    &json_path
-                });
-                let out = run(&args);
-                let got = (out.status.code(), stripped_stdout(&out));
-                match &baseline {
-                    None => {
-                        assert_eq!(
-                            got.0,
-                            Some(1),
-                            "the fixture carries every violation class; stderr: {}",
-                            String::from_utf8_lossy(&out.stderr)
-                        );
-                        baseline = Some(got);
+        for window in [None, Some(SPLIT_WINDOW)] {
+            let mut baseline: Option<(Option<i32>, String)> = None;
+            for extra in [
+                &[][..],
+                &["--stream"][..],
+                &["--no-slice"][..],
+                &["--no-tiers"][..],
+            ] {
+                for jobs in ["1", "2", "4", "8"] {
+                    let mut args = vec!["--kind", kind, "--witnesses", "--jobs", jobs];
+                    if let Some(w) = window {
+                        args.extend(["--window", w]);
                     }
-                    Some(b) => assert_eq!(
-                        &got, b,
-                        "--kind {kind} diverged at jobs={jobs} extra={extra:?}"
-                    ),
+                    args.extend(extra);
+                    args.push(if extra.contains(&"--stream") {
+                        &ndjson_path
+                    } else {
+                        &json_path
+                    });
+                    let out = run(&args);
+                    let got = (out.status.code(), stripped_stdout(&out));
+                    match &baseline {
+                        None => {
+                            assert_eq!(
+                                got.0,
+                                Some(1),
+                                "the fixture carries every violation class; stderr: {}",
+                                String::from_utf8_lossy(&out.stderr)
+                            );
+                            baseline = Some(got);
+                        }
+                        Some(b) => assert_eq!(
+                            &got, b,
+                            "--kind {kind} diverged at window={window:?} jobs={jobs} \
+                             extra={extra:?}"
+                        ),
+                    }
                 }
             }
-        }
-        let (_, stdout) = baseline.unwrap();
-        match kind {
-            "race" => assert!(stdout.contains("race(s)"), "{stdout}"),
-            "deadlock" => assert!(stdout.contains("deadlock:"), "{stdout}"),
-            "atomicity" => assert!(stdout.contains("atomicity:"), "{stdout}"),
-            _ => {
-                // `all` composes every section in a fixed order.
-                assert!(stdout.contains("race(s)"), "{stdout}");
-                assert!(stdout.contains("deadlock:"), "{stdout}");
-                assert!(stdout.contains("atomicity:"), "{stdout}");
+            let (_, stdout) = baseline.unwrap();
+            match kind {
+                "race" => assert!(stdout.contains("race(s)"), "{stdout}"),
+                "deadlock" => assert!(stdout.contains("deadlock:"), "{stdout}"),
+                "atomicity" => assert!(stdout.contains("atomicity:"), "{stdout}"),
+                _ => {
+                    // `all` composes every section in a fixed order.
+                    assert!(stdout.contains("race(s)"), "{stdout}");
+                    assert!(stdout.contains("deadlock:"), "{stdout}");
+                    assert!(stdout.contains("atomicity:"), "{stdout}");
+                }
+            }
+            // One report per signature, however many windows repeat it:
+            // the inversion is a candidate in three windows, and the
+            // atomicity signatures recur in each block.
+            if kind == "deadlock" || kind == "all" {
+                assert_eq!(stdout.matches("  cycle {").count(), 1, "{stdout}");
+                if window.is_some() {
+                    assert!(stdout.contains("candidates=3,"), "{stdout}");
+                }
+            }
+            if kind == "atomicity" || kind == "all" {
+                let signatures: Vec<&str> = stdout
+                    .lines()
+                    .filter_map(|l| l.strip_prefix("  violation "))
+                    .map(|l| l.split(':').next().unwrap())
+                    .collect();
+                let unique: BTreeSet<&str> = signatures.iter().copied().collect();
+                assert_eq!(unique.len(), signatures.len(), "{stdout}");
+                assert_eq!(unique.len(), 2, "{stdout}");
             }
         }
     }
@@ -591,15 +604,39 @@ fn spawn_daemon(tag: &str, extra: &[&str]) -> (Child, String) {
 }
 
 /// Every kind relays through the daemon byte-identical (modulo wall
-/// clock) to the standalone streamed CLI run, with the same exit code.
+/// clock) to the standalone streamed CLI run, with the same exit code —
+/// and a session runs only the analyses its kind selects: no race
+/// counters in a deadlock session's metrics.
 #[test]
 fn kind_reports_relay_identically_through_daemon() {
     let path = fixture_path("ndjson");
     // One accept slot per kind plus the readiness probe.
     let (daemon, sock) = spawn_daemon("kinds", &["--once", "5"]);
+    let metrics = dir().join(format!("kinds-daemon-{}.metrics", std::process::id()));
+    let metrics = metrics.to_str().unwrap();
     for kind in ["race", "deadlock", "atomicity", "all"] {
         let solo = run(&["--kind", kind, "--witnesses", "--stream", &path]);
-        let conn = run(&["--kind", kind, "--witnesses", "--connect", &sock, &path]);
+        let conn = run(&[
+            "--kind",
+            kind,
+            "--witnesses",
+            "--metrics",
+            metrics,
+            "--connect",
+            &sock,
+            &path,
+        ]);
+        let doc = std::fs::read_to_string(metrics).unwrap();
+        let race_counters = doc.contains("\"detector.") || doc.contains("\"solver.");
+        assert_eq!(
+            race_counters,
+            kind == "race" || kind == "all",
+            "--kind {kind} metrics: {doc}"
+        );
+        assert_eq!(
+            doc.contains("\"deadlock.cycles\""),
+            kind == "deadlock" || kind == "all"
+        );
         assert_eq!(
             conn.status.code(),
             solo.status.code(),

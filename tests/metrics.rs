@@ -1,16 +1,13 @@
 //! Property tests of the metrics subsystem: merge algebra over random
 //! registries, solver-counter monotonicity, and conservation of the
-//! per-COP retry accounting under injected timeouts.
+//! per-COP verdict partition under exhausted budgets.
 //!
 //! Case counts honor `PROPTEST_CASES` (the knob kept its name when the
 //! suite moved off proptest); generation is seeded, so failures reproduce.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use rvpredict::{
-    Budget, DetectionReport, DetectorConfig, Fault, FaultPlan, Metrics, RaceDetector, ThreadId,
-};
+use rvpredict::{Budget, DetectionReport, DetectorConfig, Metrics, RaceDetector, ThreadId};
 use rvpredict::{FormulaBuilder, Solver};
 use rvsim::rng::SmallRng;
 use rvtrace::TraceBuilder;
@@ -169,79 +166,6 @@ fn detect(trace: &rvtrace::Trace, cfg: DetectorConfig) -> DetectionReport {
     RaceDetector::with_config(cfg).detect(trace)
 }
 
-/// Per-COP retry accounting conserves the verdict partition: under a fault
-/// plan forcing timeouts, runs with and without `retry_split` solve the
-/// same COPs, `sat + unsat + undecided == cops_solved` holds in both, every
-/// rescue is a formerly-undecided COP, and nothing is double-counted —
-/// at one worker and at four.
-#[test]
-fn retry_split_conserves_per_cop_accounting() {
-    // The racy pair sits at the front so the half-window retry contains
-    // both events; same-thread filler pads the window.
-    let mut b = TraceBuilder::new();
-    let x = b.var("x");
-    let y = b.var("y");
-    let t1 = ThreadId::MAIN;
-    let t2 = b.fork(t1);
-    b.write(t1, x, 1);
-    b.read(t2, x, 1);
-    for i in 0..8 {
-        b.write(t1, y, i);
-    }
-    let trace = b.finish();
-
-    let plan = Some(Arc::new(FaultPlan::new().inject(0, 0, Fault::Timeout)));
-    for parallelism in [1usize, 4] {
-        let without = detect(
-            &trace,
-            DetectorConfig {
-                fault_plan: plan.clone(),
-                parallelism,
-                ..Default::default()
-            },
-        );
-        let with = detect(
-            &trace,
-            DetectorConfig {
-                fault_plan: plan.clone(),
-                retry_split: true,
-                parallelism,
-                ..Default::default()
-            },
-        );
-        for (tag, r) in [("without retry", &without), ("with retry", &with)] {
-            let s = &r.stats;
-            assert_eq!(
-                s.sat + s.unsat + s.undecided,
-                s.cops_solved,
-                "jobs={parallelism} {tag}: verdict partition broken"
-            );
-            assert!(
-                s.retry_rescued <= s.retried_cops,
-                "jobs={parallelism} {tag}: more rescues than retries"
-            );
-        }
-        // Same work either way: the retry re-solves, it does not add COPs.
-        assert_eq!(
-            without.stats.cops_solved, with.stats.cops_solved,
-            "jobs={parallelism}: retry changed the COP count"
-        );
-        // Every rescue is one COP moving out of Undecided, exactly once.
-        assert_eq!(
-            with.stats.retry_rescued,
-            without.stats.undecided - with.stats.undecided,
-            "jobs={parallelism}: rescues not conserved"
-        );
-        assert_eq!(without.stats.retried_cops, 0, "jobs={parallelism}");
-        assert_eq!(with.stats.retried_cops, 1, "jobs={parallelism}");
-        assert_eq!(with.stats.retry_rescued, 1, "jobs={parallelism}");
-        // The rescued verdict shows up in the metrics document too.
-        let doc = with.to_metrics().without_timings().to_json();
-        assert!(doc.contains("\"detector.retry_rescued\": 1"), "{doc}");
-        assert!(doc.contains("\"detector.retried_cops\": 1"), "{doc}");
-    }
-}
-
 /// The cascade's attribution counters partition `cops_solved` — one trace
 /// exercising all three outcomes (a sync-free confirmation, a flag-handoff
 /// refutation, a lock-split residue COP) lands exactly one COP in each
@@ -334,8 +258,8 @@ fn tier_counters_partition_and_reach_metrics() {
     );
 }
 
-/// The solver budget knob still bounds retries deterministically: with a
-/// conflict budget of 0 every real solve times out, and the report's
+/// The solver budget knob bounds solves deterministically: with a
+/// conflict budget of 0 every real solve runs out, and the report's
 /// verdict partition still holds (nothing lost, nothing double-counted).
 #[test]
 fn zero_conflict_budget_keeps_partition_intact() {
@@ -348,22 +272,14 @@ fn zero_conflict_budget_keeps_partition_intact() {
         b.read(t2, x, i);
     }
     let trace = b.finish();
-    for retry in [false, true] {
-        let report = detect(
-            &trace,
-            DetectorConfig {
-                max_conflicts: Some(0),
-                retry_split: retry,
-                solver_timeout: Duration::from_secs(5),
-                ..Default::default()
-            },
-        );
-        let s = &report.stats;
-        assert_eq!(
-            s.sat + s.unsat + s.undecided,
-            s.cops_solved,
-            "retry={retry}"
-        );
-        assert!(s.retry_rescued <= s.retried_cops, "retry={retry}");
-    }
+    let report = detect(
+        &trace,
+        DetectorConfig {
+            max_conflicts: Some(0),
+            solver_timeout: Duration::from_secs(5),
+            ..Default::default()
+        },
+    );
+    let s = &report.stats;
+    assert_eq!(s.sat + s.unsat + s.undecided, s.cops_solved);
 }

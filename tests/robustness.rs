@@ -205,10 +205,10 @@ fn cli_bad_fault_spec_is_a_usage_error() {
 }
 
 #[test]
-fn cli_retry_split_flag_is_accepted() {
-    // Without an injected fault nothing times out; the flag must simply
-    // not change the verdict on the demo trace.
+fn cli_retry_split_flag_is_rejected() {
+    // The split-window retry policy is gone: its flag is a usage error
+    // naming the flag, not silently ignored.
     let out = run(&["--demo", "--retry-split"]);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("1 race(s)"));
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("--retry-split"), "{}", stderr(&out));
 }
