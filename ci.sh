@@ -35,12 +35,13 @@ say "benchmark suite (its own package, outside the workspace)"
 cargo test --release --manifest-path crates/bench/src/bin/suite/Cargo.toml
 
 if [ "${1:-}" != "quick" ]; then
-    say "workload sweep (every emit_trace workload: whole-file JSON vs streamed NDJSON)"
-    # Each named workload is emitted in both formats and detected once per
-    # ingestion path. Exit codes must agree and reports must match modulo
-    # wall-clock (the `, solver ..., wall ...` tail and the `window times:`
-    # line). The names come from emit_trace's own usage text, so a new
-    # workload joins the sweep without touching this script.
+    say "workload sweep (every emit_trace workload: whole-file JSON and NDJSON vs streamed NDJSON)"
+    # Each named workload is emitted in both formats and detected whole-file
+    # from each format and streamed from NDJSON. Exit codes must agree and
+    # reports must match modulo wall-clock (the `, solver ..., wall ...`
+    # tail and the `window times:` line). The names come from emit_trace's
+    # own usage text, so a new workload joins the sweep without touching
+    # this script.
     workloads=$(./target/release/emit_trace --help 2>&1 | sed -n 's/^workloads: //p' | tr -d ',')
     [ -n "$workloads" ]
     for name in $workloads; do
@@ -51,23 +52,30 @@ if [ "${1:-}" != "quick" ]; then
         whole_code=0
         ./target/release/rvpredict --window 1000 "$out.json" \
             > "$out.whole.out" || whole_code=$?
+        ndwhole_code=0
+        ./target/release/rvpredict --window 1000 "$out.ndjson" \
+            > "$out.ndwhole.out" || ndwhole_code=$?
         stream_code=0
         ./target/release/rvpredict --stream --window 1000 "$out.ndjson" \
             > "$out.stream.out" || stream_code=$?
-        # Both paths agree, and agree on a verdict (0 clean, 1 races).
-        [ "$whole_code" = "$stream_code" ] && [ "$whole_code" -le 1 ] || {
-            echo "workload sweep: $name exits $whole_code whole-file, $stream_code streamed" >&2
+        # All paths agree, and agree on a verdict (0 clean, 1 races).
+        [ "$whole_code" = "$stream_code" ] && [ "$ndwhole_code" = "$stream_code" ] \
+            && [ "$whole_code" -le 1 ] || {
+            echo "workload sweep: $name exits $whole_code whole-file, $ndwhole_code" \
+                "whole-file NDJSON, $stream_code streamed" >&2
             exit 1
         }
-        for side in whole stream; do
+        for side in whole ndwhole stream; do
             sed -e 's/, solver .*//' -e '/window times:/d' \
                 "$out.$side.out" > "$out.$side.stripped"
         done
         diff "$out.whole.stripped" "$out.stream.stripped"
+        diff "$out.ndwhole.stripped" "$out.stream.stripped"
     done
 
-    say "stream smoke (streamed vs whole-file: identical report + metrics)"
-    # One workload through both ingestion modes, under each flag set that
+    say "stream smoke (streamed and stdin vs whole-file: identical report + metrics)"
+    # One workload read from the file whole, from the file streamed, and
+    # whole from standard input (`-`), under each flag set that
     # reaches the window pool by a different route: the default, salvage
     # (--lenient), every violation class (--kind all), and a serial and a
     # wide pool. Reports must match modulo wall-clock (the
@@ -84,21 +92,24 @@ if [ "${1:-}" != "quick" ]; then
             jobs1)   extra="--jobs 1" ;;
             jobs4)   extra="--jobs 4" ;;
         esac
-        for mode in whole streamed; do
+        for mode in whole streamed stdin; do
             if [ "$mode" = streamed ]; then flag="--stream"; else flag=""; fi
+            if [ "$mode" = stdin ]; then src="-"; else src=target/stream_smoke_trace.json; fi
             out="target/stream_smoke_${variant}_$mode"
             # shellcheck disable=SC2086  # $flag/$extra are intentionally word-split
             ./target/release/rvpredict $flag $extra --window 2000 --witnesses \
-                --metrics "$out.metrics" \
-                target/stream_smoke_trace.json \
+                --metrics "$out.metrics" "$src" \
+                < target/stream_smoke_trace.json \
                 > "$out.out" || [ $? -eq 1 ]
             sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
             awk '/"timings_us"/{exit} {print}' "$out.metrics" > "$out.counts"
         done
-        diff "target/stream_smoke_${variant}_whole.stripped" \
-            "target/stream_smoke_${variant}_streamed.stripped"
-        diff "target/stream_smoke_${variant}_whole.counts" \
-            "target/stream_smoke_${variant}_streamed.counts"
+        for mode in streamed stdin; do
+            diff "target/stream_smoke_${variant}_whole.stripped" \
+                "target/stream_smoke_${variant}_$mode.stripped"
+            diff "target/stream_smoke_${variant}_whole.counts" \
+                "target/stream_smoke_${variant}_$mode.counts"
+        done
     done
 
     say "slice smoke (sliced vs --no-slice: identical report)"

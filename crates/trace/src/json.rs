@@ -6,6 +6,12 @@
 //! externally-tagged kinds, maps keyed by stringified ids — so traces
 //! serialized by earlier builds still load.
 //!
+//! This module holds the writers ([`to_json`], [`to_ndjson`]), the JSON
+//! value parser ([`parse_json`], for control documents and for each value
+//! the trace reader frames) and the event and metadata decoders. Every
+//! trace is read by one parser, [`crate::StreamParser`]; [`from_json`] is
+//! [`crate::read_trace`] over an in-memory document.
+//!
 //! ```json
 //! {"events":[{"thread":0,"kind":{"Write":{"var":0,"value":1}},"loc":2}],
 //!  "initial_values":{"0":0},"volatiles":[],"wait_links":[],
@@ -29,6 +35,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::event::{ChanId, Event, EventId, EventKind, Loc, LockId, ThreadId, Value, VarId};
+use crate::stream::read_trace;
 use crate::trace::{MsgLink, Trace, TraceData, WaitLink};
 
 /// A JSON parse or shape error, with a byte offset for syntax errors and a
@@ -46,8 +53,8 @@ pub struct JsonError {
 }
 
 /// How many bytes of context an error snippet shows on either side of the
-/// failing offset. The streaming parser retains this much consumed input
-/// so its snippets match the whole-file parser's byte for byte.
+/// failing offset. The trace reader retains this much consumed input so
+/// its snippets show context from before the failure point.
 pub(crate) const SNIPPET_CONTEXT: usize = 15;
 
 impl JsonError {
@@ -415,9 +422,9 @@ fn parse(input: &str) -> Result<JsonValue, JsonError> {
 
 /// Parses an arbitrary (integer-only) JSON document into a [`JsonValue`].
 ///
-/// This is the same parser the trace reader uses, exposed so in-tree
-/// consumers (the bench harness's schema validator, the metrics tests) can
-/// read the workspace's JSON artifacts without an external dependency.
+/// The trace reader decodes each value it frames with this parser; it is
+/// exposed so in-tree consumers (session requests, the metrics tests) can
+/// read the workspace's JSON documents without an external dependency.
 /// Floating-point numbers are rejected by design.
 ///
 /// # Examples
@@ -435,9 +442,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
 
 /// Parses one framed JSON value that begins at absolute byte offset
 /// `abs_base` of a larger input. Error snippets come from the span itself
-/// (the incremental parser no longer holds earlier bytes); offsets are
-/// rebased so they point into the whole input, matching what the
-/// whole-file parser would report.
+/// (the trace reader may have drained earlier bytes); offsets are rebased
+/// so they point into the whole input.
 pub(crate) fn parse_span(span: &str, abs_base: usize) -> Result<JsonValue, JsonError> {
     parse(span).map_err(|mut e| {
         e.offset += abs_base;
@@ -689,9 +695,8 @@ fn read_key_u32(key: &str) -> Result<u32, JsonError> {
         .map_err(|_| shape(format!("map key `{key}` is not an id")))
 }
 
-/// Decodes one event object (`{"thread":N,"kind":K,"loc":N}`). Shared by
-/// the whole-document reader and the incremental [`crate::StreamParser`],
-/// so both accept exactly the same event shapes.
+/// Decodes one event object (`{"thread":N,"kind":K,"loc":N}`), in either
+/// wire format.
 pub(crate) fn read_event(v: &JsonValue) -> Result<Event, JsonError> {
     Ok(Event {
         thread: ThreadId(v.field("thread")?.as_u32()?),
@@ -700,8 +705,8 @@ pub(crate) fn read_event(v: &JsonValue) -> Result<Event, JsonError> {
     })
 }
 
-/// The trace's metadata keys, in the order the whole-document reader
-/// requires them (and reports the first missing one).
+/// The trace's required metadata keys, in the order a whole document
+/// missing several reports them (the first missing one).
 pub(crate) const METADATA_KEYS: [&str; 5] = [
     "initial_values",
     "volatiles",
@@ -711,9 +716,8 @@ pub(crate) const METADATA_KEYS: [&str; 5] = [
 ];
 
 /// Applies one named metadata field to `data`. Returns `Ok(false)` for an
-/// unrecognized key (the whole-document reader ignores unknown fields;
-/// the streaming reader does the same via this return). Shared by both
-/// readers so a field decodes identically whatever the ingestion path.
+/// unrecognized key, which the reader ignores. Shared by both wire formats
+/// so a field decodes identically in either.
 pub(crate) fn apply_metadata_field(
     data: &mut TraceData,
     key: &str,
@@ -768,11 +772,11 @@ pub(crate) fn apply_metadata_field(
     Ok(true)
 }
 
-/// Checks every wait link references an existing event. Split out of
-/// [`from_json`] so the streaming strict path ([`crate::read_trace`], the
-/// CLI's `--stream`) can run the same validation after an incremental
-/// parse; an out-of-range id from an untrusted document would otherwise
-/// become a panic deep inside detection.
+/// Checks every wait link references an existing event: the strict half of
+/// [`crate::read_trace`], public so callers that read raw [`TraceData`]
+/// (the CLI, the streaming detector) run the same validation. An
+/// out-of-range id from an untrusted document would otherwise become a
+/// panic deep inside detection.
 pub fn validate_wait_links(data: &TraceData) -> Result<(), JsonError> {
     let n_events = data.events.len();
     let check = |what: &str, id: EventId| {
@@ -830,31 +834,11 @@ pub struct IngestStats {
 
 /// [`from_json`] plus an [`IngestStats`] measurement of the parse.
 pub fn from_json_with_stats(input: &str) -> Result<(Trace, IngestStats), JsonError> {
-    let start = std::time::Instant::now();
-    let trace = from_json(input)?;
-    let stats = IngestStats {
-        bytes: input.len(),
-        events: trace.len(),
-        parse_time: start.elapsed(),
-    };
-    Ok((trace, stats))
+    read_trace(input.as_bytes())
 }
 
-/// [`from_json_data`] plus an [`IngestStats`] measurement of the parse
-/// (for the lenient path; `events` counts decoded events before salvage
-/// drops any).
-pub fn from_json_data_with_stats(input: &str) -> Result<(TraceData, IngestStats), JsonError> {
-    let start = std::time::Instant::now();
-    let data = from_json_data(input)?;
-    let stats = IngestStats {
-        bytes: input.len(),
-        events: data.events.len(),
-        parse_time: start.elapsed(),
-    };
-    Ok((data, stats))
-}
-
-/// Deserializes a trace from its JSON wire format.
+/// Deserializes a trace from its wire format, whole-document JSON or
+/// NDJSON (auto-detected); the in-memory form of [`read_trace`].
 ///
 /// # Errors
 ///
@@ -862,16 +846,14 @@ pub fn from_json_data_with_stats(input: &str) -> Result<(TraceData, IngestStats)
 /// document that does not describe a trace, or on a wait link referencing
 /// a nonexistent event.
 pub fn from_json(input: &str) -> Result<Trace, JsonError> {
-    let data = from_json_data(input)?;
-    validate_wait_links(&data)?;
-    Ok(Trace::from_data(data))
+    read_trace(input.as_bytes()).map(|(trace, _)| trace)
 }
 
-/// Deserializes raw [`TraceData`] without cross-field validation, for
-/// lenient ingestion: pair with
-/// [`salvage_trace`](crate::salvage::salvage_trace), which drops (and
-/// counts) inconsistent events and dangling wait links instead of failing.
-pub fn from_json_data(input: &str) -> Result<TraceData, JsonError> {
+/// A whole-document reader: parse the entire input into one [`JsonValue`]
+/// tree, then decode it. The independent oracle the trace reader's parity
+/// tests compare against.
+#[cfg(test)]
+pub(crate) fn dom_reference(input: &str) -> Result<TraceData, JsonError> {
     let root = parse(input)?;
     let mut data = TraceData::default();
     for ev in root.field("events")?.as_array()? {
@@ -950,6 +932,7 @@ mod tests {
         assert!(from_json("not json").is_err());
         assert!(from_json("{\"events\":[").is_err());
         assert!(from_json("{}").is_err());
+        assert!(from_json("{\"events\":[]}").is_err());
         assert!(from_json("{\"events\":[{\"thread\":0,\"kind\":\"Nope\",\"loc\":0}]}").is_err());
         assert!(from_json("[1,2,3] trailing").is_err());
         let err = from_json("{\"events\": 1.5}").unwrap_err();
@@ -977,7 +960,7 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
         // The lenient path parses the same document; salvage then drops
         // the dangling link instead of failing.
-        let data = from_json_data(input).unwrap();
+        let (data, _) = crate::stream::read_trace_data(input.as_bytes()).unwrap();
         let (trace, report) = crate::salvage::salvage_trace(data);
         assert_eq!(trace.len(), 1);
         assert_eq!(report.dangling_wait_links, 1);

@@ -65,8 +65,8 @@ pub use error::TraceError;
 pub use event::{ChanId, Cop, Event, EventId, EventKind, Loc, LockId, ThreadId, Value, VarId};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use json::{
-    escape_json, from_json, from_json_data, from_json_data_with_stats, from_json_with_stats,
-    parse_json, to_json, to_ndjson, validate_wait_links, IngestStats, JsonError, JsonValue,
+    escape_json, from_json, from_json_with_stats, parse_json, to_json, to_ndjson,
+    validate_wait_links, IngestStats, JsonError, JsonValue,
 };
 pub use salvage::{salvage_trace, SalvageReport};
 pub use signature::{RaceSignature, SignatureDisplay};

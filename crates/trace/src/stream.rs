@@ -1,8 +1,9 @@
-//! Chunked, resumable trace ingestion.
+//! Chunked, resumable trace ingestion: the one trace reader.
 //!
 //! [`StreamParser`] decodes a trace incrementally from byte chunks — no
 //! whole-document buffer, no whole-document [`JsonValue`] tree — in either
-//! of two wire formats:
+//! of two wire formats. Whole-file runs, standard input, `--stream`, the
+//! daemon and [`from_json`](crate::from_json) all read through it.
 //!
 //! * **Whole-document JSON** (the [`to_json`](crate::to_json) format): the
 //!   top-level object is scanned key by key and the `events` array is
@@ -20,18 +21,19 @@
 //! The format is auto-detected from the first JSON value's depth-1 keys
 //! (`events` ⇒ whole-document; `thread`/`kind`/`loc` ⇒ NDJSON event;
 //! a first value with neither ⇒ NDJSON header), or forced with
-//! [`StreamParser::with_format`].
+//! [`StreamParser::with_format`]. A header, like a whole document, must
+//! carry every metadata field.
 //!
-//! Both paths reuse the whole-file machinery — the recursive parser for
-//! framed spans ([`parse_json`](crate::parse_json)'s internals), the event
-//! and metadata decoders — so a document accepted by
-//! [`from_json`](crate::from_json) decodes to the *same* [`TraceData`]
-//! here, and a document rejected there is rejected here, with the same
-//! message and byte offset in all but pathological cases (a document
-//! carrying several independent errors may surface a different one of
-//! them first: the whole-file reader finds every syntax error before any
-//! shape error, the incremental one reports strictly by byte position).
-//! Error snippets are best-effort, taken from the bytes still buffered.
+//! Both formats decode each framed value with
+//! [`parse_json`](crate::parse_json)'s parser and share the event and
+//! metadata decoders, so a field decodes the same in either, and the first
+//! occurrence of a repeated key wins in both. Framing is linear: a value
+//! spanning many chunks is scanned once, resuming where the previous
+//! [`feed`](StreamParser::feed) stopped. An error carries its byte offset
+//! in the whole input; a document with several errors reports the first
+//! by byte position. The error snippet is taken from the bytes still
+//! buffered: up to 15 bytes before the offset, and after it what had
+//! arrived when the error was found.
 //!
 //! # Examples
 //!
@@ -57,8 +59,8 @@ use std::time::Instant;
 
 use crate::event::Event;
 use crate::json::{
-    apply_metadata_field, from_json_data, parse_span, read_event, shape, validate_wait_links,
-    IngestStats, JsonError, JsonValue, METADATA_KEYS, SNIPPET_CONTEXT,
+    apply_metadata_field, parse_span, read_event, shape, validate_wait_links, IngestStats,
+    JsonError, JsonValue, METADATA_KEYS, SNIPPET_CONTEXT,
 };
 use crate::trace::{Trace, TraceData};
 
@@ -91,8 +93,8 @@ enum DocState {
     AfterValue,
     /// Document closed; only trailing whitespace is allowed.
     Done,
-    /// The top level is not an object: buffer everything and reproduce
-    /// the whole-file behavior at [`StreamParser::finish`].
+    /// The top level is not an object: buffer it, and report its syntax
+    /// or shape error at [`StreamParser::finish`].
     Fallback,
 }
 
@@ -106,17 +108,40 @@ enum EventsState {
     CommaOrEnd,
 }
 
+/// Top-level keys already applied: the first occurrence of a key wins,
+/// as in [`JsonValue::field`].
 #[derive(Debug, Default)]
 struct SeenKeys {
     events: bool,
+    msg_links: bool,
     metadata: [bool; METADATA_KEYS.len()],
 }
 
 impl SeenKeys {
-    fn all() -> Self {
-        SeenKeys {
-            events: true,
-            metadata: [true; METADATA_KEYS.len()],
+    /// Applies metadata field `key` to `data` unless it was seen before;
+    /// unknown keys are ignored. `msg_links` is optional (absent in older
+    /// documents): applied when present, never required.
+    fn apply(&mut self, data: &mut TraceData, key: &str, v: &JsonValue) -> Result<(), JsonError> {
+        let seen = match METADATA_KEYS.iter().position(|k| *k == key) {
+            Some(idx) => &mut self.metadata[idx],
+            None if key == "msg_links" => &mut self.msg_links,
+            None => return Ok(()),
+        };
+        if !std::mem::replace(seen, true) {
+            apply_metadata_field(data, key, v)?;
+        }
+        Ok(())
+    }
+
+    /// The first required metadata key not seen yet, as a shape error.
+    fn check_metadata(&self) -> Result<(), JsonError> {
+        match METADATA_KEYS
+            .iter()
+            .zip(self.metadata)
+            .find(|(_, seen)| !seen)
+        {
+            Some((key, _)) => Err(shape(format!("missing field `{key}`"))),
+            None => Ok(()),
         }
     }
 }
@@ -147,6 +172,32 @@ struct AutoScan {
     key: Vec<u8>,
 }
 
+/// Resume point of the value (or NDJSON line) being framed, so bytes
+/// scanned before a `feed` ran out of input are not scanned again: framing
+/// stays linear however many chunks one value spans. Offsets are absolute,
+/// so they survive [`StreamParser::pump`]'s drain. The NDJSON newline
+/// search uses only `next`.
+#[derive(Debug)]
+struct FrameScan {
+    /// Where the frame starts (`usize::MAX`: no frame in progress).
+    start: usize,
+    /// First byte not yet scanned.
+    next: usize,
+    depth: u32,
+    in_str: bool,
+    esc: bool,
+}
+
+impl FrameScan {
+    const IDLE: FrameScan = FrameScan {
+        start: usize::MAX,
+        next: 0,
+        depth: 0,
+        in_str: false,
+        esc: false,
+    };
+}
+
 #[derive(Debug)]
 enum Mode {
     Auto(AutoScan),
@@ -175,9 +226,13 @@ pub struct StreamParser {
     /// drained at the end of the pump loop.
     pos: usize,
     total: usize,
+    frame: FrameScan,
     data: TraceData,
     metadata_complete: bool,
     parse_time: std::time::Duration,
+    /// Bytes the framing loops have scanned (the linearity test's gauge).
+    #[cfg(test)]
+    framed: usize,
 }
 
 impl Default for StreamParser {
@@ -207,9 +262,12 @@ impl StreamParser {
             base: 0,
             pos: 0,
             total: 0,
+            frame: FrameScan::IDLE,
             data: TraceData::default(),
             metadata_complete: false,
             parse_time: std::time::Duration::ZERO,
+            #[cfg(test)]
+            framed: 0,
         }
     }
 
@@ -283,7 +341,7 @@ impl StreamParser {
     /// Signals end of input and completes the parse: processes any
     /// trailing bytes, then checks the document for completeness (the
     /// whole-document format's required keys; a truncated value fails
-    /// with the whole-file parser's error for the same fragment).
+    /// with the value parser's error for the same fragment).
     pub fn finish(&mut self) -> Result<(), JsonError> {
         let t = Instant::now();
         let r = self.pump(true).and_then(|()| self.check_complete());
@@ -299,8 +357,8 @@ impl StreamParser {
     fn err_at(&self, local: usize, message: impl Into<String>) -> JsonError {
         // Snippet from the bytes still buffered. `pump` retains at least
         // `SNIPPET_CONTEXT` consumed bytes, so errors at or past the
-        // cursor reproduce the whole-file parser's window exactly (same
-        // width, same char-boundary clamping).
+        // cursor get the full window before the offset (same width and
+        // char-boundary clamping as `parse_json`'s snippets).
         let at = local.min(self.buf.len());
         let mut start = at.saturating_sub(SNIPPET_CONTEXT);
         while start > 0 && self.buf[start] & 0xC0 == 0x80 {
@@ -324,8 +382,8 @@ impl StreamParser {
 
     /// Parses the framed value at `buf[range]` with whole-input offsets.
     /// A parse error's snippet is rebuilt from the full buffer: the span
-    /// alone cannot show context before the value, but the whole-file
-    /// parser's window can (and does) reach across the frame boundary.
+    /// alone cannot show context before the value, but the snippet window
+    /// reaches across the frame boundary.
     fn parse_framed(&self, range: Range<usize>) -> Result<JsonValue, JsonError> {
         let abs = self.base + range.start;
         parse_span(self.span_str(range)?, abs)
@@ -346,14 +404,13 @@ impl StreamParser {
             }
         };
         // Drain consumed bytes, but keep a snippet-sized tail of them so
-        // later errors can show context from before the failure point,
-        // exactly as the whole-file parser's window does.
+        // later errors can show context from before the failure point.
         let keep = self.pos.min(SNIPPET_CONTEXT);
         let mut cut = self.pos - keep;
         // Never cut mid-code-point: if the margin started with a UTF-8
         // continuation byte, `err_at`'s boundary clamp would stop dead at
         // the buffer start and lossy-decode a replacement character the
-        // whole-file parser's snippet does not have.
+        // input does not have.
         while cut > 0 && self.buf[cut] & 0xC0 == 0x80 {
             cut -= 1;
         }
@@ -380,113 +437,113 @@ impl StreamParser {
         i
     }
 
+    /// Local index at which to resume scanning the frame that starts at
+    /// local `start`: where the last scan of the same frame stopped, or
+    /// `start` itself (with fresh state) for a new frame.
+    fn resume(&mut self, start: usize) -> usize {
+        let abs = self.base + start;
+        if self.frame.start != abs {
+            self.frame = FrameScan {
+                start: abs,
+                next: abs,
+                ..FrameScan::IDLE
+            };
+        }
+        self.frame.next - self.base
+    }
+
     /// Frames one JSON value starting at `start` (a non-ws byte). Returns
-    /// the exclusive end, or `None` when more input is needed. An empty
+    /// the exclusive end, or `None` when more input is needed; a later
+    /// call for the same `start` resumes where this one stopped. An empty
     /// frame (a delimiter where a value must start) is reported as the
-    /// whole-file parser's `unexpected byte`; a frame still open at end
-    /// of input fails with the whole-file parser's error for the
-    /// truncated fragment (`unterminated string`, `unexpected end of
-    /// input`, …) at the input's true end.
-    fn frame_value(&self, start: usize, at_eof: bool) -> Result<Option<usize>, JsonError> {
-        let buf = &self.buf;
-        let complete = match buf[start] {
-            b'{' | b'[' => {
-                let (mut depth, mut in_str, mut esc) = (0usize, false, false);
-                let mut end = None;
-                for (i, &b) in buf[start..].iter().enumerate() {
-                    if in_str {
-                        if esc {
-                            esc = false;
-                        } else if b == b'\\' {
-                            esc = true;
-                        } else if b == b'"' {
-                            in_str = false;
-                        }
-                    } else {
-                        match b {
-                            b'"' => in_str = true,
-                            b'{' | b'[' => depth += 1,
-                            b'}' | b']' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    end = Some(start + i + 1);
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
+    /// value parser's `unexpected byte`; a frame still open at end of
+    /// input fails with the value parser's error for the truncated
+    /// fragment (`unterminated string`, `unexpected end of input`, …) at
+    /// the input's true end.
+    fn frame_value(&mut self, start: usize, at_eof: bool) -> Result<Option<usize>, JsonError> {
+        let first = self.buf[start];
+        if let delim @ (b',' | b']' | b'}' | b':') = first {
+            return Err(self.err_at(start, format!("unexpected byte `{}`", delim as char)));
+        }
+        // Literals and numbers run to the next delimiter (which, at end of
+        // input, only EOF can confirm); strings and containers to the
+        // quote or bracket that closes them.
+        let literal = !matches!(first, b'{' | b'[' | b'"');
+        let from = self.resume(start);
+        let scan = &mut self.frame;
+        let mut end = None;
+        for (i, &b) in self.buf[from..].iter().enumerate() {
+            if literal {
+                if matches!(b, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r') {
+                    end = Some(from + i);
+                    break;
                 }
-                end
-            }
-            b'"' => {
-                let mut esc = false;
-                let mut end = None;
-                for (i, &b) in buf[start + 1..].iter().enumerate() {
-                    if esc {
-                        esc = false;
-                    } else if b == b'\\' {
-                        esc = true;
-                    } else if b == b'"' {
-                        end = Some(start + i + 2);
+            } else if scan.in_str {
+                if scan.esc {
+                    scan.esc = false;
+                } else if b == b'\\' {
+                    scan.esc = true;
+                } else if b == b'"' {
+                    scan.in_str = false;
+                    if scan.depth == 0 {
+                        end = Some(from + i + 1);
                         break;
                     }
                 }
-                end
-            }
-            delim @ (b',' | b']' | b'}' | b':') => {
-                return Err(self.err_at(start, format!("unexpected byte `{}`", delim as char)))
-            }
-            _ => {
-                // Literal or number: runs to the next delimiter — which,
-                // at end of input, only EOF can confirm.
-                let end = buf[start..]
-                    .iter()
-                    .position(|&b| matches!(b, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
-                    .map(|i| start + i);
-                match end {
-                    Some(e) => Some(e),
-                    None if at_eof => Some(buf.len()),
-                    None => None,
+            } else {
+                match b {
+                    b'"' => scan.in_str = true,
+                    b'{' | b'[' => scan.depth += 1,
+                    b'}' | b']' => {
+                        scan.depth -= 1;
+                        if scan.depth == 0 {
+                            end = Some(from + i + 1);
+                            break;
+                        }
+                    }
+                    _ => {}
                 }
             }
-        };
-        match complete {
-            Some(end) => Ok(Some(end)),
-            None if at_eof => Err(match self.parse_framed(start..self.buf.len()) {
+        }
+        #[cfg(test)]
+        {
+            self.framed += end.unwrap_or(self.buf.len()) - from;
+        }
+        if end.is_some() {
+            self.frame = FrameScan::IDLE;
+            return Ok(end);
+        }
+        self.frame.next = self.base + self.buf.len();
+        if !at_eof {
+            Ok(None)
+        } else if literal {
+            Ok(Some(self.buf.len()))
+        } else {
+            Err(match self.parse_framed(start..self.buf.len()) {
                 Err(e) => e,
                 // A truncated frame cannot parse; keep a safe fallback.
                 Ok(_) => self.err_at(self.buf.len(), "unexpected end of input"),
-            }),
-            None => Ok(None),
+            })
         }
     }
 
     fn check_complete(&mut self) -> Result<(), JsonError> {
         if matches!(self.mode, Mode::Json(DocState::Fallback, _)) {
-            // Top level wasn't an object: everything is still buffered, so
-            // the whole-file reader reproduces its exact behavior (usually
-            // an error; field order is free in JSON, so in principle it
-            // could succeed — then so do we).
-            let text = self.span_str(0..self.buf.len())?.to_string();
-            self.data = from_json_data(&text)?;
-            self.mode = Mode::Json(DocState::Done, SeenKeys::all());
-            return Ok(());
+            // Top level wasn't an object, so this is not a trace. The value
+            // is still buffered: report its first syntax error, else its
+            // shape.
+            let v = self.parse_framed(0..self.buf.len())?;
+            return Err(shape(format!("expected object, found {v:?}")));
         }
         match &self.mode {
-            // Empty/whitespace-only input never decided a format: the
-            // whole-file parser reports end-of-input at the document start.
+            // Empty/whitespace-only input never decided a format: report
+            // end-of-input at the document start.
             Mode::Auto(_) => Err(self.err_at(self.buf.len(), "unexpected end of input")),
             Mode::Json(DocState::Done, seen) => {
                 if !seen.events {
                     return Err(shape("missing field `events`"));
                 }
-                for (i, key) in METADATA_KEYS.iter().enumerate() {
-                    if !seen.metadata[i] {
-                        return Err(shape(format!("missing field `{key}`")));
-                    }
-                }
-                Ok(())
+                seen.check_metadata()
             }
             Mode::Json(..) => Err(self.err_at(self.buf.len(), "unexpected end of input")),
             Mode::Ndjson(_) => Ok(()),
@@ -515,8 +572,8 @@ impl StreamParser {
                     scan.expect_key = true;
                     scan.pos = i + 1;
                 }
-                // Not an object: only the whole-document reader can
-                // produce the right (error) behavior.
+                // Not an object: the whole-document machine reports the
+                // (syntax or shape) error.
                 Some(_) => return Ok(self.decide(StreamFormat::Json)),
             }
         }
@@ -601,12 +658,12 @@ impl StreamParser {
     }
 
     fn step_doc(&mut self, at_eof: bool) -> Result<Step, JsonError> {
+        // Whitespace between tokens is consumed as soon as it is seen, so
+        // a run of it spanning many chunks is scanned once.
         let i = self.skip_ws();
+        self.pos = i;
         let state = std::mem::replace(self.doc_state(), DocState::Start);
         let Some(&byte) = self.buf.get(i) else {
-            if matches!(state, DocState::Done) {
-                self.pos = i; // trailing whitespace is consumable
-            }
             *self.doc_state() = state;
             return Ok(Step::NeedMore);
         };
@@ -662,8 +719,8 @@ impl StreamParser {
                 };
                 if events_pending {
                     if byte != b'[' {
-                        // The whole-file reader parses the value, then
-                        // `field("events")?.as_array()?` rejects it.
+                        // Not an array: parse the value, then reject its
+                        // shape.
                         let Some(end) = self.frame_value(i, at_eof)? else {
                             *self.doc_state() = DocState::Value { key };
                             return Ok(Step::NeedMore);
@@ -733,27 +790,11 @@ impl StreamParser {
     /// Applies a completed top-level field (first occurrence wins, like
     /// [`JsonValue::field`]; unknown keys are syntax-checked and ignored).
     fn apply_doc_field(&mut self, key: &str, v: &JsonValue) -> Result<(), JsonError> {
-        if key == "msg_links" {
-            // Optional key (absent in older documents): applied when present,
-            // never counted toward metadata completeness.
-            if self.data.msg_links.is_empty() {
-                apply_metadata_field(&mut self.data, key, v)?;
-            }
-            return Ok(());
-        }
-        let Some(idx) = METADATA_KEYS.iter().position(|k| *k == key) else {
-            return Ok(());
-        };
         let Mode::Json(_, seen) = &mut self.mode else {
             unreachable!()
         };
-        if seen.metadata[idx] {
-            return Ok(());
-        }
-        seen.metadata[idx] = true;
-        let done = seen.metadata.iter().all(|&b| b);
-        apply_metadata_field(&mut self.data, key, v)?;
-        if done {
+        seen.apply(&mut self.data, key, v)?;
+        if seen.check_metadata().is_ok() {
             self.metadata_complete = true;
         }
         Ok(())
@@ -763,10 +804,19 @@ impl StreamParser {
 
     fn step_nd(&mut self, at_eof: bool) -> Result<Step, JsonError> {
         let start = self.pos;
-        match self.buf[start..].iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                self.nd_line(start..start + nl)?;
-                self.pos = start + nl + 1;
+        // Resume the newline search where the last `feed` ran out of input
+        // (a stale resume point lies before the cursor).
+        let from = self.frame.next.saturating_sub(self.base).max(start);
+        let nl = self.buf[from..].iter().position(|&b| b == b'\n');
+        #[cfg(test)]
+        {
+            self.framed += nl.map_or(self.buf.len() - from, |n| n + 1);
+        }
+        match nl {
+            Some(n) => {
+                let end = from + n;
+                self.nd_line(start..end)?;
+                self.pos = end + 1;
                 Ok(Step::Progress)
             }
             None if at_eof && start < self.buf.len() => {
@@ -776,7 +826,10 @@ impl StreamParser {
                 self.pos = end;
                 Ok(Step::Progress)
             }
-            None => Ok(Step::NeedMore),
+            None => {
+                self.frame.next = self.base + self.buf.len();
+                Ok(Step::NeedMore)
+            }
         }
     }
 
@@ -797,9 +850,14 @@ impl StreamParser {
                 self.metadata_complete = true;
                 self.data.events.push(read_event(&v)?);
             } else {
+                // A header obeys the whole-document rules: first occurrence
+                // of a key wins, and every metadata field is required (an
+                // object without them, e.g. `{}`, is not a trace).
+                let mut seen = SeenKeys::default();
                 for (k, val) in v.as_object()? {
-                    apply_metadata_field(&mut self.data, k, val)?;
+                    seen.apply(&mut self.data, k, val)?;
                 }
+                seen.check_metadata()?;
                 self.metadata_complete = true;
             }
         } else {
@@ -818,9 +876,9 @@ fn read_error(total: usize, e: std::io::Error) -> JsonError {
 }
 
 /// Reads a complete trace from `reader` in chunks (format auto-detected),
-/// without cross-field validation — the lenient path's streaming
-/// equivalent of [`from_json_data`](crate::from_json_data): pair with
-/// [`salvage_trace`](crate::salvage_trace).
+/// without cross-field validation, for lenient ingestion: pair with
+/// [`salvage_trace`](crate::salvage_trace), which drops (and counts)
+/// inconsistent events and dangling wait links instead of failing.
 pub fn read_trace_data<R: Read>(mut reader: R) -> Result<(TraceData, IngestStats), JsonError> {
     let mut parser = StreamParser::new();
     let mut chunk = vec![0u8; 64 * 1024];
@@ -839,9 +897,8 @@ pub fn read_trace_data<R: Read>(mut reader: R) -> Result<(TraceData, IngestStats
 }
 
 /// Reads and validates a complete trace from `reader` in chunks (format
-/// auto-detected) — the streaming equivalent of
-/// [`from_json_with_stats`](crate::from_json_with_stats), accepting the
-/// same documents and rejecting the same ones.
+/// auto-detected): [`read_trace_data`], then [`validate_wait_links`].
+/// [`from_json`](crate::from_json) is this over an in-memory document.
 pub fn read_trace<R: Read>(reader: R) -> Result<(Trace, IngestStats), JsonError> {
     let (data, stats) = read_trace_data(reader)?;
     validate_wait_links(&data)?;
@@ -852,13 +909,13 @@ pub fn read_trace<R: Read>(reader: R) -> Result<(Trace, IngestStats), JsonError>
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
-    use crate::event::{ThreadId, Value, VarId};
-    use crate::json::{from_json, to_json, to_ndjson};
+    use crate::event::{Event, EventKind, Loc, ThreadId, Value, VarId};
+    use crate::json::{dom_reference, to_json, to_ndjson};
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new();
         let x = b.var("x");
-        let y = b.volatile_var("y");
+        let y = b.volatile_var("γ—y");
         b.initial(x, 7);
         let l = b.new_lock("l");
         let t2 = b.fork(ThreadId::MAIN);
@@ -888,7 +945,7 @@ mod tests {
     fn doc_format_streams_to_identical_data_at_any_chunk_size() {
         let t = sample();
         let json = to_json(&t);
-        let whole = from_json_data(&json).unwrap();
+        let whole = dom_reference(&json).unwrap();
         for chunk in [1, 2, 3, 7, 16, 64, json.len()] {
             let streamed = feed_all(json.as_bytes(), chunk).unwrap();
             assert_eq!(streamed, whole, "chunk={chunk}");
@@ -975,7 +1032,7 @@ mod tests {
     fn empty_input_fails_like_the_whole_file_parser() {
         let mut p = StreamParser::new();
         let err = p.finish().unwrap_err();
-        let whole = from_json("").unwrap_err();
+        let whole = dom_reference("").unwrap_err();
         assert_eq!(err.message, whole.message);
         assert_eq!(err.offset, whole.offset);
     }
@@ -988,9 +1045,9 @@ mod tests {
     fn truncation_errors_match_whole_file_at_every_cut() {
         let t = sample();
         let json = to_json(&t);
-        for cut in 1..json.len() {
+        for cut in (1..json.len()).filter(|&cut| json.is_char_boundary(cut)) {
             let part = &json[..cut];
-            let whole = from_json(part).unwrap_err();
+            let whole = dom_reference(part).unwrap_err();
             let mut p = StreamParser::with_format(StreamFormat::Json);
             let streamed = p
                 .feed(part.as_bytes())
@@ -1008,6 +1065,41 @@ mod tests {
         }
     }
 
+    /// `pump`'s drain keeps a snippet margin that never starts mid-code-
+    /// point: truncated anywhere in a unicode-dense metadata tail and fed
+    /// in small chunks, every error matches the reference reader's byte for
+    /// byte (a split margin lossy-decodes a replacement character the input
+    /// does not have). Names padded by 0–3 bytes shift where the margin
+    /// starts, so some drains land inside a code point.
+    #[test]
+    fn snippet_margin_never_splits_code_points() {
+        let mut compared = 0;
+        for pad in 0..4 {
+            let mut b = TraceBuilder::new();
+            for i in 0..8 {
+                let name = format!("{i}αβγ—δ🧵ε{}", "x".repeat(pad));
+                let v = b.var(&name);
+                let loc = b.loc(&name);
+                b.write_at(ThreadId::MAIN, v, i, loc);
+            }
+            let json = to_json(&b.finish());
+            let anchor = json.find("loc_names").unwrap();
+            for cut in (anchor..json.len()).filter(|&cut| json.is_char_boundary(cut)) {
+                let part = &json[..cut];
+                let whole = dom_reference(part).unwrap_err();
+                for chunk in [1, 3, 16] {
+                    let streamed = feed_all(part.as_bytes(), chunk).unwrap_err();
+                    assert_eq!(streamed, whole, "pad={pad} cut={cut} chunk={chunk}");
+                }
+                compared += 1;
+            }
+        }
+        assert!(
+            compared >= 120,
+            "the sweep must cover real cuts: {compared}"
+        );
+    }
+
     #[test]
     fn malformed_documents_match_whole_file_errors() {
         for input in [
@@ -1023,15 +1115,60 @@ mod tests {
             "not json",
             "{\"events\":[1,2]}",
             "{\"events\":[{\"thread\":0}]}",
+            "[1,2]",
+            "[1,2] x",
+            "  \"a string\"  ",
         ] {
-            let whole = from_json(input).unwrap_err();
-            let mut p = StreamParser::with_format(StreamFormat::Json);
-            let streamed = p
-                .feed(input.as_bytes())
-                .and_then(|()| p.finish())
-                .unwrap_err();
-            assert_eq!(streamed.message, whole.message, "input={input}");
-            assert_eq!(streamed.offset, whole.offset, "input={input}");
+            let whole = dom_reference(input).unwrap_err();
+            for chunk in [1, input.len()] {
+                let mut p = StreamParser::with_format(StreamFormat::Json);
+                let streamed = input
+                    .as_bytes()
+                    .chunks(chunk)
+                    .try_for_each(|c| p.feed(c))
+                    .and_then(|()| p.finish())
+                    .unwrap_err();
+                assert_eq!(
+                    (&streamed.message, streamed.offset),
+                    (&whole.message, whole.offset),
+                    "input={input}"
+                );
+                // The snippet shows only bytes already fed: whole when the
+                // input arrives in one chunk.
+                if chunk == input.len() {
+                    assert_eq!(streamed.snippet, whole.snippet, "input={input}");
+                }
+            }
+        }
+    }
+
+    /// An NDJSON header, like a whole document, must carry every metadata
+    /// field: an object without them is not a trace.
+    #[test]
+    fn ndjson_header_requires_every_metadata_field() {
+        for (header, missing) in [
+            ("{}", "initial_values"),
+            ("{\"future_field\":1,\"volatiles\":[]}", "initial_values"),
+            (
+                "{\"initial_values\":{},\"volatiles\":[],\"wait_links\":[],\"loc_names\":{}}",
+                "var_names",
+            ),
+        ] {
+            let input = format!("{header}\n{{\"thread\":0,\"kind\":\"Branch\",\"loc\":0}}\n");
+            for mut p in [
+                StreamParser::new(),
+                StreamParser::with_format(StreamFormat::Ndjson),
+            ] {
+                let err = p
+                    .feed(input.as_bytes())
+                    .and_then(|()| p.finish())
+                    .unwrap_err();
+                assert_eq!(
+                    err.message,
+                    format!("missing field `{missing}`"),
+                    "{header}"
+                );
+            }
         }
     }
 
@@ -1055,10 +1192,66 @@ mod tests {
         let input = r#"{"events":[],"initial_values":{"0":5},
             "initial_values":{"0":9},"wait_links":[],"volatiles":[],
             "future_field":{"x":[1,2]},"loc_names":{},"var_names":{}}"#;
-        let whole = from_json_data(input).unwrap();
+        let whole = dom_reference(input).unwrap();
         let streamed = feed_all(input.as_bytes(), 9).unwrap();
         assert_eq!(streamed, whole);
         assert_eq!(streamed.initial_values[&VarId(0)], Value(5));
+
+        // A repeated optional key: the first (empty) list wins.
+        let input = r#"{"events":[],"initial_values":{},"volatiles":[],"wait_links":[],
+            "msg_links":[],"msg_links":[{"send":0,"recv":1}],"loc_names":{},"var_names":{}}"#;
+        let whole = dom_reference(input).unwrap();
+        assert!(whole.msg_links.is_empty());
+        assert_eq!(feed_all(input.as_bytes(), 9).unwrap(), whole);
+
+        // The same rule holds in an NDJSON header line.
+        let fields = r#""initial_values":{},"volatiles":[0],"volatiles":[0],"wait_links":[],
+            "loc_names":{},"var_names":{}"#;
+        let whole = dom_reference(&format!("{{\"events\":[],{fields}}}")).unwrap();
+        assert_eq!(whole.volatiles, [VarId(0)]);
+        let header = format!("{{{}}}\n", fields.replace('\n', ""));
+        assert_eq!(feed_all(header.as_bytes(), 9).unwrap(), whole);
+    }
+
+    /// Framing resumes where the previous `feed` stopped, so a value that
+    /// spans many chunks is scanned once, not once per chunk. Fed byte by
+    /// byte, a ≥ 256 KiB `loc_names` value — and the same metadata as one
+    /// NDJSON header line — keeps the framing loops within twice the input
+    /// at every step.
+    #[test]
+    fn framing_is_linear_in_the_input() {
+        let mut data = TraceData::default();
+        data.events.push(Event {
+            thread: ThreadId::MAIN,
+            kind: EventKind::Branch,
+            loc: Loc(0),
+        });
+        for i in 0..12_000 {
+            data.loc_names.insert(Loc(i), format!("Main.java:{i}"));
+        }
+        let t = Trace::from_data(data);
+        // The NDJSON format is forced: auto-detection would scan the
+        // header line before the line framer sees it.
+        for (input, mut p) in [
+            (to_json(&t), StreamParser::new()),
+            (
+                to_ndjson(&t),
+                StreamParser::with_format(StreamFormat::Ndjson),
+            ),
+        ] {
+            assert!(input.len() >= 256 * 1024, "{} bytes", input.len());
+            for (n, byte) in input.as_bytes().iter().enumerate() {
+                p.feed(std::slice::from_ref(byte)).unwrap();
+                assert!(
+                    p.framed <= 2 * (n + 1),
+                    "{} bytes scanned to frame {} bytes",
+                    p.framed,
+                    n + 1
+                );
+            }
+            p.finish().unwrap();
+            assert_eq!(p.data(), t.data());
+        }
     }
 
     #[test]
@@ -1079,7 +1272,7 @@ mod tests {
         assert!(p.metadata_complete(), "metadata came first");
         p.feed(&reordered.as_bytes()[half..]).unwrap();
         p.finish().unwrap();
-        assert_eq!(p.data(), &from_json_data(&reordered).unwrap());
+        assert_eq!(p.data(), &dom_reference(&reordered).unwrap());
         assert_eq!(p.data().events, t.events());
     }
 

@@ -2,7 +2,7 @@
 //! maximal race detector (or a baseline), and print the report.
 //!
 //! ```sh
-//! rvpredict [OPTIONS] TRACE.json
+//! rvpredict [OPTIONS] TRACE
 //!
 //! OPTIONS:
 //!   --detector rv|said|cp|hb   technique to run (default rv)
@@ -37,9 +37,9 @@
 //!                              socket SOCK instead of in-process: the trace is
 //!                              streamed over the socket and the daemon's reply is
 //!                              byte-identical to the local run (rv detector only)
-//!   --stream                   ingest the trace incrementally (JSON or NDJSON) and
-//!                              start solving windows while the tail is still being
-//!                              read; output is byte-identical to the whole-file run
+//!   --stream                   start solving windows while the tail of the trace is
+//!                              still being read; output is byte-identical to the
+//!                              whole-file run
 //!   --witnesses                print full witness schedules
 //!   --lenient                  salvage a damaged trace: drop events violating the
 //!                              consistency axioms (with per-category diagnostics)
@@ -61,10 +61,9 @@
 //!   --demo                     ignore TRACE and run the paper's Figure 1 instead
 //! ```
 //!
-//! `TRACE.json` may be `-` to read the trace from standard input (with or
-//! without `--stream`). With `--stream` the trace may also be NDJSON (one
-//! metadata header object, then one event object per line); the format is
-//! auto-detected.
+//! `TRACE` is a JSON document or NDJSON (one metadata header object, then
+//! one event object per line), with or without `--stream`; the format is
+//! auto-detected. It may be `-` to read the trace from standard input.
 //!
 //! The `--metrics` document separates count-type metrics (counters,
 //! histograms — byte-identical at every `--jobs` level and identical
@@ -329,7 +328,8 @@ fn usage() {
          [--spill-budget BYTES] [--connect SOCK] [--stream] [--witnesses] \
          [--lenient] [--no-slice] [--no-tiers] \
          [--inject-fault W:C:KIND]... [--metrics OUT.json] \
-         [--trace-log] (--demo | TRACE.json | -)"
+         [--trace-log] (--demo | TRACE | -)\n\
+         TRACE is JSON or NDJSON (auto-detected), with or without --stream"
     );
 }
 
@@ -378,10 +378,12 @@ fn salvage(raw: TraceData, metrics: &mut Metrics, log: &PhaseLog) -> Trace {
 /// (always [`EXIT_USAGE`]: bad file, bad JSON, or strict-mode
 /// inconsistency).
 ///
-/// The strict `rv --stream` combination never reaches this function —
-/// [`main`] routes it to [`RaceDetector::detect_stream`], which overlaps
-/// parsing with solving (for every `--kind`) instead of loading the trace
-/// up front.
+/// Whole-file runs, `-` (stdin) and `--lenient --stream` read the trace
+/// here, through the same parser as the streaming detector. The strict
+/// `rv --stream` combination never reaches this function — [`main`]
+/// routes it to [`RaceDetector::detect_stream`], which overlaps parsing
+/// with solving (for every `--kind`) instead of loading the trace up
+/// front.
 fn load_trace(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> Result<Trace, ExitCode> {
     if opts.demo {
         let trace = rvsim::workloads::figures::figure1().trace;
@@ -392,103 +394,33 @@ fn load_trace(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> Result<T
         usage();
         return Err(ExitCode::from(EXIT_USAGE));
     };
-    if opts.stream {
-        // Incremental ingestion (JSON or NDJSON, auto-detected): the
-        // parser never holds more than one buffered chunk beyond the
-        // decoded events.
-        let reader = open_reader(path)?;
-        let (raw, ingest) = match rvpredict::read_trace_data(reader) {
-            Ok(ok) => ok,
-            Err(e) => {
-                eprintln!("error: {path} is not a serialized trace: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
-        record_ingest_metrics(&ingest, metrics);
-        log.log(&format!(
-            "parsed {} events from {} bytes in {:?}",
-            ingest.events, ingest.bytes, ingest.parse_time
-        ));
-        if opts.lenient {
-            return Ok(salvage(raw, metrics, log));
-        }
-        if let Err(e) = rvpredict::validate_wait_links(&raw) {
+    // JSON or NDJSON, auto-detected, read in chunks: the parser holds
+    // the decoded events, one buffered chunk and at most one partly read
+    // value.
+    let reader = open_reader(path)?;
+    let (raw, ingest) = match rvpredict::read_trace_data(reader) {
+        Ok(ok) => ok,
+        Err(e) => {
             eprintln!("error: {path} is not a serialized trace: {e}");
             return Err(ExitCode::from(EXIT_USAGE));
         }
-        let trace = Trace::from_data(raw);
-        reject_inconsistent(&trace)?;
-        record_trace_metrics(&trace, metrics);
-        return Ok(trace);
-    }
-    let data = if path == "-" {
-        let mut buf = String::new();
-        match std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
-            Ok(_) => buf,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        }
-    } else {
-        match std::fs::read_to_string(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        }
     };
+    record_ingest_metrics(&ingest, metrics);
+    log.log(&format!(
+        "parsed {} events from {} bytes in {:?}",
+        ingest.events, ingest.bytes, ingest.parse_time
+    ));
     if opts.lenient {
-        let (raw, ingest) = match rvpredict::from_json_data_with_stats(&data) {
-            Ok(ok) => ok,
-            Err(e) => {
-                eprintln!("error: {path} is not a serialized trace: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
-        record_ingest_metrics(&ingest, metrics);
-        log.log(&format!(
-            "parsed {} events from {} bytes in {:?}",
-            ingest.events, ingest.bytes, ingest.parse_time
-        ));
-        Ok(salvage(raw, metrics, log))
-    } else {
-        let (trace, ingest) = match rvpredict::from_json_with_stats(&data) {
-            Ok(ok) => ok,
-            Err(e) => {
-                eprintln!("error: {path} is not a serialized trace: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
-        record_ingest_metrics(&ingest, metrics);
-        log.log(&format!(
-            "parsed {} events from {} bytes in {:?}",
-            ingest.events, ingest.bytes, ingest.parse_time
-        ));
-        reject_inconsistent(&trace)?;
-        record_trace_metrics(&trace, metrics);
-        Ok(trace)
+        return Ok(salvage(raw, metrics, log));
     }
-}
-
-/// Returns the heap pages the whole-file parser freed (its JSON document
-/// tree) to the OS before detection starts. Those pages sit in the main
-/// thread's malloc arena, which the detection workers — each allocating
-/// from an arena of its own — never reuse. Without the trim, a
-/// `--kind all` run, whose window jobs allocate on two workers at once,
-/// peaked about 0.7 MB (11%) higher on a 904-event trace (2-core host,
-/// `--jobs 2`). A no-op outside glibc.
-fn release_parse_memory() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        extern "C" {
-            fn malloc_trim(pad: usize) -> std::ffi::c_int;
-        }
-        // SAFETY: `malloc_trim` takes no pointers; it only hands free heap
-        // pages back to the kernel.
-        unsafe { malloc_trim(0) };
+    if let Err(e) = rvpredict::validate_wait_links(&raw) {
+        eprintln!("error: {path} is not a serialized trace: {e}");
+        return Err(ExitCode::from(EXIT_USAGE));
     }
+    let trace = Trace::from_data(raw);
+    reject_inconsistent(&trace)?;
+    record_trace_metrics(&trace, metrics);
+    Ok(trace)
 }
 
 /// Folds one [`rvpredict::IngestStats`] into the registry.
@@ -742,7 +674,6 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
     print!("{}", driver::trace_line(&trace));
-    release_parse_memory();
 
     match opts.detector.as_str() {
         "rv" => {

@@ -461,8 +461,8 @@ fn all_kinds_trace() -> Trace {
 /// A `--window` that cuts [`all_kinds_trace`] into four windows.
 const SPLIT_WINDOW: &str = "12";
 
-/// Writes the shared fixture once in the given format (`json` for the
-/// whole-file parser, `ndjson` for the streamed one) and returns its path.
+/// Writes the shared fixture once in the given format (`json` or
+/// `ndjson`) and returns its path.
 fn fixture_path(format: &str) -> String {
     let path = dir().join(format!("kinds-{}.{format}", std::process::id()));
     if !path.exists() {

@@ -62,7 +62,7 @@ fn truncated_json_is_a_clean_error_with_position() {
     assert!(msg.contains("at byte"), "{msg}");
     assert!(msg.contains("near `"), "{msg}");
     // Lenient parsing fails identically: truncation is not salvageable.
-    assert!(rvpredict::from_json_data(input).is_err());
+    assert!(rvpredict::read_trace_data(input.as_bytes()).is_err());
 }
 
 #[test]
@@ -82,7 +82,7 @@ fn unbalanced_locks_strict_rejects_lenient_salvages() {
     assert!(!rvpredict::check_consistency(&trace).is_empty());
 
     // Lenient: exactly the two offending events are dropped.
-    let data = rvpredict::from_json_data(UNBALANCED_LOCKS).unwrap();
+    let (data, _) = rvpredict::read_trace_data(UNBALANCED_LOCKS.as_bytes()).unwrap();
     let (salvaged, report) = rvpredict::salvage_trace(data);
     assert_eq!(salvaged.len(), 3);
     assert_eq!(report.dropped["acquire-held-lock"], 1);
@@ -96,7 +96,7 @@ fn torn_read_strict_rejects_lenient_salvages() {
     let trace = rvpredict::from_json(RACY_WITH_TORN_READ).unwrap();
     assert!(!rvpredict::check_consistency(&trace).is_empty());
 
-    let data = rvpredict::from_json_data(RACY_WITH_TORN_READ).unwrap();
+    let (data, _) = rvpredict::read_trace_data(RACY_WITH_TORN_READ.as_bytes()).unwrap();
     let (salvaged, report) = rvpredict::salvage_trace(data);
     assert_eq!(salvaged.len(), 4);
     assert_eq!(report.dropped["inconsistent-read"], 1);

@@ -1,9 +1,9 @@
 //! Edge cases of streaming ingestion, end to end through the CLI: traces
 //! whose shape stresses the window dispatcher (empty, shorter than one
 //! window, an exact multiple of the window size), NDJSON formatting slack
-//! (blank lines, missing trailing newline), and truncated input — which
-//! must surface the *same* `JsonError` text and byte offset the
-//! whole-file parser produces.
+//! (blank lines, missing trailing newline), and malformed input — which
+//! must surface the *same* `JsonError` text and byte offset in whole-file
+//! and streamed runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -14,7 +14,7 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_rvpredict")
 }
 
-fn fixture(name: &str, contents: &str) -> PathBuf {
+fn fixture(name: &str, contents: impl AsRef<[u8]>) -> PathBuf {
     let dir = std::env::temp_dir().join("rvpredict-stream-ingest");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
@@ -57,7 +57,7 @@ fn trace_of_len(n: usize) -> Trace {
 #[test]
 fn empty_trace_streams_to_a_clean_zero_race_run() {
     let t = TraceBuilder::new().finish();
-    let path = fixture("empty.json", &rvpredict::to_json(&t));
+    let path = fixture("empty.json", rvpredict::to_json(&t));
     for mode in [&[][..], &["--stream"][..]] {
         let out = run(&[mode, &[path.to_str().unwrap()]].concat());
         assert_eq!(
@@ -77,7 +77,7 @@ fn empty_trace_streams_to_a_clean_zero_race_run() {
 #[test]
 fn trace_shorter_than_one_window_is_a_single_partial_window() {
     let t = trace_of_len(40);
-    let path = fixture("short.json", &rvpredict::to_json(&t));
+    let path = fixture("short.json", rvpredict::to_json(&t));
     // Default window is 10000: the whole trace is one partial window that
     // is only dispatched at end of input.
     for mode in [&[][..], &["--stream"][..]] {
@@ -94,7 +94,7 @@ fn trace_shorter_than_one_window_is_a_single_partial_window() {
 #[test]
 fn trace_length_an_exact_multiple_of_the_window_divides_cleanly() {
     let t = trace_of_len(600);
-    let path = fixture("exact.json", &rvpredict::to_json(&t));
+    let path = fixture("exact.json", rvpredict::to_json(&t));
     for mode in [&[][..], &["--stream"][..]] {
         let out = run(&[mode, &["--window", "300", path.to_str().unwrap()]].concat());
         assert_eq!(out.status.code(), Some(1), "mode={mode:?}");
@@ -122,26 +122,74 @@ fn ndjson_with_blank_lines_and_no_trailing_newline_parses() {
     assert!(stdout(&out).contains("1 race(s)"), "{}", stdout(&out));
 }
 
-/// Mid-event truncation: the streaming parser must report the same error
-/// message — including the byte offset and context snippet — that the
-/// whole-file parser reports for the identical bytes.
+/// Whole-file and `--stream` runs read through one parser, so they fail
+/// alike: same exit code and the same stderr — message, byte offset and
+/// context snippet — for a truncation mid-event, invalid UTF-8 in a name,
+/// a non-object top level, an object without trace fields and an
+/// out-of-range wait link. An NDJSON file
+/// given to a whole-file run is accepted, with the streamed run's stdout.
 #[test]
 fn truncation_error_offsets_match_whole_file_mode() {
     let t = trace_of_len(120);
     let json = rvpredict::to_json(&t);
+    // (fixture, contents, a phrase of the expected error)
+    let mut bad: Vec<(String, Vec<u8>, &str)> = Vec::new();
     // Cut in the middle of an event object, away from any boundary.
     for cut in [json.len() / 3, json.len() / 2, json.len() - 7] {
-        let prefix = &json[..cut];
-        let path = fixture(&format!("trunc-{cut}.json"), prefix);
+        bad.push((format!("trunc-{cut}.json"), json[..cut].into(), "at byte"));
+    }
+    let mut utf8 = json.clone().into_bytes();
+    let name = json.find("\"a\"").expect("variable `a` is named") + 1;
+    utf8[name] = 0xFF;
+    bad.push(("bad-utf8.json".into(), utf8, "invalid utf8 (at byte"));
+    bad.push((
+        "top-array.json".into(),
+        b"[1,2]".to_vec(),
+        "expected object, found Array",
+    ));
+    // An object that is neither a document nor an NDJSON header (e.g. a
+    // metrics file) is not a trace.
+    bad.push((
+        "empty-object.json".into(),
+        b"{}".to_vec(),
+        "missing field `initial_values`",
+    ));
+    let dangling = json.replace(
+        "\"wait_links\":[]",
+        "\"wait_links\":[{\"release\":0,\"acquire\":999,\"notify\":null}]",
+    );
+    assert_ne!(dangling, json);
+    bad.push((
+        "dangling-wait.json".into(),
+        dangling.into_bytes(),
+        "wait link acquire 999 out of range",
+    ));
+    for (name, contents, needle) in &bad {
+        let path = fixture(name, contents);
         let whole = run(&[path.to_str().unwrap()]);
         let streamed = run(&["--stream", path.to_str().unwrap()]);
-        assert_eq!(whole.status.code(), Some(2), "cut={cut}");
-        assert_eq!(streamed.status.code(), Some(2), "cut={cut}");
+        assert_eq!(whole.status.code(), Some(2), "{name}");
+        assert_eq!(streamed.status.code(), Some(2), "{name}");
         let we = stderr(&whole);
-        let se = stderr(&streamed);
-        assert_eq!(we, se, "error text must match at cut={cut}");
-        assert!(we.contains("at byte"), "offset missing at cut={cut}: {we}");
+        assert_eq!(we, stderr(&streamed), "error text must match for {name}");
+        assert!(we.contains("is not a serialized trace"), "{name}: {we}");
+        assert!(we.contains(needle), "{name}: {we}");
     }
+
+    let path = fixture("whole.ndjson", rvpredict::to_ndjson(&t));
+    let whole = run(&[path.to_str().unwrap()]);
+    let streamed = run(&["--stream", path.to_str().unwrap()]);
+    assert_eq!(whole.status.code(), Some(1), "{}", stderr(&whole));
+    assert_eq!(whole.status.code(), streamed.status.code());
+    let strip = |out: &Output| -> String {
+        stdout(out)
+            .lines()
+            .filter(|l| !l.contains("window times:"))
+            .map(|l| l.split(", solver ").next().unwrap().to_string() + "\n")
+            .collect()
+    };
+    assert_eq!(strip(&whole), strip(&streamed));
+    assert_eq!(stderr(&whole), stderr(&streamed));
 }
 
 /// NDJSON truncation mid-line: the error's byte offset points into the
@@ -200,8 +248,9 @@ fn unicode_trace() -> Trace {
 /// Multi-byte UTF-8 across chunk boundaries: a document heavy with
 /// non-ASCII names parses identically whether fed whole or in chunks of
 /// any size (including 1), and a truncation error carries the *same*
-/// message, byte offset and context snippet as the whole-file parser —
-/// even when the retained snippet margin would land mid-code-point.
+/// message, byte offset and context snippet as a read of the same bytes
+/// in one piece — even when the retained snippet margin would land
+/// mid-code-point.
 #[test]
 fn multibyte_chunk_boundaries_match_whole_file_errors() {
     let trace = unicode_trace();
@@ -244,14 +293,15 @@ fn multibyte_chunk_boundaries_match_whole_file_errors() {
     }
 }
 
-/// The snippet-margin regression, pinned against the *independent*
-/// whole-file parser: after the streaming parser drains consumed bytes,
+/// The snippet-margin regression: after the parser drains consumed bytes,
 /// it keeps a snippet-sized margin — which must never be cut mid-code-
 /// point, or an error just past a unicode-dense frame lossy-decodes a
-/// replacement character the whole-file snippet does not have. Sweeping
-/// truncation points right after the unicode metadata catches exactly
-/// that: message, offset *and snippet* must match [`rvpredict::from_json`]
-/// byte for byte.
+/// replacement character the input does not have. Sweeping truncation
+/// points right after the unicode metadata catches exactly that: fed in
+/// small chunks, message, offset *and snippet* must match the same bytes
+/// read in one piece by [`rvpredict::from_json`]. The unit test of the
+/// same name in `rvtrace::stream` pins these snippets against the
+/// reference reader, `dom_reference`.
 #[test]
 fn snippet_margin_never_splits_code_points() {
     let json = rvpredict::to_json(&unicode_trace());
@@ -331,13 +381,10 @@ fn byte_by_byte_feeding_matches_whole_file_for_every_shape() {
             }
             parser.finish().unwrap();
             let streamed = rvpredict::Trace::from_data(parser.into_data());
-            let whole = match rvpredict::from_json(&serialized) {
-                Ok(t) => t,
-                // NDJSON is stream-only; compare against the JSON parse.
-                Err(_) => rvpredict::from_json(&rvpredict::to_json(&trace)).unwrap(),
-            };
+            let whole = rvpredict::from_json(&serialized).unwrap();
             assert_eq!(streamed.len(), whole.len());
             assert_eq!(streamed.events(), whole.events());
+            assert_eq!(streamed.events(), trace.events());
         }
     }
 }
