@@ -130,25 +130,30 @@ if [ "${1:-}" != "quick" ]; then
     done
     diff target/slice_smoke_sliced.stripped target/slice_smoke_unsliced.stripped
 
-    say "tier smoke (cascade vs --no-tiers: identical report)"
-    # Flag-handoff workloads with the tiered cascade on (the default) and
-    # off: one flag write per handoff (a unique justifier) and two (a
-    # common dominator). The race reports must match byte-for-byte modulo
-    # wall-clock (same strip as the other smokes); the cascade is only
-    # allowed to change where the work happens, never what is reported.
-    for name in tier_medium tier_double; do
-        cargo run -p rvbench --release --bin emit_trace -- \
-            --workload "$name" --out "target/tier_smoke_$name.json"
-        for mode in tiered untiered; do
-            if [ "$mode" = untiered ]; then flag="--no-tiers"; else flag=""; fi
+    say "tier smoke (cascade vs --no-tiers vs --no-slice: identical witnesses)"
+    # Every emit_trace workload (the sweep above emitted them) with the
+    # tiered cascade on (the default), off, and with slicing off, all with
+    # --witnesses. A race's witness is the constructor's, or the canonical
+    # re-solve's when the constructor fails, whichever route decided the
+    # verdict, so the reports must match byte-for-byte modulo wall-clock
+    # (same strip as the other smokes).
+    for name in $workloads; do
+        for mode in tiered untiered unsliced; do
+            case $mode in
+                tiered)   flag="" ;;
+                untiered) flag="--no-tiers" ;;
+                unsliced) flag="--no-slice" ;;
+            esac
             out="target/tier_smoke_${name}_$mode"
             # shellcheck disable=SC2086  # $flag is intentionally word-split
             ./target/release/rvpredict $flag --witnesses \
-                "target/tier_smoke_$name.json" > "$out.out" || [ $? -eq 1 ]
+                "target/sweep_$name.json" > "$out.out" || [ $? -eq 1 ]
             sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
         done
         diff "target/tier_smoke_${name}_tiered.stripped" \
             "target/tier_smoke_${name}_untiered.stripped"
+        diff "target/tier_smoke_${name}_tiered.stripped" \
+            "target/tier_smoke_${name}_unsliced.stripped"
     done
 
     say "serve smoke (daemon sessions vs standalone CLI: identical reports)"

@@ -25,7 +25,7 @@ use crate::config::{DetectorConfig, Kind};
 use crate::detector::{clamp_budget, past_deadline, RaceDetector};
 use crate::encoder::{encode_between, EncoderOptions};
 use crate::report::{replay, Verdict};
-use crate::witness::build_witness_core;
+use crate::witness::{build_witness_core, Order};
 
 /// An intended-atomic pair of same-thread accesses to one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,7 +262,7 @@ pub(crate) fn solve_window(
                     &[pair.first, b, pair.second],
                     &encoded.required_branches[i],
                     cfg.mode,
-                    &key,
+                    &Order::Key(&key),
                 );
                 // The remote access must land strictly between.
                 let violation = witness.ok().filter(|w| {

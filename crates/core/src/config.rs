@@ -185,9 +185,9 @@ pub struct DetectorConfig {
     /// effect under [`ConsistencyMode::WholeTrace`].
     pub slice: bool,
     /// Run the tiered pre-solver screens before encoding (ROADMAP item 1):
-    /// Tier A soundly confirms sync-preserving races, Tier B soundly
-    /// refutes entailment-ordered COPs, and only the residue reaches the
-    /// solver. Verdict-preserving; exposed as CLI `--no-tiers` for A/B
+    /// Tier A confirms races whose trace-order witness validates, Tier B
+    /// soundly refutes entailment-ordered COPs, and only the residue reaches
+    /// the solver. Verdict-preserving; exposed as CLI `--no-tiers` for A/B
     /// checks.
     pub tiers: bool,
     /// Seed SAT decision phases from the original trace order (the observed

@@ -1,9 +1,11 @@
 //! The windowed detection driver (paper §4–5).
 //!
-//! For each fixed-size window: enumerate COPs, quick-check them, encode the
-//! survivors, solve with a per-COP budget, extract and validate a witness on
-//! SAT, and deduplicate by signature across the whole run. The same driver
-//! runs the deadlock and atomicity analyses ([`DetectorConfig::kind`]).
+//! For each fixed-size window: enumerate COPs, quick-check them, screen
+//! them (the tier cascade), encode and solve the residue with a per-COP
+//! budget, construct and validate a witness for every race (falling back
+//! to a canonical re-solve), and deduplicate by signature across the whole
+//! run. The same driver runs the deadlock and atomicity analyses
+//! ([`DetectorConfig::kind`]).
 //!
 //! # Parallel driver
 //!
@@ -76,7 +78,7 @@ use crate::encoder::{encode, encode_window, EncoderOptions};
 use crate::report::{DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason};
 use crate::slice::WindowSkeleton;
 use crate::tiers::{Tier, TierAnalysis, TierDecision};
-use crate::witness::{extract_witness, Witness};
+use crate::witness::{construct, extract_witness, Witness};
 
 /// How one COP fared inside a worker. `Skipped` records mark COPs the
 /// worker never solved because their signature was locally confirmed
@@ -90,8 +92,12 @@ enum CopVerdict {
     /// injected. The reason is tallied honestly in the report.
     Undecided(UndecidedReason),
     WitnessFailed,
-    /// SAT with a certified witness schedule.
-    Race(Schedule),
+    /// SAT with a certified witness schedule; `fallback` when it came from
+    /// the canonical re-solve because the constructor could not build it.
+    Race {
+        schedule: Schedule,
+        fallback: bool,
+    },
 }
 
 /// One solved (or skipped) COP, in the window's solve order.
@@ -144,7 +150,7 @@ struct SolvedWindow {
     solver_time: Duration,
     /// Total worker time on this window (enumerate + encode + solve).
     window_time: Duration,
-    /// Time inside the Tier A confirmation screen.
+    /// Time inside the witness constructor (the Tier A screen).
     tier_a_time: Duration,
     /// Time inside the Tier B refutation screen (including the base
     /// entailment graph construction).
@@ -264,6 +270,25 @@ fn tier_refuted_record(cop: Cop, signature: RaceSignature) -> CopRecord {
         window_events: 0,
         constraints: 0,
         decided_by: Some(Tier::B),
+        ext_range: None,
+    }
+}
+
+/// The record of a Tier A confirmation: a race whose witness the
+/// constructor already built and validated, with no solver effort.
+fn tier_confirmed_record(cop: Cop, signature: RaceSignature, witness: Witness) -> CopRecord {
+    CopRecord {
+        cop,
+        signature,
+        verdict: CopVerdict::Race {
+            schedule: witness.schedule,
+            fallback: false,
+        },
+        profile: SolverTotals::default(),
+        cone_events: 0,
+        window_events: 0,
+        constraints: 0,
+        decided_by: Some(Tier::A),
         ext_range: None,
     }
 }
@@ -817,8 +842,8 @@ impl RaceDetector {
             &mut out,
         );
         if let Some(t) = &tiers {
-            out.tier_a_time = t.tier_a_time();
-            out.tier_b_time = t.tier_b_time();
+            out.tier_a_time += t.tier_a_time();
+            out.tier_b_time += t.tier_b_time();
         }
         if let Some(plan) = plan {
             self.solve_straddles(view, plan, opts, &budget, deadline, &known_racy, &mut out);
@@ -845,51 +870,54 @@ impl RaceDetector {
         }
     }
 
-    /// The record of a Tier A confirmation: the verdict is a race, and the
-    /// reported schedule is the canonical fresh-solve witness — the exact
-    /// schedule the solver session reports — so reports are byte-identical
-    /// to solver-only mode. The cascade never zeroes a planned witness: a
-    /// canonical solve that fails at a budget boundary is reported
-    /// honestly as a witness failure, just like the solver paths.
-    fn tier_confirmed_record(
+    /// The witness of a COP the session found SAT: the constructor's,
+    /// unless `screened` says Tier A already tried it, else the canonical
+    /// re-solve. Either way the witness is a pure function of the view,
+    /// the COP and the config, so reports are byte-identical with the
+    /// cascade on or off. Construction is timed as Tier A, the re-solve as
+    /// solver time.
+    fn sat_verdict(
         &self,
         view: &View<'_>,
         cop: Cop,
-        signature: RaceSignature,
+        screened: bool,
         opts: EncoderOptions,
         budget: &Budget,
         out: &mut SolvedWindow,
-    ) -> CopRecord {
-        let solve_start = Instant::now();
-        let witness = self.canonical_witness(view, cop, opts, budget);
-        out.solver_time += solve_start.elapsed();
-        let verdict = match witness {
-            Ok(witness) => CopVerdict::Race(witness.schedule),
+    ) -> CopVerdict {
+        if !screened {
+            let t0 = Instant::now();
+            let built = construct(view, cop, self.config.mode);
+            out.tier_a_time += t0.elapsed();
+            if let Some(witness) = built {
+                return CopVerdict::Race {
+                    schedule: witness.schedule,
+                    fallback: false,
+                };
+            }
+        }
+        let t0 = Instant::now();
+        let canonical = self.canonical_witness(view, cop, opts, budget);
+        out.solver_time += t0.elapsed();
+        match canonical {
+            Ok(witness) => CopVerdict::Race {
+                schedule: witness.schedule,
+                fallback: true,
+            },
             Err(()) => CopVerdict::WitnessFailed,
-        };
-        CopRecord {
-            cop,
-            signature,
-            verdict,
-            profile: SolverTotals::default(),
-            cone_events: 0,
-            window_events: 0,
-            constraints: 0,
-            decided_by: Some(Tier::A),
-            ext_range: None,
         }
     }
 
-    /// The canonical witness for a SAT verdict: a fresh *unsliced* glued
-    /// encoding of the COP, solved from scratch with phase hints, and the
-    /// witness extracted from that model. Used whenever the verdict came
-    /// from a sliced or selector-guarded model, so reported schedules are
-    /// byte-identical across `slice` on/off, `tiers` on/off, and every
-    /// `--jobs` value. (A sliced model leaves non-cone events unplaced,
-    /// and a session model depends on the session's solve history; the
-    /// fresh solve depends on neither. The verdict itself is already SAT,
-    /// so this solve can only fail at a budget boundary, which is reported
-    /// honestly as a witness failure.)
+    /// The canonical witness for a SAT verdict the constructor could not
+    /// witness: a fresh *unsliced* glued encoding of the COP, solved from
+    /// scratch with phase hints, and the witness extracted from that
+    /// model. Reported schedules are therefore byte-identical across
+    /// `slice` on/off, `tiers` on/off, and every `--jobs` value. (A sliced
+    /// model leaves non-cone events unplaced, and a session model depends
+    /// on the session's solve history; the fresh solve depends on
+    /// neither. The verdict itself is already SAT, so this solve can only
+    /// fail at a budget boundary, which is reported honestly as a witness
+    /// failure.)
     fn canonical_witness(
         &self,
         view: &View<'_>,
@@ -926,8 +954,9 @@ impl RaceDetector {
     /// *every* COP: a partial skip would drop a query from the shared
     /// session and shift the effort deltas of later COPs with worker
     /// timing, breaking the byte-identity of the count-type metrics across
-    /// `--jobs`. (Witnesses are unaffected either way: they always come
-    /// from the canonical fresh solve.) The skip of signatures confirmed
+    /// `--jobs`. (Witnesses are unaffected either way: they come from the
+    /// constructor or the canonical fresh solve, never from the session.)
+    /// The skip of signatures confirmed
     /// earlier in the same call is deterministic, so it stays per COP.
     ///
     /// `faults` says whether the fault plan's coordinates index `cops`:
@@ -978,7 +1007,7 @@ impl RaceDetector {
         // of the window, so deciding them before the solve loop changes
         // nothing about solve order). A COP with a planned fault is never
         // screened — the fault must fire at its coordinate either way.
-        let decisions: Vec<Option<TierDecision>> = match tiers {
+        let mut decisions: Vec<Option<(TierDecision, Option<Witness>)>> = match tiers {
             Some(t) => cops
                 .iter()
                 .enumerate()
@@ -988,7 +1017,7 @@ impl RaceDetector {
                             .fault_plan
                             .as_ref()
                             .is_some_and(|p| p.fault_at(window_index, i).is_some());
-                    (!faulted).then(|| t.decide(cop))
+                    (!faulted).then(|| (t.decide(cop), t.take_witness()))
                 })
                 .collect(),
             None => vec![None; cops.len()],
@@ -999,7 +1028,7 @@ impl RaceDetector {
         let mut sel_index: Vec<Option<usize>> = Vec::with_capacity(cops.len());
         for (i, &cop) in cops.iter().enumerate() {
             match decisions[i] {
-                Some(TierDecision::Confirmed) | Some(TierDecision::Refuted) => {
+                Some((TierDecision::Confirmed | TierDecision::Refuted, _)) => {
                     sel_index.push(None);
                 }
                 _ => {
@@ -1069,18 +1098,16 @@ impl RaceDetector {
                 });
                 continue;
             }
-            match decisions[i] {
-                Some(TierDecision::Confirmed) => {
-                    let budget = &clamp_budget(budget, deadline);
-                    let record =
-                        self.tier_confirmed_record(view, cop, signature, opts, budget, out);
-                    if matches!(record.verdict, CopVerdict::Race(_)) {
-                        local_confirmed.insert(signature);
-                    }
-                    out.records.push(record);
+            let screened = decisions[i].is_some();
+            match decisions[i].take() {
+                Some((TierDecision::Confirmed, witness)) => {
+                    let witness = witness.expect("a confirmation keeps its witness");
+                    local_confirmed.insert(signature);
+                    out.records
+                        .push(tier_confirmed_record(cop, signature, witness));
                     continue;
                 }
-                Some(TierDecision::Refuted) => {
+                Some((TierDecision::Refuted, _)) => {
                     out.records.push(tier_refuted_record(cop, signature));
                     continue;
                 }
@@ -1098,21 +1125,18 @@ impl RaceDetector {
             let result = solver.solve_assuming(budget, &[encoded.selectors[sel]]);
             let mut profile = SolverTotals::default();
             profile.record_solve(&solver.stats().sat.delta_since(&before));
+            out.solver_time += solve_start.elapsed();
             let verdict = match result {
                 SmtResult::Unsat => CopVerdict::Unsat,
                 SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
                 // The session model depends on the session's solve history
-                // (and, sliced, leaves non-cone events unplaced): always
-                // report the canonical fresh-solve witness instead.
-                SmtResult::Sat => match self.canonical_witness(view, cop, opts, budget) {
-                    Ok(witness) => {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(witness.schedule)
-                    }
-                    Err(()) => CopVerdict::WitnessFailed,
-                },
+                // (and, sliced, leaves non-cone events unplaced): never
+                // report it.
+                SmtResult::Sat => self.sat_verdict(view, cop, screened, opts, budget, out),
             };
-            out.solver_time += solve_start.elapsed();
+            if matches!(verdict, CopVerdict::Race { .. }) {
+                local_confirmed.insert(signature);
+            }
             out.records.push(CopRecord {
                 cop,
                 signature,
@@ -1295,7 +1319,7 @@ impl RaceDetector {
                     stats.boundary_over_budget += 1;
                 } else {
                     stats.straddle_cops += 1;
-                    if matches!(record.verdict, CopVerdict::Race(_)) {
+                    if matches!(record.verdict, CopVerdict::Race { .. }) {
                         stats.straddle_races += 1;
                     }
                 }
@@ -1357,9 +1381,10 @@ impl RaceDetector {
                     stats.sat += 1;
                     stats.witness_failures += 1;
                 }
-                CopVerdict::Race(schedule) => {
+                CopVerdict::Race { schedule, fallback } => {
                     stats.cops_solved += 1;
                     stats.sat += 1;
+                    stats.witness_fallbacks += usize::from(fallback);
                     confirmed.insert(record.signature);
                     if let Some(p) = published {
                         p.0.write()

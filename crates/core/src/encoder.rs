@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use rvsmt::{FormulaBuilder, IntVar, TermId};
-use rvtrace::{Cop, EventId, EventKind, View};
+use rvtrace::{Cop, EventId, EventKind, View, WaitLink};
 
 use crate::config::ConsistencyMode;
 use crate::slice::{Cone, WindowSkeleton};
@@ -264,49 +264,21 @@ impl<'v, 't> Encoder<'v, 't> {
             }
         }
         // fork→begin and end→join edges within the view.
-        let mut fork_of: HashMap<rvtrace::ThreadId, EventId> = HashMap::new();
-        let mut end_of: HashMap<rvtrace::ThreadId, EventId> = HashMap::new();
         for id in view.ids() {
-            match view.event(id).kind {
-                EventKind::Fork { child } => {
-                    fork_of.insert(child, id);
-                }
-                EventKind::End => {
-                    end_of.insert(view.event(id).thread, id);
-                }
-                _ => {}
-            }
-        }
-        for id in view.ids() {
-            match view.event(id).kind {
-                EventKind::Begin => {
-                    if let Some(&f) = fork_of.get(&view.event(id).thread) {
-                        self.assert_lt(f, id);
-                    }
-                }
-                EventKind::Join { child } => {
-                    if let Some(&e) = end_of.get(&child) {
-                        self.assert_lt(e, id);
-                    }
-                }
-                _ => {}
+            let edge_from = match view.event(id).kind {
+                EventKind::Begin => view.fork_of(view.event(id).thread),
+                EventKind::Join { child } => view.end_of(child),
+                _ => None,
+            };
+            if let Some(from) = edge_from {
+                self.assert_lt(from, id);
             }
         }
         // wait/notify: the notify is ordered inside its wait's
         // release–acquire span and outside every other same-lock wait span.
-        let in_view = |e: EventId| view.contains(e);
-        let links: Vec<_> = trace
-            .wait_links()
-            .iter()
-            .filter(|wl| {
-                in_view(wl.release)
-                    && in_view(wl.acquire)
-                    && wl.notify.map(in_view).unwrap_or(false)
-            })
-            .copied()
-            .collect();
-        self.encode_wait_links(&links);
+        self.encode_wait_links(&complete_wait_links(view));
         // Channel matching: each linked recv observes its send.
+        let in_view = |e: EventId| view.contains(e);
         let mlinks: Vec<rvtrace::MsgLink> = trace
             .msg_links()
             .iter()
@@ -608,6 +580,18 @@ impl<'v, 't> Encoder<'v, 't> {
             }
         }
     }
+}
+
+/// The wait links with release, notify and re-acquire all inside `view`:
+/// the exact set `Φ_mhb` constrains.
+pub(crate) fn complete_wait_links(view: &View<'_>) -> Vec<WaitLink> {
+    let in_view = |e: EventId| view.contains(e);
+    view.trace()
+        .wait_links()
+        .iter()
+        .filter(|wl| in_view(wl.release) && in_view(wl.acquire) && wl.notify.is_some_and(in_view))
+        .copied()
+        .collect()
 }
 
 /// The write sets of a read `r` (paper §3.2): `W^r`, every write on `r`'s

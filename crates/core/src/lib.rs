@@ -8,8 +8,9 @@
 //! * [`encode`] — the constraint system `Φ = Φ_mhb ∧ Φ_lock ∧ Φ_race`
 //!   over per-event order variables, with the control-flow feasibility
 //!   formulas `π_cf`/`cf` that make the technique *maximal* (Thm. 3);
-//! * [`extract_witness`] — builds and validates a concrete reordering
-//!   (`τ₁ a b`) from each satisfying model, so every reported race ships
+//! * [`construct_witness`] — builds and validates a concrete reordering
+//!   (`τ₁ a b`) from the trace order alone, and [`extract_witness`] from
+//!   a satisfying model when that fails, so every reported race ships
 //!   with a replayable schedule (soundness, Thm. 1);
 //! * [`RaceDetector`] — the windowed driver with signature deduplication
 //!   and per-COP solver budgets.
@@ -77,4 +78,4 @@ pub use report::{
 pub use session::{Session, SessionConfig, SessionError, SessionManager, SessionOutcome};
 pub use slice::{Cone, WindowSkeleton};
 pub use tiers::{Tier, TierAnalysis, TierDecision};
-pub use witness::{extract_witness, extract_witness_with, Witness, WitnessError};
+pub use witness::{construct as construct_witness, extract_witness, Witness, WitnessError};

@@ -236,8 +236,11 @@ pub struct DetectionStats {
     pub undecided_by_reason: BTreeMap<UndecidedReason, usize>,
     /// Witness validations that failed (soundness gate trips; expected 0).
     pub witness_failures: usize,
-    /// COPs the Tier A (sync-preserving) screen confirmed as races without
-    /// a solver call. Count-type; zero when the cascade is off.
+    /// Races whose witness came from the canonical re-solve because the
+    /// witness constructor could not build one. Count-type.
+    pub witness_fallbacks: usize,
+    /// COPs the Tier A screen (the witness constructor) confirmed as races
+    /// without a solver call. Count-type; zero when the cascade is off.
     pub tier_confirmed: usize,
     /// COPs the Tier B (entailment) screen refuted without a solver call.
     /// Count-type; zero when the cascade is off.
@@ -281,7 +284,9 @@ pub struct DetectionStats {
     /// Summed time spent encoding and solving, across all workers. With
     /// `parallelism > 1` this exceeds [`DetectionStats::wall_time`].
     pub solver_time: Duration,
-    /// Summed time inside the Tier A confirmation screen. Timing-type.
+    /// Summed time inside the witness constructor (the Tier A screen, and
+    /// the first witness attempt for SAT COPs when the cascade is off).
+    /// Timing-type.
     pub tier_a_time: Duration,
     /// Summed time inside the Tier B refutation screen (including base
     /// entailment graph construction). Timing-type.
@@ -427,6 +432,7 @@ impl DetectionReport {
             m.inc(&format!("detector.undecided.{reason}"), n as u64);
         }
         m.inc("detector.witness_failures", s.witness_failures as u64);
+        m.inc("detector.witness_fallbacks", s.witness_fallbacks as u64);
         m.inc("detector.tiers.confirmed", s.tier_confirmed as u64);
         m.inc("detector.tiers.refuted", s.tier_refuted as u64);
         m.inc("detector.tiers.residue", s.tier_residue as u64);

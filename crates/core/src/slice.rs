@@ -37,6 +37,8 @@ use std::collections::BTreeSet;
 
 use rvtrace::{Cop, EventId, EventKind, LockId, VarId, View, WaitLink};
 
+use crate::encoder::complete_wait_links;
+
 /// Per-window state shared by every cone computation: the parts of the
 /// encoding input that do not depend on the COP. Build one per window and
 /// reuse it for all of the window's COPs.
@@ -63,55 +65,16 @@ impl<'v, 'a> WindowSkeleton<'v, 'a> {
     /// Builds the skeleton for one window view.
     pub fn new(view: &'v View<'a>) -> Self {
         let trace = view.trace();
-        // Thread-indexed arenas (the trace's dense thread index covers
-        // every forked child, even silent ones).
-        let mut fork_of: Vec<Option<EventId>> = vec![None; trace.n_threads()];
-        let mut end_of: Vec<Option<EventId>> = vec![None; trace.n_threads()];
-        for id in view.ids() {
-            match view.event(id).kind {
-                EventKind::Fork { child } => {
-                    if let Some(ti) = trace.thread_index(child) {
-                        fork_of[ti] = Some(id);
-                    }
-                }
-                EventKind::End => {
-                    if let Some(ti) = trace.thread_index(view.event(id).thread) {
-                        end_of[ti] = Some(id);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let of = |arena: &[Option<EventId>], t: rvtrace::ThreadId| {
-            trace.thread_index(t).and_then(|ti| arena[ti])
-        };
         let mut edges = Vec::new();
         for id in view.ids() {
-            match view.event(id).kind {
-                EventKind::Begin => {
-                    if let Some(f) = of(&fork_of, view.event(id).thread) {
-                        edges.push((f, id));
-                    }
-                }
-                EventKind::Join { child } => {
-                    if let Some(e) = of(&end_of, child) {
-                        edges.push((e, id));
-                    }
-                }
-                _ => {}
-            }
+            let edge_from = match view.event(id).kind {
+                EventKind::Begin => view.fork_of(view.event(id).thread),
+                EventKind::Join { child } => view.end_of(child),
+                _ => None,
+            };
+            edges.extend(edge_from.map(|from| (from, id)));
         }
-        let in_view = |e: EventId| view.contains(e);
-        let links: Vec<WaitLink> = trace
-            .wait_links()
-            .iter()
-            .filter(|wl| {
-                in_view(wl.release)
-                    && in_view(wl.acquire)
-                    && wl.notify.map(in_view).unwrap_or(false)
-            })
-            .copied()
-            .collect();
+        let links = complete_wait_links(view);
         let view_base = view.range().start;
         let mut link_of = vec![u32::MAX; if links.is_empty() { 0 } else { view.len() }];
         for (i, wl) in links.iter().enumerate() {

@@ -3,16 +3,14 @@
 //!
 //! Two screens run per window, per COP, ahead of the SMT core:
 //!
-//! * **Tier A — sync-preserving confirmation** (after SyncP, Mathur /
-//!   Pavlogiannis / Viswanathan): builds the candidate reordering that
-//!   schedules exactly the MHB-prefixes of the two accesses and then the
-//!   accesses back to back, and *replays* it against the window — thread
-//!   projections, fork/join, lock mutual exclusion, wait/notify matching
-//!   (including the encoder's cross-link non-overlap constraint, which
-//!   [`check_schedule`] alone does not enforce), and read-value
-//!   preservation for every read the consistency mode constrains. When the
-//!   replay succeeds the schedule *is* a model of `Φ`, so the COP is a
-//!   race without a solver call.
+//! * **Tier A — witness construction** (after SyncP, Mathur /
+//!   Pavlogiannis / Viswanathan): [`construct`](crate::witness::construct)
+//!   closes the pair under program order, fork/join, recv→send, the
+//!   trace justifiers of the `π_cf`-forced reads and same-lock region
+//!   completion, emits the closure in trace order with the pair last, and
+//!   validates it. An accepted schedule extends to a model of `Φ ∧ Φ_race`,
+//!   so the COP is a race and the schedule is its witness, with no solver
+//!   call. The cost is O(|witness|), not O(window).
 //! * **Tier B — entailment refutation** (WCP/weak-HB flavored): collects
 //!   the order edges `Φ_mhb ∧ Φ_lock ∧ π_cf` *entails* — program order,
 //!   fork/join, wait links, one-sided lock disjunctions, read facts (a
@@ -26,11 +24,14 @@
 //!   does not already imply, so a query costs no pass over the window.
 //!
 //! Whatever neither screen decides is the *residue* that reaches the
-//! existing sliced Φ encoding unchanged. Both screens are window-local and
-//! deterministic, so reports stay byte-identical to solver-only mode at
-//! any worker count; [`decide`](TierAnalysis::decide) runs the refuter
-//! first because it is the cheaper screen, but attribution is always
-//! `Tier::A` for confirmations and `Tier::B` for refutations.
+//! existing sliced Φ encoding unchanged; a residue race gets the canonical
+//! solver witness. Both screens are window-local and deterministic, and
+//! with the cascade off the detector runs the same constructor on every
+//! SAT COP before falling back, so reports stay byte-identical to
+//! solver-only mode at any worker count. [`decide`](TierAnalysis::decide)
+//! runs the refuter first because it is the cheaper screen, but
+//! attribution is always `Tier::A` for confirmations and `Tier::B` for
+//! refutations.
 //!
 //! Soundness arguments for each screen are spelled out in DESIGN.md
 //! ("Tiered cascade").
@@ -39,12 +40,11 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use rvtrace::{
-    check_schedule, schedule_read_values, Cop, EventId, EventKind, Schedule, View, WaitLink,
-};
+use rvtrace::{Cop, EventId, EventKind, View, WaitLink};
 
 use crate::config::ConsistencyMode;
-use crate::encoder::write_sets;
+use crate::encoder::{complete_wait_links, write_sets};
+use crate::witness::{construct_with_links, Witness};
 
 /// Which stage of the detection cascade decided a COP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,8 +70,8 @@ impl fmt::Display for Tier {
 /// The cascade's verdict for one COP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierDecision {
-    /// Tier A found a consistent reordering racing the pair: the COP is a
-    /// race (the witness still comes from the canonical re-solve path).
+    /// The witness constructor validated the pair's trace-order closure:
+    /// the COP is a race, and that closure is its reported witness.
     Confirmed,
     /// Tier B proved no sound reordering races the pair: `Φ` is `Unsat`.
     Refuted,
@@ -186,6 +186,8 @@ pub struct TierAnalysis<'a> {
     /// (ControlFlow mode only).
     cond_pairs: Vec<CondPair>,
     facts: HashMap<EventId, ReadFacts>,
+    /// The constructor's witness for the last decided COP, if it confirmed.
+    witness: Option<Witness>,
     tier_a_time: Duration,
     tier_b_time: Duration,
     frontier: Frontier,
@@ -208,6 +210,7 @@ impl<'a> TierAnalysis<'a> {
             cs_pairs: Vec::new(),
             cond_pairs: Vec::new(),
             facts: HashMap::new(),
+            witness: None,
             tier_a_time: Duration::ZERO,
             tier_b_time: Duration::ZERO,
             frontier: Frontier::new(view.threads().len()),
@@ -230,17 +233,7 @@ impl<'a> TierAnalysis<'a> {
         let view = self.view;
         let trace = view.trace();
         // Complete in-view wait links: release < notify < re-acquire.
-        let in_view = |e: EventId| view.contains(e);
-        self.links = trace
-            .wait_links()
-            .iter()
-            .filter(|wl| {
-                in_view(wl.release)
-                    && in_view(wl.acquire)
-                    && wl.notify.map(in_view).unwrap_or(false)
-            })
-            .copied()
-            .collect();
+        self.links = complete_wait_links(view);
         for wl in self.links.clone() {
             let n = wl.notify.expect("filtered");
             self.add_edge(wl.release, n);
@@ -418,7 +411,11 @@ impl<'a> TierAnalysis<'a> {
     /// Runs the cascade on one COP. The refuter (Tier B) runs first
     /// because it is the cheaper screen; a COP both screens could decide
     /// cannot exist (each is sound), so the order never changes verdicts.
+    ///
+    /// A confirmation keeps its witness, so the detector reports it
+    /// without building it again.
     pub fn decide(&mut self, cop: &Cop) -> TierDecision {
+        self.witness = None;
         let t0 = Instant::now();
         let refuted = self.refutes(cop);
         self.tier_b_time += t0.elapsed();
@@ -426,13 +423,18 @@ impl<'a> TierAnalysis<'a> {
             return TierDecision::Refuted;
         }
         let t0 = Instant::now();
-        let confirmed = self.confirms(cop);
+        self.witness = construct_with_links(self.view, *cop, self.mode, &self.links);
         self.tier_a_time += t0.elapsed();
-        if confirmed {
+        if self.witness.is_some() {
             TierDecision::Confirmed
         } else {
             TierDecision::Residue
         }
+    }
+
+    /// The witness of the last [`decide`](Self::decide), when it confirmed.
+    pub(crate) fn take_witness(&mut self) -> Option<Witness> {
+        self.witness.take()
     }
 
     // ----- Tier B: entailment refutation ------------------------------
@@ -588,104 +590,6 @@ impl<'a> TierAnalysis<'a> {
             }
         }
         false
-    }
-
-    // ----- Tier A: sync-preserving confirmation -----------------------
-
-    /// Attempts to confirm the COP by replaying the sync-preserving
-    /// candidate schedule: the MHB-prefixes of both accesses in trace
-    /// order, then the two accesses back to back, then the remaining
-    /// window in trace order. Success means the schedule is a model of
-    /// `Φ`, i.e. a real race.
-    ///
-    /// Only the `first, second` orientation is replayed, because it is the
-    /// only one the encoding can express: the glued per-COP mode hardwires
-    /// `lt(first, second) = tt` and `lt(second, first) = ff`, and batch
-    /// mode asserts `O_second = O_first + 1`. A reordering racing the pair
-    /// the other way around (e.g. two same-variable writes whose later
-    /// reader needs the *earlier* write last) is `Unsat` under `Φ`, and
-    /// Tier A must agree with the solver byte for byte.
-    fn confirms(&mut self, cop: &Cop) -> bool {
-        let view = self.view;
-        let (a, b) = (cop.first, cop.second);
-        if !view.contains(a) || !view.contains(b) {
-            return false;
-        }
-        if view.mhb(a, b) || view.mhb(b, a) {
-            return false;
-        }
-        // S: everything MHB-before either access (excluding the accesses).
-        let mut prefix: Vec<EventId> = Vec::new();
-        let mut rest: Vec<EventId> = Vec::new();
-        for e in view.ids() {
-            if e == a || e == b {
-                continue;
-            }
-            if view.mhb(e, a) || view.mhb(e, b) {
-                prefix.push(e);
-            } else {
-                rest.push(e);
-            }
-        }
-        let in_prefix: std::collections::HashSet<EventId> = prefix.iter().copied().collect();
-        let mut order: Vec<EventId> = Vec::with_capacity(view.len());
-        order.extend_from_slice(&prefix);
-        order.push(a);
-        order.push(b);
-        order.extend_from_slice(&rest);
-        let schedule = Schedule(order);
-        if check_schedule(view, &schedule).is_err() {
-            return false;
-        }
-        if !self.wait_links_non_overlapping(&schedule) {
-            return false;
-        }
-        let values = schedule_read_values(view, &schedule);
-        match self.mode {
-            // Control-flow abstraction: only the forced reads (all in
-            // the MHB prefix) must keep their values; the accesses
-            // themselves are data-abstract.
-            ConsistencyMode::ControlFlow => schedule.0.iter().all(|&e| {
-                !in_prefix.contains(&e)
-                    || !view.event(e).kind.is_read()
-                    || values.get(&e).copied() == view.event(e).kind.value()
-            }),
-            // Said et al.: every read in the window keeps its value.
-            ConsistencyMode::WholeTrace => schedule.0.iter().all(|&e| {
-                !view.event(e).kind.is_read()
-                    || values.get(&e).copied() == view.event(e).kind.value()
-            }),
-        }
-    }
-
-    /// The encoder's cross-link constraint, which `check_schedule` does
-    /// not enforce: each notify must fall outside every *other* same-lock
-    /// wait's release–acquire span.
-    fn wait_links_non_overlapping(&self, schedule: &Schedule) -> bool {
-        if self.links.len() < 2 {
-            return true;
-        }
-        let mut pos: HashMap<EventId, usize> = HashMap::with_capacity(schedule.len());
-        for (i, &e) in schedule.0.iter().enumerate() {
-            pos.insert(e, i);
-        }
-        for wl in &self.links {
-            let n = wl.notify.expect("filtered");
-            let lock = self.view.event(n).kind.lock();
-            for other in &self.links {
-                if other.release == wl.release {
-                    continue;
-                }
-                if self.view.event(other.acquire).kind.lock() != lock {
-                    continue;
-                }
-                let (pn, pr, pa) = (pos[&n], pos[&other.release], pos[&other.acquire]);
-                if !(pn < pr || pa < pn) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 

@@ -305,21 +305,14 @@ pub fn check_schedule(view: &View<'_>, schedule: &Schedule) -> Result<(), Schedu
         match e.kind {
             EventKind::Begin => {
                 // The fork must be scheduled earlier if it is in the view.
-                let fork = view.ids().find(|&f| {
-                    matches!(view.event(f).kind, EventKind::Fork { child } if child == e.thread)
-                });
-                if let Some(f) = fork {
+                if let Some(f) = view.fork_of(e.thread) {
                     if !scheduled.contains_key(&f) {
                         return Err(ScheduleError::BeginBeforeFork(id));
                     }
                 }
             }
             EventKind::Join { child } => {
-                let end =
-                    trace.thread_events(child).iter().copied().find(|&x| {
-                        view.contains(x) && matches!(view.event(x).kind, EventKind::End)
-                    });
-                if let Some(en) = end {
+                if let Some(en) = view.end_of(child) {
                     if !scheduled.contains_key(&en) {
                         return Err(ScheduleError::JoinBeforeEnd(id));
                     }

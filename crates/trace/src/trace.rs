@@ -103,6 +103,8 @@ pub struct Trace {
     threads: Vec<ThreadId>,
     thread_lookup: BTreeMap<ThreadId, usize>,
     thread_events: Vec<Vec<EventId>>,
+    /// The first `Fork` of each thread, indexed like [`Trace::threads`].
+    fork_of: Vec<Option<EventId>>,
     /// Position of each event within its thread's event list.
     pos_in_thread: Vec<u32>,
     n_vars: usize,
@@ -164,6 +166,7 @@ impl Trace {
         let mut thread_index: BTreeMap<ThreadId, usize> = BTreeMap::new();
         let mut threads = Vec::new();
         let mut thread_events: Vec<Vec<EventId>> = Vec::new();
+        let mut fork_of: Vec<Option<EventId>> = Vec::new();
         let mut pos_in_thread = Vec::with_capacity(data.events.len());
         let mut n_vars = 0usize;
         let mut n_locks = 0usize;
@@ -172,6 +175,7 @@ impl Trace {
             let ti = *thread_index.entry(e.thread).or_insert_with(|| {
                 threads.push(e.thread);
                 thread_events.push(Vec::new());
+                fork_of.push(None);
                 threads.len() - 1
             });
             pos_in_thread.push(thread_events[ti].len() as u32);
@@ -188,11 +192,15 @@ impl Trace {
             // Forked/joined threads count even if they produced no events.
             match e.kind {
                 EventKind::Fork { child } | EventKind::Join { child } => {
-                    thread_index.entry(child).or_insert_with(|| {
+                    let ci = *thread_index.entry(child).or_insert_with(|| {
                         threads.push(child);
                         thread_events.push(Vec::new());
+                        fork_of.push(None);
                         threads.len() - 1
                     });
+                    if matches!(e.kind, EventKind::Fork { .. }) {
+                        fork_of[ci].get_or_insert(EventId(i as u32));
+                    }
                 }
                 _ => {}
             }
@@ -229,6 +237,7 @@ impl Trace {
             thread_lookup: thread_index,
             threads,
             thread_events,
+            fork_of,
             pos_in_thread,
             n_vars,
             n_locks,
@@ -288,6 +297,12 @@ impl Trace {
     #[inline]
     pub fn thread_index(&self, t: ThreadId) -> Option<usize> {
         self.thread_lookup.get(&t).copied()
+    }
+
+    /// The event that forked thread `t` (its first `Fork`), if any.
+    #[inline]
+    pub fn fork_of(&self, t: ThreadId) -> Option<EventId> {
+        self.fork_of[self.thread_index(t)?]
     }
 
     /// Number of distinct threads.

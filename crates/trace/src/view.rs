@@ -462,6 +462,18 @@ impl<'a> View<'a> {
         }
     }
 
+    /// The in-view event that forked thread `t`, if any.
+    pub fn fork_of(&self, t: ThreadId) -> Option<EventId> {
+        self.trace.fork_of(t).filter(|&f| self.contains(f))
+    }
+
+    /// Thread `t`'s in-view `End` event, if any (an `End` is its thread's
+    /// last event).
+    pub fn end_of(&self, t: ThreadId) -> Option<EventId> {
+        let last = self.thread_events(t).last().copied();
+        last.filter(|&e| matches!(self.event(e).kind, EventKind::End))
+    }
+
     /// Position of `e` within its thread's events *inside the view*.
     #[inline]
     pub fn vpos(&self, e: EventId) -> usize {

@@ -43,13 +43,13 @@ pub use rvbaselines::{
     CpDetector, HbDetector, MaximalDetector, RaceDetectorTool, SaidDetector, ToolReport,
 };
 pub use rvcore::{
-    encode, encode_with_skeleton, extract_witness, oracle_atomicity, oracle_deadlocks,
-    oracle_races, AtomicPair, AtomicityDetector, AtomicityReport, AtomicityViolation, Cone,
-    ConsistencyMode, DeadlockCycle, DeadlockDetector, DeadlockReport, DetectionReport,
-    DetectionStats, DetectorConfig, EncoderOptions, FailedWindow, Fault, FaultPlan, Histogram,
-    Kind, Metrics, PhaseTimer, PublishedSet, RaceDetector, RaceReport, SolverTotals,
-    StreamDetection, Tier, TierAnalysis, TierDecision, UndecidedReason, WindowMode, WindowResult,
-    WindowSkeleton, Witness, METRICS_SCHEMA_VERSION, SPILL_EVENT_BYTES,
+    construct_witness, encode, encode_with_skeleton, extract_witness, oracle_atomicity,
+    oracle_deadlocks, oracle_races, AtomicPair, AtomicityDetector, AtomicityReport,
+    AtomicityViolation, Cone, ConsistencyMode, DeadlockCycle, DeadlockDetector, DeadlockReport,
+    DetectionReport, DetectionStats, DetectorConfig, EncoderOptions, FailedWindow, Fault,
+    FaultPlan, Histogram, Kind, Metrics, PhaseTimer, PublishedSet, RaceDetector, RaceReport,
+    SolverTotals, StreamDetection, Tier, TierAnalysis, TierDecision, UndecidedReason, WindowMode,
+    WindowResult, WindowSkeleton, Witness, METRICS_SCHEMA_VERSION, SPILL_EVENT_BYTES,
 };
 // `rvinstrument::Session` (below) already owns the bare `Session` name, so
 // the daemon-side detection session is re-exported as `DetectionSession`.

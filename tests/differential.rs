@@ -7,8 +7,9 @@
 
 use rvcore::{encode, oracle_races, EncoderOptions};
 use rvpredict::{
-    check_consistency, check_schedule, Budget, Cop, CpDetector, DetectorConfig, HbDetector,
-    RaceDetector, RaceDetectorTool, RaceSignature, SaidDetector, SmtResult, Solver, ViewExt,
+    check_consistency, check_schedule, construct_witness, schedule_read_values, Budget,
+    ConsistencyMode, Cop, CpDetector, DetectorConfig, HbDetector, RaceDetector, RaceDetectorTool,
+    RaceSignature, SaidDetector, SmtResult, Solver, TierAnalysis, TierDecision, ViewExt,
 };
 use rvsim::rng::SmallRng;
 use rvsim::stmts::*;
@@ -416,16 +417,63 @@ fn tiers_are_verdict_and_witness_identical() {
     );
 }
 
+/// The encoder's verdict on `cop` over the whole trace.
+fn encoder_verdict(view: &rvpredict::View<'_>, cop: Cop, mode: ConsistencyMode) -> SmtResult {
+    let opts = EncoderOptions {
+        mode,
+        ..Default::default()
+    };
+    let enc = encode(view, cop, opts);
+    let mut s = Solver::new(&enc.fb);
+    s.hint_atom_phases(|a| enc.phase_hint(a));
+    s.solve(&Budget::UNLIMITED)
+}
+
+/// Checks a witness the constructor accepted for `cop`: it passes the
+/// schedule checker, has the race shape (the pair last in control-flow
+/// mode, adjacent in whole-trace mode), replays every required read to
+/// its original value, and the encoder agrees the COP is a race.
+fn assert_constructed_witness_valid(
+    view: &rvpredict::View<'_>,
+    cop: Cop,
+    mode: ConsistencyMode,
+    witness: &rvpredict::Witness,
+    what: &str,
+) {
+    let s = &witness.schedule.0;
+    check_schedule(view, &witness.schedule)
+        .unwrap_or_else(|e| panic!("constructed witness fails check_schedule ({e}): {what}"));
+    let shaped = match mode {
+        ConsistencyMode::ControlFlow => s.ends_with(&[cop.first, cop.second]),
+        ConsistencyMode::WholeTrace => s.windows(2).any(|w| w == [cop.first, cop.second]),
+    };
+    assert!(shaped, "constructed witness lacks the race shape: {what}");
+    let values = schedule_read_values(view, &witness.schedule);
+    for &r in &witness.required_reads {
+        assert_eq!(
+            values.get(&r).copied(),
+            view.event(r).kind.value(),
+            "constructed witness changes required read {r}: {what}"
+        );
+    }
+    assert_eq!(
+        encoder_verdict(view, cop, mode),
+        SmtResult::Sat,
+        "constructed a witness for a refuted COP: {what}"
+    );
+}
+
 /// Oracle arbitration of the screens themselves, COP by COP: everything
 /// Tier A confirms must be a race the brute-force oracle proves, and
 /// nothing Tier B refutes may be one (tier-confirmed ⊆ oracle-confirmed,
 /// tier-refuted ∩ oracle-confirmed = ∅). Also checked against the
 /// encoder's own verdict in both consistency modes, which is the exact
-/// byte-identity contract the detector relies on.
+/// byte-identity contract the detector relies on. Every witness the
+/// constructor accepts is replayed and checked, and the constructor
+/// accepts exactly the COPs Tier A confirms (unless Tier B refuted them
+/// first).
 #[test]
 fn tier_decisions_agree_with_oracle_and_encoder() {
-    use rvpredict::{ConsistencyMode, TierAnalysis, TierDecision};
-
     let mut rng = SmallRng::seed_from_u64(0x0DD5);
     // `PROPTEST_CASES` kept its name when the suite moved off proptest.
     let cases: usize = std::env::var("PROPTEST_CASES")
@@ -454,14 +502,19 @@ fn tier_decisions_agree_with_oracle_and_encoder() {
             let mut tiers = TierAnalysis::new(&view, mode, true);
             for &cop in &en.cops {
                 let decision = tiers.decide(&cop);
-                let opts = EncoderOptions {
-                    mode,
-                    ..Default::default()
-                };
-                let enc = encode(&view, cop, opts);
-                let mut s = Solver::new(&enc.fb);
-                s.hint_atom_phases(|a| enc.phase_hint(a));
-                let verdict = s.solve(&Budget::UNLIMITED);
+                let verdict = encoder_verdict(&view, cop, mode);
+                let what = format!("{mode:?} {cop:?} on trace {:?}", trace.events());
+                let built = construct_witness(&view, cop, mode);
+                if let Some(w) = &built {
+                    assert_constructed_witness_valid(&view, cop, mode, w, &what);
+                }
+                if decision != TierDecision::Refuted {
+                    assert_eq!(
+                        built.is_some(),
+                        decision == TierDecision::Confirmed,
+                        "Tier A is not the constructor: {what}"
+                    );
+                }
                 match decision {
                     TierDecision::Confirmed => {
                         confirms += 1;
@@ -509,6 +562,124 @@ fn tier_decisions_agree_with_oracle_and_encoder() {
     assert!(refutes > 0, "the workload never exercised a refutation");
 }
 
+/// One seeded trace of two waiters on one lock, woken in turn by a
+/// notifier `n`. The second waiter publishes a flag `f` before it waits,
+/// and `n` reads `f` under the lock right before its first notify, then
+/// branches. With the waits overlapping (both waiters block before the
+/// first notify) that read forces the first notify inside the second
+/// wait's release–acquire span whenever the read keeps its value — which
+/// the encoder's cross-link constraint forbids, and `check_schedule`
+/// alone does not check. Unsynchronized accesses to `y` by main and `n`
+/// sit at random points. Returns the trace and whether the waits overlap.
+fn two_waits(rng: &mut SmallRng) -> (rvpredict::Trace, bool) {
+    use rvpredict::{ThreadId, TraceBuilder};
+    let mut b = TraceBuilder::new();
+    let main = ThreadId::MAIN;
+    let (w1, w2, n) = (b.fork(main), b.fork(main), b.fork(main));
+    let l = b.new_lock("l");
+    let (x, y, f) = (b.var("x"), b.var("y"), b.var("f"));
+    let overlap = rng.gen_bool();
+    // Steps: 0/1 waiter 1 waits/wakes, 2/3 waiter 2 waits/wakes, 4/5 the
+    // notifies. Main's `y` write and `n`'s `y` access go before the step
+    // numbered by their slot.
+    let steps: [usize; 6] = if overlap {
+        [0, 2, 4, 1, 5, 3]
+    } else {
+        [0, 4, 1, 2, 5, 3]
+    };
+    let (main_slot, n_slot) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
+    let n_writes = rng.gen_bool();
+    let (mut tokens, mut notifies) = (Vec::new(), Vec::new());
+    for (slot, step) in steps.iter().copied().map(Some).chain([None]).enumerate() {
+        if slot == main_slot {
+            b.write(main, y, 1);
+        }
+        if slot == n_slot {
+            if n_writes {
+                b.write(n, y, 2);
+            } else {
+                b.read_current(n, y);
+            }
+        }
+        match step {
+            Some(0) => {
+                b.acquire(w1, l);
+                tokens.push(b.wait_begin(w1, l));
+            }
+            Some(2) => {
+                b.acquire(w2, l);
+                b.write(w2, f, 1);
+                b.write(w2, x, 1);
+                tokens.push(b.wait_begin(w2, l));
+            }
+            Some(4) | Some(5) => {
+                b.acquire(n, l);
+                if step == Some(4) {
+                    b.read_current(n, f);
+                }
+                notifies.push(b.notify(n, l));
+                b.release(n, l);
+                if step == Some(4) {
+                    b.branch(n);
+                }
+            }
+            Some(1) | Some(3) => {
+                let k = usize::from(step == Some(3));
+                let (w, token) = ([w1, w2][k], tokens[k]);
+                b.wait_end(token, Some(notifies[k]));
+                b.read_current(w, x);
+                b.release(w, l);
+            }
+            _ => {}
+        }
+    }
+    (b.finish(), overlap)
+}
+
+/// The constructor checks the encoder's cross-link constraint on its
+/// schedule's completion: over seeded two-waiter traces, every witness it
+/// accepts replays and is confirmed by the encoder in both modes, it
+/// accepts exactly what Tier A confirms, and it declines some
+/// encoder-refuted COP whose waits overlap as well as confirming some
+/// race whose waits do not.
+#[test]
+fn constructed_witnesses_respect_cross_wait_links() {
+    let mut rng = SmallRng::seed_from_u64(0x2A17);
+    let (mut declined_overlapping, mut confirmed_disjoint) = (0, 0);
+    for _ in 0..24 {
+        let (trace, overlap) = two_waits(&mut rng);
+        assert!(check_consistency(&trace).is_empty(), "{:?}", trace.events());
+        let view = trace.full_view();
+        let cops = rvcore::enumerate_cops(&view, false, usize::MAX).cops;
+        for mode in [ConsistencyMode::ControlFlow, ConsistencyMode::WholeTrace] {
+            let mut tiers = TierAnalysis::new(&view, mode, true);
+            for &cop in &cops {
+                let decision = tiers.decide(&cop);
+                let what = format!("{mode:?} {cop:?} on trace {:?}", trace.events());
+                let built = construct_witness(&view, cop, mode);
+                if let Some(w) = &built {
+                    assert_constructed_witness_valid(&view, cop, mode, w, &what);
+                    confirmed_disjoint += usize::from(!overlap);
+                } else if overlap && encoder_verdict(&view, cop, mode) == SmtResult::Unsat {
+                    declined_overlapping += 1;
+                }
+                if decision != TierDecision::Refuted {
+                    assert_eq!(
+                        built.is_some(),
+                        decision == TierDecision::Confirmed,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        declined_overlapping > 0,
+        "no overlapping-wait COP was refuted"
+    );
+    assert!(confirmed_disjoint > 0, "no disjoint-wait COP was confirmed");
+}
+
 /// A deterministic regression of the differential harness on Figure 1.
 #[test]
 fn figure1_differential() {
@@ -540,8 +711,8 @@ fn retained_clauses_are_inert_after_a_cop_retires() {
     // its read of `g`, which `p` publishes. That is a read fact, not MHB,
     // so the two justifiers share no MHB dominator after the payload
     // write and Tier B cannot refute. The payload COP survives the quick
-    // check, fails Tier A's replay, and the solver refutes it — learning
-    // clauses while its selector is assumed.
+    // check, fails Tier A's construction, and the solver refutes it —
+    // learning clauses while its selector is assumed.
     for k in 0..2 {
         let y = b.var(&format!("y{k}"));
         let f = b.var(&format!("f{k}"));

@@ -283,3 +283,82 @@ fn zero_conflict_budget_keeps_partition_intact() {
     let s = &report.stats;
     assert_eq!(s.sat + s.unsat + s.undecided, s.cops_solved);
 }
+
+/// A `kinds_all`-shaped trace: `units` independent units, each two fresh
+/// threads nesting two fresh locks in opposite orders around a protected
+/// payload, and an unprotected read-modify-write of a fresh counter by
+/// each thread in turn (the seed picks the order of the sections).
+fn kinds_units(rng: &mut SmallRng, units: usize) -> rvtrace::Trace {
+    let mut b = TraceBuilder::new();
+    for u in 0..units {
+        let ts = [b.fork(ThreadId::MAIN), b.fork(ThreadId::MAIN)];
+        let (la, lb) = (b.new_lock(&format!("a{u}")), b.new_lock(&format!("b{u}")));
+        let (p, x) = (b.var(&format!("p{u}")), b.var(&format!("x{u}")));
+        let locks = |b: &mut TraceBuilder| {
+            for (i, (t, outer, inner)) in [(ts[0], la, lb), (ts[1], lb, la)].into_iter().enumerate()
+            {
+                b.acquire(t, outer);
+                b.acquire(t, inner);
+                if i == 0 {
+                    b.write(t, p, 1);
+                } else {
+                    b.read(t, p, 1);
+                }
+                b.release(t, inner);
+                b.release(t, outer);
+            }
+        };
+        let counter_first = rng.gen_bool();
+        if !counter_first {
+            locks(&mut b);
+        }
+        for (k, &t) in ts.iter().enumerate() {
+            b.read(t, x, k as i64);
+            b.write(t, x, k as i64 + 1);
+        }
+        if counter_first {
+            locks(&mut b);
+        }
+    }
+    b.finish()
+}
+
+/// Every race of a `kinds_all`-shaped trace is witnessed by the
+/// constructor: Tier A confirms them all, the solver never runs and no
+/// witness falls back to the canonical re-solve. Figure 1's race needs a
+/// lock region moved ahead of another, so its witness is the one
+/// fallback. The count-type metrics are byte-identical at 1, 2 and 4
+/// workers.
+#[test]
+fn constructor_witnesses_every_kinds_race_and_counts_fallbacks() {
+    let trace = kinds_units(&mut SmallRng::seed_from_u64(0x4B1D), 8);
+    let mut docs = Vec::new();
+    for parallelism in [1usize, 2, 4] {
+        let report = detect(
+            &trace,
+            DetectorConfig {
+                parallelism,
+                window_size: 60,
+                kind: rvpredict::Kind::All,
+                ..Default::default()
+            },
+        );
+        let s = &report.stats;
+        assert_eq!(report.n_races(), 8 * 3, "{report}");
+        assert_eq!(s.tier_confirmed, report.n_races(), "{report}");
+        assert_eq!(s.solver_totals.solves, 0, "{report}");
+        assert_eq!(s.witness_fallbacks, 0, "{report}");
+        let doc = report.to_metrics().without_timings().to_json();
+        assert!(doc.contains("\"detector.witness_fallbacks\": 0"), "{doc}");
+        docs.push(doc);
+    }
+    assert_eq!(docs[0], docs[1], "metrics drifted from 1 to 2 workers");
+    assert_eq!(docs[0], docs[2], "metrics drifted from 1 to 4 workers");
+
+    let figure1 = rvpredict::workloads::figures::figure1();
+    let report = detect(&figure1.trace, DetectorConfig::default());
+    assert_eq!(report.n_races(), 1, "{report}");
+    assert_eq!(report.stats.witness_fallbacks, 1, "{report}");
+    let doc = report.to_metrics().without_timings().to_json();
+    assert!(doc.contains("\"detector.witness_fallbacks\": 1"), "{doc}");
+}

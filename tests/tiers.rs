@@ -45,7 +45,7 @@ fn solver_verdict(trace: &Trace, cop: Cop, mode: ConsistencyMode) -> SmtResult {
 
 // ------------------------------------------------------------ Tier A
 
-/// A sync-free racy pair: Tier A must confirm it by replay, with the
+/// A sync-free racy pair: Tier A must confirm it by construction, with the
 /// solver never invoked on the screen's behalf (`solver_totals` sums the
 /// per-COP deltas, and a tier confirmation has none).
 #[test]
@@ -111,7 +111,7 @@ fn tier_b_refutes_flag_handoff_pair() {
 
 /// A COP neither screen can decide must reach the solver: the lock-split
 /// exchange needs a reordering that swaps two critical sections, which
-/// Tier A's prefix-plus-adjacent replay cannot produce and Tier B cannot
+/// Tier A's trace-order witness cannot express and Tier B cannot
 /// refute. The solver still proves it a race, so the verdicts agree.
 #[test]
 fn residue_cop_reaches_the_solver() {
