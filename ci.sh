@@ -39,9 +39,11 @@ if [ "${1:-}" != "quick" ]; then
     # Each named workload is emitted in both formats and detected whole-file
     # from each format and streamed from NDJSON. Exit codes must agree and
     # reports must match modulo wall-clock (the `, solver ..., wall ...`
-    # tail and the `window times:` line). The names come from emit_trace's
-    # own usage text, so a new workload joins the sweep without touching
-    # this script.
+    # tail and the `window times:` line). A second pass runs every violation
+    # class with witnesses (`--kind all --witnesses`), whole-file vs
+    # streamed, under the same two requirements. The names come from
+    # emit_trace's own usage text, so a new workload joins the sweep
+    # without touching this script.
     workloads=$(./target/release/emit_trace --help 2>&1 | sed -n 's/^workloads: //p' | tr -d ',')
     [ -n "$workloads" ]
     for name in $workloads; do
@@ -71,6 +73,22 @@ if [ "${1:-}" != "quick" ]; then
         done
         diff "$out.whole.stripped" "$out.stream.stripped"
         diff "$out.ndwhole.stripped" "$out.stream.stripped"
+        kinds_code=0
+        ./target/release/rvpredict --kind all --witnesses --window 1000 "$out.json" \
+            > "$out.kinds.out" || kinds_code=$?
+        kinds_stream_code=0
+        ./target/release/rvpredict --kind all --witnesses --stream --window 1000 \
+            "$out.ndjson" > "$out.kinds_stream.out" || kinds_stream_code=$?
+        [ "$kinds_code" = "$kinds_stream_code" ] || {
+            echo "workload sweep: $name --kind all exits $kinds_code whole-file," \
+                "$kinds_stream_code streamed" >&2
+            exit 1
+        }
+        for side in kinds kinds_stream; do
+            sed -e 's/, solver .*//' -e '/window times:/d' \
+                "$out.$side.out" > "$out.$side.stripped"
+        done
+        diff "$out.kinds.stripped" "$out.kinds_stream.stripped"
     done
 
     say "stream smoke (streamed and stdin vs whole-file: identical report + metrics)"

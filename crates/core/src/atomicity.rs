@@ -14,16 +14,18 @@
 //! same thread — the shape emitted by `fetch_add`-style updates), or can be
 //! supplied explicitly. Soundness carries over from Theorem 1: a satisfying
 //! model yields a consistent witness reordering, validated before reporting.
+//!
+//! This module enumerates the candidate triples and validates the
+//! witnesses; the solving is the window's one
+//! [`GoalSession`](crate::GoalSession), with one [`Goal::Between`] per
+//! triple. The session never slices: the serialization obligations roam
+//! the whole window, which the COP cone analysis does not model.
 
-use std::collections::HashSet;
-use std::time::Instant;
-
-use rvsmt::{Budget, SmtResult, Solver};
 use rvtrace::{EventId, RaceSignature, Schedule, Trace, View};
 
 use crate::config::{DetectorConfig, Kind};
-use crate::detector::{clamp_budget, past_deadline, RaceDetector};
-use crate::encoder::{encode_between, EncoderOptions};
+use crate::detector::{decide_goals, RaceDetector};
+use crate::encoder::Goal;
 use crate::report::{replay, Verdict};
 use crate::witness::{build_witness_core, Order};
 
@@ -159,142 +161,96 @@ impl AtomicityDetector {
     }
 }
 
-/// The atomicity job of one window: every candidate triple's verdict, as
-/// a pure function of the window and `pairs`. A candidate reached after
-/// the window deadline is unknown, and each solve's budget is clamped to
-/// the time left.
-pub(crate) fn solve_window(
-    cfg: &DetectorConfig,
-    view: &View<'_>,
-    pairs: &[AtomicPair],
-) -> AtomicityWindow {
-    let deadline = cfg
-        .window_timeout
-        .and_then(|t| Instant::now().checked_add(t));
-    let trace = view.trace();
-    // Candidate triples: for each pair on x, every remote access to x
-    // conflicting with the pair (any remote write; remote reads only if
-    // the pair writes — here second is a write, so both qualify).
-    let mut triples: Vec<(AtomicPair, EventId)> = Vec::new();
+/// The candidate triples of `pairs` in one window: for each pair on a
+/// non-volatile variable, every remote access to it (any remote write
+/// conflicts with the pair, and so does any remote read, since the pair's
+/// second access is a write).
+fn triples(view: &View<'_>, pairs: &[AtomicPair]) -> Vec<(AtomicPair, EventId)> {
+    let mut triples = Vec::new();
     for &pair in pairs {
         let var = view
             .event(pair.first)
             .kind
             .var()
             .expect("pair accesses a var");
-        if trace.is_volatile(var) {
+        if view.trace().is_volatile(var) {
             continue;
         }
         let thread = view.event(pair.first).thread;
-        let push = |b: EventId, triples: &mut Vec<_>| {
-            if view.event(b).thread != thread {
-                triples.push((pair, b));
-            }
-        };
-        for &wr in view.writes_of(var) {
-            push(wr, &mut triples);
-        }
-        for &r in view.reads_of(var) {
-            push(r, &mut triples);
-        }
+        let remote = view.writes_of(var).iter().chain(view.reads_of(var));
+        triples.extend(
+            remote
+                .filter(|&&b| view.event(b).thread != thread)
+                .map(|&b| (pair, b)),
+        );
     }
-    let signature = |&(pair, b): &(AtomicPair, EventId)| {
+    triples
+}
+
+/// A triple's session goal: `b` serialized between the pair's accesses.
+fn between((pair, b): (AtomicPair, EventId)) -> Goal {
+    Goal::Between([pair.first, b, pair.second])
+}
+
+/// The candidate triples of `pairs` in one window as session goals
+/// `[a₁, b, a₂]`, in the order its atomicity job decides them.
+pub fn candidates(view: &View<'_>, pairs: &[AtomicPair]) -> Vec<Goal> {
+    triples(view, pairs).into_iter().map(between).collect()
+}
+
+/// The atomicity job of one window: every candidate triple's verdict, as
+/// a pure function of the window and `pairs`, decided on the window's one
+/// session.
+pub(crate) fn solve_window(
+    cfg: &DetectorConfig,
+    view: &View<'_>,
+    pairs: &[AtomicPair],
+) -> AtomicityWindow {
+    let triples = triples(view, pairs);
+    let goals: Vec<Goal> = triples.iter().copied().map(between).collect();
+    let signature = |(pair, b): (AtomicPair, EventId)| {
         RaceSignature::new(view.event(pair.first).loc, view.event(b).loc)
     };
-    let mut out = AtomicityWindow {
+    let signatures = triples.iter().map(|&t| signature(t)).collect();
+    let records = decide_goals(cfg, view, &goals, signatures, |i, session| {
+        let (pair, b) = triples[i];
+        let key = |e: EventId| (session.value(e), e.index() as u64);
+        let witness = build_witness_core(
+            view,
+            &[pair.first, b, pair.second],
+            session.required_branches(i),
+            cfg.mode,
+            &Order::Key(&key),
+        );
+        // The remote access must land strictly between.
+        let violation = witness.ok().filter(|w| {
+            let pos = |x: EventId| {
+                w.schedule
+                    .0
+                    .iter()
+                    .position(|&e| e == x)
+                    .expect("anchor in closure")
+            };
+            pos(pair.first) < pos(b) && pos(b) < pos(pair.second)
+        });
+        violation.map(|w| AtomicityViolation {
+            pair,
+            interleaved: b,
+            signature: signature(triples[i]),
+            schedule: w.schedule,
+        })
+    });
+    AtomicityWindow {
         candidates: triples.len(),
-        records: Vec::with_capacity(triples.len()),
-    };
-    // An already-expired deadline skips the shared encoding entirely.
-    if triples.is_empty() || past_deadline(deadline) {
-        out.records = triples
-            .iter()
-            .map(|t| (signature(t), Verdict::Unknown))
-            .collect();
-        return out;
+        records,
     }
-
-    // Share one incremental encoding: base Φ plus one selector per
-    // triple guarding O_{a1} < O_b < O_{a2} and, under control flow,
-    // the π_cf obligations of all three events.
-    // `encode_between` never slices (the serialization obligations are
-    // not modeled by the COP cone analysis), so `slice` is left off.
-    let opts = EncoderOptions {
-        mode: cfg.mode,
-        prune_write_sets: cfg.prune_write_sets,
-        slice: false,
-    };
-    let raw: Vec<(EventId, EventId, EventId)> = triples
-        .iter()
-        .map(|&(p, b)| (p.first, b, p.second))
-        .collect();
-    let encoded = encode_between(view, &raw, opts);
-    let mut solver = Solver::new(&encoded.fb);
-    if cfg.phase_hints {
-        solver.hint_atom_phases(|a| encoded.phase_hint(a));
-    }
-    let budget = Budget {
-        max_conflicts: cfg.max_conflicts,
-        timeout: Some(cfg.solver_timeout),
-    };
-
-    let mut seen: HashSet<RaceSignature> = HashSet::new();
-    for (i, triple) in triples.iter().enumerate() {
-        let (pair, b) = *triple;
-        let signature = signature(triple);
-        if past_deadline(deadline) {
-            out.records.push((signature, Verdict::Unknown));
-            continue;
-        }
-        if cfg.dedup_signatures && seen.contains(&signature) {
-            continue;
-        }
-        let budget = clamp_budget(&budget, deadline);
-        let verdict = match solver.solve_assuming(&budget, &[encoded.selectors[i]]) {
-            SmtResult::Unsat => Verdict::Unsat,
-            SmtResult::Unknown(_) => Verdict::Unknown,
-            SmtResult::Sat => {
-                let val =
-                    |e: EventId| solver.int_value(encoded.ovars[e.index() - encoded.view_start]);
-                let key = |e: EventId| (val(e), e.index() as u64);
-                let witness = build_witness_core(
-                    view,
-                    &[pair.first, b, pair.second],
-                    &encoded.required_branches[i],
-                    cfg.mode,
-                    &Order::Key(&key),
-                );
-                // The remote access must land strictly between.
-                let violation = witness.ok().filter(|w| {
-                    let pos = |x: EventId| {
-                        w.schedule
-                            .0
-                            .iter()
-                            .position(|&e| e == x)
-                            .expect("anchor in closure")
-                    };
-                    pos(pair.first) < pos(b) && pos(b) < pos(pair.second)
-                });
-                Verdict::Sat(violation.map(|w| {
-                    seen.insert(signature);
-                    AtomicityViolation {
-                        pair,
-                        interleaved: b,
-                        signature,
-                        schedule: w.schedule,
-                    }
-                }))
-            }
-        };
-        out.records.push((signature, verdict));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvtrace::{ThreadId, TraceBuilder, ViewExt};
+    use std::collections::HashSet;
 
     /// The canonical lost update: two unprotected increments.
     #[test]

@@ -7,19 +7,23 @@
 //! holds lock `lᵢ` and its next event is a (write-mode) acquire of
 //! `l_{i+1 mod k}`.
 //!
-//! The encoding is the `Φ_race`-analogue over `Φ_mhb ∧ Φ_lock ∧ Φ_cf`: a
-//! fresh order variable `D` marks the deadlock point, `Φ_lock` becomes
-//! *conditional* (spans acquired after `D` are exempt from serialization —
-//! the deadlocked state has cycle spans open, which an unconditional
-//! `Φ_lock` would contradict), every branch before `D` must be concretely
-//! feasible (`D < O_b ∨ cf(b)`), and each cycle thread's blocked acquire is
-//! pinned just past `D` while its program-order prefix — including the hold
-//! of its contributed lock — lands before `D`. A satisfying model's
-//! `{e : O_e < D}` prefix, sorted by model value, is a consistent
-//! data-abstract schedule ending in the circular wait; it is validated with
-//! [`check_schedule`] plus a lock-state replay before anything is reported
-//! (soundness, the Theorem-1 argument verbatim — the witness is a feasible
-//! prefix, and prefixes of feasible traces are feasible).
+//! This module enumerates the candidates and validates the witnesses; the
+//! solving is the window's one [`GoalSession`](crate::GoalSession), with one
+//! [`Goal::Deadlock`] per candidate cycle. The goal is the
+//! `Φ_race`-analogue over `Φ_mhb ∧ Φ_lock ∧ Φ_cf`: the session's cut `D`
+//! marks the deadlock point, `Φ_lock` is *conditional* (spans acquired
+//! after `D` are exempt from serialization — the deadlocked state has
+//! cycle spans open, which an unconditional `Φ_lock` would contradict),
+//! the window's prefix-feasibility literal `pf` makes every branch before
+//! `D` concretely feasible (`D < O_b ∨ cf(b)`), and each cycle thread's
+//! blocked acquire is pinned just past `D` while its program-order prefix
+//! — including the hold of its contributed lock — lands before `D`. A
+//! satisfying model's `{e : O_e < D}` prefix, sorted by model value, is a
+//! consistent data-abstract schedule ending in the circular wait; it is
+//! validated with [`check_schedule`] plus a lock-state replay before
+//! anything is reported (soundness, the Theorem-1 argument verbatim — the
+//! witness is a feasible prefix, and prefixes of feasible traces are
+//! feasible).
 //!
 //! Candidates come from a linear acquires-while-holding scan per thread and
 //! a bounded simple-cycle search, so the SMT work is proportional to the
@@ -29,15 +33,13 @@
 //! acquire-while-holding edges are enumerated, matching
 //! [`oracle_deadlocks`](crate::oracle::oracle_deadlocks).
 
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::collections::HashMap;
 
-use rvsmt::{Budget, SmtResult, Solver};
 use rvtrace::{check_schedule, EventId, EventKind, LockId, Schedule, ThreadId, Trace, View};
 
 use crate::config::{DetectorConfig, Kind};
-use crate::detector::{clamp_budget, past_deadline, RaceDetector};
-use crate::encoder::{encode_deadlock, EncoderOptions};
+use crate::detector::{decide_goals, RaceDetector};
+use crate::encoder::Goal;
 use crate::report::{replay, Verdict};
 
 /// Bound on enumerated cycle length (threads in one deadlock). Inversions
@@ -186,10 +188,35 @@ fn dfs(edges: &[HoldEdge], s: usize, path: &mut Vec<usize>, out: &mut Vec<Vec<Ho
     }
 }
 
+/// The window's candidate cycles, in enumeration order: each the blocked
+/// acquires of one lock cycle, in cycle order (thread `i` waits on the
+/// lock held by thread `i+1`).
+fn cycles(view: &View<'_>) -> Vec<Vec<EventId>> {
+    enumerate_cycles(&hold_edges(view))
+        .into_iter()
+        .map(|cycle| cycle.iter().map(|e| e.acquire).collect())
+        .collect()
+}
+
+/// The window's candidate cycles as session goals, in the order its
+/// deadlock job decides them.
+pub fn candidates(view: &View<'_>) -> Vec<Goal> {
+    cycles(view).into_iter().map(Goal::Deadlock).collect()
+}
+
+/// The lock a blocked acquire requests.
+fn wanted(view: &View<'_>, acquire: EventId) -> LockId {
+    view.event(acquire)
+        .kind
+        .lock()
+        .expect("a cycle acquire names its lock")
+}
+
 /// Replays the witness prefix and checks the circular wait: each cycle
 /// thread's next unscheduled event is its blocked acquire, it still holds
-/// its contributed lock, and the wanted lock is held by another thread.
-fn circular_wait(view: &View<'_>, schedule: &Schedule, cycle: &[HoldEdge]) -> bool {
+/// its contributed lock (the one its predecessor in the cycle requests),
+/// and the lock it requests is held by another thread.
+fn circular_wait(view: &View<'_>, schedule: &Schedule, acquires: &[EventId]) -> bool {
     let mut holder: HashMap<LockId, ThreadId> = view
         .held_at_start()
         .iter()
@@ -210,14 +237,19 @@ fn circular_wait(view: &View<'_>, schedule: &Schedule, cycle: &[HoldEdge]) -> bo
         }
         *pos.entry(e.thread).or_insert(0) += 1;
     }
-    cycle.iter().all(|e| {
+    let k = acquires.len();
+    (0..k).all(|i| {
+        let (acquire, thread) = (acquires[i], view.event(acquires[i]).thread);
+        let held = wanted(view, acquires[(i + k - 1) % k]);
         let next = view
-            .thread_events(e.thread)
-            .get(pos.get(&e.thread).copied().unwrap_or(0))
+            .thread_events(thread)
+            .get(pos.get(&thread).copied().unwrap_or(0))
             .copied();
-        next == Some(e.acquire)
-            && holder.get(&e.held) == Some(&e.thread)
-            && holder.get(&e.wanted).is_some_and(|&h| h != e.thread)
+        next == Some(acquire)
+            && holder.get(&held) == Some(&thread)
+            && holder
+                .get(&wanted(view, acquire))
+                .is_some_and(|&h| h != thread)
     })
 }
 
@@ -249,76 +281,43 @@ impl DeadlockDetector {
 }
 
 /// The deadlock job of one window: every candidate cycle's verdict, as a
-/// pure function of the window. A candidate reached after the window
-/// deadline is unknown, and each solve's budget is clamped to the time
-/// left.
+/// pure function of the window, decided on the window's one session.
 pub(crate) fn solve_window(cfg: &DetectorConfig, view: &View<'_>) -> DeadlockWindow {
-    let deadline = cfg
-        .window_timeout
-        .and_then(|t| Instant::now().checked_add(t));
-    let cycles = enumerate_cycles(&hold_edges(view));
-    let mut out = DeadlockWindow {
-        candidates: cycles.len(),
-        records: Vec::with_capacity(cycles.len()),
-    };
-    let opts = EncoderOptions {
-        mode: cfg.mode,
-        prune_write_sets: cfg.prune_write_sets,
-        // The prefix obligations are not modeled by the cone analysis.
-        slice: false,
-    };
-    let budget = Budget {
-        max_conflicts: cfg.max_conflicts,
-        timeout: Some(cfg.solver_timeout),
-    };
-    let mut seen: HashSet<Vec<LockId>> = HashSet::new();
-    for cycle in cycles {
-        let mut signature: Vec<LockId> = cycle.iter().map(|e| e.held).collect();
-        signature.sort();
-        if past_deadline(deadline) {
-            out.records.push((signature, Verdict::Unknown));
-            continue;
-        }
-        if cfg.dedup_signatures && seen.contains(&signature) {
-            continue;
-        }
-        let acquires: Vec<EventId> = cycle.iter().map(|e| e.acquire).collect();
-        let encoded = encode_deadlock(view, &acquires, opts);
-        let mut solver = Solver::new(&encoded.fb);
-        if cfg.phase_hints {
-            solver.hint_atom_phases(|a| encoded.phase_hint(a));
-        }
-        let verdict = match solver.solve(&clamp_budget(&budget, deadline)) {
-            SmtResult::Unsat => Verdict::Unsat,
-            SmtResult::Unknown(_) => Verdict::Unknown,
-            SmtResult::Sat => {
-                // The witness: every event the model orders before D,
-                // by (model value, event id) — a per-thread prefix.
-                let d = solver.int_value(encoded.dvar);
-                let mut prefix: Vec<(i64, EventId)> = view
-                    .ids()
-                    .filter_map(|id| {
-                        let v = solver.int_value(encoded.ovar(id));
-                        (v < d).then_some((v, id))
-                    })
-                    .collect();
-                prefix.sort();
-                let schedule = Schedule(prefix.into_iter().map(|(_, id)| id).collect());
-                let valid = check_schedule(view, &schedule).is_ok()
-                    && circular_wait(view, &schedule, &cycle);
-                if valid {
-                    seen.insert(signature.clone());
-                }
-                Verdict::Sat(valid.then(|| DeadlockCycle {
-                    locks: signature.clone(),
-                    acquires,
-                    schedule,
-                }))
-            }
-        };
-        out.records.push((signature, verdict));
+    let cycles = cycles(view);
+    let goals: Vec<Goal> = cycles.iter().cloned().map(Goal::Deadlock).collect();
+    // A cycle's signature: its locks, sorted.
+    let signatures: Vec<Vec<LockId>> = cycles
+        .iter()
+        .map(|acquires| {
+            let mut locks: Vec<LockId> = acquires.iter().map(|&a| wanted(view, a)).collect();
+            locks.sort();
+            locks
+        })
+        .collect();
+    let records = decide_goals(cfg, view, &goals, signatures.clone(), |i, session| {
+        let acquires = &cycles[i];
+        // The witness: every event the model orders before D, by (model
+        // value, event id) — a per-thread prefix.
+        let d = session.cut();
+        let mut prefix: Vec<(i64, EventId)> = view
+            .ids()
+            .map(|id| (session.value(id), id))
+            .filter(|&(v, _)| v < d)
+            .collect();
+        prefix.sort();
+        let schedule = Schedule(prefix.into_iter().map(|(_, id)| id).collect());
+        let valid =
+            check_schedule(view, &schedule).is_ok() && circular_wait(view, &schedule, acquires);
+        valid.then(|| DeadlockCycle {
+            locks: signatures[i].clone(),
+            acquires: acquires.clone(),
+            schedule,
+        })
+    });
+    DeadlockWindow {
+        candidates: goals.len(),
+        records,
     }
-    out
 }
 
 #[cfg(test)]

@@ -58,6 +58,7 @@
 //! [`DetectionStats`]: crate::report::DetectionStats
 
 use std::collections::{BTreeMap, HashSet};
+use std::hash::Hash;
 use std::io::Read;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,16 +67,18 @@ use std::time::{Duration, Instant};
 
 use rvsmt::{Budget, SmtResult, Solver, StopReason};
 use rvtrace::{
-    validate_wait_links, Cop, CursorWindow, IngestStats, JsonError, RaceSignature, Schedule,
-    StraddlePlan, StreamParser, Trace, View, WindowCursor,
+    validate_wait_links, Cop, CursorWindow, EventId, IngestStats, JsonError, RaceSignature,
+    Schedule, StraddlePlan, StreamParser, Trace, View, WindowCursor,
 };
 
 use crate::atomicity::{self, infer_rmw_pairs, AtomicityWindow};
 use crate::config::{Analysis, DetectorConfig, Fault, Kind, WindowMode};
 use crate::cop::enumerate_cops;
 use crate::deadlock::{self, DeadlockWindow};
-use crate::encoder::{encode, encode_window, EncoderOptions};
-use crate::report::{DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason};
+use crate::encoder::{encode, encode_goals, EncodedWindow, EncoderOptions, Goal};
+use crate::report::{
+    DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason, Verdict,
+};
 use crate::slice::WindowSkeleton;
 use crate::tiers::{Tier, TierAnalysis, TierDecision};
 use crate::witness::{construct, extract_witness, Witness};
@@ -257,75 +260,189 @@ fn undecided_of_stop(reason: StopReason) -> UndecidedReason {
     }
 }
 
-/// The record of a Tier B refutation: `Φ` is entailment-unsatisfiable, so
-/// the verdict is exactly the solver's `Unsat` — with no encoding and no
-/// solver effort to account.
-fn tier_refuted_record(cop: Cop, signature: RaceSignature) -> CopRecord {
-    CopRecord {
-        cop,
-        signature,
-        verdict: CopVerdict::Unsat,
-        profile: SolverTotals::default(),
-        cone_events: 0,
-        window_events: 0,
-        constraints: 0,
-        decided_by: Some(Tier::B),
-        ext_range: None,
-    }
-}
-
-/// The record of a Tier A confirmation: a race whose witness the
-/// constructor already built and validated, with no solver effort.
-fn tier_confirmed_record(cop: Cop, signature: RaceSignature, witness: Witness) -> CopRecord {
-    CopRecord {
-        cop,
-        signature,
-        verdict: CopVerdict::Race {
-            schedule: witness.schedule,
-            fallback: false,
-        },
-        profile: SolverTotals::default(),
-        cone_events: 0,
-        window_events: 0,
-        constraints: 0,
-        decided_by: Some(Tier::A),
-        ext_range: None,
+impl CopRecord {
+    /// The record of a COP decided without encoding anything — a tier
+    /// screen, a skip, a fault, an expired deadline or an over-budget
+    /// straddle: no solver effort and no encoding sizes to account.
+    fn unsolved(
+        cop: Cop,
+        signature: RaceSignature,
+        verdict: CopVerdict,
+        decided_by: Option<Tier>,
+    ) -> Self {
+        CopRecord {
+            cop,
+            signature,
+            verdict,
+            profile: SolverTotals::default(),
+            cone_events: 0,
+            window_events: 0,
+            constraints: 0,
+            decided_by,
+            ext_range: None,
+        }
     }
 }
 
 /// True once the window's wall-clock deadline (if any) has passed.
-pub(crate) fn past_deadline(deadline: Option<Instant>) -> bool {
+fn past_deadline(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// The per-COP solver budget under a window deadline: the configured
-/// budget clamped to the window's remaining wall-clock, so a COP started
-/// near the deadline cannot overshoot the window budget by a whole
-/// per-COP budget.
-pub(crate) fn clamp_budget(budget: &Budget, deadline: Option<Instant>) -> Budget {
-    let Some(d) = deadline else { return *budget };
-    let remaining = d.saturating_duration_since(Instant::now());
-    Budget {
-        timeout: Some(budget.timeout.map_or(remaining, |t| t.min(remaining))),
-        ..*budget
+/// The window deadline for a window starting at `start`: the per-window
+/// wall-clock budget (`--timeout-ms`, or a daemon tenant budget), if any.
+/// An unrepresentable deadline — overflowing `Instant` — means the budget
+/// can never fire, i.e. unbounded.
+fn window_deadline(cfg: &DetectorConfig, start: Instant) -> Option<Instant> {
+    cfg.window_timeout.and_then(|t| start.checked_add(t))
+}
+
+impl DetectorConfig {
+    /// The per-query solver budget.
+    fn budget(&self) -> Budget {
+        Budget {
+            max_conflicts: self.max_conflicts,
+            timeout: Some(self.solver_timeout),
+        }
+    }
+
+    /// The encoder knobs.
+    fn encoder_options(&self) -> EncoderOptions {
+        EncoderOptions {
+            mode: self.mode,
+            prune_write_sets: self.prune_write_sets,
+            slice: self.slice,
+        }
     }
 }
 
-/// The record of a COP reached after the window deadline expired: the
-/// exact `Undecided(Timeout)` record a per-COP budget exhaustion leaves,
-/// with no encoding and no solver effort to account.
-fn deadline_expired_record(cop: Cop, signature: RaceSignature, cascade_on: bool) -> CopRecord {
-    CopRecord {
-        cop,
-        signature,
-        verdict: CopVerdict::Undecided(UndecidedReason::Timeout),
-        profile: SolverTotals::default(),
-        cone_events: 0,
-        window_events: 0,
-        constraints: 0,
-        decided_by: cascade_on.then_some(Tier::Solver),
-        ext_range: None,
+/// One window's incremental solver session, the single place every
+/// analysis's solver work runs: the [`encode_goals`] encoding of one
+/// kind's goals, one resident solver (phase-hinted from the trace order
+/// when configured), and one `solve_assuming(selector)` query per goal,
+/// so learnt clauses carry from goal to goal. Retention is sound because
+/// selectors are only ever *assumed*, never asserted: every learnt clause
+/// is implied by the asserted skeleton alone — possibly guarded by a
+/// negated selector — and stays valid after its goal retires (see
+/// DESIGN.md, "Hot path").
+#[derive(Debug)]
+pub struct GoalSession {
+    encoded: EncodedWindow,
+    solver: Solver,
+    budget: Budget,
+    deadline: Option<Instant>,
+}
+
+impl GoalSession {
+    /// Encodes `goals` over `view` with `config`'s encoder options and
+    /// builds the session's solver. Each query's budget is `config`'s
+    /// per-query budget, clamped to the time left before `deadline`.
+    pub fn new(
+        config: &DetectorConfig,
+        view: &View<'_>,
+        goals: &[Goal],
+        deadline: Option<Instant>,
+    ) -> Self {
+        let encoded = encode_goals(view, goals, config.encoder_options());
+        let mut solver = Solver::new(&encoded.fb);
+        if config.phase_hints {
+            solver.hint_atom_phases(|a| encoded.phase_hint(a));
+        }
+        GoalSession {
+            encoded,
+            solver,
+            budget: config.budget(),
+            deadline,
+        }
     }
+
+    /// The per-query budget clamped to the window's remaining wall-clock,
+    /// so a query started near the deadline cannot overshoot the window
+    /// budget by a whole per-query budget.
+    fn clamped_budget(&self) -> Budget {
+        let Some(d) = self.deadline else {
+            return self.budget;
+        };
+        let remaining = d.saturating_duration_since(Instant::now());
+        Budget {
+            timeout: Some(self.budget.timeout.map_or(remaining, |t| t.min(remaining))),
+            ..self.budget
+        }
+    }
+
+    /// Decides goal `i`: the verdict and the SAT-core effort this query
+    /// spent. The solver's counters are cumulative over the session, so
+    /// the effort is the before/after delta.
+    pub fn solve(&mut self, i: usize) -> (SmtResult, SolverTotals) {
+        let budget = self.clamped_budget();
+        let before = self.solver.stats().sat;
+        let result = self
+            .solver
+            .solve_assuming(&budget, &[self.encoded.selectors[i]]);
+        let mut profile = SolverTotals::default();
+        profile.record_solve(&self.solver.stats().sat.delta_since(&before));
+        (result, profile)
+    }
+
+    /// The model value of `e`'s order variable (after a SAT answer).
+    pub(crate) fn value(&self, e: EventId) -> i64 {
+        self.solver.int_value(self.encoded.ovar(e))
+    }
+
+    /// The model value of the cut `D` (after a SAT answer).
+    pub(crate) fn cut(&self) -> i64 {
+        self.solver
+            .int_value(self.encoded.dvar.expect("session without a cut"))
+    }
+
+    /// The branches whose feasibility goal `i`'s selector asserts.
+    pub(crate) fn required_branches(&self, i: usize) -> &[EventId] {
+        &self.encoded.required_branches[i]
+    }
+}
+
+/// The solve loop of the deadlock and atomicity jobs: decides `goals` in
+/// order on one [`GoalSession`], built at the first query. A goal reached
+/// after the window deadline is unknown, and a goal whose signature an
+/// earlier goal of this window confirmed is not recorded at all.
+/// `witness(i, session)` builds and validates a SAT goal's violation from
+/// the session model; `Some` confirms the signature. The records, in goal
+/// order, are a pure function of the window: its queries run in a fixed
+/// order on one worker.
+pub(crate) fn decide_goals<S: Clone + Eq + Hash, V>(
+    cfg: &DetectorConfig,
+    view: &View<'_>,
+    goals: &[Goal],
+    signatures: Vec<S>,
+    mut witness: impl FnMut(usize, &GoalSession) -> Option<V>,
+) -> Vec<(S, Verdict<V>)> {
+    let deadline = window_deadline(cfg, Instant::now());
+    let mut session: Option<GoalSession> = None;
+    let mut seen: HashSet<S> = HashSet::new();
+    let mut records = Vec::with_capacity(goals.len());
+    for (i, signature) in signatures.into_iter().enumerate() {
+        if past_deadline(deadline) {
+            records.push((signature, Verdict::Unknown));
+            continue;
+        }
+        if cfg.dedup_signatures && seen.contains(&signature) {
+            continue;
+        }
+        let session = session.get_or_insert_with(|| GoalSession::new(cfg, view, goals, deadline));
+        let verdict = match session.solve(i).0 {
+            SmtResult::Unsat => Verdict::Unsat,
+            SmtResult::Unknown(_) => Verdict::Unknown,
+            SmtResult::Sat => {
+                let found = witness(i, session);
+                if found.is_some() {
+                    seen.insert(signature.clone());
+                }
+                Verdict::Sat(found)
+            }
+        };
+        records.push((signature, verdict));
+    }
+    records
 }
 
 /// Signatures confirmed by a merge loop, readable by in-flight workers.
@@ -782,22 +899,11 @@ impl RaceDetector {
     ) -> SolvedWindow {
         let window_start = Instant::now();
         let cfg = &self.config;
-        // The per-window wall-clock budget (`--timeout-ms`, or a daemon
-        // tenant budget). COPs reached after the deadline are recorded as
+        // COPs reached after the window deadline are recorded as
         // `Undecided(Timeout)`, and per-COP solver budgets are clamped to
-        // the remainder. (An unrepresentable deadline — overflowing
-        // `Instant` — means the budget can never fire, i.e. unbounded.)
-        let deadline = cfg.window_timeout.and_then(|t| window_start.checked_add(t));
+        // the remainder.
+        let deadline = window_deadline(cfg, window_start);
         let enumeration = enumerate_cops(view, cfg.quick_check, cfg.max_cops_per_signature);
-        let budget = Budget {
-            max_conflicts: cfg.max_conflicts,
-            timeout: Some(cfg.solver_timeout),
-        };
-        let opts = EncoderOptions {
-            mode: cfg.mode,
-            prune_write_sets: cfg.prune_write_sets,
-            slice: cfg.slice,
-        };
         // Snapshot of merge-confirmed signatures. Only ever used to *skip*
         // solves whose records the merge replay is guaranteed to discard.
         // When a fault plan is active the snapshot is left empty: which
@@ -833,8 +939,6 @@ impl RaceDetector {
         self.solve_session(
             view,
             enumeration.cops,
-            opts,
-            &budget,
             deadline,
             &known_racy,
             tiers.as_mut(),
@@ -846,7 +950,7 @@ impl RaceDetector {
             out.tier_b_time += t.tier_b_time();
         }
         if let Some(plan) = plan {
-            self.solve_straddles(view, plan, opts, &budget, deadline, &known_racy, &mut out);
+            self.solve_straddles(view, plan, deadline, &known_racy, &mut out);
         }
         out.window_time = window_start.elapsed();
         out
@@ -881,7 +985,6 @@ impl RaceDetector {
         view: &View<'_>,
         cop: Cop,
         screened: bool,
-        opts: EncoderOptions,
         budget: &Budget,
         out: &mut SolvedWindow,
     ) -> CopVerdict {
@@ -897,7 +1000,7 @@ impl RaceDetector {
             }
         }
         let t0 = Instant::now();
-        let canonical = self.canonical_witness(view, cop, opts, budget);
+        let canonical = self.canonical_witness(view, cop, budget);
         out.solver_time += t0.elapsed();
         match canonical {
             Ok(witness) => CopVerdict::Race {
@@ -918,16 +1021,10 @@ impl RaceDetector {
     /// neither. The verdict itself is already SAT, so this solve can only
     /// fail at a budget boundary, which is reported honestly as a witness
     /// failure.)
-    fn canonical_witness(
-        &self,
-        view: &View<'_>,
-        cop: Cop,
-        opts: EncoderOptions,
-        budget: &Budget,
-    ) -> Result<Witness, ()> {
+    fn canonical_witness(&self, view: &View<'_>, cop: Cop, budget: &Budget) -> Result<Witness, ()> {
         let opts = EncoderOptions {
             slice: false,
-            ..opts
+            ..self.config.encoder_options()
         };
         let encoded = encode(view, cop, opts);
         let mut solver = Solver::new(&encoded.fb);
@@ -940,15 +1037,10 @@ impl RaceDetector {
         extract_witness(view, cop, &encoded, &solver, self.config.mode).map_err(|_| ())
     }
 
-    /// The race solve path: decides `cops` against `view` on one resident
-    /// incremental session. The tier screens run first; the residue shares
-    /// one encoding (with slicing, of the residue's union cone) with one
-    /// selector per COP, and each residue COP is one `solve_assuming`
-    /// query on one solver, whose learnt clauses are retained across COPs.
-    /// Retention is sound because selectors are only ever *assumed*, never
-    /// asserted: every clause the session learns is implied by the
-    /// asserted skeleton alone — possibly ¬sel-guarded — and so stays
-    /// valid after its COP retires (see DESIGN.md, "Hot path").
+    /// The race solve path: decides `cops` against `view`. The tier
+    /// screens run first; the residue is decided on one [`GoalSession`]
+    /// (with slicing, over the residue's union cone), one race goal per
+    /// COP.
     ///
     /// The cross-window `known_racy` skip is only taken when it covers
     /// *every* COP: a partial skip would drop a query from the shared
@@ -966,8 +1058,6 @@ impl RaceDetector {
         &self,
         view: &View<'_>,
         cops: Vec<Cop>,
-        opts: EncoderOptions,
-        budget: &Budget,
         deadline: Option<Instant>,
         known_racy: &HashSet<RaceSignature>,
         tiers: Option<&mut TierAnalysis<'_>>,
@@ -988,17 +1078,8 @@ impl RaceDetector {
             .collect();
         if cfg.dedup_signatures && signatures.iter().all(|s| known_racy.contains(s)) {
             for (cop, signature) in cops.into_iter().zip(signatures) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
+                let skipped = CopRecord::unsolved(cop, signature, CopVerdict::Skipped, None);
+                out.records.push(skipped);
             }
             return;
         }
@@ -1023,8 +1104,9 @@ impl RaceDetector {
             None => vec![None; cops.len()],
         };
         // The residue (plus faulted coordinates, which keep their index
-        // semantics) shares one incremental encoding.
-        let mut residue: Vec<Cop> = Vec::new();
+        // semantics) shares one session, built at its first query — so an
+        // expired deadline never builds it.
+        let mut residue: Vec<Goal> = Vec::new();
         let mut sel_index: Vec<Option<usize>> = Vec::with_capacity(cops.len());
         for (i, &cop) in cops.iter().enumerate() {
             match decisions[i] {
@@ -1033,25 +1115,11 @@ impl RaceDetector {
                 }
                 _ => {
                     sel_index.push(Some(residue.len()));
-                    residue.push(cop);
+                    residue.push(Goal::Race(cop));
                 }
             }
         }
-        let mut enc_solver = None;
-        // An already-expired deadline skips the shared encoding entirely:
-        // every residue COP below degrades without ever needing a solver.
-        if !residue.is_empty() && !past_deadline(deadline) {
-            let solve_start = Instant::now();
-            // With slicing, the shared base formula covers the union cone
-            // of the residue COPs.
-            let encoded = encode_window(view, &residue, opts);
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            out.solver_time += solve_start.elapsed();
-            enc_solver = Some((encoded, solver));
-        }
+        let mut session: Option<GoalSession> = None;
         // Signatures confirmed by this call, for the per-COP dedup skip.
         let mut local_confirmed: HashSet<RaceSignature> = HashSet::new();
         for (i, cop) in cops.into_iter().enumerate() {
@@ -1061,70 +1129,51 @@ impl RaceDetector {
             // solve perturbs later models only relative to a run *without*
             // the fault; the plan is fixed, so every thread count sees the
             // same sequence of solves.)
-            if let Some(verdict) = faults.then(|| self.apply_fault(window_index, i)).flatten() {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict,
-                    profile: SolverTotals::default(),
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: cascade_on.then_some(Tier::Solver),
-                    ext_range: None,
-                });
-                continue;
-            }
+            let fault = faults.then(|| self.apply_fault(window_index, i)).flatten();
             // Window budget exhausted: every remaining COP — tier-decided
-            // or residue — degrades to the per-COP-timeout verdict. (The
-            // deadline is monotonic, so a residue COP that passes this
-            // check always finds the shared encoding built above.)
-            if past_deadline(deadline) {
+            // or residue — degrades to the per-COP-timeout verdict.
+            let expired = || past_deadline(deadline).then_some(UndecidedReason::Timeout);
+            if let Some(verdict) = fault.or_else(|| expired().map(CopVerdict::Undecided)) {
+                let stage = cascade_on.then_some(Tier::Solver);
                 out.records
-                    .push(deadline_expired_record(cop, signature, cascade_on));
+                    .push(CopRecord::unsolved(cop, signature, verdict, stage));
                 continue;
             }
             if cfg.dedup_signatures && local_confirmed.contains(&signature) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
+                let skipped = CopRecord::unsolved(cop, signature, CopVerdict::Skipped, None);
+                out.records.push(skipped);
                 continue;
             }
             let screened = decisions[i].is_some();
             match decisions[i].take() {
+                // The constructor already built and validated the
+                // confirmation's witness.
                 Some((TierDecision::Confirmed, witness)) => {
-                    let witness = witness.expect("a confirmation keeps its witness");
+                    let schedule = witness.expect("a confirmation keeps its witness").schedule;
                     local_confirmed.insert(signature);
-                    out.records
-                        .push(tier_confirmed_record(cop, signature, witness));
+                    let verdict = CopVerdict::Race {
+                        schedule,
+                        fallback: false,
+                    };
+                    let record = CopRecord::unsolved(cop, signature, verdict, Some(Tier::A));
+                    out.records.push(record);
                     continue;
                 }
+                // `Φ` is entailment-unsatisfiable: exactly the solver's
+                // `Unsat`.
                 Some((TierDecision::Refuted, _)) => {
-                    out.records.push(tier_refuted_record(cop, signature));
+                    let verdict = CopVerdict::Unsat;
+                    let record = CopRecord::unsolved(cop, signature, verdict, Some(Tier::B));
+                    out.records.push(record);
                     continue;
                 }
                 _ => {}
             }
-            let (encoded, solver) = enc_solver
-                .as_mut()
-                .expect("residue COP without a shared encoding");
             let sel = sel_index[i].expect("residue COP without a selector");
             let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            // Shared incremental solver: counters are cumulative over the
-            // session, so this COP's effort is the before/after delta.
-            let before = solver.stats().sat;
-            let result = solver.solve_assuming(budget, &[encoded.selectors[sel]]);
-            let mut profile = SolverTotals::default();
-            profile.record_solve(&solver.stats().sat.delta_since(&before));
+            let session =
+                session.get_or_insert_with(|| GoalSession::new(cfg, view, &residue, deadline));
+            let (result, profile) = session.solve(sel);
             out.solver_time += solve_start.elapsed();
             let verdict = match result {
                 SmtResult::Unsat => CopVerdict::Unsat,
@@ -1132,7 +1181,10 @@ impl RaceDetector {
                 // The session model depends on the session's solve history
                 // (and, sliced, leaves non-cone events unplaced): never
                 // report it.
-                SmtResult::Sat => self.sat_verdict(view, cop, screened, opts, budget, out),
+                SmtResult::Sat => {
+                    let budget = session.clamped_budget();
+                    self.sat_verdict(view, cop, screened, &budget, out)
+                }
             };
             if matches!(verdict, CopVerdict::Race { .. }) {
                 local_confirmed.insert(signature);
@@ -1142,9 +1194,9 @@ impl RaceDetector {
                 signature,
                 verdict,
                 profile,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
+                cone_events: session.encoded.cone_events,
+                window_events: session.encoded.window_events,
+                constraints: session.encoded.n_constraints,
                 decided_by: cascade_on.then_some(Tier::Solver),
                 ext_range: None,
             });
@@ -1180,13 +1232,10 @@ impl RaceDetector {
     /// window's own confirmations depend on worker timing (a session
     /// skipped whole for published signatures confirms nothing), so
     /// skipping on them would shift this session's effort deltas.
-    #[allow(clippy::too_many_arguments)]
     fn solve_straddles(
         &self,
         view: &View<'_>,
         plan: &StraddlePlan,
-        opts: EncoderOptions,
-        budget: &Budget,
         deadline: Option<Instant>,
         known_racy: &HashSet<RaceSignature>,
         out: &mut SolvedWindow,
@@ -1194,16 +1243,11 @@ impl RaceDetector {
         let cfg = &self.config;
         let trace = view.trace();
         for &cop in &plan.over_budget {
+            let signature = RaceSignature::of_cop(trace, cop);
+            let verdict = CopVerdict::Undecided(UndecidedReason::BoundaryBudget);
             out.records.push(CopRecord {
-                cop,
-                signature: RaceSignature::of_cop(trace, cop),
-                verdict: CopVerdict::Undecided(UndecidedReason::BoundaryBudget),
-                profile: SolverTotals::default(),
-                cone_events: 0,
-                window_events: 0,
-                constraints: 0,
-                decided_by: cfg.tiers.then_some(Tier::Solver),
                 ext_range: Some(plan.window.clone()),
+                ..CopRecord::unsolved(cop, signature, verdict, cfg.tiers.then_some(Tier::Solver))
             });
         }
         if plan.cops.is_empty() {
@@ -1239,8 +1283,6 @@ impl RaceDetector {
         self.solve_session(
             &ext,
             plan.cops.clone(),
-            opts,
-            budget,
             deadline,
             known_racy,
             tiers.as_mut(),

@@ -15,6 +15,13 @@
 //! threads, so each event gets a boolean definition variable asserted as an
 //! implication `cf_e ⇒ rhs(e)`; circular support is impossible because it
 //! would close an ordering cycle the IDL theory rejects (see DESIGN.md).
+//!
+//! Two builders share the machinery. [`encode`] compiles one COP on its
+//! own, with the glued pair. [`encode_goals`] compiles one window session:
+//! the shared base once, then one selector per [`Goal`] — a race COP, an
+//! atomicity triple or a deadlock cycle — guarding only that goal's
+//! obligations. Every batched solver query in the detector, whatever its
+//! violation class, runs on an `encode_goals` formula.
 
 use std::collections::HashMap;
 
@@ -350,16 +357,23 @@ impl<'v, 't> Encoder<'v, 't> {
         }
     }
 
-    /// The *conditional* `Φ_lock` used by deadlock prediction: mutual
-    /// exclusion is only required of spans scheduled before the deadlock
-    /// point `D`. For each cross-thread same-lock span pair the
-    /// disjunction gains `D < a₁` and `D < a₂` escape hatches: a span
-    /// whose acquire falls after `D` is outside the witness prefix and
-    /// needs no serialization. Spans open *at* `D` (acquire before,
-    /// release after) still exclude each other — all four disjuncts are
-    /// false for two such spans, which is exactly the one-holder-per-lock
-    /// invariant of the deadlocked state.
-    fn encode_lock_conditional(&mut self, d: IntVar) {
+    /// `Φ_lock`: for every pair of same-lock critical sections by different
+    /// threads (read-mode spans exclude write-mode spans but not each
+    /// other), one releases before the other acquires. With a cone, only
+    /// cone-held locks are constrained — a lock no cone event holds has
+    /// all its spans outside the cone (locksets cover the acquire and
+    /// release endpoints), so the dropped disjunctions hold in trace order
+    /// for any tail extension of a sliced model.
+    ///
+    /// With a cut `d` the form is *conditional*: mutual exclusion is only
+    /// required of spans scheduled before `D`, so each disjunction gains
+    /// `D < a₁` and `D < a₂` escape hatches — a span whose acquire falls
+    /// after `D` is outside the witness prefix and needs no
+    /// serialization. Spans open *at* `D` (acquire before, release after)
+    /// still exclude each other — all four disjuncts are false for two
+    /// such spans, which is exactly the one-holder-per-lock invariant of
+    /// the deadlocked state.
+    fn encode_lock(&mut self, d: Option<IntVar>) {
         for lock_idx in 0..self.view.trace().n_locks() as u32 {
             let lock = rvtrace::LockId(lock_idx);
             if let Some(cone) = self.cone {
@@ -382,7 +396,7 @@ impl<'v, 't> Encoder<'v, 't> {
             }
             for (s1, s2) in pairs {
                 if s1.thread == s2.thread {
-                    continue;
+                    continue; // ordered by program order already
                 }
                 let mut disjuncts: Vec<TermId> = Vec::new();
                 if let (Some(r1), Some(a2)) = (s1.release, s2.acquire) {
@@ -391,78 +405,18 @@ impl<'v, 't> Encoder<'v, 't> {
                 if let (Some(r2), Some(a1)) = (s2.release, s1.acquire) {
                     disjuncts.push(self.lt_term(r2, a1));
                 }
-                if let Some(a1) = s1.acquire {
-                    let o = self.o(a1);
-                    disjuncts.push(self.fb.lt(d, o));
+                if let Some(d) = d {
+                    for a in [s1.acquire, s2.acquire].into_iter().flatten() {
+                        let o = self.o(a);
+                        disjuncts.push(self.fb.lt(d, o));
+                    }
                 }
-                if let Some(a2) = s2.acquire {
-                    let o = self.o(a2);
-                    disjuncts.push(self.fb.lt(d, o));
-                }
+                // No disjunct at all only on inconsistent input: ⊥.
                 let t = self.fb.or_n(disjuncts);
                 self.fb.assert_term(t);
                 self.n_lock += 1;
             }
         }
-    }
-
-    /// `Φ_lock`: for every pair of same-lock critical sections by different
-    /// threads, one releases before the other acquires. With a cone, only
-    /// cone-held locks are constrained — a lock no cone event holds has
-    /// all its spans outside the cone (locksets cover the acquire and
-    /// release endpoints), so the dropped disjunctions hold in trace order
-    /// for any tail extension of a sliced model.
-    fn encode_lock(&mut self) {
-        for lock_idx in 0..self.view.trace().n_locks() as u32 {
-            if let Some(cone) = self.cone {
-                if !cone.lock_held(rvtrace::LockId(lock_idx)) {
-                    continue;
-                }
-            }
-            let spans = self.view.critical_sections(rvtrace::LockId(lock_idx));
-            for i in 0..spans.len() {
-                for j in i + 1..spans.len() {
-                    let (s1, s2) = (&spans[i], &spans[j]);
-                    if s1.thread == s2.thread {
-                        continue; // ordered by program order already
-                    }
-                    self.exclusion_pair(s1, s2);
-                }
-            }
-            // Read-mode spans exclude write-mode spans (but not each
-            // other): every (write span, read span) pair is serialized.
-            let rspans = self.view.read_critical_sections(rvtrace::LockId(lock_idx));
-            for s in spans {
-                for r in rspans {
-                    if s.thread == r.thread {
-                        continue;
-                    }
-                    self.exclusion_pair(s, r);
-                }
-            }
-        }
-    }
-
-    /// One mutual-exclusion disjunction: `s1` wholly before `s2` or vice
-    /// versa (each direction requires its release/acquire endpoints in
-    /// view).
-    fn exclusion_pair(&mut self, s1: &rvtrace::CsSpan, s2: &rvtrace::CsSpan) {
-        let d1 = match (s1.release, s2.acquire) {
-            (Some(r1), Some(a2)) => Some(self.lt_term(r1, a2)),
-            _ => None,
-        };
-        let d2 = match (s2.release, s1.acquire) {
-            (Some(r2), Some(a1)) => Some(self.lt_term(r2, a1)),
-            _ => None,
-        };
-        let t = match (d1, d2) {
-            (Some(x), Some(y)) => self.fb.or2(x, y),
-            (Some(x), None) => x,
-            (None, Some(y)) => y,
-            (None, None) => self.fb.ff(), // inconsistent input
-        };
-        self.fb.assert_term(t);
-        self.n_lock += 1;
     }
 
     /// The read-match constraint for `r` (paper §3.2, the `cf(r)`
@@ -546,6 +500,63 @@ impl<'v, 't> Encoder<'v, 't> {
         let imp = self.fb.implies(var, rhs);
         self.fb.assert_term(imp);
         var
+    }
+
+    /// The prefix obligation of deadlock goals, defined once per window:
+    /// every branch scheduled before the cut `d` is concretely feasible
+    /// (`∧_b D < O_b ∨ cf(b)`), or, under whole-trace consistency, every
+    /// read before it keeps its observed value (`∧_r D < O_r ∨ match(r)`).
+    /// Returns a fresh literal `pf` that implies the conjunction. `pf` is
+    /// never asserted and is reached only through selectors, so it binds
+    /// nothing unless a deadlock goal is assumed.
+    fn prefix_feasible(&mut self, d: IntVar) -> TermId {
+        let view = self.view;
+        let whole_trace = self.opts.mode == ConsistencyMode::WholeTrace;
+        let events: Vec<EventId> = view
+            .ids()
+            .filter(|&id| match whole_trace {
+                true => view.event(id).kind.is_read(),
+                false => view.event(id).kind.is_branch(),
+            })
+            .collect();
+        let mut parts = Vec::with_capacity(events.len());
+        for e in events {
+            let oe = self.o(e);
+            let after_d = self.fb.lt(d, oe);
+            let holds = match whole_trace {
+                true => self.read_match(e, false),
+                false => self.cf(e),
+            };
+            parts.push(self.fb.or2(after_d, holds));
+        }
+        let pf = self.fb.bool_var();
+        let body = self.fb.and_n(parts);
+        let imp = self.fb.implies(pf, body);
+        self.fb.assert_term(imp);
+        pf
+    }
+
+    /// A deadlock goal's cycle obligations: each blocked acquire sits just
+    /// past the cut `d` — its program-order prefix (which includes the
+    /// hold of its contributed lock, but not the release) is in the
+    /// witness, the acquire itself is not.
+    fn cycle_pins(&mut self, acquires: &[EventId], d: IntVar) -> Vec<TermId> {
+        let mut pins = Vec::with_capacity(2 * acquires.len());
+        let view = self.view;
+        for &a in acquires {
+            let evs = view.thread_events(view.event(a).thread);
+            let pos = evs
+                .iter()
+                .position(|&x| x == a)
+                .expect("cycle event in view");
+            if pos > 0 {
+                let op = self.o(evs[pos - 1]);
+                pins.push(self.fb.lt(op, d));
+            }
+            let oa = self.o(a);
+            pins.push(self.fb.lt(d, oa));
+        }
+        pins
     }
 
     /// `Φ_race` for the COP: the control-flow feasibility of both events
@@ -702,11 +713,11 @@ fn encode_cop(view: &View<'_>, cop: Cop, cone: Option<&Cone>, opts: EncoderOptio
             enc.fb.assert_term(le);
             let ge = enc.fb.diff_le(o, d, 0);
             enc.fb.assert_term(ge);
-            enc.encode_lock_conditional(d);
+            enc.encode_lock(Some(d));
         }
         // Said et al. predict over whole-trace reorderings; full spans
         // keep the baseline's published (non-maximal) discipline.
-        ConsistencyMode::WholeTrace => enc.encode_lock(),
+        ConsistencyMode::WholeTrace => enc.encode_lock(None),
     }
     let required_branches = enc.encode_race(cop);
     let n_cf_vars = enc.cf_cache.len();
@@ -727,11 +738,11 @@ fn encode_cop(view: &View<'_>, cop: Cop, cone: Option<&Cone>, opts: EncoderOptio
     }
 }
 
-/// The shared constraint system for *all* COPs of one window (batch mode):
-/// `Φ_mhb ∧ Φ_lock` plus shared `cf`/read-consistency definitions, with one
-/// boolean *selector* per COP guarding its adjacency equality (and, under
-/// control flow, its `π_cf` obligations). Queries run under assumptions on
-/// one incremental solver, sharing learnt clauses across COPs.
+/// The shared constraint system of one window session ([`encode_goals`]):
+/// the base `Φ_mhb ∧ Φ_lock` plus shared `cf`/read-consistency
+/// definitions, with one boolean *selector* per goal guarding that goal's
+/// obligations. Queries assume one selector at a time on one incremental
+/// solver, sharing learnt clauses across goals.
 #[derive(Debug)]
 pub struct EncodedWindow {
     /// The formula.
@@ -740,12 +751,13 @@ pub struct EncodedWindow {
     pub ovars: Vec<IntVar>,
     /// Start of the view range.
     pub view_start: usize,
-    /// The encoded COPs, aligned with `selectors`.
-    pub cops: Vec<Cop>,
-    /// One selector (free boolean) per COP, for `solve_assuming`.
+    /// One selector (free boolean) per goal, for `solve_assuming`.
     pub selectors: Vec<TermId>,
-    /// Per COP, the branches whose feasibility its selector asserts.
+    /// Per goal, the branches whose feasibility its selector asserts.
     pub required_branches: Vec<Vec<EventId>>,
+    /// The shared prefix cut `D` (absent for whole-trace race and
+    /// atomicity sessions, whose `Φ_lock` is unconditional).
+    pub dvar: Option<IntVar>,
     /// Original trace position per order variable (phase hints).
     pub var_pos: Vec<i64>,
     /// Events actually encoded (the union cone over all the window's
@@ -774,64 +786,87 @@ impl EncodedWindow {
     }
 }
 
-/// Encodes one window's base constraints plus selector-guarded race
-/// constraints for every COP (the incremental batch interface). When
-/// slicing is active, the base formula covers the *union* cone of all the
-/// window's COPs (one skeleton built internally; use
-/// [`encode_window_with_skeleton`] to share one across calls).
-pub fn encode_window(view: &View<'_>, cops: &[Cop], opts: EncoderOptions) -> EncodedWindow {
-    if opts.slicing_active() && !view.has_extended_sync() {
-        let skel = WindowSkeleton::new(view);
-        return encode_window_with_skeleton(&skel, cops, opts);
-    }
-    encode_window_cops(view, cops, None, opts)
+/// One selector-guarded property of a window session: what a violation
+/// class asserts over the shared closure `Φ_mhb ∧ Φ_lock ∧ Φ_cf` (paper
+/// §2.5). A session holds goals of one kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Goal {
+    /// A data race: the COP's events adjacent, `O_b = O_a + 1`, with the
+    /// cut at `O_b` and the `π_cf` obligations of both events.
+    Race(Cop),
+    /// An atomicity violation `[a₁, b, a₂]`: `O_{a₁} < O_b < O_{a₂}`,
+    /// with the cut at `O_{a₂}` and the `π_cf` obligations of all three.
+    Between([EventId; 3]),
+    /// A deadlock: the blocked acquires of one lock cycle, each pinned
+    /// just past the cut with its program-order prefix before it, plus
+    /// the window's prefix-feasibility literal `pf`.
+    Deadlock(Vec<EventId>),
 }
 
-/// [`encode_window`] with a precomputed [`WindowSkeleton`].
-pub fn encode_window_with_skeleton(
-    skel: &WindowSkeleton<'_, '_>,
-    cops: &[Cop],
-    opts: EncoderOptions,
-) -> EncodedWindow {
-    if !opts.slicing_active() || skel.view().has_extended_sync() {
-        return encode_window_cops(skel.view(), cops, None, opts);
+impl Goal {
+    /// The event the cut's phase hint is drawn from: the later race
+    /// event, `a₂`, or the earliest blocked acquire.
+    fn anchor(&self) -> EventId {
+        match self {
+            Goal::Race(cop) => cop.second,
+            Goal::Between([_, _, a2]) => *a2,
+            Goal::Deadlock(acquires) => *acquires.iter().min().expect("non-empty cycle"),
+        }
     }
-    let cone = skel.cone(cops, opts.prune_write_sets);
-    encode_window_cops(skel.view(), cops, Some(&cone), opts)
+
+    /// The events whose `π_cf` the goal asserts under control flow (a
+    /// deadlock's prefix obligation is `pf` instead).
+    fn cf_events(&self) -> Vec<EventId> {
+        match self {
+            Goal::Race(cop) => vec![cop.first, cop.second],
+            Goal::Between(triple) => triple.to_vec(),
+            Goal::Deadlock(_) => Vec::new(),
+        }
+    }
 }
 
-fn encode_window_cops(
-    view: &View<'_>,
-    cops: &[Cop],
-    cone: Option<&Cone>,
-    opts: EncoderOptions,
-) -> EncodedWindow {
-    let mut enc = Encoder::new(view, None, cone, opts);
+/// Encodes one window session: the shared base once, then one selector per
+/// goal guarding only that goal's obligations (the one builder behind
+/// every batched query — race residue, deadlock cycles and atomicity
+/// triples alike).
+///
+/// The base is `Φ_mhb` plus a shared prefix cut `D` with *conditional*
+/// `Φ_lock` (a lock region acquired past `D` is outside the witness prefix
+/// and needs no serialization). Race and atomicity selectors pin `D` onto
+/// their anchor; exactly one selector is assumed per query, so one `D`
+/// serves them all. Under whole-trace consistency race and atomicity
+/// sessions keep the baseline's discipline instead: unconditional
+/// `Φ_lock`, no `D`, and every read's match asserted once. Deadlock
+/// sessions keep `D` in both modes, and their prefix obligation is
+/// defined once per window as one literal `pf` that every deadlock
+/// selector implies: `pf ⇒ ∧_b (D < O_b ∨ cf(b))` over the window's
+/// branches, or `pf ⇒ ∧_r (D < O_r ∨ match(r))` over its reads under
+/// whole-trace consistency.
+///
+/// Only race sessions slice: with slicing active the base covers the
+/// union cone of the COPs. The atomicity and deadlock obligations roam
+/// the whole window, which the cone analysis does not model.
+pub fn encode_goals(view: &View<'_>, goals: &[Goal], opts: EncoderOptions) -> EncodedWindow {
+    let cops: Vec<Cop> = goals
+        .iter()
+        .filter_map(|g| match g {
+            Goal::Race(cop) => Some(*cop),
+            _ => None,
+        })
+        .collect();
+    let sliced = cops.len() == goals.len() && opts.slicing_active() && !view.has_extended_sync();
+    let cone = sliced.then(|| WindowSkeleton::new(view).cone(&cops, opts.prune_write_sets));
+    let mut enc = Encoder::new(view, None, cone.as_ref(), opts);
     enc.encode_mhb();
-    // Shared prefix cut `D`: queries assume exactly one selector, and each
-    // selector pins `D` onto its own COP, so one variable serves every
-    // COP's conditional Φ_lock (see `encode_cop` for why the maximal mode
-    // must not demand post-pair lock regions complete).
-    let dvar = match opts.mode {
-        ConsistencyMode::ControlFlow => {
-            let d = enc.fb.int_var();
-            debug_assert_eq!(d.index(), enc.var_pos.len());
-            enc.var_pos.push(
-                cops.iter()
-                    .map(|c| c.second.index() as i64)
-                    .max()
-                    .unwrap_or(0),
-            );
-            enc.encode_lock_conditional(d);
-            Some(d)
-        }
-        ConsistencyMode::WholeTrace => {
-            enc.encode_lock();
-            None
-        }
-    };
-    if opts.mode == ConsistencyMode::WholeTrace {
-        // Whole-trace read consistency is COP-independent: assert it once.
+    let kind = |g: &Goal| std::mem::discriminant(g);
+    debug_assert!(
+        goals.iter().all(|g| kind(g) == kind(&goals[0])),
+        "a session holds goals of one kind"
+    );
+    let deadlock = matches!(goals.first(), Some(Goal::Deadlock(_)));
+    let dvar = if opts.mode == ConsistencyMode::WholeTrace && !deadlock {
+        enc.encode_lock(None);
+        // Whole-trace read consistency is goal-independent: assert it once.
         let reads: Vec<EventId> = view
             .ids()
             .filter(|&id| view.event(id).kind.is_read())
@@ -840,25 +875,52 @@ fn encode_window_cops(
             let t = enc.read_match(r, false);
             enc.fb.assert_term(t);
         }
-    }
-    let mut selectors = Vec::with_capacity(cops.len());
-    let mut required_branches = Vec::with_capacity(cops.len());
-    for &cop in cops {
-        debug_assert!(view.contains(cop.first) && view.contains(cop.second));
+        None
+    } else {
+        let d = enc.fb.int_var();
+        debug_assert_eq!(d.index(), enc.var_pos.len());
+        let hint = goals.iter().map(|g| g.anchor().index() as i64).max();
+        enc.var_pos.push(hint.unwrap_or(0));
+        enc.encode_lock(Some(d));
+        Some(d)
+    };
+    let pf = match dvar {
+        Some(d) if deadlock => Some(enc.prefix_feasible(d)),
+        _ => None,
+    };
+    let mut selectors = Vec::with_capacity(goals.len());
+    let mut required_branches = Vec::with_capacity(goals.len());
+    for goal in goals {
         let sel = enc.fb.bool_var();
-        let (oa, ob) = (enc.o(cop.first), enc.o(cop.second));
-        // Adjacency as an equality: O_b − O_a ≤ 1 ∧ O_a − O_b ≤ −1.
-        let up = enc.fb.diff_le(ob, oa, 1);
-        let lo = enc.fb.diff_le(oa, ob, -1);
-        let mut obligations = vec![up, lo];
-        if let Some(d) = dvar {
-            // This COP's cut: D == O_b (the later of the glued pair).
-            obligations.push(enc.fb.diff_le(d, ob, 0));
-            obligations.push(enc.fb.diff_le(ob, d, 0));
+        let mut obligations = match goal {
+            Goal::Race(cop) => {
+                debug_assert!(view.contains(cop.first) && view.contains(cop.second));
+                let (oa, ob) = (enc.o(cop.first), enc.o(cop.second));
+                // Adjacency as an equality: O_b − O_a ≤ 1 ∧ O_a − O_b ≤ −1.
+                let up = enc.fb.diff_le(ob, oa, 1);
+                let lo = enc.fb.diff_le(oa, ob, -1);
+                vec![up, lo]
+            }
+            Goal::Between([a1, b, a2]) => {
+                let lt1 = enc.lt_term(*a1, *b);
+                let lt2 = enc.lt_term(*b, *a2);
+                vec![lt1, lt2]
+            }
+            Goal::Deadlock(acquires) => enc.cycle_pins(acquires, dvar.expect("deadlock cut")),
+        };
+        match (dvar, pf) {
+            (_, Some(pf)) => obligations.push(pf),
+            (Some(d), None) => {
+                // This goal's cut: D == O_anchor.
+                let o = enc.o(goal.anchor());
+                obligations.push(enc.fb.diff_le(d, o, 0));
+                obligations.push(enc.fb.diff_le(o, d, 0));
+            }
+            (None, None) => {}
         }
         let mut branches = Vec::new();
         if opts.mode == ConsistencyMode::ControlFlow {
-            for e in [cop.first, cop.second] {
+            for e in goal.cf_events() {
                 for b in view.last_branches_before(e) {
                     obligations.push(enc.cf(b));
                     branches.push(b);
@@ -878,228 +940,12 @@ fn encode_window_cops(
         fb: enc.fb,
         ovars: enc.ovars,
         view_start: enc.view_start,
-        cops: cops.to_vec(),
         selectors,
         required_branches,
+        dvar,
         var_pos: enc.var_pos,
-        cone_events: cone.map_or(view.len(), |c| c.n_events()),
+        cone_events: cone.as_ref().map_or(view.len(), |c| c.n_events()),
         window_events: view.len(),
-        n_constraints,
-    }
-}
-
-/// Encodes one window's base constraints plus selector-guarded
-/// *serialization* constraints `O_{a₁} < O_b < O_{a₂}` for every triple
-/// (the atomicity-violation interface; see
-/// [`atomicity`](crate::atomicity)). Under control flow each selector also
-/// asserts the `π_cf` obligations of all three events.
-///
-/// Always encodes the full window: the atomicity client reasons about
-/// arbitrary interleavings of the block's interior, and the per-COP cone
-/// analysis does not model its serialization obligations.
-pub fn encode_between(
-    view: &View<'_>,
-    triples: &[(EventId, EventId, EventId)],
-    opts: EncoderOptions,
-) -> EncodedWindow {
-    let mut enc = Encoder::new(view, None, None, opts);
-    enc.encode_mhb();
-    // As for races: the violation witness is the prefix ending at the
-    // serialized triple, so the maximal mode takes conditional Φ_lock
-    // with the shared cut pinned per-selector onto `a2`.
-    let dvar = match opts.mode {
-        ConsistencyMode::ControlFlow => {
-            let d = enc.fb.int_var();
-            debug_assert_eq!(d.index(), enc.var_pos.len());
-            enc.var_pos.push(
-                triples
-                    .iter()
-                    .map(|t| t.2.index() as i64)
-                    .max()
-                    .unwrap_or(0),
-            );
-            enc.encode_lock_conditional(d);
-            Some(d)
-        }
-        ConsistencyMode::WholeTrace => {
-            enc.encode_lock();
-            None
-        }
-    };
-    if opts.mode == ConsistencyMode::WholeTrace {
-        let reads: Vec<EventId> = view
-            .ids()
-            .filter(|&id| view.event(id).kind.is_read())
-            .collect();
-        for r in reads {
-            let t = enc.read_match(r, false);
-            enc.fb.assert_term(t);
-        }
-    }
-    let mut selectors = Vec::with_capacity(triples.len());
-    let mut required_branches = Vec::with_capacity(triples.len());
-    for &(a1, b, a2) in triples {
-        let sel = enc.fb.bool_var();
-        let lt1 = enc.lt_term(a1, b);
-        let lt2 = enc.lt_term(b, a2);
-        let mut obligations = vec![lt1, lt2];
-        if let Some(d) = dvar {
-            let o2 = enc.o(a2);
-            obligations.push(enc.fb.diff_le(d, o2, 0));
-            obligations.push(enc.fb.diff_le(o2, d, 0));
-        }
-        let mut branches = Vec::new();
-        if opts.mode == ConsistencyMode::ControlFlow {
-            for e in [a1, b, a2] {
-                for br in view.last_branches_before(e) {
-                    obligations.push(enc.cf(br));
-                    branches.push(br);
-                }
-            }
-            branches.sort_unstable();
-            branches.dedup();
-        }
-        let body = enc.fb.and_n(obligations);
-        let imp = enc.fb.implies(sel, body);
-        enc.fb.assert_term(imp);
-        selectors.push(sel);
-        required_branches.push(branches);
-    }
-    let n_constraints = enc.fb.asserted().len();
-    EncodedWindow {
-        fb: enc.fb,
-        ovars: enc.ovars,
-        view_start: enc.view_start,
-        cops: Vec::new(),
-        selectors,
-        required_branches,
-        var_pos: enc.var_pos,
-        cone_events: view.len(),
-        window_events: view.len(),
-        n_constraints,
-    }
-}
-
-/// The compiled constraint system for one candidate deadlock cycle: `Φ_mhb`
-/// plus the *conditional* `Φ_lock`, a fresh order variable `D` (the deadlock
-/// point), per-branch feasibility obligations `D < O_b ∨ cf(b)`, and the
-/// cycle constraints pinning each blocked acquire just after `D`. See
-/// [`deadlock`](crate::deadlock) and DESIGN.md ("Violation classes").
-#[derive(Debug)]
-pub struct EncodedDeadlock {
-    /// The formula.
-    pub fb: FormulaBuilder,
-    /// Order variable per view offset.
-    pub ovars: Vec<IntVar>,
-    /// Start of the view range.
-    pub view_start: usize,
-    /// The deadlock-point variable `D`.
-    pub dvar: IntVar,
-    /// Original trace position per order variable (phase hints).
-    pub var_pos: Vec<i64>,
-    /// Total asserted constraints in the formula.
-    pub n_constraints: usize,
-}
-
-impl EncodedDeadlock {
-    /// The order variable of an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event is outside the encoded view.
-    pub fn ovar(&self, e: EventId) -> IntVar {
-        self.ovars[e.index() - self.view_start]
-    }
-
-    /// Phase hint from the original trace order (see [`Encoded::phase_hint`]).
-    pub fn phase_hint(&self, atom: &rvsmt::Atom) -> bool {
-        let p = |v: rvsmt::IntVar| self.var_pos.get(v.index()).copied().unwrap_or(0);
-        p(atom.x) - p(atom.y) <= atom.k
-    }
-}
-
-/// Encodes the predictive-deadlock problem for one candidate cycle: the
-/// formula is satisfiable iff some feasible reordering of the window
-/// reaches a state where each `cycle[i]` is its thread's next event and the
-/// requested lock is held by the next cycle thread (circular wait). The
-/// satisfying model's `{e : O_e < D}` prefix, sorted by model value, is the
-/// witness — a consistent, data-abstract, deadlocked partial schedule.
-///
-/// `cycle` holds the blocked acquire events, one per cycle thread, each
-/// preceded in program order by the acquire of the lock it contributes to
-/// the cycle. Never slices: the cone analysis does not model the prefix
-/// obligations.
-pub fn encode_deadlock(
-    view: &View<'_>,
-    cycle: &[EventId],
-    opts: EncoderOptions,
-) -> EncodedDeadlock {
-    let mut enc = Encoder::new(view, None, None, opts);
-    enc.encode_mhb();
-    // D: the deadlock point every witness event precedes.
-    let d = enc.fb.int_var();
-    debug_assert_eq!(d.index(), enc.var_pos.len());
-    // Near-model hint: just before the earliest blocked acquire.
-    enc.var_pos
-        .push(cycle.iter().map(|a| a.index() as i64).min().unwrap_or(0));
-    enc.encode_lock_conditional(d);
-    // Prefix feasibility: every branch scheduled before D is concretely
-    // feasible (control flow), or every read before D keeps its observed
-    // value (the whole-trace baseline discipline).
-    match opts.mode {
-        ConsistencyMode::ControlFlow => {
-            let branches: Vec<EventId> = view
-                .ids()
-                .filter(|&id| view.event(id).kind.is_branch())
-                .collect();
-            for b in branches {
-                let ob = enc.o(b);
-                let after_d = enc.fb.lt(d, ob);
-                let cfb = enc.cf(b);
-                let t = enc.fb.or2(after_d, cfb);
-                enc.fb.assert_term(t);
-            }
-        }
-        ConsistencyMode::WholeTrace => {
-            let reads: Vec<EventId> = view
-                .ids()
-                .filter(|&id| view.event(id).kind.is_read())
-                .collect();
-            for r in reads {
-                let or_ = enc.o(r);
-                let after_d = enc.fb.lt(d, or_);
-                let m = enc.read_match(r, false);
-                let t = enc.fb.or2(after_d, m);
-                enc.fb.assert_term(t);
-            }
-        }
-    }
-    // The cycle: each blocked acquire sits just past D — its program-order
-    // prefix (which includes the hold of its contributed lock, but not the
-    // release) is in the witness, the acquire itself is not.
-    for &a in cycle {
-        let t = view.event(a).thread;
-        let evs = view.thread_events(t);
-        let pos = evs
-            .iter()
-            .position(|&x| x == a)
-            .expect("cycle event in view");
-        if pos > 0 {
-            let op = enc.o(evs[pos - 1]);
-            let t = enc.fb.lt(op, d);
-            enc.fb.assert_term(t);
-        }
-        let oa = enc.o(a);
-        let t = enc.fb.lt(d, oa);
-        enc.fb.assert_term(t);
-    }
-    let n_constraints = enc.fb.asserted().len();
-    EncodedDeadlock {
-        fb: enc.fb,
-        ovars: enc.ovars,
-        view_start: enc.view_start,
-        dvar: d,
-        var_pos: enc.var_pos,
         n_constraints,
     }
 }

@@ -64,10 +64,9 @@ pub use config::{
 };
 pub use cop::{enumerate_cops, quick_check, CopEnumeration, QuickCheckVerdict};
 pub use deadlock::{DeadlockCycle, DeadlockDetector, DeadlockReport};
-pub use detector::{PublishedSet, RaceDetector, StreamDetection, WindowResult};
+pub use detector::{GoalSession, PublishedSet, RaceDetector, StreamDetection, WindowResult};
 pub use encoder::{
-    encode, encode_deadlock, encode_window, encode_window_with_skeleton, encode_with_skeleton,
-    Encoded, EncodedDeadlock, EncodedWindow, EncoderOptions,
+    encode, encode_goals, encode_with_skeleton, Encoded, EncodedWindow, EncoderOptions, Goal,
 };
 pub use metrics::{Histogram, Metrics, PhaseTimer, METRICS_SCHEMA_VERSION};
 pub use oracle::{oracle_atomicity, oracle_deadlocks, oracle_races};

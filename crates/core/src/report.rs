@@ -378,8 +378,10 @@ impl DetectionReport {
         sigs
     }
 
-    /// Folds the whole report into a [`Metrics`] registry: the race
-    /// section's `detector.*`, `encoder.*` and `solver.*` families, and
+    /// Folds the whole report into a [`Metrics`] registry: the run-level
+    /// `detector.wall_time`, `stream.peak_window_residency` and
+    /// `stream.ingest_overlap` for every kind, then the race section's
+    /// `detector.*`, `encoder.*` and `solver.*` families, and
     /// `deadlock.*` / `atomicity.*`, each only when [`kind`] selects it.
     ///
     /// [`kind`]: DetectionReport::kind
@@ -395,6 +397,17 @@ impl DetectionReport {
     /// comparing runs.
     pub fn to_metrics(&self) -> Metrics {
         let mut m = Metrics::new();
+        let s = &self.stats;
+        m.record_time("detector.wall_time", s.wall_time);
+        if s.peak_window_residency > 0 {
+            m.gauge_max(
+                "stream.peak_window_residency",
+                s.peak_window_residency as u64,
+            );
+        }
+        if let Some(t) = s.ingest_overlap {
+            m.record_time("stream.ingest_overlap", t);
+        }
         if self.kind.includes(Kind::Race) {
             self.record_race_metrics(&mut m);
         }
@@ -453,24 +466,14 @@ impl DetectionReport {
         m.record_histogram("solver.conflicts_per_cop", &s.conflicts_per_cop);
         m.record_histogram("solver.decisions_per_cop", &s.decisions_per_cop);
         m.record_histogram("solver.propagations_per_cop", &s.propagations_per_cop);
-        m.record_time("detector.wall_time", s.wall_time);
         m.record_time("detector.solver_time", s.solver_time);
         m.record_time("detector.tier_a_time", s.tier_a_time);
         m.record_time("detector.tier_b_time", s.tier_b_time);
         for (i, &t) in s.window_times.iter().enumerate() {
             m.record_time(&format!("detector.window.{i:06}"), t);
         }
-        if s.peak_window_residency > 0 {
-            m.gauge_max(
-                "stream.peak_window_residency",
-                s.peak_window_residency as u64,
-            );
-        }
         if let Some(t) = s.time_to_first_race {
             m.record_time("detector.time_to_first_race", t);
-        }
-        if let Some(t) = s.ingest_overlap {
-            m.record_time("stream.ingest_overlap", t);
         }
         // Boundary counters appear only when the cross-window pass did
         // anything, so fixed-mode and non-straddling cone-mode runs emit

@@ -95,7 +95,7 @@ struct ReadFacts {
 /// assertion `O_r1 < O_a2 ∨ O_r2 < O_a1`.
 type CsPair = (EventId, EventId, EventId, EventId);
 
-/// A *conditional* lock-span pair, mirroring `encode_lock_conditional`:
+/// A *conditional* lock-span pair, mirroring the encoder's conditional `Φ_lock`:
 /// `d1 ∨ d2 ∨ D < O_h1 ∨ D < O_h2` where `d1 = (r1 < a2)`,
 /// `d2 = (r2 < a1)` and `D` is the per-COP cut. Used in the maximal
 /// (ControlFlow) mode, where a span acquired past the racing pair needs no

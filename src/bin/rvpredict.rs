@@ -81,7 +81,11 @@
 //!   mode) a trace that violates the sequential-consistency axioms;
 //! * `3` — detection completed and found no races, but some verdicts are
 //!   missing (undecided COPs or failed windows): "no races" is *not*
-//!   proven for the whole trace.
+//!   proven for the whole trace;
+//! * `141` — standard output was closed before the report was written
+//!   (for example `rvpredict T | head`): the run ends quietly, with
+//!   nothing on stderr and no metrics written (128 + SIGPIPE, as a shell
+//!   reports a writer the closed pipe killed).
 //!
 //! Races dominate degradation: a run that both finds races and fails some
 //! windows exits `1` (the found races are sound regardless).
@@ -95,7 +99,7 @@ use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use rvpredict::driver::{self, SessionRequest, EXIT_RACES, EXIT_USAGE};
+use rvpredict::driver::{self, SessionRequest, EXIT_CLOSED_STDOUT, EXIT_RACES, EXIT_USAGE};
 use rvpredict::{
     read_frame, write_frame, CpDetector, DetectionReport, Fault, HbDetector, Kind, Metrics,
     RaceDetector, RaceDetectorTool, SaidDetector, Trace, TraceData, WindowMode,
@@ -444,6 +448,26 @@ fn write_metrics(path: &str, metrics: &Metrics, log: &PhaseLog) -> Result<(), Ex
     Ok(())
 }
 
+/// Writes `text` to standard output. A closed pipe ends the run quietly
+/// with [`EXIT_CLOSED_STDOUT`]; any other write failure is reported and
+/// ends it with [`EXIT_USAGE`].
+fn emit(text: &str) -> Result<(), ExitCode> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            Err(ExitCode::from(EXIT_CLOSED_STDOUT))
+        }
+        Err(e) => {
+            eprintln!("error: cannot write to standard output: {e}");
+            Err(ExitCode::from(EXIT_USAGE))
+        }
+    }
+}
+
 /// Builds the maximal detector's configuration from the CLI options —
 /// via the daemon request type, so local and `--connect` runs share one
 /// flag-to-config mapping (`--jobs` is the only local-only knob).
@@ -476,10 +500,9 @@ fn report_rv(
         report.stats.solver_time,
         report.stats.wall_time
     ));
-    print!(
-        "{}",
-        driver::render_kind_report(report, trace, opts.witnesses)
-    );
+    if let Err(code) = emit(&driver::render_kind_report(report, trace, opts.witnesses)) {
+        return code;
+    }
     metrics.merge(&report.to_metrics());
     if let Some(path) = &opts.metrics {
         if let Err(code) = write_metrics(path, metrics, log) {
@@ -526,7 +549,9 @@ fn run_stream_rv(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> ExitC
         detection.ingest.events, detection.ingest.bytes, detection.ingest.parse_time
     ));
     record_trace_metrics(&detection.trace, metrics);
-    print!("{}", driver::trace_line(&detection.trace));
+    if let Err(code) = emit(&driver::trace_line(&detection.trace)) {
+        return code;
+    }
     report_rv(&detection.report, &detection.trace, opts, metrics, log)
 }
 
@@ -610,7 +635,9 @@ fn run_client(opts: &Options, log: &PhaseLog) -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    print!("{}", resp.stdout);
+    if let Err(code) = emit(&resp.stdout) {
+        return code;
+    }
     eprint!("{}", resp.stderr);
     if let Some(err) = &resp.error {
         eprintln!("error: {path} is not a serialized trace: {err}");
@@ -673,7 +700,9 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(code) => return code,
     };
-    print!("{}", driver::trace_line(&trace));
+    if let Err(code) = emit(&driver::trace_line(&trace)) {
+        return code;
+    }
 
     match opts.detector.as_str() {
         "rv" => {
@@ -717,15 +746,18 @@ fn main() -> ExitCode {
                 r.n_races(),
                 r.time
             ));
-            println!(
-                "{}: {} race(s), {} pairs checked, {:?}",
+            let mut text = format!(
+                "{}: {} race(s), {} pairs checked, {:?}\n",
                 tool.name(),
                 r.n_races(),
                 r.pairs_checked,
                 r.time
             );
             for sig in &r.signatures {
-                println!("  {}", sig.display(&trace));
+                text += &format!("  {}\n", sig.display(&trace));
+            }
+            if let Err(code) = emit(&text) {
+                return code;
             }
             metrics.inc("detector.races", r.n_races() as u64);
             metrics.inc("detector.pairs_considered", r.pairs_checked as u64);

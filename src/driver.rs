@@ -38,6 +38,10 @@ pub const EXIT_USAGE: u8 = 2;
 /// Exit code: no races, but some verdicts are missing (undecided COPs or
 /// failed windows) — race freedom is not established.
 pub const EXIT_DEGRADED: u8 = 3;
+/// Exit code: standard output closed before the report was written
+/// (`rvpredict T | head`). The run ends quietly; 141 is 128 + SIGPIPE, the
+/// status a shell reports for a writer the closed pipe killed.
+pub const EXIT_CLOSED_STDOUT: u8 = 141;
 
 /// Parses a `W:C:KIND` fault-injection spec (KIND: `panic`, `timeout`,
 /// `encode-error`) into a fault coordinate.

@@ -418,3 +418,44 @@ fn cli_timeout_ms_degrades_uniformly() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "saturating budget is unbounded");
 }
+
+/// A reader that closes standard output early (`rvpredict T | head`)
+/// ends the run quietly: exit 141, nothing on stderr — no panic message,
+/// no backtrace. The report is several pipe buffers long, so the binary
+/// is still writing it when the read end closes, whatever the timing.
+#[test]
+fn cli_closed_stdout_ends_the_run_quietly() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+
+    let w = rvsim::workloads::synthetic::deadlock_workload("inversions", 150);
+    let dir = std::env::temp_dir().join("rvpredict-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("closed-stdout-{}.json", std::process::id()));
+    std::fs::write(&path, rvpredict::to_json(&w.trace)).unwrap();
+    let args = ["--kind", "all", "--witnesses"];
+
+    let full = Command::new(bin()).args(args).arg(&path).output().unwrap();
+    assert_eq!(full.status.code(), Some(1));
+    assert!(
+        full.stdout.len() > 4 * 65536,
+        "the report must outgrow the pipe buffer: {} bytes",
+        full.stdout.len()
+    );
+
+    let mut child = Command::new(bin())
+        .args(args)
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let mut first = [0u8; 64];
+    let n = stdout.read(&mut first).unwrap();
+    assert!(String::from_utf8_lossy(&first[..n]).starts_with("trace:"));
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(141));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}

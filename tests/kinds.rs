@@ -7,21 +7,24 @@
 //!
 //! The random traces come from a structured generator that schedules
 //! per-thread scripts — nested write/read-mode critical sections, shared
-//! variables, channel send/recv — through an explicit lock-state machine,
-//! so every recorded interleaving is consistent by construction and the
-//! scripts' lock nesting produces real inversion candidates.
+//! variables, channel send/recv, and optionally branches on earlier reads
+//! — through an explicit lock-state machine, so every recorded
+//! interleaving is consistent by construction and the scripts' lock
+//! nesting produces real inversion candidates.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use rvcore::{atomicity, deadlock, infer_rmw_pairs, GoalSession};
 use rvpredict::{
     check_consistency, check_schedule, oracle_atomicity, oracle_deadlocks, oracle_races,
-    AtomicityDetector, DeadlockDetector, DetectorConfig, RaceDetector, RaceSignature, ThreadId,
-    Trace, TraceBuilder, ViewExt,
+    AtomicityDetector, AtomicityReport, ConsistencyMode, DeadlockCycle, DeadlockDetector,
+    DeadlockReport, DetectorConfig, EventId, EventKind, RaceDetector, RaceSignature, Schedule,
+    ThreadId, Trace, TraceBuilder, VarId, View, ViewExt,
 };
 use rvsim::rng::SmallRng;
 
@@ -45,6 +48,8 @@ enum Op {
     Rel,
     Send,
     Recv,
+    /// A branch on the thread's earlier reads.
+    Branch,
 }
 
 /// Generates one thread's script: a flat run of accesses and channel ops
@@ -163,6 +168,9 @@ fn schedule(rng: &mut SmallRng, scripts: &[Vec<Op>]) -> Trace {
                 let s = pending_sends.remove(0);
                 b.recv(t, chan, Some(s));
             }
+            Op::Branch => {
+                b.branch(t);
+            }
         }
         pc[ti] += 1;
     }
@@ -170,6 +178,17 @@ fn schedule(rng: &mut SmallRng, scripts: &[Vec<Op>]) -> Trace {
 }
 
 fn gen_trace(rng: &mut SmallRng) -> Trace {
+    gen_trace_with(rng, false)
+}
+
+/// [`gen_trace`], optionally `branchy`: each script then starts by
+/// branching on a read of a shared variable and ends by writing one, so a
+/// thread scheduled after another often branches on a value the other
+/// wrote *after* its critical sections — which pins the reader behind the
+/// writer's whole script whenever control flow is respected. Without
+/// `branchy` the random stream, and so every trace, is exactly
+/// [`gen_trace`]'s.
+fn gen_trace_with(rng: &mut SmallRng, branchy: bool) -> Trace {
     let n_threads = rng.gen_range(2..4usize);
     // Half the traces come from lock-heavy scripts — each thread nests two
     // critical sections in a random order — so inversion candidates (and
@@ -179,7 +198,7 @@ fn gen_trace(rng: &mut SmallRng) -> Trace {
     let lock_heavy = rng.gen_range(0..2u32) == 0;
     let scripts: Vec<Vec<Op>> = (0..n_threads)
         .map(|_| {
-            if lock_heavy {
+            let mut s = if lock_heavy {
                 let outer = rng.gen_range(0..N_LOCKS as u32) as usize;
                 let inner = (outer + 1) % N_LOCKS;
                 let mut s = vec![Op::Acq(outer, false)];
@@ -194,7 +213,13 @@ fn gen_trace(rng: &mut SmallRng) -> Trace {
                 let mut s = Vec::new();
                 gen_script(rng, &mut Vec::new(), 0, &mut s);
                 s
+            };
+            if branchy {
+                let v = rng.gen_range(0..N_VARS as u32) as usize;
+                s.splice(0..0, [Op::Read(v), Op::Branch]);
+                s.push(Op::Write(rng.gen_range(0..N_VARS as u32) as usize));
             }
+            s
         })
         .collect();
     schedule(rng, &scripts)
@@ -325,6 +350,196 @@ fn kind_detectors_match_oracle_on_random_traces() {
         atomicity_seen > 0,
         "the generator never produced an atomicity violation"
     );
+}
+
+// ------------------------------------------------- goal-session differential
+
+/// Replays a deadlock witness and checks the circular wait independently
+/// of the detector: after the prefix, each cycle thread's next event is
+/// its blocked acquire, and the lock it requests is held by the next
+/// cycle thread.
+fn reaches_circular_wait(view: &View<'_>, cycle: &DeadlockCycle) -> bool {
+    let mut holder = HashMap::new();
+    let mut scheduled: HashMap<ThreadId, usize> = HashMap::new();
+    for &id in &cycle.schedule.0 {
+        let e = view.event(id);
+        match e.kind {
+            EventKind::Acquire { lock } => {
+                holder.insert(lock, e.thread);
+            }
+            EventKind::Release { lock } => {
+                holder.remove(&lock);
+            }
+            _ => {}
+        }
+        *scheduled.entry(e.thread).or_default() += 1;
+    }
+    let k = cycle.acquires.len();
+    (0..k).all(|i| {
+        let acquire = view.event(cycle.acquires[i]);
+        let owner = view.event(cycle.acquires[(i + 1) % k]).thread;
+        let next = scheduled.get(&acquire.thread).copied().unwrap_or(0);
+        view.thread_events(acquire.thread).get(next) == Some(&cycle.acquires[i])
+            && holder.get(&acquire.kind.lock().unwrap()) == Some(&owner)
+    })
+}
+
+/// The prefix obligation `pf` a deadlock witness must meet, replayed: under
+/// control flow every scheduled branch is concretely feasible — each read
+/// its thread made before it observes its recorded value, recursively
+/// through the writes those reads observe; under whole-trace consistency
+/// every scheduled read observes its recorded value.
+fn prefix_feasible(view: &View<'_>, schedule: &Schedule, mode: ConsistencyMode) -> bool {
+    let mut last: HashMap<VarId, EventId> = HashMap::new();
+    let mut observed: HashMap<EventId, Option<EventId>> = HashMap::new();
+    for &id in &schedule.0 {
+        match view.event(id).kind {
+            EventKind::Read { var, .. } => {
+                observed.insert(id, last.get(&var).copied());
+            }
+            EventKind::Write { var, .. } => {
+                last.insert(var, id);
+            }
+            _ => {}
+        }
+    }
+    let keeps_value = |r: EventId| {
+        let EventKind::Read { var, value } = view.event(r).kind else {
+            unreachable!("only reads observe writes")
+        };
+        let got = match observed[&r] {
+            Some(w) => view.event(w).kind.value(),
+            None => Some(view.initial_value(var)),
+        };
+        got == Some(value)
+    };
+    if mode == ConsistencyMode::WholeTrace {
+        return observed.keys().all(|&r| keeps_value(r));
+    }
+    let mut pending: Vec<EventId> = schedule
+        .0
+        .iter()
+        .copied()
+        .filter(|&e| view.event(e).kind.is_branch())
+        .collect();
+    let mut done = HashSet::new();
+    while let Some(e) = pending.pop() {
+        if !done.insert(e) {
+            continue;
+        }
+        if view.event(e).kind.is_read() {
+            if !keeps_value(e) {
+                return false;
+            }
+            pending.extend(observed[&e]);
+        } else {
+            pending.extend(view.thread_reads_before(e));
+        }
+    }
+    true
+}
+
+/// One window session serves every deadlock cycle and atomicity triple,
+/// so it must decide each exactly as a fresh one-goal session would —
+/// in both consistency modes, on branchy generated traces whose reads
+/// pin some inversions behind a whole critical section. The production
+/// deadlock job (dedup off, so every candidate is solved) must turn every
+/// SAT cycle into a reported cycle whose witness re-validates: a
+/// consistent schedule, the circular wait, and the prefix obligation
+/// `pf`. Under control flow the reported cycles also match the oracle.
+#[test]
+fn goal_sessions_match_fresh_one_goal_sessions_in_both_modes() {
+    let mut rng = SmallRng::seed_from_u64(0x60A1);
+    let cases = cases_from_env(128);
+    let (mut sat_cycles, mut refuted_cycles, mut sat_triples) = (0usize, 0usize, 0usize);
+    let mut checked = 0;
+    for _attempt in 0..cases * 30 {
+        if checked == cases {
+            break;
+        }
+        let trace = gen_trace_with(&mut rng, true);
+        if trace.len() < 6 {
+            continue;
+        }
+        checked += 1;
+        let view = trace.full_view();
+        for mode in [ConsistencyMode::ControlFlow, ConsistencyMode::WholeTrace] {
+            let config = DetectorConfig {
+                mode,
+                dedup_signatures: false,
+                ..Default::default()
+            };
+            let pairs = infer_rmw_pairs(&view);
+            for goals in [
+                deadlock::candidates(&view),
+                atomicity::candidates(&view, &pairs),
+            ] {
+                let mut shared = GoalSession::new(&config, &view, &goals, None);
+                for (i, goal) in goals.iter().enumerate() {
+                    let verdict = shared.solve(i).0;
+                    let fresh = GoalSession::new(&config, &view, std::slice::from_ref(goal), None)
+                        .solve(0)
+                        .0;
+                    assert_eq!(
+                        verdict,
+                        fresh,
+                        "{mode:?}: goal {goal:?} on trace {:?}",
+                        trace.events()
+                    );
+                }
+            }
+
+            let mut dl = DeadlockReport::default();
+            let detector = DeadlockDetector {
+                config: config.clone(),
+            };
+            detector.detect_in_view(&view, &mut dl);
+            assert_eq!(dl.unknown, 0, "small traces must decide fully");
+            assert_eq!(
+                dl.cycles.len(),
+                dl.sat,
+                "{mode:?}: every SAT cycle needs a validated witness on trace {:?}",
+                trace.events()
+            );
+            for cycle in &dl.cycles {
+                assert_eq!(check_schedule(&view, &cycle.schedule), Ok(()));
+                assert!(
+                    reaches_circular_wait(&view, cycle),
+                    "{mode:?}: {cycle:?} on trace {:?}",
+                    trace.events()
+                );
+                assert!(
+                    prefix_feasible(&view, &cycle.schedule, mode),
+                    "{mode:?}: infeasible prefix {cycle:?} on trace {:?}",
+                    trace.events()
+                );
+            }
+            if mode == ConsistencyMode::ControlFlow && trace.len() <= MAX_ORACLE_EVENTS {
+                let got: BTreeSet<Vec<_>> = dl.cycles.iter().map(|c| c.locks.clone()).collect();
+                assert_eq!(
+                    got,
+                    oracle_deadlocks(&view, MAX_ORACLE_EVENTS),
+                    "deadlock sessions vs oracle on trace {:?}",
+                    trace.events()
+                );
+            }
+            sat_cycles += dl.sat;
+            refuted_cycles += dl.unsat;
+
+            let mut at = AtomicityReport::default();
+            let detector = AtomicityDetector { config };
+            detector.detect_in_view(&view, &pairs, &mut at);
+            assert_eq!(at.unknown, 0, "small traces must decide fully");
+            for v in &at.violations {
+                assert_eq!(check_schedule(&view, &v.schedule), Ok(()));
+            }
+            sat_triples += at.sat;
+        }
+    }
+    assert_eq!(checked, cases, "not enough generated traces");
+    assert!(sat_cycles > 0, "no cycle was ever satisfiable");
+    assert!(refuted_cycles > 0, "no cycle was ever refuted");
+    assert!(sat_triples > 0, "no triple was ever satisfiable");
 }
 
 /// RwLock generator semantics, pinned: concurrent read-mode critical
@@ -627,7 +842,9 @@ fn kind_reports_relay_identically_through_daemon() {
             &path,
         ]);
         let doc = std::fs::read_to_string(metrics).unwrap();
-        let race_counters = doc.contains("\"detector.") || doc.contains("\"solver.");
+        // Every kind records the run-level `detector.wall_time`; only
+        // race sessions record the race counters.
+        let race_counters = doc.contains("\"detector.races\"") || doc.contains("\"solver.");
         assert_eq!(
             race_counters,
             kind == "race" || kind == "all",

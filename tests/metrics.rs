@@ -362,3 +362,42 @@ fn constructor_witnesses_every_kinds_race_and_counts_fallbacks() {
     let doc = report.to_metrics().without_timings().to_json();
     assert!(doc.contains("\"detector.witness_fallbacks\": 1"), "{doc}");
 }
+
+/// Every kind reports the run-level metrics, not only the race section:
+/// a `--kind deadlock` or `--kind atomicity` run records
+/// `detector.wall_time` and `stream.peak_window_residency`, plus
+/// `stream.ingest_overlap` when streamed, and no race counters. Its
+/// count-type sections are byte-identical whole-file and streamed, at 1,
+/// 2 and 4 workers.
+#[test]
+fn single_kind_runs_report_run_level_metrics() {
+    let trace = kinds_units(&mut SmallRng::seed_from_u64(0x4B1D), 8);
+    let ndjson = rvpredict::to_ndjson(&trace);
+    for kind in [rvpredict::Kind::Deadlock, rvpredict::Kind::Atomicity] {
+        let mut docs = Vec::new();
+        for parallelism in [1usize, 2, 4] {
+            let config = DetectorConfig {
+                parallelism,
+                window_size: 60,
+                kind,
+                ..Default::default()
+            };
+            let streamed = RaceDetector::with_config(config.clone())
+                .detect_stream(ndjson.as_bytes())
+                .expect("the trace streams")
+                .report;
+            for (report, stream) in [(detect(&trace, config), false), (streamed, true)] {
+                let m = report.to_metrics();
+                let doc = m.to_json();
+                assert!(m.timing("detector.wall_time") > Duration::ZERO, "{doc}");
+                assert!(m.gauge("stream.peak_window_residency") > 0, "{doc}");
+                assert_eq!(doc.contains("\"stream.ingest_overlap\""), stream, "{doc}");
+                assert!(!doc.contains("\"detector.races\""), "{doc}");
+                docs.push(m.without_timings().to_json());
+            }
+        }
+        for doc in &docs[1..] {
+            assert_eq!(&docs[0], doc, "{kind:?} count-type metrics drifted");
+        }
+    }
+}
