@@ -174,17 +174,23 @@ if [ "${1:-}" != "quick" ]; then
             "target/tier_smoke_${name}_unsliced.stripped"
     done
 
-    say "serve smoke (daemon sessions vs standalone CLI: identical reports)"
-    # One tenant-mix trace through the rvserved daemon under three session
-    # flavors — plain, --no-tiers, and a fault-injected co-tenant — each
-    # compared against its standalone --stream run. Exit codes must agree
-    # and reports must match byte-for-byte modulo wall-clock (same strip
-    # as the other smokes). The daemon serves exactly the three sessions
-    # (--once 3) and must exit 0: a session fault is never a daemon fault.
+    say "serve smoke (daemon sessions vs standalone CLI: identical responses)"
+    # One tenant-mix trace through the rvserved daemon under five session
+    # flavors — plain, --no-tiers, a fault-injected co-tenant, every
+    # violation class (--kind all) and salvage (--lenient) — each compared
+    # against its standalone --stream run. Both are the same detection
+    # session composed by the same code, so exit codes must agree, stdout
+    # must match modulo wall-clock (same strip as the other smokes),
+    # stderr must match once the solo process's own panic-hook lines and
+    # blank lines are dropped (the daemon's workers print theirs to the
+    # daemon's stderr),
+    # and the metrics documents must match up to `timings_us`. The daemon
+    # serves exactly the five sessions (--once 5) and must exit 0: a
+    # session fault is never a daemon fault.
     cargo run -p rvbench --release --bin emit_trace -- \
         --workload tenant_mix --format ndjson --out target/serve_smoke_trace.ndjson
     rm -f target/serve_smoke.sock
-    ./target/release/rvserved --socket target/serve_smoke.sock --once 3 --jobs 2 \
+    ./target/release/rvserved --socket target/serve_smoke.sock --once 5 --jobs 2 \
         2> target/serve_smoke_served.log &
     served_pid=$!
     for _ in $(seq 1 100); do
@@ -192,30 +198,31 @@ if [ "${1:-}" != "quick" ]; then
         sleep 0.1
     done
     [ -S target/serve_smoke.sock ]
-    for variant in plain notiers fault; do
+    for variant in plain notiers fault kinds lenient; do
         case $variant in
             plain)   flag="" ;;
             notiers) flag="--no-tiers" ;;
             fault)   flag="--inject-fault 0:0:panic" ;;
+            kinds)   flag="--kind all" ;;
+            lenient) flag="--lenient" ;;
         esac
-        solo_code=0
-        # shellcheck disable=SC2086  # $flag is intentionally word-split
-        ./target/release/rvpredict --stream --window 300 $flag \
-            target/serve_smoke_trace.ndjson \
-            > "target/serve_smoke_${variant}_solo.out" 2>/dev/null || solo_code=$?
-        conn_code=0
-        # shellcheck disable=SC2086  # $flag is intentionally word-split
-        ./target/release/rvpredict --connect target/serve_smoke.sock --window 300 $flag \
-            target/serve_smoke_trace.ndjson \
-            > "target/serve_smoke_${variant}_conn.out" 2>/dev/null || conn_code=$?
-        [ "$solo_code" = "$conn_code" ]
         for side in solo conn; do
-            sed -e 's/, solver .*//' -e '/window times:/d' \
-                "target/serve_smoke_${variant}_${side}.out" \
-                > "target/serve_smoke_${variant}_${side}.stripped"
+            if [ "$side" = solo ]; then mode="--stream"; else mode="--connect target/serve_smoke.sock"; fi
+            out="target/serve_smoke_${variant}_$side"
+            code=0
+            # shellcheck disable=SC2086  # $mode/$flag are intentionally word-split
+            RUST_BACKTRACE=0 ./target/release/rvpredict $mode --window 300 $flag \
+                --metrics "$out.metrics" target/serve_smoke_trace.ndjson \
+                > "$out.out" 2> "$out.err" || code=$?
+            echo "$code" > "$out.code"
+            sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
+            sed -e "/^thread '.*panicked at /{N;d;}" -e '/^note: run with `RUST_BACKTRACE=1`/d' \
+                -e '/^$/d' "$out.err" > "$out.stderr"
+            awk '/"timings_us"/{exit} {print}' "$out.metrics" > "$out.counts"
         done
-        diff "target/serve_smoke_${variant}_solo.stripped" \
-            "target/serve_smoke_${variant}_conn.stripped"
+        for part in code stripped stderr counts; do
+            diff "target/serve_smoke_${variant}_solo.$part" "target/serve_smoke_${variant}_conn.$part"
+        done
     done
     wait "$served_pid"
 

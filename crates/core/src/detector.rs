@@ -15,11 +15,11 @@
 //! prefixes a stream parser produces) into windows, each window becomes
 //! one `WindowJob` per selected analysis, solved under panic isolation,
 //! and an `InOrderMerge` folds the results in (window, analysis) order.
-//! [`RaceDetector::detect`] and [`RaceDetector::detect_stream`] run the
-//! jobs on one bounded pool of scoped worker threads
-//! ([`DetectorConfig::parallelism`]); daemon sessions run them on the
-//! session scheduler. Determinism is preserved by splitting the work into
-//! a *solve* phase and a *merge* phase:
+//! The jobs run on one worker pool, the [`SessionManager`]'s, fed by one
+//! driver, the [`Session`]: [`RaceDetector::detect`] is a one-tenant
+//! session over a complete trace, and the CLI and the daemon open
+//! sessions of their own. Determinism is preserved by splitting the work
+//! into a *solve* phase and a *merge* phase:
 //!
 //! * each worker produces a [`WindowResult`]: an ordered list of per-COP
 //!   records whose content depends only on the window itself (workers never
@@ -45,7 +45,7 @@
 //! panic (a solver bug, a poisoned window, an injected fault) is converted
 //! into a [`WindowOutcome::Failed`] record that merges in window order
 //! like any other outcome, so one bad window degrades the report instead
-//! of tearing down the whole `std::thread::scope` run. Per-COP budget
+//! of tearing down the run. Per-COP budget
 //! exhaustion is three-valued: `Undecided(Timeout | ConflictBudget |
 //! WorkerPanic | EncodeError)` is tallied in [`DetectionStats`] rather
 //! than silently reading as "no race". The shared published-signature set
@@ -56,19 +56,17 @@
 //! thread counts *under faults*.
 //!
 //! [`DetectionStats`]: crate::report::DetectionStats
+//! [`SessionManager`]: crate::session::SessionManager
+//! [`Session`]: crate::session::Session
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
-use std::io::Read;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use rvsmt::{Budget, SmtResult, Solver, StopReason};
 use rvtrace::{
-    validate_wait_links, Cop, CursorWindow, EventId, IngestStats, JsonError, RaceSignature,
-    Schedule, StraddlePlan, StreamParser, Trace, View, WindowCursor,
+    Cop, CursorWindow, EventId, RaceSignature, Schedule, StraddlePlan, Trace, View, WindowCursor,
 };
 
 use crate::atomicity::{self, infer_rmw_pairs, AtomicityWindow};
@@ -79,6 +77,7 @@ use crate::encoder::{encode, encode_goals, EncodedWindow, EncoderOptions, Goal};
 use crate::report::{
     DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason, Verdict,
 };
+use crate::session::{SessionConfig, SessionManager};
 use crate::slice::WindowSkeleton;
 use crate::tiers::{Tier, TierAnalysis, TierDecision};
 use crate::witness::{construct, extract_witness, Witness};
@@ -179,10 +178,9 @@ enum WindowOutcome {
 /// An opaque window-job result: produced by [`WindowJob::solve`] (or, for
 /// races, [`RaceDetector::solve_window_result`]) and consumed in window
 /// order by [`RaceDetector::merge_window_result`]. These are the two
-/// halves of the solve-then-merge protocol the built-in drivers run;
-/// exposing them lets an external driver schedule the solves on its own
-/// worker pool while keeping the merged report byte-identical to the
-/// built-in drivers.
+/// halves of the solve-then-merge protocol sessions run; exposing them
+/// lets an external driver schedule the solves on its own worker pool
+/// while keeping the merged report byte-identical to a session's.
 #[derive(Debug)]
 pub struct WindowResult {
     window_index: usize,
@@ -218,11 +216,34 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The record of a window job that produced no result: it panicked, or
+/// the pool shut down before solving it. A failed deadlock or atomicity
+/// job names its analysis in the failure reason.
+fn failed(
+    analysis: Analysis,
+    window_index: usize,
+    range: std::ops::Range<usize>,
+    reason: String,
+) -> WindowOutcome {
+    let reason = match analysis {
+        Analysis::Race => reason,
+        Analysis::Deadlock => format!("deadlock analysis: {reason}"),
+        Analysis::Atomicity => format!("atomicity analysis: {reason}"),
+    };
+    WindowOutcome::Failed(
+        analysis,
+        FailedWindow {
+            window_index,
+            range,
+            reason,
+        },
+    )
+}
+
 /// Runs one window job under panic isolation: a panic anywhere in
 /// `solve` (including injected `Fault::Panic`s and view construction)
 /// becomes a [`WindowOutcome::Failed`] record instead of unwinding into
-/// the worker loop. A failed deadlock or atomicity job names its analysis
-/// in the failure reason.
+/// the worker loop.
 fn isolated(
     analysis: Analysis,
     window_index: usize,
@@ -231,19 +252,11 @@ fn isolated(
 ) -> WindowResult {
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
-            let reason = panic_reason(payload.as_ref());
-            let reason = match analysis {
-                Analysis::Race => reason,
-                Analysis::Deadlock => format!("deadlock analysis: {reason}"),
-                Analysis::Atomicity => format!("atomicity analysis: {reason}"),
-            };
-            WindowOutcome::Failed(
+            failed(
                 analysis,
-                FailedWindow {
-                    window_index,
-                    range,
-                    reason,
-                },
+                window_index,
+                range,
+                panic_reason(payload.as_ref()),
             )
         });
     WindowResult {
@@ -462,19 +475,34 @@ impl PublishedSet {
 }
 
 /// One analysis of one window: a window the [`WindowCursor`] yielded,
-/// a trace that covers it — the whole trace (`&Trace`) or an [`Arc`]
-/// snapshot of the prefix ingested so far — and the analysis to run. A
-/// window's view, and therefore its SMT encodings and verdicts, is a pure
-/// function of the window's own events plus its boundary, so solving
-/// against any prefix that reaches the window's end is byte-identical to
-/// solving against the full trace.
-pub(crate) struct WindowJob<T> {
+/// a trace that covers it — the whole trace or a snapshot of the prefix
+/// ingested so far — and the analysis to run. A window's view, and
+/// therefore its SMT encodings and verdicts, is a pure function of the
+/// window's own events plus its boundary, so solving against any prefix
+/// that reaches the window's end is byte-identical to solving against
+/// the full trace.
+pub(crate) struct WindowJob {
     pub(crate) window: CursorWindow,
-    pub(crate) trace: T,
+    pub(crate) trace: Arc<Trace>,
     pub(crate) analysis: Analysis,
 }
 
-impl<T: Deref<Target = Trace>> WindowJob<T> {
+impl WindowJob {
+    /// The result of a job no worker will solve: the pool shut down
+    /// before it ran. It merges like a panicked job.
+    pub(crate) fn abandoned(&self) -> WindowResult {
+        let w = &self.window;
+        WindowResult {
+            window_index: w.index,
+            outcome: failed(
+                self.analysis,
+                w.index,
+                w.range.clone(),
+                "solver pool shut down".to_string(),
+            ),
+        }
+    }
+
     /// Builds the window's view and runs the job's analysis, both under
     /// panic isolation. The result must be merged in order through an
     /// [`InOrderMerge`].
@@ -503,11 +531,11 @@ impl<T: Deref<Target = Trace>> WindowJob<T> {
 
 /// The jobs of one window: one per analysis `kind` selects, in merge
 /// order. Only the race job carries the window's straddle plan.
-pub(crate) fn window_jobs<T: Clone>(
+pub(crate) fn window_jobs(
     mut window: CursorWindow,
-    trace: T,
+    trace: Arc<Trace>,
     kind: Kind,
-) -> impl Iterator<Item = WindowJob<T>> {
+) -> impl Iterator<Item = WindowJob> {
     let plan = window.plan.take();
     kind.analyses().iter().map(move |&analysis| WindowJob {
         window: CursorWindow {
@@ -590,31 +618,6 @@ impl InOrderMerge {
     }
 }
 
-/// The result of [`RaceDetector::detect_stream`]: the fully ingested
-/// trace, the detection report, and the ingestion counters.
-#[derive(Debug)]
-pub struct StreamDetection {
-    /// The complete trace, as reconstructed from the stream.
-    pub trace: Trace,
-    /// The detection report — byte-identical (summary and count-type
-    /// metrics) to `detect` on the same trace, at every worker count.
-    pub report: DetectionReport,
-    /// Bytes, events and parse time of the ingestion.
-    pub ingest: IngestStats,
-}
-
-/// Bytes read from the input per pump round.
-const STREAM_CHUNK: usize = 64 * 1024;
-
-/// Converts an I/O failure into the ingestion error type.
-fn io_error(bytes_fed: usize, e: std::io::Error) -> JsonError {
-    JsonError {
-        message: format!("read error: {e}"),
-        offset: bytes_fed,
-        snippet: String::new(),
-    }
-}
-
 /// The maximal sound predictive race detector.
 ///
 /// # Examples
@@ -672,187 +675,23 @@ impl RaceDetector {
     /// Runs detection over the whole trace, window by window: one job per
     /// window and analysis [`DetectorConfig::kind`] selects.
     ///
-    /// The window cursor feeds the window pool and results merge in
-    /// window order, so violations, signatures and verdict counters are
-    /// identical for every thread count (wall-clock timings, of course,
-    /// are not).
+    /// This is a one-tenant [`Session`](crate::session::Session) over a
+    /// copy of `trace`, on a pool of [`DetectorConfig::parallelism`]
+    /// workers. Results merge in window order, so violations, signatures
+    /// and verdict counters are identical for every thread count
+    /// (wall-clock timings, of course, are not).
     ///
     /// # Panics
     ///
     /// Panics if `window_size` is zero.
     pub fn detect(&self, trace: &Trace) -> DetectionReport {
-        let start = Instant::now();
-        let mut cursor = self.cursor();
-        let (mut report, ()) = self.run_pool(start, |dispatch| {
-            while let Some(window) = cursor.next(trace, true) {
-                dispatch(window, trace);
-            }
-        });
-        report.stats.wall_time = start.elapsed();
-        report
-    }
-
-    /// Streaming detection: ingests the trace from `reader` (format
-    /// auto-detected, see [`StreamParser`]) and solves windows while the
-    /// tail of the input is still being read. A window is dispatched as
-    /// soon as its events *and* the trace metadata have arrived — with the
-    /// NDJSON layout (metadata header first) solving overlaps ingestion
-    /// from the first complete window; with the whole-document layout
-    /// (metadata after the events) dispatch starts when the metadata
-    /// completes near the end of the document.
-    ///
-    /// Workers solve against [`Arc`] snapshots of the trace *prefix*
-    /// ingested so far; a window's verdicts are a pure function of its
-    /// events and its boundary state, so the merged report is
-    /// byte-identical to [`RaceDetector::detect`] on the whole file, at
-    /// every worker count. Window-state residency is bounded by the worker
-    /// pool plus the dispatch queue (the `stream.peak_window_residency`
-    /// gauge), and the first race can be reported while ingestion is still
-    /// running (`detector.time_to_first_race`).
-    ///
-    /// The input is validated exactly like the whole-file strict path:
-    /// syntax and shape errors surface with the same message and byte
-    /// offset, and wait-link validation runs once ingestion completes
-    /// (speculatively solved windows are discarded on failure).
-    pub fn detect_stream<R: Read>(&self, reader: R) -> Result<StreamDetection, JsonError> {
-        let start = Instant::now();
-        let (mut report, ingested) =
-            self.run_pool(start, |dispatch| self.ingest(reader, start, dispatch));
-        let (trace, ingest, overlap) = ingested?;
-        report.stats.ingest_overlap = Some(overlap);
-        report.stats.wall_time = start.elapsed();
-        // Every worker has exited, so the final Arc is the last one
-        // standing.
-        let trace = Arc::try_unwrap(trace).unwrap_or_else(|a| (*a).clone());
-        Ok(StreamDetection {
-            trace,
-            report,
-            ingest,
-        })
-    }
-
-    /// The ingest side of [`detect_stream`](Self::detect_stream): parses
-    /// `reader` chunk by chunk and dispatches every window the cursor
-    /// completes, then the tail once the input ends. Returns the whole
-    /// trace, the ingestion counters and how long solving overlapped
-    /// ingestion.
-    fn ingest<R: Read>(
-        &self,
-        mut reader: R,
-        start: Instant,
-        dispatch: &mut dyn FnMut(CursorWindow, Arc<Trace>),
-    ) -> Result<(Arc<Trace>, IngestStats, Duration), JsonError> {
-        let mut parser = StreamParser::new();
-        let mut chunk = vec![0u8; STREAM_CHUNK];
-        let mut cursor = self.cursor();
-        let mut first_dispatch: Option<Duration> = None;
-        loop {
-            let n = reader
-                .read(&mut chunk)
-                .map_err(|e| io_error(parser.bytes_fed(), e))?;
-            if n == 0 {
-                break;
-            }
-            parser.feed(&chunk[..n])?;
-            // Gated on the metadata: boundary state needs the initial
-            // values, and a snapshot without the full metadata would not
-            // be prefix-equivalent to the final trace.
-            if !parser.metadata_complete() || !cursor.ready(parser.events().len(), false) {
-                continue;
-            }
-            let snapshot = Arc::new(Trace::from_data(parser.data().clone()));
-            while let Some(window) = cursor.next(&snapshot, false) {
-                first_dispatch.get_or_insert_with(|| start.elapsed());
-                dispatch(window, snapshot.clone());
-            }
-        }
-        parser.finish()?;
-        // Strict-path parity: the whole-file reader validates wait links
-        // after parsing; so does the stream. On failure every speculative
-        // verdict is discarded.
-        validate_wait_links(parser.data())?;
-        let ingest = parser.stats();
-        let ingest_done = start.elapsed();
-        let trace = Arc::new(Trace::from_data(parser.into_data()));
-        while let Some(window) = cursor.next(&trace, true) {
-            dispatch(window, trace.clone());
-        }
-        let overlap = first_dispatch
-            .map(|t| ingest_done.saturating_sub(t))
-            .unwrap_or(Duration::ZERO);
-        Ok((trace, ingest, overlap))
-    }
-
-    /// The window pool both in-process drivers share: `parallelism` scoped
-    /// workers fed through a bounded queue, and a merge thread running the
-    /// [`InOrderMerge`]. `feed` runs on the calling thread and hands each
-    /// window to `dispatch`, in window order; `dispatch` queues the
-    /// window's jobs ([`window_jobs`]).
-    ///
-    /// The `sync_channel(workers + 2)` queue is the backpressure: when
-    /// every worker is busy and the queue is full, `dispatch` blocks
-    /// instead of materializing further jobs. A job counts as resident
-    /// from dispatch until its worker drops it, so the
-    /// `peak_window_residency` gauge is at most `2 * workers + 3`
-    /// (one per worker, the queue, and one blocked in `dispatch`).
-    fn run_pool<T, R>(
-        &self,
-        start: Instant,
-        feed: impl FnOnce(&mut dyn FnMut(CursorWindow, T)) -> R,
-    ) -> (DetectionReport, R)
-    where
-        T: Deref<Target = Trace> + Send + Clone,
-    {
-        let workers = self.config.parallelism.max(1);
-        let published = PublishedSet::new();
-        let residency = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let (job_tx, job_rx) = mpsc::sync_channel::<WindowJob<T>>(workers + 2);
-        let job_rx = Mutex::new(job_rx);
-        let (out_tx, out_rx) = mpsc::channel::<WindowResult>();
-        std::thread::scope(|scope| {
-            let (published, residency, job_rx) = (&published, &residency, &job_rx);
-            for _ in 0..workers {
-                let out_tx = out_tx.clone();
-                scope.spawn(move || loop {
-                    let job = job_rx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .recv();
-                    let Ok(job) = job else { break };
-                    let result = job.solve(self, published);
-                    drop(job);
-                    residency.fetch_sub(1, Ordering::Relaxed);
-                    if out_tx.send(result).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(out_tx);
-            let merger = scope.spawn(move || {
-                let mut merge = InOrderMerge::new(start, self.config.kind);
-                for result in out_rx {
-                    merge.absorb(self, result, published);
-                }
-                merge.finish()
-            });
-            let fed = feed(&mut |window, trace| {
-                for job in window_jobs(window, trace, self.config.kind) {
-                    let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak.fetch_max(live, Ordering::Relaxed);
-                    // Send fails only if every worker died; worker panics
-                    // are caught per job, so in practice the queue
-                    // outlives the feed.
-                    let _ = job_tx.send(job);
-                }
-            });
-            // Closing the queue lets the workers drain and exit, which
-            // ends the merge.
-            drop(job_tx);
-            let mut report = merger.join().expect("merge thread panicked");
-            report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
-            (report, fed)
-        })
+        let manager = SessionManager::new(self.config.parallelism);
+        let config = SessionConfig {
+            detector: self.config.clone(),
+            lenient: false,
+            max_resident_windows: manager.in_process_residency(),
+        };
+        manager.open_session(config).detect(Arc::new(trace.clone()))
     }
 
     /// Solves one window under panic isolation, as a building block for
@@ -957,7 +796,7 @@ impl RaceDetector {
     }
 
     /// The planned fault for this (window, COP) coordinate, if any.
-    /// `Fault::Panic` fires here (caught by `solve_window_isolated`);
+    /// `Fault::Panic` fires here (caught by `isolated`);
     /// the other faults are returned as forced verdicts.
     fn apply_fault(&self, window: usize, cop_index: usize) -> Option<CopVerdict> {
         let fault = self
@@ -1454,7 +1293,23 @@ impl RaceDetector {
 mod tests {
     use super::*;
     use crate::config::ConsistencyMode;
-    use rvtrace::{ThreadId, TraceBuilder};
+    use crate::session::SessionOutcome;
+    use rvtrace::{JsonError, ThreadId, TraceBuilder};
+
+    /// The `--stream` driver: a one-tenant session fed `input` in 64 KiB
+    /// chunks, capped at the in-process residency.
+    fn detect_streamed(config: &DetectorConfig, input: &[u8]) -> Result<SessionOutcome, JsonError> {
+        let manager = SessionManager::new(config.parallelism);
+        let mut session = manager.open_session(SessionConfig {
+            detector: config.clone(),
+            lenient: false,
+            max_resident_windows: manager.in_process_residency(),
+        });
+        for chunk in input.chunks(64 * 1024) {
+            session.feed(chunk)?;
+        }
+        session.finish()
+    }
 
     /// Paper Figure 1/4: exactly one race, (3,10) on x.
     fn figure1_trace() -> Trace {
@@ -1736,10 +1591,12 @@ mod tests {
                 ..Default::default()
             });
             let whole = detector.detect(&trace);
-            let streamed = detector.detect_stream(ndjson.as_bytes()).unwrap().report;
+            let streamed = detect_streamed(detector.config(), ndjson.as_bytes())
+                .unwrap()
+                .report;
             assert!(whole.stats.windows >= 20, "windows={}", whole.stats.windows);
             assert!(whole.n_races() >= 1, "sanity: the workload races");
-            for (source, report) in [("detect", &whole), ("detect_stream", &streamed)] {
+            for (source, report) in [("detect", &whole), ("streamed", &streamed)] {
                 let peak = report.stats.peak_window_residency;
                 assert!(
                     (1..=2 * jobs + 3).contains(&peak),
@@ -1763,16 +1620,15 @@ mod tests {
         };
         let whole = RaceDetector::with_config(cfg()).detect(&trace);
         for input in [rvtrace::to_json(&trace), rvtrace::to_ndjson(&trace)] {
-            let streamed = RaceDetector::with_config(cfg())
-                .detect_stream(input.as_bytes())
-                .unwrap();
+            let streamed = detect_streamed(&cfg(), input.as_bytes()).unwrap();
             assert_eq!(
                 streamed.report.deterministic_summary(),
                 whole.deterministic_summary()
             );
             assert_eq!(streamed.trace.events(), trace.events());
-            assert_eq!(streamed.ingest.bytes, input.len());
-            assert_eq!(streamed.ingest.events, trace.len());
+            let ingest = streamed.ingest.expect("read from bytes");
+            assert_eq!(ingest.bytes, input.len());
+            assert_eq!(ingest.events, trace.len());
             assert!(streamed.report.stats.ingest_overlap.is_some());
         }
     }
@@ -1789,9 +1645,7 @@ mod tests {
                 ..Default::default()
             };
             let whole = RaceDetector::with_config(cfg()).detect(&trace);
-            let streamed = RaceDetector::with_config(cfg())
-                .detect_stream(rvtrace::to_ndjson(&trace).as_bytes())
-                .unwrap();
+            let streamed = detect_streamed(&cfg(), rvtrace::to_ndjson(&trace).as_bytes()).unwrap();
             assert_eq!(
                 streamed.report.deterministic_summary(),
                 whole.deterministic_summary(),
@@ -1801,7 +1655,7 @@ mod tests {
         // Zero events, valid document.
         let empty = "{\"events\":[],\"initial_values\":{},\"volatiles\":[],\
                      \"wait_links\":[],\"loc_names\":{},\"var_names\":{}}";
-        let streamed = RaceDetector::new().detect_stream(empty.as_bytes()).unwrap();
+        let streamed = detect_streamed(&DetectorConfig::default(), empty.as_bytes()).unwrap();
         assert_eq!(streamed.report.stats.windows, 0);
         assert_eq!(streamed.report.n_races(), 0);
         assert!(streamed.trace.is_empty());
@@ -1813,9 +1667,7 @@ mod tests {
         let json = rvtrace::to_json(&trace);
         let cut = &json[..json.len() / 2];
         let whole = rvtrace::from_json(cut).unwrap_err();
-        let streamed = RaceDetector::new()
-            .detect_stream(cut.as_bytes())
-            .unwrap_err();
+        let streamed = detect_streamed(&DetectorConfig::default(), cut.as_bytes()).unwrap_err();
         assert_eq!(streamed.message, whole.message);
         assert_eq!(streamed.offset, whole.offset);
 
@@ -1823,9 +1675,7 @@ mod tests {
              \"initial_values\":{},\"volatiles\":[],\
              \"wait_links\":[{\"release\":0,\"acquire\":99,\"notify\":null}],\
              \"loc_names\":{},\"var_names\":{}}";
-        let err = RaceDetector::new()
-            .detect_stream(bad_links.as_bytes())
-            .unwrap_err();
+        let err = detect_streamed(&DetectorConfig::default(), bad_links.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
@@ -1973,9 +1823,8 @@ mod tests {
                     ..Default::default()
                 };
                 let whole = RaceDetector::with_config(cfg()).detect(&trace);
-                let streamed = RaceDetector::with_config(cfg())
-                    .detect_stream(rvtrace::to_ndjson(&trace).as_bytes())
-                    .unwrap();
+                let streamed =
+                    detect_streamed(&cfg(), rvtrace::to_ndjson(&trace).as_bytes()).unwrap();
                 [
                     whole.deterministic_summary(),
                     streamed.report.deterministic_summary(),

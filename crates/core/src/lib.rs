@@ -64,7 +64,7 @@ pub use config::{
 };
 pub use cop::{enumerate_cops, quick_check, CopEnumeration, QuickCheckVerdict};
 pub use deadlock::{DeadlockCycle, DeadlockDetector, DeadlockReport};
-pub use detector::{GoalSession, PublishedSet, RaceDetector, StreamDetection, WindowResult};
+pub use detector::{GoalSession, PublishedSet, RaceDetector, WindowResult};
 pub use encoder::{
     encode, encode_goals, encode_with_skeleton, Encoded, EncodedWindow, EncoderOptions, Goal,
 };

@@ -1,42 +1,54 @@
-//! Multi-tenant detection sessions over a shared solver worker pool.
+//! Detection sessions over one shared solver worker pool: the only
+//! driver of window jobs.
 //!
-//! The building blocks of the `rvserved` daemon: a [`SessionManager`] owns
-//! one pool of solver workers for the whole process, and each concurrent
-//! trace stream gets a [`Session`] — its own incremental parser, window
-//! cursor, confirmed-signature state and private [`Metrics`] registry. The
-//! failure domain is the session, never the process:
+//! A [`SessionManager`] owns the process's one pool of solver workers,
+//! and every detection run is a [`Session`] on it — its own incremental
+//! parser, window cursor, confirmed-signature state, in-order merge and
+//! private [`Metrics`] registry. [`RaceDetector::detect`] is a one-tenant
+//! session over a complete trace; the `rvpredict` CLI opens one session
+//! per run (fed the parsed trace whole, or the file's bytes under
+//! `--stream`); the `rvserved` daemon opens one per connection. They
+//! differ only in where the bytes or the trace come from. The failure
+//! domain is the session, never the process:
 //!
 //! * **Isolation** — a window solve that panics degrades to a
 //!   [`FailedWindow`](crate::report::FailedWindow) record in *its* session's
-//!   report (the PR 2 path); a session torn down mid-stream (disconnect,
-//!   idle timeout, client kill) retires its queued work and leaves a
-//!   deterministic [`SessionError`] record, without touching neighbors.
+//!   report; a session torn down mid-stream (disconnect, idle timeout,
+//!   client kill) retires its queued work and leaves a deterministic
+//!   [`SessionError`] record, without touching neighbors.
 //! * **Fairness** — the scheduler round-robins over sessions with pending
 //!   windows, so one firehose tenant cannot starve the others.
 //! * **Backpressure** — a session may keep at most
 //!   [`SessionConfig::max_resident_windows`] window jobs in flight (one
 //!   per window and selected analysis); past that, *its own* ingest
 //!   blocks until a result merges. Slow solving stalls only the stream
-//!   that caused it.
+//!   that caused it. An in-process run caps itself at
+//!   [`SessionManager::in_process_residency`].
 //! * **Degradation** — when the pool's total backlog exceeds the shed
 //!   threshold, newly submitted windows are shed: solved with an
 //!   already-expired window deadline, so every COP degrades to
 //!   `Undecided(Timeout)` through exactly the `--timeout-ms` verdict path,
 //!   and the session's report says so instead of the queue growing
-//!   unboundedly.
+//!   unboundedly. Windows still queued when the manager drops, or
+//!   submitted after, merge as failed windows ("solver pool shut down").
+//!
+//! # Merging
+//!
+//! The worker that finishes a job merges its result into the session's
+//! in-order merge on the spot and wakes the feeder, so a race is reported
+//! as soon as its window and every window before it are solved — the
+//! first race's time does not wait for the feeder to block or finish.
 //!
 //! # Determinism
 //!
-//! A session's merged report is byte-identical (summary and count-type
-//! metrics) to running the same trace through the standalone drivers, at
-//! any worker count and any co-tenant mix: windows are solved as pure
-//! functions of their view, and merged in window order, by the same window
-//! cursor, job solve and in-order merge that `detect` and `detect_stream`
-//! use, with a per-session published-signature set. Only the scheduler is
-//! the session layer's own: cross-tenant round-robin and load shedding
-//! over `'static` workers. (Shedding and real wall-clock window budgets
-//! are by nature load-dependent; the contract holds whenever they do not
-//! fire.)
+//! A session's merged report (summary and count-type metrics) is the same
+//! at any worker count and any co-tenant mix: windows are solved as pure
+//! functions of their view and merged in window order, with a
+//! per-session published-signature set. A prefix snapshot covers its
+//! windows exactly as the complete trace does, so feeding bytes and
+//! handing over the parsed trace produce the same report. (Shedding and
+//! real wall-clock window budgets are by nature load-dependent; the
+//! contract holds whenever they do not fire.)
 //!
 //! # Examples
 //!
@@ -57,17 +69,19 @@
 //! let outcome = session.finish().unwrap();
 //! assert_eq!(outcome.report.n_races(), 1);
 //! ```
+//!
+//! [`RaceDetector::detect`]: crate::RaceDetector::detect
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rvtrace::{
     salvage_trace, validate_wait_links, IngestStats, JsonError, SalvageReport, StreamParser, Trace,
-    WindowCursor,
+    TraceData, WindowCursor,
 };
 
 use crate::config::DetectorConfig;
@@ -87,8 +101,8 @@ pub struct SessionConfig {
     pub detector: DetectorConfig,
     /// Salvage a damaged trace instead of failing the parse. Lenient
     /// sessions buffer the whole stream, salvage at end-of-input, and then
-    /// dispatch every window through the shared pool (mirroring the CLI's
-    /// `--lenient` semantics, which need the full trace before repair).
+    /// dispatch every window through the shared pool: salvage needs the
+    /// full trace before it can repair anything.
     pub lenient: bool,
     /// Backpressure: the most window jobs this session may have submitted
     /// but not yet merged. Ingest blocks (stalling only this stream) once the
@@ -130,13 +144,14 @@ impl std::error::Error for SessionError {}
 /// only) and the session's private metrics registry.
 #[derive(Debug)]
 pub struct SessionOutcome {
-    /// The complete trace, as reconstructed from the stream.
+    /// The complete trace, as reconstructed from the stream (salvaged, in
+    /// lenient sessions).
     pub trace: Trace,
-    /// The merged detection report — byte-identical (summary and
-    /// count-type metrics) to the standalone drivers on the same trace.
+    /// The merged detection report.
     pub report: DetectionReport,
-    /// Bytes, events and parse time of the ingestion.
-    pub ingest: IngestStats,
+    /// Bytes, events and parse time of the ingestion; `None` for a trace
+    /// that was never read from bytes.
+    pub ingest: Option<IngestStats>,
     /// The salvage diagnostics, for lenient sessions.
     pub salvage: Option<SalvageReport>,
     /// Windows shed to `Undecided(Timeout)` under pool saturation.
@@ -145,18 +160,68 @@ pub struct SessionOutcome {
     pub metrics: Metrics,
 }
 
+/// A session's state shared with the workers solving its jobs: the
+/// detectors its windows run under, its published signatures, and its
+/// in-order merge, which the worker finishing a job advances.
+struct Tenant {
+    detector: RaceDetector,
+    shed_detector: RaceDetector,
+    published: PublishedSet,
+    merge: Mutex<InOrderMerge>,
+    /// Signalled after every merged result: wakes a feeder blocked on the
+    /// residency cap or in `finish`.
+    merged: Condvar,
+}
+
+impl Tenant {
+    fn lock(&self) -> MutexGuard<'_, InOrderMerge> {
+        self.merge.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Buffers one result, merges everything now contiguous, and wakes
+    /// the feeder.
+    fn absorb(&self, result: WindowResult) {
+        self.lock().absorb(&self.detector, result, &self.published);
+        self.merged.notify_all();
+    }
+}
+
 /// One queued window solve. Carries everything the worker needs, so
-/// workers never reach into session state: a retired session simply stops
-/// receiving results (the sender errors are ignored).
+/// workers never reach into session state beyond the job's tenant: a
+/// retired session's in-flight results merge into a tenant nobody reads.
 struct SessionJob {
     session: u64,
-    /// The window and its prefix snapshot, as the session's cursor cut it.
-    job: WindowJob<Arc<Trace>>,
-    detector: Arc<RaceDetector>,
-    shed_detector: Arc<RaceDetector>,
-    published: Arc<PublishedSet>,
-    out: mpsc::Sender<WindowResult>,
+    /// The window and its trace snapshot, as the session's cursor cut it.
+    job: WindowJob,
+    tenant: Arc<Tenant>,
     shed: bool,
+}
+
+impl SessionJob {
+    /// Solves the job under panic isolation and merges the result. The
+    /// trace snapshot is released first, so once a session sees every
+    /// window merged it holds the last reference to its trace.
+    fn run(self) {
+        let SessionJob {
+            job, tenant, shed, ..
+        } = self;
+        let detector = if shed {
+            &tenant.shed_detector
+        } else {
+            &tenant.detector
+        };
+        let result = job.solve(detector, &tenant.published);
+        drop(job);
+        tenant.absorb(result);
+    }
+
+    /// Merges the job as failed: the pool shut down before solving it.
+    fn abandon(self) {
+        let result = self.job.abandoned();
+        let SessionJob { job, tenant, .. } = self;
+        drop(job);
+        tenant.absorb(result);
+    }
 }
 
 /// The scheduler: per-session FIFO queues plus a round-robin rotation of
@@ -213,14 +278,15 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Sched> {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// One shared solver worker pool plus the session factory. Dropping the
-/// manager shuts the pool down (any still-open session's in-flight windows
-/// then merge as failed — don't do that outside of teardown tests).
+/// manager shuts the pool down: the workers finish the jobs they hold,
+/// and every window still queued, or submitted by a session that outlives
+/// the manager, merges as a failed window ("solver pool shut down").
 pub struct SessionManager {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -266,21 +332,27 @@ impl SessionManager {
         self.workers.len()
     }
 
+    /// The residency cap of an in-process run, the pool's only tenant:
+    /// `2 · workers + 3` — a job on every worker, as many queued behind
+    /// them, and a few cut ahead — so the feeder never starves the pool
+    /// and never materializes more than a bounded run of windows.
+    pub fn in_process_residency(&self) -> usize {
+        2 * self.worker_count() + 3
+    }
+
     /// Opens a session: a fresh parser, window cursor, published set and
-    /// metrics registry, multiplexed onto the shared pool.
+    /// metrics registry, multiplexed onto the shared pool. Its clock —
+    /// wall time and time to first race — starts now.
     pub fn open_session(&self, config: SessionConfig) -> Session {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let detector_cfg = config.detector.clone();
         let shed_cfg = DetectorConfig {
             // An already-expired window deadline: every COP takes the
             // `--timeout-ms` path without a single solver call.
             window_timeout: Some(Duration::ZERO),
-            ..detector_cfg.clone()
+            ..config.detector.clone()
         };
-        let detector = RaceDetector::with_config(detector_cfg);
+        let detector = RaceDetector::with_config(config.detector.clone());
         let start = Instant::now();
-        let merge = InOrderMerge::new(start, config.detector.kind);
-        let (out_tx, out_rx) = mpsc::channel();
         let mut metrics = Metrics::new();
         // Session bookkeeping lives in the *gauges* section: a daemon
         // response merges this registry into the CLI-identical metrics
@@ -291,17 +363,19 @@ impl SessionManager {
             id,
             shared: self.shared.clone(),
             cursor: detector.cursor(),
-            detector: Arc::new(detector),
-            shed_detector: Arc::new(RaceDetector::with_config(shed_cfg)),
+            tenant: Arc::new(Tenant {
+                merge: Mutex::new(InOrderMerge::new(start, config.detector.kind)),
+                detector,
+                shed_detector: RaceDetector::with_config(shed_cfg),
+                published: PublishedSet::new(),
+                merged: Condvar::new(),
+            }),
             config,
             parser: StreamParser::new(),
             submitted: 0,
             peak_resident: 0,
             shed_windows: 0,
-            published: Arc::new(PublishedSet::new()),
-            out_tx,
-            out_rx,
-            merge,
+            first_dispatch: None,
             metrics,
             start,
         }
@@ -310,31 +384,25 @@ impl SessionManager {
 
 impl Drop for SessionManager {
     fn drop(&mut self) {
-        {
+        let abandoned: Vec<SessionJob> = {
             let mut s = self.shared.lock();
             s.shutdown = true;
-            // Queued work of sessions that outlive the manager is dropped;
-            // their receivers see the results never arrive and fail the
-            // windows at drain time.
-            s.queues.clear();
             s.rr.clear();
             s.total_pending = 0;
+            s.queues.drain().flat_map(|(_, q)| q).collect()
+        };
+        self.shared.ready.notify_all();
+        for job in abandoned {
+            job.abandon();
         }
-        self.ready_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-impl SessionManager {
-    fn ready_all(&self) {
-        self.shared.ready.notify_all();
-    }
-}
-
-/// The pool worker: pop fairly, solve under panic isolation
-/// ([`WindowJob::solve`]), post the result to the owning session. A panic
+/// The pool's one worker loop: pop fairly, solve under panic isolation
+/// ([`WindowJob::solve`]), merge into the owning session. A panic
 /// anywhere — view construction included — becomes that window's `Failed`
 /// record; the worker and its neighbors keep running.
 fn worker_loop(shared: &PoolShared) {
@@ -351,36 +419,28 @@ fn worker_loop(shared: &PoolShared) {
                 s = shared.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let detector = if job.shed {
-            &job.shed_detector
-        } else {
-            &job.detector
-        };
-        let result = job.job.solve(detector, &job.published);
-        // A retired session dropped its receiver; nobody wants the result.
-        let _ = job.out.send(result);
+        job.run();
     }
 }
 
-/// One tenant's detection stream: feed it chunks as they arrive, then
-/// [`finish`](Session::finish) for the merged outcome — or
-/// [`abort`](Session::abort) to tear it down. Dropping a session retires
-/// its queued work from the scheduler either way.
+/// One tenant's detection run: feed it chunks as they arrive, then
+/// [`finish`](Session::finish) for the merged outcome — or hand it a
+/// trace parsed elsewhere with [`finish_parsed`](Session::finish_parsed),
+/// or [`abort`](Session::abort) it. Dropping a session retires its queued
+/// work from the scheduler either way.
 pub struct Session {
     id: u64,
     shared: Arc<PoolShared>,
-    detector: Arc<RaceDetector>,
-    shed_detector: Arc<RaceDetector>,
+    tenant: Arc<Tenant>,
     config: SessionConfig,
     parser: StreamParser,
     cursor: WindowCursor,
     submitted: usize,
     peak_resident: usize,
     shed_windows: u64,
-    published: Arc<PublishedSet>,
-    out_tx: mpsc::Sender<WindowResult>,
-    out_rx: mpsc::Receiver<WindowResult>,
-    merge: InOrderMerge,
+    /// When the first window was dispatched while input was still
+    /// arriving (the start of ingest/solve overlap).
+    first_dispatch: Option<Duration>,
     metrics: Metrics,
     start: Instant,
 }
@@ -390,7 +450,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("id", &self.id)
             .field("submitted", &self.submitted)
-            .field("received", &self.merge.absorbed())
+            .field("received", &self.tenant.lock().absorbed())
             .finish()
     }
 }
@@ -401,9 +461,17 @@ impl Session {
         self.id
     }
 
-    /// Windows submitted but not yet merged.
-    fn in_flight(&self) -> usize {
-        self.submitted - self.merge.absorbed()
+    /// Blocks until fewer than `limit` of this session's jobs are
+    /// submitted but not yet merged.
+    fn wait_below(&self, limit: usize) {
+        let mut merge = self.tenant.lock();
+        while self.submitted - merge.absorbed() >= limit {
+            merge = self
+                .tenant
+                .merged
+                .wait(merge)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Feeds the next chunk of the stream. Strict sessions dispatch every
@@ -419,61 +487,72 @@ impl Session {
         Ok(())
     }
 
-    /// Dispatches every complete window the parser has accumulated, as
-    /// `detect_stream` does: gated on the metadata (boundary state needs
-    /// the initial values), solving against prefix snapshots.
+    /// Dispatches every complete window the parser has accumulated,
+    /// gated on the metadata (boundary state needs the initial values, and
+    /// a snapshot without the full metadata would not be prefix-equivalent
+    /// to the final trace), solving against a prefix snapshot.
     fn dispatch_ready(&mut self) {
         if !self.parser.metadata_complete() || !self.cursor.ready(self.parser.events().len(), false)
         {
             return;
         }
         let snapshot = Arc::new(Trace::from_data(self.parser.data().clone()));
+        self.first_dispatch
+            .get_or_insert_with(|| self.start.elapsed());
         self.submit_windows(&snapshot, false);
     }
 
     /// Submits the jobs of every window the cursor yields over `trace` (a
     /// prefix unless `complete`) to the pool — one per selected analysis
     /// — applying backpressure first: while this session is at its
-    /// residency cap, block merging its own results (stalling only this
-    /// stream's ingest).
+    /// residency cap, wait for a worker to merge one of its results
+    /// (stalling only this stream's ingest).
     fn submit_windows(&mut self, trace: &Arc<Trace>, complete: bool) {
         let kind = self.config.detector.kind;
+        let cap = self.config.max_resident_windows.max(1);
         while let Some(window) = self.cursor.next(trace, complete) {
             for job in window_jobs(window, trace.clone(), kind) {
-                while self.in_flight() >= self.config.max_resident_windows.max(1) {
-                    self.absorb_one();
-                }
-                let shed = {
-                    let mut s = self.shared.lock();
-                    let shed = s.total_pending >= self.shared.shed_threshold;
-                    s.push_job(SessionJob {
-                        session: self.id,
-                        job,
-                        detector: self.detector.clone(),
-                        shed_detector: self.shed_detector.clone(),
-                        published: self.published.clone(),
-                        out: self.out_tx.clone(),
-                        shed,
-                    });
-                    self.shared.ready.notify_one();
-                    shed
+                self.wait_below(cap);
+                let job = SessionJob {
+                    session: self.id,
+                    job,
+                    tenant: self.tenant.clone(),
+                    shed: false,
                 };
-                if shed {
-                    self.shed_windows += 1;
+                let mut s = self.shared.lock();
+                if s.shutdown {
+                    drop(s);
+                    job.abandon();
+                } else {
+                    let shed = s.total_pending >= self.shared.shed_threshold;
+                    s.push_job(SessionJob { shed, ..job });
+                    drop(s);
+                    self.shared.ready.notify_one();
+                    self.shed_windows += u64::from(shed);
                 }
                 self.submitted += 1;
-                self.peak_resident = self.peak_resident.max(self.in_flight());
+                let in_flight = self.submitted - self.tenant.lock().absorbed();
+                self.peak_resident = self.peak_resident.max(in_flight);
             }
         }
     }
 
-    /// Waits for one result and merges everything now contiguous.
-    fn absorb_one(&mut self) {
-        let result = self
-            .out_rx
-            .recv()
-            .expect("solver pool shut down with windows in flight");
-        self.merge.absorb(&self.detector, result, &self.published);
+    /// Solves every window of the complete `trace` not yet dispatched,
+    /// waits until every job has merged, and returns the report.
+    fn solve(&mut self, trace: &Arc<Trace>) -> DetectionReport {
+        self.submit_windows(trace, true);
+        self.wait_below(1);
+        let fresh = InOrderMerge::new(self.start, self.config.detector.kind);
+        let mut report = std::mem::replace(&mut *self.tenant.lock(), fresh).finish();
+        report.stats.peak_window_residency = self.peak_resident;
+        report.stats.wall_time = self.start.elapsed();
+        report
+    }
+
+    /// Runs the session over a complete, already-valid trace — the
+    /// one-tenant session behind [`RaceDetector::detect`].
+    pub(crate) fn detect(mut self, trace: Arc<Trace>) -> DetectionReport {
+        self.solve(&trace)
     }
 
     /// Ends the stream: completes the parse, dispatches the tail window,
@@ -483,24 +562,60 @@ impl Session {
     /// solve the repaired one through the same pool.
     pub fn finish(mut self) -> Result<SessionOutcome, JsonError> {
         self.parser.finish()?;
-        let ingest = self.parser.stats();
         let parser = std::mem::take(&mut self.parser);
-        let (trace, salvage) = if self.config.lenient {
-            let (trace, report) = salvage_trace(parser.into_data());
-            (Arc::new(trace), Some(report))
+        let ingest = parser.stats();
+        let (trace, salvage) = self.repair(parser.into_data())?;
+        let ingest_done = self.start.elapsed();
+        let overlap = (!self.config.lenient).then(|| {
+            self.first_dispatch
+                .map_or(Duration::ZERO, |t| ingest_done.saturating_sub(t))
+        });
+        Ok(self.outcome(trace, Some(ingest), salvage, overlap))
+    }
+
+    /// Runs the session over a trace parsed elsewhere, in place of
+    /// [`feed`](Session::feed) and [`finish`](Session::finish): the same
+    /// wait-link validation or salvage, then every window through the
+    /// pool. The session's clock restarts once the trace is repaired, so
+    /// wall time and time to first race measure detection alone, as
+    /// [`RaceDetector::detect`] does. `ingest` describes how the trace was
+    /// read, if it was.
+    pub fn finish_parsed(
+        mut self,
+        data: TraceData,
+        ingest: Option<IngestStats>,
+    ) -> Result<SessionOutcome, JsonError> {
+        debug_assert_eq!(self.submitted, 0, "finish_parsed on a fed session");
+        let (trace, salvage) = self.repair(data)?;
+        self.start = Instant::now();
+        *self.tenant.lock() = InOrderMerge::new(self.start, self.config.detector.kind);
+        Ok(self.outcome(trace, ingest, salvage, None))
+    }
+
+    /// The trace detection runs on: salvaged in lenient sessions, wait
+    /// links validated in strict ones.
+    fn repair(&self, data: TraceData) -> Result<(Trace, Option<SalvageReport>), JsonError> {
+        if self.config.lenient {
+            let (trace, report) = salvage_trace(data);
+            Ok((trace, Some(report)))
         } else {
-            validate_wait_links(parser.data())?;
-            (Arc::new(Trace::from_data(parser.into_data())), None)
-        };
-        self.submit_windows(&trace, true);
-        while self.in_flight() > 0 {
-            self.absorb_one();
+            validate_wait_links(&data)?;
+            Ok((Trace::from_data(data), None))
         }
-        let kind = self.config.detector.kind;
-        let merge = std::mem::replace(&mut self.merge, InOrderMerge::new(self.start, kind));
-        let mut report = merge.finish();
-        report.stats.peak_window_residency = self.peak_resident;
-        report.stats.wall_time = self.start.elapsed();
+    }
+
+    /// Solves the complete trace and packs the outcome with the session's
+    /// gauges.
+    fn outcome(
+        mut self,
+        trace: Trace,
+        ingest: Option<IngestStats>,
+        salvage: Option<SalvageReport>,
+        overlap: Option<Duration>,
+    ) -> SessionOutcome {
+        let trace = Arc::new(trace);
+        let mut report = self.solve(&trace);
+        report.stats.ingest_overlap = overlap;
         self.metrics
             .gauge_max("session.windows", self.submitted as u64);
         self.metrics
@@ -516,24 +631,23 @@ impl Session {
         }
         self.metrics
             .gauge_max("session.peak_resident_windows", self.peak_resident as u64);
-        let metrics = std::mem::take(&mut self.metrics);
-        // Workers hold no snapshot past their solve; after the drain this
-        // session's Arcs are the last ones standing.
+        // Workers drop their snapshot before merging; with every window
+        // merged, this session's Arc is the last one standing.
         let trace = Arc::try_unwrap(trace).unwrap_or_else(|a| (*a).clone());
-        Ok(SessionOutcome {
+        SessionOutcome {
             trace,
             report,
             ingest,
             salvage,
             shed_windows: self.shed_windows,
-            metrics,
-        })
+            metrics: std::mem::take(&mut self.metrics),
+        }
     }
 
     /// Tears the session down mid-stream (disconnect, idle timeout, client
     /// kill): retires its queued windows from the scheduler and returns
-    /// the deterministic teardown record. In-flight results are dropped on
-    /// the floor; neighbors never notice.
+    /// the deterministic teardown record. In-flight results merge into a
+    /// report nobody reads; neighbors never notice.
     pub fn abort(self, reason: impl Into<String>) -> SessionError {
         SessionError {
             session: self.id,
@@ -653,23 +767,20 @@ mod tests {
     #[test]
     fn round_robin_pops_alternate_between_sessions() {
         let mut sched = Sched::default();
-        let (tx, _rx) = mpsc::channel();
         let trace = Arc::new(racy_trace(1));
-        let det = Arc::new(RaceDetector::new());
-        let mut push = |session: u64, index: usize| {
-            let mut window = det.cursor().next(&trace, true).expect("one window");
+        let manager = SessionManager::new(1);
+        let session = manager.open_session(config(10));
+        let mut push = |session_id: u64, index: usize| {
+            let mut window = session.tenant.detector.cursor().next(&trace, true).unwrap();
             window.index = index;
             sched.push_job(SessionJob {
-                session,
+                session: session_id,
                 job: WindowJob {
                     window,
                     trace: trace.clone(),
                     analysis: crate::config::Analysis::Race,
                 },
-                detector: det.clone(),
-                shed_detector: det.clone(),
-                published: Arc::new(PublishedSet::new()),
-                out: tx.clone(),
+                tenant: session.tenant.clone(),
                 shed: false,
             });
         };
@@ -683,6 +794,65 @@ mod tests {
             .collect();
         assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (0, 2)]);
         assert_eq!(sched.total_pending, 0);
+    }
+
+    #[test]
+    fn results_merge_as_workers_finish_them() {
+        // The first window races; its result must merge while the feeder
+        // is idle, not when the feeder next blocks or finishes.
+        let trace = racy_trace(60);
+        let bytes = to_ndjson(&trace);
+        let manager = SessionManager::new(2);
+        let cap = 8;
+        let mut session = manager.open_session(SessionConfig {
+            max_resident_windows: cap,
+            ..config(50)
+        });
+        let third = bytes.len() / 3;
+        session.feed(&bytes.as_bytes()[..third]).unwrap();
+        assert!(session.submitted > 0, "the first feed dispatches windows");
+        // Give the workers up to 10 s to merge what the first feed
+        // dispatched, without the feeder's help; then idle for 200 ms.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while session.tenant.lock().absorbed() < session.submitted && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        session.feed(&bytes.as_bytes()[third..]).unwrap();
+        let stats = session.finish().unwrap().report.stats;
+        assert!(stats.windows > 4, "windows={}", stats.windows);
+        let first = stats.time_to_first_race.expect("the first window races");
+        assert!(
+            first + Duration::from_millis(150) <= stats.wall_time,
+            "first race at {first:?} of {:?}",
+            stats.wall_time
+        );
+        assert!((1..=cap).contains(&stats.peak_window_residency));
+    }
+
+    #[test]
+    fn windows_after_shutdown_fail_instead_of_hanging() {
+        let bytes = to_ndjson(&racy_trace(30));
+        let manager = SessionManager::new(2);
+        let mut session = manager.open_session(config(50));
+        drop(manager);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            session.feed(bytes.as_bytes()).unwrap();
+            let _ = tx.send(session.finish());
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("finish returns after the manager is dropped")
+            .unwrap();
+        let report = outcome.report;
+        assert!(report.is_degraded());
+        assert_eq!(report.n_races(), 0);
+        assert_eq!(report.stats.windows, report.stats.failed_windows);
+        assert!(!report.failed_windows.is_empty());
+        for fw in &report.failed_windows {
+            assert_eq!(fw.reason, "solver pool shut down");
+        }
     }
 
     #[test]

@@ -99,10 +99,12 @@ use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use rvpredict::driver::{self, SessionRequest, EXIT_CLOSED_STDOUT, EXIT_RACES, EXIT_USAGE};
+use rvpredict::driver::{
+    self, SessionRequest, SessionResponse, EXIT_CLOSED_STDOUT, EXIT_RACES, EXIT_USAGE,
+};
 use rvpredict::{
-    read_frame, write_frame, CpDetector, DetectionReport, Fault, HbDetector, Kind, Metrics,
-    RaceDetector, RaceDetectorTool, SaidDetector, Trace, TraceData, WindowMode,
+    read_frame, write_frame, CpDetector, Fault, HbDetector, JsonError, Kind, Metrics,
+    RaceDetectorTool, SaidDetector, SessionManager, Trace, WindowMode,
 };
 
 struct Options {
@@ -196,129 +198,62 @@ fn parse_args() -> Result<Options, String> {
         demo: false,
         path: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--detector" => {
-                opts.detector = args.get(i + 1).ok_or("--detector needs a value")?.clone();
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    let args = &mut args;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--detector" => opts.detector = driver::flag_value(args, "--detector", "a value")?,
             "--kind" => {
-                let name = args.get(i + 1).ok_or("--kind needs a value")?;
-                opts.kind = driver::parse_kind(name)?;
-                i += 2;
+                let name: String = driver::flag_value(args, "--kind", "a value")?;
+                opts.kind = driver::parse_kind(&name)?;
             }
             "--window" => {
-                opts.window = args
-                    .get(i + 1)
-                    .ok_or("--window needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--window: {e}"))?;
+                opts.window = driver::flag_value(args, "--window", "a value")?;
                 if opts.window == 0 {
                     return Err("--window must be at least 1".into());
                 }
-                i += 2;
             }
             "--budget" => {
-                let secs: u64 = args
-                    .get(i + 1)
-                    .ok_or("--budget needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
+                let secs = driver::flag_value(args, "--budget", "a value")?;
                 opts.budget = Duration::from_secs(secs);
-                i += 2;
             }
             "--timeout-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .ok_or("--timeout-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--timeout-ms: {e}"))?;
-                opts.timeout_ms = Some(ms);
-                i += 2;
+                opts.timeout_ms = Some(driver::flag_value(args, "--timeout-ms", "a value")?)
             }
             "--connect" => {
-                opts.connect = Some(
-                    args.get(i + 1)
-                        .ok_or("--connect needs a socket path")?
-                        .clone(),
-                );
-                i += 2;
+                opts.connect = Some(driver::flag_value(args, "--connect", "a socket path")?)
             }
             "--jobs" => {
-                let jobs: usize = args
-                    .get(i + 1)
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
+                let jobs = driver::flag_value(args, "--jobs", "a value")?;
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
                 opts.jobs = Some(jobs);
-                i += 2;
             }
             "--window-mode" => {
-                let name = args.get(i + 1).ok_or("--window-mode needs a value")?;
-                opts.window_mode = driver::parse_window_mode(name)?;
-                i += 2;
+                let name: String = driver::flag_value(args, "--window-mode", "a value")?;
+                opts.window_mode = driver::parse_window_mode(&name)?;
             }
             "--spill-budget" => {
-                let bytes: usize = args
-                    .get(i + 1)
-                    .ok_or("--spill-budget needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--spill-budget: {e}"))?;
-                opts.spill_budget = Some(bytes);
-                i += 2;
+                opts.spill_budget = Some(driver::flag_value(args, "--spill-budget", "a value")?)
             }
-            "--stream" => {
-                opts.stream = true;
-                i += 1;
-            }
-            "--witnesses" => {
-                opts.witnesses = true;
-                i += 1;
-            }
-            "--lenient" => {
-                opts.lenient = true;
-                i += 1;
-            }
-            "--no-slice" => {
-                opts.no_slice = true;
-                i += 1;
-            }
-            "--no-tiers" => {
-                opts.no_tiers = true;
-                i += 1;
-            }
+            "--stream" => opts.stream = true,
+            "--witnesses" => opts.witnesses = true,
+            "--lenient" => opts.lenient = true,
+            "--no-slice" => opts.no_slice = true,
+            "--no-tiers" => opts.no_tiers = true,
             "--inject-fault" => {
-                let spec = args.get(i + 1).ok_or("--inject-fault needs W:C:KIND")?;
-                opts.faults.push(driver::parse_fault_spec(spec)?);
-                i += 2;
+                let spec: String = driver::flag_value(args, "--inject-fault", "W:C:KIND")?;
+                opts.faults.push(driver::parse_fault_spec(&spec)?);
             }
             "--metrics" => {
-                opts.metrics = Some(
-                    args.get(i + 1)
-                        .ok_or("--metrics needs an output path")?
-                        .clone(),
-                );
-                i += 2;
+                opts.metrics = Some(driver::flag_value(args, "--metrics", "an output path")?)
             }
-            "--trace-log" => {
-                opts.trace_log = true;
-                i += 1;
-            }
-            "--demo" => {
-                opts.demo = true;
-                i += 1;
-            }
+            "--trace-log" => opts.trace_log = true,
+            "--demo" => opts.demo = true,
             "--help" | "-h" => return Err("help".into()),
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
-            path => {
-                opts.path = Some(path.to_string());
-                i += 1;
-            }
+            path => opts.path = Some(path.to_string()),
         }
     }
     Ok(opts)
@@ -351,96 +286,58 @@ fn open_reader(path: &str) -> Result<Box<dyn std::io::Read>, ExitCode> {
     }
 }
 
-/// Strict-mode gate: reject a trace that violates the sequential-consistency
-/// axioms, with the same diagnostics whether the trace was slurped or
-/// streamed (in the streamed case any speculative solving is discarded).
-fn reject_inconsistent(trace: &Trace) -> Result<(), ExitCode> {
-    match driver::consistency_error(trace) {
-        None => Ok(()),
-        Some(diag) => {
-            eprint!("{diag}");
-            Err(ExitCode::from(EXIT_USAGE))
-        }
-    }
-}
-
-/// Lenient-mode repair: salvage the consistent part of a raw trace,
-/// recording the `salvage.*` metrics family.
-fn salvage(raw: TraceData, metrics: &mut Metrics, log: &PhaseLog) -> Trace {
-    let (trace, report) = rvpredict::salvage_trace(raw);
-    driver::record_salvage_metrics(&report, metrics);
-    log.log(&format!("{report} in {:?}", report.elapsed));
-    if !report.is_clean() {
-        eprintln!("{report}");
-    }
-    record_trace_metrics(&trace, metrics);
-    trace
-}
-
-/// Loads the trace per the options, recording ingestion metrics
-/// (`trace.*`, `salvage.*`) as it goes. `Err` carries the exit code
-/// (always [`EXIT_USAGE`]: bad file, bad JSON, or strict-mode
-/// inconsistency).
-///
-/// Whole-file runs, `-` (stdin) and `--lenient --stream` read the trace
-/// here, through the same parser as the streaming detector. The strict
-/// `rv --stream` combination never reaches this function — [`main`]
-/// routes it to [`RaceDetector::detect_stream`], which overlaps parsing
-/// with solving (for every `--kind`) instead of loading the trace up
-/// front.
+/// Loads the trace a baseline detector (`said`, `cp`, `hb`) runs on,
+/// recording the `trace.*` and `salvage.*` metrics. `Err` carries the exit
+/// code (always [`EXIT_USAGE`]: bad file, bad JSON, or strict-mode
+/// inconsistency). `rv` runs never come here: they are sessions.
 fn load_trace(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> Result<Trace, ExitCode> {
     if opts.demo {
         let trace = rvsim::workloads::figures::figure1().trace;
-        record_trace_metrics(&trace, metrics);
+        driver::record_trace_metrics(&trace, metrics);
         return Ok(trace);
     }
     let Some(path) = &opts.path else {
         usage();
         return Err(ExitCode::from(EXIT_USAGE));
     };
-    // JSON or NDJSON, auto-detected, read in chunks: the parser holds
-    // the decoded events, one buffered chunk and at most one partly read
-    // value.
-    let reader = open_reader(path)?;
-    let (raw, ingest) = match rvpredict::read_trace_data(reader) {
+    let (raw, ingest) = match rvpredict::read_trace_data(open_reader(path)?) {
         Ok(ok) => ok,
         Err(e) => {
             eprintln!("error: {path} is not a serialized trace: {e}");
             return Err(ExitCode::from(EXIT_USAGE));
         }
     };
-    record_ingest_metrics(&ingest, metrics);
+    driver::record_ingest_metrics(&ingest, metrics);
     log.log(&format!(
         "parsed {} events from {} bytes in {:?}",
         ingest.events, ingest.bytes, ingest.parse_time
     ));
-    if opts.lenient {
-        return Ok(salvage(raw, metrics, log));
-    }
-    if let Err(e) = rvpredict::validate_wait_links(&raw) {
-        eprintln!("error: {path} is not a serialized trace: {e}");
-        return Err(ExitCode::from(EXIT_USAGE));
-    }
-    let trace = Trace::from_data(raw);
-    reject_inconsistent(&trace)?;
-    record_trace_metrics(&trace, metrics);
+    let trace = if opts.lenient {
+        let (trace, report) = rvpredict::salvage_trace(raw);
+        driver::record_salvage_metrics(&report, metrics);
+        if !report.is_clean() {
+            eprintln!("{report}");
+        }
+        trace
+    } else {
+        if let Err(e) = rvpredict::validate_wait_links(&raw) {
+            eprintln!("error: {path} is not a serialized trace: {e}");
+            return Err(ExitCode::from(EXIT_USAGE));
+        }
+        let trace = Trace::from_data(raw);
+        if let Some(diag) = driver::consistency_error(&trace) {
+            eprint!("{diag}");
+            return Err(ExitCode::from(EXIT_USAGE));
+        }
+        trace
+    };
+    driver::record_trace_metrics(&trace, metrics);
     Ok(trace)
 }
 
-/// Folds one [`rvpredict::IngestStats`] into the registry.
-fn record_ingest_metrics(ingest: &rvpredict::IngestStats, metrics: &mut Metrics) {
-    driver::record_ingest_metrics(ingest, metrics);
-}
-
-/// Event totals and the per-kind breakdown of the (possibly salvaged)
-/// trace detection will run on.
-fn record_trace_metrics(trace: &Trace, metrics: &mut Metrics) {
-    driver::record_trace_metrics(trace, metrics);
-}
-
 /// Writes the metrics document, mapping an IO failure to [`EXIT_USAGE`].
-fn write_metrics(path: &str, metrics: &Metrics, log: &PhaseLog) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::write(path, metrics.to_json()) {
+fn write_metrics(path: &str, doc: &str, log: &PhaseLog) -> Result<(), ExitCode> {
+    if let Err(e) = std::fs::write(path, doc) {
         eprintln!("error: cannot write metrics to {path}: {e}");
         return Err(ExitCode::from(EXIT_USAGE));
     }
@@ -468,99 +365,102 @@ fn emit(text: &str) -> Result<(), ExitCode> {
     }
 }
 
-/// Builds the maximal detector's configuration from the CLI options —
-/// via the daemon request type, so local and `--connect` runs share one
-/// flag-to-config mapping (`--jobs` is the only local-only knob).
-fn build_rv_config(opts: &Options) -> rvpredict::DetectorConfig {
-    let mut cfg = opts.session_request().detector_config();
-    if let Some(jobs) = opts.jobs {
-        cfg.parallelism = jobs;
-    }
-    cfg
-}
-
-/// Prints the maximal detector's report (every section `--kind`
-/// selects), folds it into the metrics registry, and maps the outcome to
-/// an exit code. Shared by the whole-file and streaming drivers so their
-/// stdout is byte-identical by construction.
-fn report_rv(
-    report: &DetectionReport,
-    trace: &Trace,
-    opts: &Options,
-    metrics: &mut Metrics,
-    log: &PhaseLog,
-) -> ExitCode {
-    log.log(&format!(
-        "detection finished: {} race(s), {} deadlock cycle(s), {} atomicity violation(s), \
-         {} failed window job(s), solver {:?} summed, wall {:?}",
-        report.n_races(),
-        report.deadlock.n_cycles(),
-        report.atomicity.violations.len(),
-        report.failed_windows.len(),
-        report.stats.solver_time,
-        report.stats.wall_time
-    ));
-    if let Err(code) = emit(&driver::render_kind_report(report, trace, opts.witnesses)) {
+/// Prints an `rv` run's response, composed in-process or relayed from a
+/// daemon: stdout, stderr, a trace error against the local `path` (the
+/// daemon has no idea what the local file is called), the metrics file,
+/// and the exit code.
+fn relay(opts: &Options, path: &str, resp: &SessionResponse, log: &PhaseLog) -> ExitCode {
+    if let Err(code) = emit(&resp.stdout) {
         return code;
     }
-    metrics.merge(&report.to_metrics());
-    if let Some(path) = &opts.metrics {
-        if let Err(code) = write_metrics(path, metrics, log) {
+    eprint!("{}", resp.stderr);
+    if let Some(err) = &resp.error {
+        eprintln!("error: {path} is not a serialized trace: {err}");
+    }
+    if let (Some(out), Some(doc)) = (&opts.metrics, &resp.metrics) {
+        if let Err(code) = write_metrics(out, doc, log) {
             return code;
         }
     }
-    if let Some(note) = driver::kind_run_notes(report) {
-        eprint!("{note}");
-    }
-    ExitCode::from(driver::kind_run_exit(report))
+    ExitCode::from(resp.exit)
 }
 
-/// The strict `rv --stream` driver: windows are dispatched to the worker
-/// pool while the trace tail is still being read, so solving overlaps
-/// ingestion and peak memory is bounded by the active windows. The
-/// sequential-consistency gate still applies — it just runs after the
-/// (speculative) solving instead of before it.
-fn run_stream_rv(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> ExitCode {
-    let path = opts.path.as_deref().unwrap_or("-");
-    let cfg = build_rv_config(opts);
+/// A local `rv` run: one session on an in-process pool of `--jobs`
+/// workers, handed the demo trace or the parsed file whole, or — under
+/// `--stream` — fed the file's bytes in 64 KiB chunks, as `rvserved`
+/// feeds a connection. Its outcome is composed into the response a daemon
+/// would send.
+fn run_local(opts: &Options, path: &str, log: &PhaseLog) -> Result<SessionResponse, ExitCode> {
+    let req = opts.session_request();
+    let jobs = opts
+        .jobs
+        .unwrap_or_else(|| req.detector_config().parallelism);
+    let manager = SessionManager::new(jobs);
+    let config = req.session_config(manager.in_process_residency());
     log.log(&format!(
-        "streaming detection starting: detector=rv kind={} window={} jobs={}",
-        driver::kind_name(cfg.kind),
-        cfg.window_size,
-        cfg.parallelism
+        "detection starting: detector=rv kind={} window={} jobs={jobs}",
+        driver::kind_name(opts.kind),
+        opts.window
     ));
-    let reader = match open_reader(path) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let detection = match RaceDetector::with_config(cfg).detect_stream(reader) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {path} is not a serialized trace: {e}");
-            return ExitCode::from(EXIT_USAGE);
+    let finished = if opts.demo {
+        let trace = rvsim::workloads::figures::figure1().trace;
+        manager
+            .open_session(config)
+            .finish_parsed(trace.into(), None)
+    } else if opts.stream {
+        let mut reader = open_reader(path)?;
+        // The clock starts before the first chunk: time to first race
+        // counts ingest, which solving overlaps.
+        let mut session = manager.open_session(config);
+        let mut chunk = vec![0u8; 64 * 1024];
+        let mut fed = 0;
+        loop {
+            match reader.read(&mut chunk) {
+                Ok(0) => break session.finish(),
+                Ok(n) => {
+                    fed += n;
+                    if let Err(e) = session.feed(&chunk[..n]) {
+                        break Err(e);
+                    }
+                }
+                Err(e) => {
+                    break Err(JsonError {
+                        message: format!("read error: {e}"),
+                        offset: fed,
+                        snippet: String::new(),
+                    })
+                }
+            }
         }
+    } else {
+        // Parse first, then open the session: its clock starts once the
+        // trace is in memory.
+        rvpredict::read_trace_data(open_reader(path)?).and_then(|(data, ingest)| {
+            manager
+                .open_session(config)
+                .finish_parsed(data, Some(ingest))
+        })
     };
-    if let Err(code) = reject_inconsistent(&detection.trace) {
-        return code;
+    if let Ok(outcome) = &finished {
+        let report = &outcome.report;
+        log.log(&format!(
+            "detection finished: {} race(s), {} deadlock cycle(s), {} atomicity violation(s), \
+             {} failed window job(s), solver {:?} summed, wall {:?}",
+            report.n_races(),
+            report.deadlock.n_cycles(),
+            report.atomicity.violations.len(),
+            report.failed_windows.len(),
+            report.stats.solver_time,
+            report.stats.wall_time
+        ));
     }
-    record_ingest_metrics(&detection.ingest, metrics);
-    log.log(&format!(
-        "parsed {} events from {} bytes in {:?} (solving overlapped)",
-        detection.ingest.events, detection.ingest.bytes, detection.ingest.parse_time
-    ));
-    record_trace_metrics(&detection.trace, metrics);
-    if let Err(code) = emit(&driver::trace_line(&detection.trace)) {
-        return code;
-    }
-    report_rv(&detection.report, &detection.trace, opts, metrics, log)
+    Ok(driver::compose_response(&req, &finished))
 }
 
 /// The `--connect` client: stream the trace bytes to an `rvserved`
-/// daemon session and relay its response. The daemon renders stdout and
-/// stderr through the same [`driver`] functions as the in-process paths,
-/// so the relayed output is byte-identical to a local run; only trace
-/// *parse* errors come back structured (the daemon has no idea what the
-/// local file is called) and are composed here against `path`.
+/// daemon session and relay its response. The daemon composes the
+/// response with the same [`driver::compose_response`] as a local run,
+/// and [`relay`] prints both, so the output is byte-identical.
 fn run_client(opts: &Options, log: &PhaseLog) -> ExitCode {
     let sock = opts.connect.as_deref().unwrap();
     if opts.detector != "rv" {
@@ -625,31 +525,16 @@ fn run_client(opts: &Options, log: &PhaseLog) -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let resp = match std::str::from_utf8(&frame)
+    match std::str::from_utf8(&frame)
         .map_err(|e| e.to_string())
-        .and_then(rvpredict::driver::SessionResponse::from_json)
+        .and_then(SessionResponse::from_json)
     {
-        Ok(r) => r,
+        Ok(r) => relay(opts, path, &r, log),
         Err(e) => {
             eprintln!("error: daemon at {sock} sent a malformed response: {e}");
-            return ExitCode::from(EXIT_USAGE);
+            ExitCode::from(EXIT_USAGE)
         }
-    };
-    if let Err(code) = emit(&resp.stdout) {
-        return code;
     }
-    eprint!("{}", resp.stderr);
-    if let Some(err) = &resp.error {
-        eprintln!("error: {path} is not a serialized trace: {err}");
-    }
-    if let (Some(out), Some(doc)) = (&opts.metrics, &resp.metrics) {
-        if let Err(e) = std::fs::write(out, doc) {
-            eprintln!("error: cannot write metrics to {out}: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-        log.log(&format!("metrics written to {out}"));
-    }
-    ExitCode::from(resp.exit)
 }
 
 fn main() -> ExitCode {
@@ -665,7 +550,6 @@ fn main() -> ExitCode {
     };
 
     let log = PhaseLog::new(opts.trace_log);
-    let mut metrics = Metrics::new();
 
     // The deadlock/atomicity analyses are defined over the rv machinery
     // only; the baselines have no notion of them.
@@ -684,18 +568,22 @@ fn main() -> ExitCode {
         return run_client(&opts, &log);
     }
 
-    // Strict `rv --stream` overlaps parsing with solving: it goes through
-    // the incremental parser feeding the window pool. (`--lenient
-    // --stream` must see the whole trace before salvage can run, so it
-    // streams the parse, salvages, then solves like a whole-file run.)
-    if opts.stream && opts.detector == "rv" && !opts.lenient && !opts.demo {
-        if opts.path.is_none() {
-            usage();
-            return ExitCode::from(EXIT_USAGE);
-        }
-        return run_stream_rv(&opts, &mut metrics, &log);
+    if opts.detector == "rv" {
+        let path = match (&opts.path, opts.demo) {
+            (Some(path), _) => path.as_str(),
+            (None, true) => "",
+            (None, false) => {
+                usage();
+                return ExitCode::from(EXIT_USAGE);
+            }
+        };
+        return match run_local(&opts, path, &log) {
+            Ok(resp) => relay(&opts, path, &resp, &log),
+            Err(code) => code,
+        };
     }
 
+    let mut metrics = Metrics::new();
     let trace = match load_trace(&opts, &mut metrics, &log) {
         Ok(t) => t,
         Err(code) => return code,
@@ -705,18 +593,6 @@ fn main() -> ExitCode {
     }
 
     match opts.detector.as_str() {
-        "rv" => {
-            let cfg = build_rv_config(&opts);
-            log.log(&format!(
-                "detection starting: detector=rv kind={} window={} jobs={} events={}",
-                driver::kind_name(opts.kind),
-                cfg.window_size,
-                cfg.parallelism,
-                trace.len()
-            ));
-            let report = RaceDetector::with_config(cfg).detect(&trace);
-            report_rv(&report, &trace, &opts, &mut metrics, &log)
-        }
         name @ ("said" | "cp" | "hb") => {
             let tool: Box<dyn RaceDetectorTool> = match name {
                 "said" => {
@@ -763,7 +639,7 @@ fn main() -> ExitCode {
             metrics.inc("detector.pairs_considered", r.pairs_checked as u64);
             metrics.record_time("detector.wall_time", r.time);
             if let Some(path) = &opts.metrics {
-                if let Err(code) = write_metrics(path, &metrics, &log) {
+                if let Err(code) = write_metrics(path, &metrics.to_json(), &log) {
                     return code;
                 }
             }

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rvpredict::driver::{self, SessionRequest, SessionResponse, EXIT_USAGE};
-use rvpredict::{read_frame, write_frame, Metrics, SessionError, SessionManager, SessionOutcome};
+use rvpredict::{read_frame, write_frame, SessionError, SessionManager};
 
 struct ServeOptions {
     socket: String,
@@ -71,64 +71,30 @@ fn parse_args() -> Result<ServeOptions, String> {
         shed_pending: None,
         idle_ms: 30_000,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                opts.socket = args.get(i + 1).ok_or("--socket needs a path")?.clone();
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    let args = &mut args;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--socket" => opts.socket = driver::flag_value(args, "--socket", "a path")?,
             "--jobs" => {
-                let jobs: usize = args
-                    .get(i + 1)
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
+                let jobs = driver::flag_value(args, "--jobs", "a value")?;
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
                 opts.jobs = Some(jobs);
-                i += 2;
             }
-            "--once" => {
-                opts.once = Some(
-                    args.get(i + 1)
-                        .ok_or("--once needs a connection count")?
-                        .parse()
-                        .map_err(|e| format!("--once: {e}"))?,
-                );
-                i += 2;
-            }
+            "--once" => opts.once = Some(driver::flag_value(args, "--once", "a connection count")?),
             "--resident-windows" => {
-                let n: usize = args
-                    .get(i + 1)
-                    .ok_or("--resident-windows needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--resident-windows: {e}"))?;
+                let n = driver::flag_value(args, "--resident-windows", "a value")?;
                 if n == 0 {
                     return Err("--resident-windows must be at least 1".into());
                 }
                 opts.resident_windows = n;
-                i += 2;
             }
             "--shed-pending" => {
-                opts.shed_pending = Some(
-                    args.get(i + 1)
-                        .ok_or("--shed-pending needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--shed-pending: {e}"))?,
-                );
-                i += 2;
+                opts.shed_pending = Some(driver::flag_value(args, "--shed-pending", "a value")?)
             }
-            "--idle-ms" => {
-                opts.idle_ms = args
-                    .get(i + 1)
-                    .ok_or("--idle-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--idle-ms: {e}"))?;
-                i += 2;
-            }
+            "--idle-ms" => opts.idle_ms = driver::flag_value(args, "--idle-ms", "a value")?,
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown option {other}")),
         }
@@ -174,53 +140,6 @@ fn is_idle(e: &std::io::Error) -> bool {
     )
 }
 
-/// Renders a finished session exactly as the standalone CLI would have:
-/// same stdout, same stderr, same exit code, same count-type metrics — all
-/// through the shared [`driver`] functions, never a private copy.
-fn compose_response(req: &SessionRequest, outcome: &SessionOutcome) -> SessionResponse {
-    let mut metrics = Metrics::new();
-    driver::record_ingest_metrics(&outcome.ingest, &mut metrics);
-    // The session's own registry (`session.*` residency/shedding state)
-    // rides along in the gauges section, which is exempt from the
-    // count-type identity contract — counters and histograms below stay
-    // byte-identical to the solo CLI's document.
-    metrics.merge(&outcome.metrics);
-    let mut stderr = String::new();
-    if let Some(salvage) = &outcome.salvage {
-        driver::record_salvage_metrics(salvage, &mut metrics);
-        if !salvage.is_clean() {
-            stderr.push_str(&format!("{salvage}\n"));
-        }
-    } else if let Some(diag) = driver::consistency_error(&outcome.trace) {
-        // The strict-mode gate, after the (speculative) solving — the same
-        // point the streaming CLI applies it: nothing printed to stdout.
-        return SessionResponse {
-            exit: EXIT_USAGE,
-            stderr: diag,
-            ..SessionResponse::default()
-        };
-    }
-    driver::record_trace_metrics(&outcome.trace, &mut metrics);
-    let mut stdout = driver::trace_line(&outcome.trace);
-    // The session ran exactly the analyses `--kind` selects; its merged
-    // report carries their sections.
-    let report = &outcome.report;
-    stdout.push_str(&driver::render_kind_report(
-        report,
-        &outcome.trace,
-        req.witnesses,
-    ));
-    metrics.merge(&report.to_metrics());
-    stderr.extend(driver::kind_run_notes(report));
-    SessionResponse {
-        exit: driver::kind_run_exit(report),
-        stdout,
-        stderr,
-        metrics: req.want_metrics.then(|| metrics.to_json()),
-        error: None,
-    }
-}
-
 /// One connection, one session: request frame, trace frames, empty frame,
 /// response frame. `Err` is a torn-down session (disconnect, idle, read
 /// failure) — the deterministic record the caller logs.
@@ -260,15 +179,7 @@ fn serve_session(
             Ok(Some(f)) => {
                 if let Err(e) = session.feed(&f) {
                     // Fatal to the session, exactly like the CLI parsers.
-                    // The client composes the file-name line locally.
-                    respond(
-                        &mut stream,
-                        &SessionResponse {
-                            exit: EXIT_USAGE,
-                            error: Some(e.to_string()),
-                            ..SessionResponse::default()
-                        },
-                    );
+                    respond(&mut stream, &driver::compose_response(&req, &Err(e)));
                     return Ok(());
                 }
             }
@@ -280,18 +191,10 @@ fn serve_session(
             Err(e) => return Err(session.abort(format!("read error: {e}"))),
         }
     }
-    match session.finish() {
-        Ok(outcome) => respond(&mut stream, &compose_response(&req, &outcome)),
-        // Tail parse / wait-link validation failures, same text as the CLI.
-        Err(e) => respond(
-            &mut stream,
-            &SessionResponse {
-                exit: EXIT_USAGE,
-                error: Some(e.to_string()),
-                ..SessionResponse::default()
-            },
-        ),
-    }
+    respond(
+        &mut stream,
+        &driver::compose_response(&req, &session.finish()),
+    );
     Ok(())
 }
 

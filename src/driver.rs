@@ -3,11 +3,12 @@
 //! the daemon's framed session protocol.
 //!
 //! The daemon's determinism contract — each session's output is
-//! byte-identical to the standalone CLI on the same trace — is enforced
-//! *by construction*: both binaries render stdout/stderr through the
-//! functions in this module, so there is exactly one implementation of
-//! the report text, the degradation note, the consistency diagnostics and
-//! the exit-code mapping.
+//! byte-identical to the standalone CLI on the same trace — holds *by
+//! construction*: every `rv` run, local or served, is a detection session
+//! whose outcome [`compose_response`] turns into the one
+//! [`SessionResponse`] both binaries print. There is exactly one
+//! implementation of the report text, the degradation notes, the
+//! consistency gate, the metrics document and the exit-code mapping.
 //!
 //! # Wire protocol
 //!
@@ -19,13 +20,13 @@
 
 use std::time::Duration;
 
-use rvcore::session::SessionConfig;
+use rvcore::session::{SessionConfig, SessionOutcome};
 pub use rvcore::Kind;
 use rvcore::{
     AtomicityReport, DeadlockReport, DetectionReport, DetectorConfig, Fault, FaultPlan, Metrics,
     WindowMode,
 };
-use rvtrace::{escape_json, parse_json, IngestStats, JsonValue, SalvageReport, Trace};
+use rvtrace::{escape_json, parse_json, IngestStats, JsonError, JsonValue, SalvageReport, Trace};
 
 /// Exit code: detection completed, no violations, nothing undecided.
 pub const EXIT_OK: u8 = 0;
@@ -42,6 +43,20 @@ pub const EXIT_DEGRADED: u8 = 3;
 /// (`rvpredict T | head`). The run ends quietly; 141 is 128 + SIGPIPE, the
 /// status a shell reports for a writer the closed pipe killed.
 pub const EXIT_CLOSED_STDOUT: u8 = 141;
+
+/// The value after `flag` on a command line, parsed as `T`. A missing
+/// value reads "`flag` needs `what`", a malformed one "`flag`: error".
+pub fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = args.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
 
 /// Parses a `W:C:KIND` fault-injection spec (KIND: `panic`, `timeout`,
 /// `encode-error`) into a fault coordinate.
@@ -358,16 +373,80 @@ pub fn record_salvage_metrics(report: &SalvageReport, metrics: &mut Metrics) {
     metrics.record_time("trace.salvage_time", report.elapsed);
 }
 
+/// Renders a session's end exactly as the CLI reports a run: stdout,
+/// stderr, exit code and — when `req` asks for it — the metrics document.
+/// The one composer of every `rv` run, local or served.
+///
+/// A trace the session could not read yields [`EXIT_USAGE`] and the
+/// error, which the client renders against its own file name. The strict
+/// consistency gate runs here, after the (speculative) solving: an
+/// inconsistent trace yields only its diagnostics and [`EXIT_USAGE`]. A
+/// lenient session's salvage diagnostics lead stderr.
+pub fn compose_response(
+    req: &SessionRequest,
+    finished: &Result<SessionOutcome, JsonError>,
+) -> SessionResponse {
+    let outcome = match finished {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            return SessionResponse {
+                exit: EXIT_USAGE,
+                error: Some(e.to_string()),
+                ..SessionResponse::default()
+            }
+        }
+    };
+    let mut metrics = Metrics::new();
+    if let Some(ingest) = &outcome.ingest {
+        record_ingest_metrics(ingest, &mut metrics);
+    }
+    // The session's own registry (`session.*` residency/shedding state)
+    // rides along in the gauges section, which is exempt from the
+    // count-type identity contract.
+    metrics.merge(&outcome.metrics);
+    let mut stderr = String::new();
+    if let Some(salvage) = &outcome.salvage {
+        record_salvage_metrics(salvage, &mut metrics);
+        if !salvage.is_clean() {
+            stderr.push_str(&format!("{salvage}\n"));
+        }
+    } else if let Some(diag) = consistency_error(&outcome.trace) {
+        return SessionResponse {
+            exit: EXIT_USAGE,
+            stderr: diag,
+            ..SessionResponse::default()
+        };
+    }
+    record_trace_metrics(&outcome.trace, &mut metrics);
+    let report = &outcome.report;
+    let mut stdout = trace_line(&outcome.trace);
+    stdout.push_str(&render_kind_report(report, &outcome.trace, req.witnesses));
+    metrics.merge(&report.to_metrics());
+    stderr.extend(kind_run_notes(report));
+    SessionResponse {
+        exit: kind_run_exit(report),
+        stdout,
+        stderr,
+        metrics: req.want_metrics.then(|| metrics.to_json()),
+        error: None,
+    }
+}
+
 /// A wire integer narrowed to `T` (a size, a budget, an exit code), or a
 /// shape error: `-1` must not wrap to `usize::MAX`, and `256` must not
 /// truncate to a `u8` exit code.
-fn json_uint<T: TryFrom<i64>>(value: &JsonValue) -> Result<T, rvtrace::JsonError> {
+fn json_uint<T: TryFrom<i64>>(value: &JsonValue) -> Result<T, JsonError> {
     let n = value.as_int()?;
-    T::try_from(n).map_err(|_| rvtrace::JsonError {
-        message: format!("integer {n} out of range"),
+    T::try_from(n).map_err(|_| wire_error(format!("integer {n} out of range")))
+}
+
+/// A protocol field that parsed as JSON but means nothing valid.
+fn wire_error(message: impl Into<String>) -> JsonError {
+    JsonError {
+        message: message.into(),
         offset: 0,
         snippet: String::new(),
-    })
+    }
 }
 
 /// One session's detector settings on the wire: everything the standalone
@@ -498,16 +577,12 @@ impl SessionRequest {
             .map_err(|e| format!("bad session request: {e}"))?;
         let mut req = SessionRequest::default();
         for (key, value) in obj {
-            let r: Result<(), rvtrace::JsonError> = (|| {
+            let r: Result<(), JsonError> = (|| {
                 match key.as_str() {
                     "window" => {
                         req.window = json_uint(value)?;
                         if req.window == 0 {
-                            return Err(rvtrace::JsonError {
-                                message: "window 0 out of range".into(),
-                                offset: 0,
-                                snippet: String::new(),
-                            });
+                            return Err(wire_error("window 0 out of range"));
                         }
                     }
                     "budget_secs" => req.budget_secs = json_uint(value)?,
@@ -517,49 +592,27 @@ impl SessionRequest {
                     "no_slice" => req.no_slice = value.as_bool()?,
                     "no_tiers" => req.no_tiers = value.as_bool()?,
                     "window_mode" => {
-                        req.window_mode =
-                            parse_window_mode(value.as_str()?).map_err(|m| rvtrace::JsonError {
-                                message: m,
-                                offset: 0,
-                                snippet: String::new(),
-                            })?
+                        req.window_mode = parse_window_mode(value.as_str()?).map_err(wire_error)?
                     }
                     "spill_budget" => req.spill_budget = json_uint(value)?,
                     "want_metrics" => req.want_metrics = value.as_bool()?,
-                    "kind" => {
-                        req.kind = parse_kind(value.as_str()?).map_err(|m| rvtrace::JsonError {
-                            message: m,
-                            offset: 0,
-                            snippet: String::new(),
-                        })?
-                    }
+                    "kind" => req.kind = parse_kind(value.as_str()?).map_err(wire_error)?,
                     "faults" => {
                         for f in value.as_array()? {
                             let f = f.as_array()?;
                             if f.len() != 3 {
-                                return Err(rvtrace::JsonError {
-                                    message: "fault needs [window, cop, kind]".into(),
-                                    offset: 0,
-                                    snippet: String::new(),
-                                });
+                                return Err(wire_error("fault needs [window, cop, kind]"));
                             }
                             let spec =
                                 format!("{}:{}:{}", f[0].as_int()?, f[1].as_int()?, f[2].as_str()?);
-                            let fault =
-                                parse_fault_spec(&spec).map_err(|m| rvtrace::JsonError {
-                                    message: m,
-                                    offset: 0,
-                                    snippet: String::new(),
-                                })?;
-                            req.faults.push(fault);
+                            req.faults
+                                .push(parse_fault_spec(&spec).map_err(wire_error)?);
                         }
                     }
                     other => {
-                        return Err(rvtrace::JsonError {
-                            message: format!("unknown session request field `{other}`"),
-                            offset: 0,
-                            snippet: String::new(),
-                        })
+                        return Err(wire_error(format!(
+                            "unknown session request field `{other}`"
+                        )))
                     }
                 }
                 Ok(())
@@ -585,7 +638,7 @@ pub struct SessionResponse {
     pub stderr: String,
     /// The metrics JSON document, when requested.
     pub metrics: Option<String>,
-    /// A trace ingestion error (the [`rvtrace::JsonError`] display text)
+    /// A trace ingestion error (the [`JsonError`] display text)
     /// or a session teardown reason.
     pub error: Option<String>,
 }
@@ -615,7 +668,7 @@ impl SessionResponse {
             .map_err(|e| format!("bad session response: {e}"))?;
         let mut resp = SessionResponse::default();
         for (key, value) in obj {
-            let r: Result<(), rvtrace::JsonError> = (|| {
+            let r: Result<(), JsonError> = (|| {
                 match key.as_str() {
                     "exit" => resp.exit = json_uint(value)?,
                     "stdout" => resp.stdout = value.as_str()?.to_string(),
@@ -623,11 +676,9 @@ impl SessionResponse {
                     "metrics" => resp.metrics = Some(value.as_str()?.to_string()),
                     "error" => resp.error = Some(value.as_str()?.to_string()),
                     other => {
-                        return Err(rvtrace::JsonError {
-                            message: format!("unknown session response field `{other}`"),
-                            offset: 0,
-                            snippet: String::new(),
-                        })
+                        return Err(wire_error(format!(
+                            "unknown session response field `{other}`"
+                        )))
                     }
                 }
                 Ok(())

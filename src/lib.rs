@@ -48,8 +48,8 @@ pub use rvcore::{
     AtomicityViolation, Cone, ConsistencyMode, DeadlockCycle, DeadlockDetector, DeadlockReport,
     DetectionReport, DetectionStats, DetectorConfig, EncoderOptions, FailedWindow, Fault,
     FaultPlan, Histogram, Kind, Metrics, PhaseTimer, PublishedSet, RaceDetector, RaceReport,
-    SolverTotals, StreamDetection, Tier, TierAnalysis, TierDecision, UndecidedReason, WindowMode,
-    WindowResult, WindowSkeleton, Witness, METRICS_SCHEMA_VERSION, SPILL_EVENT_BYTES,
+    SolverTotals, Tier, TierAnalysis, TierDecision, UndecidedReason, WindowMode, WindowResult,
+    WindowSkeleton, Witness, METRICS_SCHEMA_VERSION, SPILL_EVENT_BYTES,
 };
 // `rvinstrument::Session` (below) already owns the bare `Session` name, so
 // the daemon-side detection session is re-exported as `DetectionSession`.

@@ -347,8 +347,8 @@ fn count_type_prefix(doc: &str) -> &str {
 /// The per-tenant metrics export gate: a `--connect --metrics` client
 /// receives its session's registry in the response and writes it locally,
 /// with the count-type sections byte-identical to a standalone
-/// `--stream --metrics` run of the same trace; the relayed document also
-/// carries the daemon-side `session.*` gauges the solo run never records.
+/// `--stream --metrics` run of the same trace. Both runs are sessions, so
+/// both documents carry the `session.*` gauges.
 #[test]
 fn connect_metrics_match_standalone_cli() {
     let trace = trace_path("metrics.ndjson");
@@ -375,8 +375,8 @@ fn connect_metrics_match_standalone_cli() {
         "daemon session gauges ride along in the gauge section: {conn_doc}"
     );
     assert!(
-        !solo_doc.contains("\"session.opened\""),
-        "solo runs have no daemon session: {solo_doc}"
+        solo_doc.contains("\"session.opened\": 1"),
+        "a solo run is a one-tenant session: {solo_doc}"
     );
 
     let (code, stderr) = finish_daemon(daemon);

@@ -8,9 +8,24 @@
 use std::time::Duration;
 
 use rvpredict::{Budget, DetectionReport, DetectorConfig, Metrics, RaceDetector, ThreadId};
-use rvpredict::{FormulaBuilder, Solver};
+use rvpredict::{FormulaBuilder, SessionConfig, SessionManager, Solver};
 use rvsim::rng::SmallRng;
 use rvtrace::TraceBuilder;
+
+/// The `--stream` driver: a one-tenant session on a pool of
+/// `config.parallelism` workers, fed `input` in 64 KiB chunks.
+fn detect_streamed(config: &DetectorConfig, input: &[u8]) -> rvpredict::SessionOutcome {
+    let manager = SessionManager::new(config.parallelism);
+    let mut session = manager.open_session(SessionConfig {
+        detector: config.clone(),
+        lenient: false,
+        max_resident_windows: manager.in_process_residency(),
+    });
+    for chunk in input.chunks(64 * 1024) {
+        session.feed(chunk).expect("the trace streams");
+    }
+    session.finish().expect("the trace streams")
+}
 
 fn cases(default: usize) -> usize {
     std::env::var("PROPTEST_CASES")
@@ -382,10 +397,7 @@ fn single_kind_runs_report_run_level_metrics() {
                 kind,
                 ..Default::default()
             };
-            let streamed = RaceDetector::with_config(config.clone())
-                .detect_stream(ndjson.as_bytes())
-                .expect("the trace streams")
-                .report;
+            let streamed = detect_streamed(&config, ndjson.as_bytes()).report;
             for (report, stream) in [(detect(&trace, config), false), (streamed, true)] {
                 let m = report.to_metrics();
                 let doc = m.to_json();

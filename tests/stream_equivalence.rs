@@ -20,6 +20,21 @@ use rvpredict::{
     TraceBuilder,
 };
 
+/// The `--stream` driver: a one-tenant session on a pool of
+/// `config.parallelism` workers, fed `input` in 64 KiB chunks.
+fn detect_streamed(config: &DetectorConfig, input: &[u8]) -> rvpredict::SessionOutcome {
+    let manager = SessionManager::new(config.parallelism);
+    let mut session = manager.open_session(SessionConfig {
+        detector: config.clone(),
+        lenient: false,
+        max_resident_windows: manager.in_process_residency(),
+    });
+    for chunk in input.chunks(64 * 1024) {
+        session.feed(chunk).expect("the trace streams");
+    }
+    session.finish().expect("the trace streams")
+}
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_rvpredict")
 }
@@ -831,9 +846,7 @@ fn drivers_render_identical_deterministic_summaries() {
             }
             let detector = RaceDetector::with_config(cfg);
             let whole = detector.detect(&trace).deterministic_summary();
-            let streamed = detector
-                .detect_stream(json.as_bytes())
-                .expect("valid trace streams")
+            let streamed = detect_streamed(detector.config(), json.as_bytes())
                 .report
                 .deterministic_summary();
             assert_eq!(whole, streamed, "faulty={faulty} jobs={jobs}");
