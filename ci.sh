@@ -39,7 +39,11 @@ if [ "${1:-}" != "quick" ]; then
     # Each named workload is emitted in both formats and detected whole-file
     # from each format and streamed from NDJSON. Exit codes must agree and
     # reports must match modulo wall-clock (the `, solver ..., wall ...`
-    # tail and the `window times:` line). A second pass runs every violation
+    # tail and the `window times:` line). The JSON file whole and the
+    # NDJSON file streamed are rerun with every `thread` key escaped
+    # (`\u0074hread`), which the byte-level event decoder declines, so
+    # every event takes the value-tree path; exit codes and reports must
+    # match the plain files'. A second pass runs every violation
     # class with witnesses (`--kind all --witnesses`), whole-file vs
     # streamed, under the same two requirements. The names come from
     # emit_trace's own usage text, so a new workload joins the sweep
@@ -73,6 +77,27 @@ if [ "${1:-}" != "quick" ]; then
         done
         diff "$out.whole.stripped" "$out.stream.stripped"
         diff "$out.ndwhole.stripped" "$out.stream.stripped"
+        sed 's/"thread"/"\\u0074hread"/g' "$out.json" > "$out.tree.json"
+        sed 's/"thread"/"\\u0074hread"/g' "$out.ndjson" > "$out.tree.ndjson"
+        grep -q 'u0074hread' "$out.tree.json"
+        grep -q 'u0074hread' "$out.tree.ndjson"
+        tree_code=0
+        ./target/release/rvpredict --window 1000 "$out.tree.json" \
+            > "$out.tree.out" || tree_code=$?
+        tree_stream_code=0
+        ./target/release/rvpredict --stream --window 1000 "$out.tree.ndjson" \
+            > "$out.tree_stream.out" || tree_stream_code=$?
+        [ "$tree_code" = "$whole_code" ] && [ "$tree_stream_code" = "$stream_code" ] || {
+            echo "workload sweep: $name exits $tree_code whole-file and $tree_stream_code" \
+                "streamed with escaped keys, $whole_code and $stream_code plain" >&2
+            exit 1
+        }
+        for side in tree tree_stream; do
+            sed -e 's/, solver .*//' -e '/window times:/d' \
+                "$out.$side.out" > "$out.$side.stripped"
+        done
+        diff "$out.whole.stripped" "$out.tree.stripped"
+        diff "$out.stream.stripped" "$out.tree_stream.stripped"
         kinds_code=0
         ./target/release/rvpredict --kind all --witnesses --window 1000 "$out.json" \
             > "$out.kinds.out" || kinds_code=$?

@@ -519,6 +519,9 @@ impl Session {
                     tenant: self.tenant.clone(),
                     shed: false,
                 };
+                // Read before the push: a worker may merge the job before
+                // this thread looks again, and a submitted job must count.
+                let absorbed = self.tenant.lock().absorbed();
                 let mut s = self.shared.lock();
                 if s.shutdown {
                     drop(s);
@@ -531,8 +534,7 @@ impl Session {
                     self.shed_windows += u64::from(shed);
                 }
                 self.submitted += 1;
-                let in_flight = self.submitted - self.tenant.lock().absorbed();
-                self.peak_resident = self.peak_resident.max(in_flight);
+                self.peak_resident = self.peak_resident.max(self.submitted - absorbed);
             }
         }
     }
@@ -828,6 +830,19 @@ mod tests {
             stats.wall_time
         );
         assert!((1..=cap).contains(&stats.peak_window_residency));
+    }
+
+    #[test]
+    fn residency_gauge_counts_a_window_merged_before_the_feeder_looks() {
+        // One window, one job: a worker may merge it before the feeder
+        // reads the gauge again, and it must count as resident anyway.
+        let trace = Arc::new(racy_trace(2));
+        let manager = SessionManager::new(2);
+        for run in 0..200 {
+            let report = manager.open_session(config(1000)).detect(trace.clone());
+            assert_eq!(report.stats.windows, 1);
+            assert_eq!(report.stats.peak_window_residency, 1, "run {run}");
+        }
     }
 
     #[test]
