@@ -12,6 +12,16 @@ if [ "${1:-}" != "quick" ]; then
     cargo build --release --workspace
 fi
 
+say "no warnings (workspace and suite builds, rustdoc)"
+# Deleted items must leave no dead code, unused imports or dangling doc
+# links. A target directory of its own keeps the flag change from
+# invalidating the regular build cache.
+RUSTFLAGS="-D warnings" cargo build -q --workspace --all-targets \
+    --target-dir target/deny-warnings
+RUSTFLAGS="-D warnings" cargo build -q --all-targets \
+    --manifest-path crates/bench/src/bin/suite/Cargo.toml --target-dir target/deny-warnings
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 say "tests (workspace)"
 cargo test --workspace -q
 

@@ -40,7 +40,7 @@ impl ToolReport {
 /// Edges: program order, fork→begin, end→join, lock release→subsequent
 /// acquire (same lock), volatile write→subsequent volatile read, and
 /// notify→its wait's re-acquire. This is Lamport HB as used by the paper's
-/// HB baseline [22].
+/// HB baseline \[22\].
 pub fn hb_clocks(view: &View<'_>) -> Vec<VectorClock> {
     clocks_with_edges(view, true)
 }

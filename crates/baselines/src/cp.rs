@@ -1,5 +1,5 @@
 //! The Causally-Precedes baseline detector (Smaragdakis et al., POPL 2012;
-//! the paper's CP comparison [35]).
+//! the paper's CP comparison \[35\]).
 //!
 //! CP soundly *relaxes* HB: the unconditional release→acquire edge between
 //! two critical sections on the same lock is kept only when

@@ -1,4 +1,4 @@
-//! The Happens-Before baseline detector (Lamport [22], as compared in
+//! The Happens-Before baseline detector (Lamport \[22\], as compared in
 //! paper §5).
 //!
 //! A conflicting pair is an HB-race iff it is unordered by the

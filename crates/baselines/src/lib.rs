@@ -3,13 +3,13 @@
 //! Faithful implementations of the three *sound* techniques the paper
 //! evaluates against (§5, Table 1):
 //!
-//! * [`HbDetector`] — Lamport happens-before [22]: vector clocks with
+//! * [`HbDetector`] — Lamport happens-before \[22\]: vector clocks with
 //!   unconditional release→acquire, fork/join, volatile, and wait/notify
 //!   edges;
-//! * [`CpDetector`] — Causally-Precedes [35] (Smaragdakis et al., POPL
+//! * [`CpDetector`] — Causally-Precedes \[35\] (Smaragdakis et al., POPL
 //!   2012): relaxes the lock edges to those justified by rules (a)/(b),
 //!   closed under HB composition (rule (c));
-//! * [`SaidDetector`] — Said et al. [30]: the same SMT machinery as the
+//! * [`SaidDetector`] — Said et al. \[30\]: the same SMT machinery as the
 //!   maximal detector but with whole-trace read-write consistency and no
 //!   branch events.
 //!

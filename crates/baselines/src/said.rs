@@ -1,4 +1,4 @@
-//! The Said et al. baseline [30]: SMT-based predictive race detection with
+//! The Said et al. baseline \[30\]: SMT-based predictive race detection with
 //! whole-trace read-write consistency and no control-flow abstraction.
 //!
 //! This shares all of `rvcore`'s machinery — the only difference is the

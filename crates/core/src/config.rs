@@ -14,7 +14,7 @@ pub enum ConsistencyMode {
     /// events* are constrained, recursively through justifying writes.
     #[default]
     ControlFlow,
-    /// Said et al. [30]: every read in the window must return the same value
+    /// Said et al. \[30\]: every read in the window must return the same value
     /// as in the original trace (whole-trace read-write consistency); branch
     /// events are ignored. Sound but non-maximal.
     WholeTrace,
@@ -68,15 +68,7 @@ pub enum Fault {
 /// Intended for tests only — build one, put it in
 /// [`DetectorConfig::fault_plan`], and detection will hit the planned
 /// faults at exactly those coordinates on every run and at every
-/// `parallelism` setting. When a plan is present the detector disables the
-/// cross-window published-signature skip: the *reports* are deterministic
-/// with the skip on (merge-order dedup and the straddle pass's shared
-/// confirmed set see to that, in both window modes), but *which* COP
-/// index gets skipped before solving depends on how far ahead other
-/// workers have published, and fault coordinates key on those solve-order
-/// indices. With the skip off, coordinates land on the same COPs
-/// regardless of worker scheduling; everything else behaves as in
-/// production.
+/// `parallelism` setting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: BTreeMap<(usize, usize), Fault>,

@@ -32,12 +32,6 @@
 //!
 //! Speculative work (a worker solving a COP whose signature an earlier,
 //! still-unmerged window will confirm) costs time but never changes output.
-//! As an optimization, merged signatures are also published through a shared
-//! `RwLock<HashSet<_>>` so workers can skip work that is already known
-//! redundant. To keep output bit-identical across thread counts the skip is
-//! only taken for a whole solver session at once: the COPs of a session
-//! share learnt clauses, so dropping one mid-session would shift the solver
-//! effort recorded for later COPs with worker timing.
 //!
 //! # Fault tolerance
 //!
@@ -48,8 +42,7 @@
 //! of tearing down the run. Per-COP budget
 //! exhaustion is three-valued: `Undecided(Timeout | ConflictBudget |
 //! WorkerPanic | EncodeError)` is tallied in [`DetectionStats`] rather
-//! than silently reading as "no race". The shared published-signature set
-//! is accessed poison-tolerantly throughout. A deterministic
+//! than silently reading as "no race". A deterministic
 //! [`FaultPlan`](crate::config::FaultPlan) can inject panics, forced
 //! timeouts, and encode errors at chosen (window, COP) coordinates so the
 //! robustness suite can prove the merge stays byte-identical across
@@ -61,7 +54,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rvsmt::{Budget, SmtResult, Solver, StopReason};
@@ -82,13 +75,11 @@ use crate::slice::WindowSkeleton;
 use crate::tiers::{Tier, TierAnalysis, TierDecision};
 use crate::witness::{construct, extract_witness, Witness};
 
-/// How one COP fared inside a worker. `Skipped` records mark COPs the
-/// worker never solved because their signature was locally confirmed
-/// earlier in the window or already published by the merge loop; the merge
-/// replay discards them (their signature is always confirmed by then).
+/// How one COP fared inside a worker. A COP whose signature an earlier
+/// record of the same pass confirmed gets no record at all: the merge
+/// replay would drop it.
 #[derive(Debug)]
 enum CopVerdict {
-    Skipped,
     Unsat,
     /// No verdict: the budget ran out, encoding failed, or a fault was
     /// injected. The reason is tallied honestly in the report.
@@ -102,7 +93,7 @@ enum CopVerdict {
     },
 }
 
-/// One solved (or skipped) COP, in the window's solve order.
+/// One decided COP, in the window's solve order.
 ///
 /// `profile` rides along with the verdict so the merge loop
 /// can tally solver effort for *surviving* records only — a speculative
@@ -115,10 +106,10 @@ struct CopRecord {
     signature: RaceSignature,
     verdict: CopVerdict,
     /// SAT-core effort spent on this COP (all its solver invocations;
-    /// zero for skipped and fault-forced records).
+    /// zero for screened and fault-forced records).
     profile: SolverTotals,
     /// Events the COP's encoding actually constrained (its cone of
-    /// influence; the whole window with slicing off). Zero for skipped
+    /// influence; the whole window with slicing off). Zero for screened
     /// and fault-forced records, which encode nothing.
     cone_events: usize,
     /// Events in the window the COP was encoded against (zero when
@@ -131,8 +122,8 @@ struct CopRecord {
     /// Which cascade stage decided this COP: `Tier::A`/`Tier::B` for the
     /// pre-solver screens, `Tier::Solver` for the residue (and for
     /// fault-forced verdicts, which bypass the screens so planned fault
-    /// coordinates always take effect). `None` for skipped records and
-    /// whenever the cascade is disabled.
+    /// coordinates always take effect). `None` whenever the cascade is
+    /// disabled.
     decided_by: Option<Tier>,
     /// For boundary-straddling COPs (`--window-mode cone`): the extended
     /// view range the verdict was solved on, reported as the race's
@@ -175,8 +166,8 @@ enum WindowOutcome {
     Failed(Analysis, FailedWindow),
 }
 
-/// An opaque window-job result: produced by [`WindowJob::solve`] (or, for
-/// races, [`RaceDetector::solve_window_result`]) and consumed in window
+/// An opaque window-job result: produced by a session's window jobs (or,
+/// for races, [`RaceDetector::solve_window_result`]) and consumed in window
 /// order by [`RaceDetector::merge_window_result`]. These are the two
 /// halves of the solve-then-merge protocol sessions run; exposing them
 /// lets an external driver schedule the solves on its own worker pool
@@ -275,7 +266,7 @@ fn undecided_of_stop(reason: StopReason) -> UndecidedReason {
 
 impl CopRecord {
     /// The record of a COP decided without encoding anything — a tier
-    /// screen, a skip, a fault, an expired deadline or an over-budget
+    /// screen, a fault, an expired deadline or an over-budget
     /// straddle: no solver effort and no encoding sizes to account.
     fn unsolved(
         cop: Cop,
@@ -458,19 +449,17 @@ pub(crate) fn decide_goals<S: Clone + Eq + Hash, V>(
     records
 }
 
-/// Signatures confirmed by a merge loop, readable by in-flight workers.
-///
-/// Public so external drivers can run the same solve-then-merge protocol
-/// with the same early-skip optimization. The set is only ever used to
-/// *skip* solves whose records the merge replay is guaranteed to discard,
-/// so sharing it never changes merged output.
+/// An empty token accepted, and ignored, by
+/// [`RaceDetector::solve_window_result`] and
+/// [`RaceDetector::merge_window_result`]. Window solves read no
+/// cross-window state: the merge alone deduplicates signatures.
 #[derive(Debug, Default)]
-pub struct PublishedSet(RwLock<HashSet<RaceSignature>>);
+pub struct PublishedSet;
 
 impl PublishedSet {
-    /// An empty set.
+    /// The token.
     pub fn new() -> Self {
-        PublishedSet::default()
+        PublishedSet
     }
 }
 
@@ -506,18 +495,15 @@ impl WindowJob {
     /// Builds the window's view and runs the job's analysis, both under
     /// panic isolation. The result must be merged in order through an
     /// [`InOrderMerge`].
-    pub(crate) fn solve(&self, detector: &RaceDetector, published: &PublishedSet) -> WindowResult {
+    pub(crate) fn solve(&self, detector: &RaceDetector) -> WindowResult {
         let w = &self.window;
         let cfg = &detector.config;
         isolated(self.analysis, w.index, w.range.clone(), || {
             let view = w.view(&self.trace);
             match self.analysis {
-                Analysis::Race => WindowOutcome::Races(detector.solve_window(
-                    w.index,
-                    &view,
-                    w.plan.as_ref(),
-                    Some(published),
-                )),
+                Analysis::Race => {
+                    WindowOutcome::Races(detector.solve_window(w.index, &view, w.plan.as_ref()))
+                }
                 Analysis::Deadlock => WindowOutcome::Deadlocks(deadlock::solve_window(cfg, &view)),
                 Analysis::Atomicity => WindowOutcome::Atomicity(atomicity::solve_window(
                     cfg,
@@ -584,25 +570,14 @@ impl InOrderMerge {
         self.merged + self.pending.len()
     }
 
-    /// Buffers one result and merges everything now contiguous, pushing
-    /// newly confirmed signatures to `published`.
-    pub(crate) fn absorb(
-        &mut self,
-        detector: &RaceDetector,
-        result: WindowResult,
-        published: &PublishedSet,
-    ) {
+    /// Buffers one result and merges everything now contiguous.
+    pub(crate) fn absorb(&mut self, detector: &RaceDetector, result: WindowResult) {
         let n = self.analyses.len();
         let pos = self.analyses.iter().position(|&a| a == result.analysis());
         let pos = pos.expect("result of an unselected analysis");
         self.pending.insert(result.window_index() * n + pos, result);
         while let Some(result) = self.pending.remove(&self.merged) {
-            detector.merge_outcome(
-                result,
-                &mut self.report,
-                &mut self.confirmed,
-                Some(published),
-            );
+            detector.merge_outcome(result, &mut self.report, &mut self.confirmed);
             self.merged += 1;
             let stats = &mut self.report.stats;
             if stats.time_to_first_race.is_none() && !self.report.races.is_empty() {
@@ -697,44 +672,42 @@ impl RaceDetector {
     /// Solves one window under panic isolation, as a building block for
     /// external drivers: the result must be handed to
     /// [`RaceDetector::merge_window_result`] in window order. The solve is
-    /// a pure function of the window's view (plus the skip-only
-    /// `published` set and the window's deterministic straddle `plan`, if
-    /// any), so any scheduling of these calls merges to the same report.
+    /// a pure function of the window's view and its deterministic straddle
+    /// `plan`, if any, so any scheduling of these calls merges to the same
+    /// report. `_published` is ignored (see [`PublishedSet`]).
     pub fn solve_window_result(
         &self,
         window_index: usize,
         view: &View<'_>,
         plan: Option<&StraddlePlan>,
-        published: Option<&PublishedSet>,
+        _published: Option<&PublishedSet>,
     ) -> WindowResult {
         isolated(Analysis::Race, window_index, view.range(), || {
-            WindowOutcome::Races(self.solve_window(window_index, view, plan, published))
+            WindowOutcome::Races(self.solve_window(window_index, view, plan))
         })
     }
 
     /// Merges one window's result into `report`. Must be called in window
-    /// order with the same `confirmed` race-signature set (and
-    /// `published`, if any) across the whole run — this is the replay
-    /// that makes merged output independent of solve scheduling.
+    /// order with the same `confirmed` race-signature set across the whole
+    /// run — this is the replay that makes merged output independent of
+    /// solve scheduling. `_published` is ignored (see [`PublishedSet`]).
     pub fn merge_window_result(
         &self,
         result: WindowResult,
         report: &mut DetectionReport,
         confirmed: &mut HashSet<RaceSignature>,
-        published: Option<&PublishedSet>,
+        _published: Option<&PublishedSet>,
     ) {
-        self.merge_outcome(result, report, confirmed, published);
+        self.merge_outcome(result, report, confirmed);
     }
 
-    /// Solves one window into an outcome record. Pure with respect to
-    /// cross-window state: `published` is used only for early skips that
-    /// provably cannot change merged output (see the module docs).
+    /// Solves one window into an outcome record, reading no cross-window
+    /// state.
     fn solve_window(
         &self,
         window_index: usize,
         view: &View<'_>,
         plan: Option<&StraddlePlan>,
-        published: Option<&PublishedSet>,
     ) -> SolvedWindow {
         let window_start = Instant::now();
         let cfg = &self.config;
@@ -743,22 +716,6 @@ impl RaceDetector {
         // the remainder.
         let deadline = window_deadline(cfg, window_start);
         let enumeration = enumerate_cops(view, cfg.quick_check, cfg.max_cops_per_signature);
-        // Snapshot of merge-confirmed signatures. Only ever used to *skip*
-        // solves whose records the merge replay is guaranteed to discard.
-        // When a fault plan is active the snapshot is left empty: which
-        // signatures have been published when a window starts depends on
-        // worker timing, and a timing-dependent skip would shift fault
-        // coordinates between runs. (Verdicts never depend on the skip, but
-        // fault coordinates index the solve order, which does.)
-        let known_racy: HashSet<RaceSignature> =
-            match (cfg.dedup_signatures && cfg.fault_plan.is_none(), published) {
-                (true, Some(p)) => {
-                    p.0.read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .clone()
-                }
-                _ => HashSet::new(),
-            };
         let mut out = SolvedWindow {
             window_index,
             range: view.range(),
@@ -779,7 +736,6 @@ impl RaceDetector {
             view,
             enumeration.cops,
             deadline,
-            &known_racy,
             tiers.as_mut(),
             true,
             &mut out,
@@ -789,7 +745,7 @@ impl RaceDetector {
             out.tier_b_time += t.tier_b_time();
         }
         if let Some(plan) = plan {
-            self.solve_straddles(view, plan, deadline, &known_racy, &mut out);
+            self.solve_straddles(view, plan, deadline, &mut out);
         }
         out.window_time = window_start.elapsed();
         out
@@ -879,26 +835,16 @@ impl RaceDetector {
     /// The race solve path: decides `cops` against `view`. The tier
     /// screens run first; the residue is decided on one [`GoalSession`]
     /// (with slicing, over the residue's union cone), one race goal per
-    /// COP.
-    ///
-    /// The cross-window `known_racy` skip is only taken when it covers
-    /// *every* COP: a partial skip would drop a query from the shared
-    /// session and shift the effort deltas of later COPs with worker
-    /// timing, breaking the byte-identity of the count-type metrics across
-    /// `--jobs`. (Witnesses are unaffected either way: they come from the
-    /// constructor or the canonical fresh solve, never from the session.)
-    /// The skip of signatures confirmed
-    /// earlier in the same call is deterministic, so it stays per COP.
+    /// COP. A COP whose signature an earlier COP of the same call
+    /// confirmed is not decided and leaves no record.
     ///
     /// `faults` says whether the fault plan's coordinates index `cops`:
     /// true for a window's own COPs, false for its straddle pass.
-    #[allow(clippy::too_many_arguments)]
     fn solve_session(
         &self,
         view: &View<'_>,
         cops: Vec<Cop>,
         deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
         tiers: Option<&mut TierAnalysis<'_>>,
         faults: bool,
         out: &mut SolvedWindow,
@@ -915,13 +861,6 @@ impl RaceDetector {
             .iter()
             .map(|&c| RaceSignature::of_cop(view.trace(), c))
             .collect();
-        if cfg.dedup_signatures && signatures.iter().all(|s| known_racy.contains(s)) {
-            for (cop, signature) in cops.into_iter().zip(signatures) {
-                let skipped = CopRecord::unsolved(cop, signature, CopVerdict::Skipped, None);
-                out.records.push(skipped);
-            }
-            return;
-        }
         // Tier pass: decide every COP up front so the shared encoding can
         // cover the residue alone (the screens are pure per-COP functions
         // of the window, so deciding them before the solve loop changes
@@ -979,8 +918,6 @@ impl RaceDetector {
                 continue;
             }
             if cfg.dedup_signatures && local_confirmed.contains(&signature) {
-                let skipped = CopRecord::unsolved(cop, signature, CopVerdict::Skipped, None);
-                out.records.push(skipped);
                 continue;
             }
             let screened = decisions[i].is_some();
@@ -1067,16 +1004,14 @@ impl RaceDetector {
     /// [`solve_session`](Self::solve_session) as the window's own COPs,
     /// on a session of their own over the extended view. A straddling COP
     /// whose signature the window's own pass confirmed is solved anyway
-    /// and dropped by the merge replay like any same-window duplicate: the
-    /// window's own confirmations depend on worker timing (a session
-    /// skipped whole for published signatures confirms nothing), so
-    /// skipping on them would shift this session's effort deltas.
+    /// and dropped by the merge replay like any same-window duplicate:
+    /// skipping it would drop queries from this session and so change its
+    /// solver counters.
     fn solve_straddles(
         &self,
         view: &View<'_>,
         plan: &StraddlePlan,
         deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
         out: &mut SolvedWindow,
     ) {
         let cfg = &self.config;
@@ -1123,7 +1058,6 @@ impl RaceDetector {
             &ext,
             plan.cops.clone(),
             deadline,
-            known_racy,
             tiers.as_mut(),
             false,
             out,
@@ -1145,11 +1079,10 @@ impl RaceDetector {
         result: WindowResult,
         report: &mut DetectionReport,
         confirmed: &mut HashSet<RaceSignature>,
-        published: Option<&PublishedSet>,
     ) {
         let dedup = self.config.dedup_signatures;
         match result.outcome {
-            WindowOutcome::Races(solved) => self.merge_races(solved, report, confirmed, published),
+            WindowOutcome::Races(solved) => self.merge_races(solved, report, confirmed),
             WindowOutcome::Deadlocks(window) => report.deadlock.merge(window, dedup),
             WindowOutcome::Atomicity(window) => report.atomicity.merge(window, dedup),
             WindowOutcome::Failed(analysis, failed) => {
@@ -1167,14 +1100,11 @@ impl RaceDetector {
     /// deduplication happens: a record whose signature is already
     /// confirmed is dropped wholesale (its counters included), reproducing
     /// exactly what the serial driver would have skipped before solving.
-    /// Newly confirmed signatures are pushed to `published` for in-flight
-    /// workers.
     fn merge_races(
         &self,
         outcome: SolvedWindow,
         report: &mut DetectionReport,
         confirmed: &mut HashSet<RaceSignature>,
-        published: Option<&PublishedSet>,
     ) {
         let cfg = &self.config;
         let stats = &mut report.stats;
@@ -1227,7 +1157,7 @@ impl RaceDetector {
                     .observe(record.profile.propagations);
             }
             // Encoding-size accounting, surviving records only (same
-            // determinism contract as `profile` above). Skipped and
+            // determinism contract as `profile` above). Screened and
             // fault-forced records encode nothing and carry zeros.
             if record.window_events > 0 {
                 stats.cone_events += record.cone_events as u64;
@@ -1238,17 +1168,6 @@ impl RaceDetector {
                 stats.constraints_per_cop.observe(record.constraints as u64);
             }
             match record.verdict {
-                CopVerdict::Skipped => {
-                    // A worker only skips when the signature was confirmed
-                    // by an earlier merged window or earlier in this
-                    // window's records — both imply `confirmed` holds it
-                    // by the time the replay gets here.
-                    debug_assert!(
-                        !cfg.dedup_signatures,
-                        "skipped record with unconfirmed signature {:?}",
-                        record.signature
-                    );
-                }
                 CopVerdict::Unsat => {
                     stats.cops_solved += 1;
                     stats.unsat += 1;
@@ -1267,11 +1186,6 @@ impl RaceDetector {
                     stats.sat += 1;
                     stats.witness_fallbacks += usize::from(fallback);
                     confirmed.insert(record.signature);
-                    if let Some(p) = published {
-                        p.0.write()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .insert(record.signature);
-                    }
                     report.races.push(RaceReport {
                         cop: record.cop,
                         signature: record.signature,

@@ -41,7 +41,7 @@ pub struct EncoderOptions {
     /// Apply MHB-based pruning of write sets (paper §3.2, last paragraph).
     pub prune_write_sets: bool,
     /// Relevance slicing: encode only over the COP's cone of influence
-    /// (see [`crate::slice`]). Verdict-preserving; `--no-slice` turns it
+    /// (see [`Cone`](crate::Cone)). Verdict-preserving; `--no-slice` turns it
     /// off for A/B checks. No effect under
     /// [`ConsistencyMode::WholeTrace`], whose read constraints span the
     /// window by definition.

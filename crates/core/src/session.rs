@@ -43,8 +43,8 @@
 //!
 //! A session's merged report (summary and count-type metrics) is the same
 //! at any worker count and any co-tenant mix: windows are solved as pure
-//! functions of their view and merged in window order, with a
-//! per-session published-signature set. A prefix snapshot covers its
+//! functions of their view and merged in window order, where duplicate
+//! signatures are dropped. A prefix snapshot covers its
 //! windows exactly as the complete trace does, so feeding bytes and
 //! handing over the parsed trace produce the same report. (Shedding and
 //! real wall-clock window budgets are by nature load-dependent; the
@@ -85,9 +85,7 @@ use rvtrace::{
 };
 
 use crate::config::DetectorConfig;
-use crate::detector::{
-    window_jobs, InOrderMerge, PublishedSet, RaceDetector, WindowJob, WindowResult,
-};
+use crate::detector::{window_jobs, InOrderMerge, RaceDetector, WindowJob, WindowResult};
 use crate::metrics::Metrics;
 use crate::report::DetectionReport;
 
@@ -161,12 +159,11 @@ pub struct SessionOutcome {
 }
 
 /// A session's state shared with the workers solving its jobs: the
-/// detectors its windows run under, its published signatures, and its
-/// in-order merge, which the worker finishing a job advances.
+/// detectors its windows run under and its in-order merge, which the
+/// worker finishing a job advances.
 struct Tenant {
     detector: RaceDetector,
     shed_detector: RaceDetector,
-    published: PublishedSet,
     merge: Mutex<InOrderMerge>,
     /// Signalled after every merged result: wakes a feeder blocked on the
     /// residency cap or in `finish`.
@@ -181,7 +178,7 @@ impl Tenant {
     /// Buffers one result, merges everything now contiguous, and wakes
     /// the feeder.
     fn absorb(&self, result: WindowResult) {
-        self.lock().absorb(&self.detector, result, &self.published);
+        self.lock().absorb(&self.detector, result);
         self.merged.notify_all();
     }
 }
@@ -210,7 +207,7 @@ impl SessionJob {
         } else {
             &tenant.detector
         };
-        let result = job.solve(detector, &tenant.published);
+        let result = job.solve(detector);
         drop(job);
         tenant.absorb(result);
     }
@@ -340,8 +337,8 @@ impl SessionManager {
         2 * self.worker_count() + 3
     }
 
-    /// Opens a session: a fresh parser, window cursor, published set and
-    /// metrics registry, multiplexed onto the shared pool. Its clock —
+    /// Opens a session: a fresh parser, window cursor and metrics
+    /// registry, multiplexed onto the shared pool. Its clock —
     /// wall time and time to first race — starts now.
     pub fn open_session(&self, config: SessionConfig) -> Session {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
@@ -367,7 +364,6 @@ impl SessionManager {
                 merge: Mutex::new(InOrderMerge::new(start, config.detector.kind)),
                 detector,
                 shed_detector: RaceDetector::with_config(shed_cfg),
-                published: PublishedSet::new(),
                 merged: Condvar::new(),
             }),
             config,

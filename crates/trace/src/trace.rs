@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::{Event, EventId, EventKind, Loc, LockId, ThreadId, Value, VarId};
+use crate::event::{Event, EventId, EventKind, Loc, ThreadId, Value, VarId};
 
 /// A matched `wait()` occurrence (paper §4): the `release`/`acquire` pair the
 /// wait desugars to, plus the `Notify` event that woke it in the observed
@@ -79,10 +79,12 @@ impl fmt::Display for TraceStats {
 
 /// An observed, sequentially consistent execution trace.
 ///
-/// A `Trace` owns the event sequence plus per-thread indexes. Heavyweight
-/// per-window indexes (vector clocks, locksets, critical sections) live on
-/// [`View`](crate::View), obtained via [`Trace::full_view`] or
-/// [`Trace::windows`].
+/// A `Trace` owns the event sequence plus its thread list, id-space sizes
+/// and link lookups. Per-thread event lists and the heavyweight per-window
+/// indexes (vector clocks, locksets, critical sections) live on
+/// [`View`](crate::View), obtained via
+/// [`ViewExt::full_view`](crate::ViewExt::full_view) or
+/// [`ViewExt::windows`](crate::ViewExt::windows).
 ///
 /// # Examples
 ///
@@ -102,11 +104,8 @@ pub struct Trace {
     // ---- derived ----
     threads: Vec<ThreadId>,
     thread_lookup: BTreeMap<ThreadId, usize>,
-    thread_events: Vec<Vec<EventId>>,
     /// The first `Fork` of each thread, indexed like [`Trace::threads`].
     fork_of: Vec<Option<EventId>>,
-    /// Position of each event within its thread's event list.
-    pos_in_thread: Vec<u32>,
     n_vars: usize,
     n_locks: usize,
     n_chans: usize,
@@ -165,21 +164,16 @@ impl Trace {
     pub fn from_data(data: TraceData) -> Self {
         let mut thread_index: BTreeMap<ThreadId, usize> = BTreeMap::new();
         let mut threads = Vec::new();
-        let mut thread_events: Vec<Vec<EventId>> = Vec::new();
         let mut fork_of: Vec<Option<EventId>> = Vec::new();
-        let mut pos_in_thread = Vec::with_capacity(data.events.len());
         let mut n_vars = 0usize;
         let mut n_locks = 0usize;
         let mut n_chans = 0usize;
         for (i, e) in data.events.iter().enumerate() {
-            let ti = *thread_index.entry(e.thread).or_insert_with(|| {
+            thread_index.entry(e.thread).or_insert_with(|| {
                 threads.push(e.thread);
-                thread_events.push(Vec::new());
                 fork_of.push(None);
                 threads.len() - 1
             });
-            pos_in_thread.push(thread_events[ti].len() as u32);
-            thread_events[ti].push(EventId(i as u32));
             if let Some(v) = e.kind.var() {
                 n_vars = n_vars.max(v.index() + 1);
             }
@@ -194,7 +188,6 @@ impl Trace {
                 EventKind::Fork { child } | EventKind::Join { child } => {
                     let ci = *thread_index.entry(child).or_insert_with(|| {
                         threads.push(child);
-                        thread_events.push(Vec::new());
                         fork_of.push(None);
                         threads.len() - 1
                     });
@@ -236,9 +229,7 @@ impl Trace {
             data,
             thread_lookup: thread_index,
             threads,
-            thread_events,
             fork_of,
-            pos_in_thread,
             n_vars,
             n_locks,
             n_chans,
@@ -284,15 +275,6 @@ impl Trace {
         &self.threads
     }
 
-    /// Events of one thread, in program order. Empty if the thread is
-    /// unknown.
-    pub fn thread_events(&self, t: ThreadId) -> &[EventId] {
-        match self.thread_lookup.get(&t) {
-            Some(&i) => &self.thread_events[i],
-            None => &[],
-        }
-    }
-
     /// Dense index of a thread within [`Trace::threads`].
     #[inline]
     pub fn thread_index(&self, t: ThreadId) -> Option<usize> {
@@ -309,12 +291,6 @@ impl Trace {
     #[inline]
     pub fn n_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    /// The position of `e` within its thread's event sequence (0-based).
-    #[inline]
-    pub fn pos_in_thread(&self, e: EventId) -> usize {
-        self.pos_in_thread[e.index()] as usize
     }
 
     /// Number of distinct shared variables (dense id space).
@@ -422,26 +398,12 @@ impl Trace {
         }
         counts
     }
-
-    /// Restriction of the trace to one thread (`τ↾t`), as owned events.
-    /// Mostly useful in tests; prefer [`Trace::thread_events`].
-    pub fn projection(&self, t: ThreadId) -> Vec<Event> {
-        self.thread_events(t)
-            .iter()
-            .map(|&id| *self.event(id))
-            .collect()
-    }
-
-    /// Returns `LockId`s of locks appearing in the trace.
-    pub fn locks(&self) -> Vec<LockId> {
-        (0..self.n_locks as u32).map(LockId).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventKind};
+    use crate::event::{Event, EventKind, LockId};
 
     fn ev(t: u32, kind: EventKind) -> Event {
         Event::new(ThreadId(t), kind, Loc(0))
@@ -480,9 +442,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.len(), 7);
         assert_eq!(t.threads(), &[ThreadId(0), ThreadId(1)]);
-        assert_eq!(t.thread_events(ThreadId(0)).len(), 3);
-        assert_eq!(t.thread_events(ThreadId(1)).len(), 4);
-        assert_eq!(t.pos_in_thread(EventId(6)), 2);
         let s = t.stats();
         assert_eq!(s.threads, 2);
         assert_eq!(s.reads_writes, 2);
@@ -499,7 +458,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(t.threads(), &[ThreadId(0), ThreadId(7)]);
-        assert!(t.thread_events(ThreadId(7)).is_empty());
     }
 
     #[test]
@@ -513,15 +471,6 @@ mod tests {
         assert!(t.is_volatile(VarId(2)));
         assert!(!t.is_volatile(VarId(3)));
         assert_eq!(t.n_vars(), 4);
-    }
-
-    #[test]
-    fn projection_matches_thread_events() {
-        let t = sample();
-        let p = t.projection(ThreadId(1));
-        assert_eq!(p.len(), 4);
-        assert_eq!(p[0].kind, EventKind::Begin);
-        assert_eq!(p[3].kind, EventKind::End);
     }
 
     #[test]

@@ -627,8 +627,8 @@ impl CursorWindow {
 }
 
 /// The one window cursor: cuts a trace into fixed-size windows, carrying
-/// the [`WindowBoundary`] and (cone mode) the [`BoundaryTracker`] from
-/// each window to the next.
+/// the [`WindowBoundary`] (in cone mode, inside the [`BoundaryTracker`])
+/// from each window to the next.
 ///
 /// The cursor can be driven over a growing trace: each call to
 /// [`next`](WindowCursor::next) may pass a longer prefix of the same
@@ -644,7 +644,15 @@ pub struct WindowCursor {
     spill_events: Option<usize>,
     next_start: usize,
     next_index: usize,
-    carry: Option<(WindowBoundary, Option<BoundaryTracker>)>,
+    carry: Option<Carry>,
+}
+
+/// What a [`WindowCursor`] carries between windows: the boundary alone
+/// (fixed mode), or a tracker that owns the boundary (cone mode).
+#[derive(Debug, Clone)]
+enum Carry {
+    Fixed(WindowBoundary),
+    Cone(BoundaryTracker),
 }
 
 impl WindowCursor {
@@ -683,23 +691,33 @@ impl WindowCursor {
         }
         let range = self.next_start..trace.len().min(self.next_start.saturating_add(self.size));
         let spill_events = self.spill_events;
-        let (boundary, tracker) = self.carry.get_or_insert_with(|| {
+        let carry = self.carry.get_or_insert_with(|| {
             let b = WindowBoundary::from_initial_values(&trace.data().initial_values);
-            let t = spill_events.map(|s| BoundaryTracker::new(b.clone(), s));
-            (b, t)
+            match spill_events {
+                Some(s) => Carry::Cone(BoundaryTracker::new(b, s)),
+                None => Carry::Fixed(b),
+            }
         });
-        let plan = tracker.as_mut().and_then(|t| {
-            let plan = t.plan(trace.events(), range.clone(), |v| trace.is_volatile(v));
-            t.advance(trace.events(), range.clone());
-            plan
-        });
+        let events = trace.events();
+        let (boundary, plan) = match carry {
+            Carry::Fixed(b) => {
+                let boundary = b.clone();
+                b.advance(events, range.clone());
+                (boundary, None)
+            }
+            Carry::Cone(t) => {
+                let boundary = t.boundary().clone();
+                let plan = t.plan(events, range.clone(), |v| trace.is_volatile(v));
+                t.advance(events, range.clone());
+                (boundary, plan)
+            }
+        };
         let window = CursorWindow {
             index: self.next_index,
             range: range.clone(),
-            boundary: boundary.clone(),
+            boundary,
             plan,
         };
-        boundary.advance(trace.events(), range.clone());
         self.next_start = range.end;
         self.next_index += 1;
         Some(window)
@@ -849,10 +867,10 @@ impl StraddlePlan {
     }
 }
 
-/// Cross-boundary state for dependence-bounded windowing, threaded by a
-/// window dispatcher alongside its [`WindowBoundary`]: last-access
-/// [`BoundarySpill`] tables, boundary checkpoints at past window starts,
-/// and the per-variable write tail that cone growth queries.
+/// Cross-boundary state for dependence-bounded windowing: the carried
+/// [`WindowBoundary`], last-access [`BoundarySpill`] tables, boundary
+/// checkpoints at past window starts, and the per-variable write tail that
+/// cone growth queries.
 ///
 /// Protocol per window `range` (in order): [`plan`](BoundaryTracker::plan)
 /// first, then [`advance`](BoundaryTracker::advance). Both are

@@ -62,6 +62,24 @@ fn multi_window_trace() -> Trace {
     b.finish()
 }
 
+/// One race signature recurring in every window: ~500 events alternating
+/// a t1 write and a t2 read of `x`, always at the same two locations, so
+/// every 50-event window after the first holds only COPs whose signature
+/// an earlier window confirmed.
+fn recurring_signature_trace() -> Trace {
+    let mut b = TraceBuilder::new();
+    let x = b.var("x");
+    let t1 = ThreadId::MAIN;
+    let t2 = b.fork(t1);
+    let lw = b.loc("hot-write");
+    let lr = b.loc("hot-read");
+    for i in 0..248 {
+        b.write_at(t1, x, i, lw);
+        b.read_at(t2, x, i, lr);
+    }
+    b.finish()
+}
+
 /// Like [`multi_window_trace`], but the only racing pair sits *astride*
 /// the 300-event window boundaries: t1's write to `x` lands in window 0
 /// and t2's conflicting read lands in the last window, with only
@@ -147,36 +165,46 @@ fn run_with_metrics(args: &[&str], trace_path: &str, out_name: &str) -> (i32, St
 
 const JOBS: [&str; 4] = ["1", "2", "4", "8"];
 
-/// The tentpole contract, end to end: whole-file and `--stream` runs over
+/// The driver contract, end to end: whole-file and `--stream` runs over
 /// the same JSON file produce identical report text and identical
-/// count-type metrics at `--jobs` 1, 2, 4 and 8.
+/// count-type metrics at `--jobs` 1, 2, 4 and 8. Two shapes: later windows
+/// without COPs, and later windows whose every COP repeats a signature an
+/// earlier window confirmed.
 #[test]
 fn streamed_cli_is_byte_identical_across_jobs() {
-    let trace = multi_window_trace();
-    let path = dir().join("equiv.json");
-    std::fs::write(&path, rvpredict::to_json(&trace)).unwrap();
-    let path = path.to_str().unwrap();
+    let cases = [
+        ("equiv", multi_window_trace(), "300"),
+        ("recur", recurring_signature_trace(), "50"),
+    ];
+    for (name, trace, window) in cases {
+        let path = dir().join(format!("{name}.json"));
+        std::fs::write(&path, rvpredict::to_json(&trace)).unwrap();
+        let path = path.to_str().unwrap();
 
-    let (base_code, base_out, base_counts) =
-        run_with_metrics(&["--window", "300", "--jobs", "1"], path, "m-base.json");
-    assert_eq!(base_code, 1, "the head COP races");
-    for jobs in JOBS {
-        for stream in [false, true] {
-            let mut args = vec!["--window", "300", "--jobs", jobs];
-            if stream {
-                args.push("--stream");
+        let (base_code, base_out, base_counts) = run_with_metrics(
+            &["--window", window, "--jobs", "1"],
+            path,
+            &format!("m-{name}-base.json"),
+        );
+        assert_eq!(base_code, 1, "{name}: the head COP races");
+        for jobs in JOBS {
+            for stream in [false, true] {
+                let mut args = vec!["--window", window, "--jobs", jobs];
+                if stream {
+                    args.push("--stream");
+                }
+                let metrics = format!("m-{name}-{jobs}-{stream}.json");
+                let (code, out, counts) = run_with_metrics(&args, path, &metrics);
+                assert_eq!(code, base_code, "{name}: jobs={jobs} stream={stream}");
+                assert_eq!(
+                    out, base_out,
+                    "{name}: stdout drifted at jobs={jobs} stream={stream}"
+                );
+                assert_eq!(
+                    counts, base_counts,
+                    "{name}: count-type metrics drifted at jobs={jobs} stream={stream}"
+                );
             }
-            let name = format!("m-{jobs}-{stream}.json");
-            let (code, out, counts) = run_with_metrics(&args, path, &name);
-            assert_eq!(code, base_code, "jobs={jobs} stream={stream}");
-            assert_eq!(
-                out, base_out,
-                "stdout drifted at jobs={jobs} stream={stream}"
-            );
-            assert_eq!(
-                counts, base_counts,
-                "count-type metrics drifted at jobs={jobs} stream={stream}"
-            );
         }
     }
 }
