@@ -37,17 +37,6 @@ impl Default for SaidDetector {
     }
 }
 
-impl SaidDetector {
-    /// Creates the baseline with a custom window size.
-    pub fn with_window(window_size: usize) -> Self {
-        let config = DetectorConfig {
-            window_size,
-            ..DetectorConfig::said_baseline()
-        };
-        SaidDetector { config }
-    }
-}
-
 impl RaceDetectorTool for SaidDetector {
     fn name(&self) -> &'static str {
         "Said"
@@ -72,18 +61,6 @@ impl RaceDetectorTool for SaidDetector {
 pub struct MaximalDetector {
     /// The underlying configuration.
     pub config: DetectorConfig,
-}
-
-impl MaximalDetector {
-    /// Creates the detector with a custom window size.
-    pub fn with_window(window_size: usize) -> Self {
-        MaximalDetector {
-            config: DetectorConfig {
-                window_size,
-                ..Default::default()
-            },
-        }
-    }
 }
 
 impl RaceDetectorTool for MaximalDetector {

@@ -35,7 +35,9 @@
 
 use std::collections::HashMap;
 
-use rvtrace::{check_schedule, EventId, EventKind, LockId, Schedule, ThreadId, Trace, View};
+use rvtrace::{
+    check_schedule, EventId, EventKind, LockId, LockTable, Schedule, ThreadId, Trace, View,
+};
 
 use crate::config::{DetectorConfig, Kind};
 use crate::detector::{decide_goals, RaceDetector};
@@ -212,28 +214,18 @@ fn wanted(view: &View<'_>, acquire: EventId) -> LockId {
         .expect("a cycle acquire names its lock")
 }
 
-/// Replays the witness prefix and checks the circular wait: each cycle
+/// Replays the witness prefix's lock holds and checks the circular wait
+/// (a prefix that breaks mutual exclusion has none): each cycle
 /// thread's next unscheduled event is its blocked acquire, it still holds
 /// its contributed lock (the one its predecessor in the cycle requests),
 /// and the lock it requests is held by another thread.
 fn circular_wait(view: &View<'_>, schedule: &Schedule, acquires: &[EventId]) -> bool {
-    let mut holder: HashMap<LockId, ThreadId> = view
-        .held_at_start()
-        .iter()
-        .copied()
-        .map(|(t, l)| (l, t))
-        .collect();
+    let mut locks = LockTable::at_start(view);
     let mut pos: HashMap<ThreadId, usize> = HashMap::new();
     for &id in &schedule.0 {
         let e = view.event(id);
-        match e.kind {
-            EventKind::Acquire { lock } => {
-                holder.insert(lock, e.thread);
-            }
-            EventKind::Release { lock } => {
-                holder.remove(&lock);
-            }
-            _ => {}
+        if !locks.step(e.thread, &e.kind) {
+            return false;
         }
         *pos.entry(e.thread).or_insert(0) += 1;
     }
@@ -246,10 +238,10 @@ fn circular_wait(view: &View<'_>, schedule: &Schedule, acquires: &[EventId]) -> 
             .get(pos.get(&thread).copied().unwrap_or(0))
             .copied();
         next == Some(acquire)
-            && holder.get(&held) == Some(&thread)
-            && holder
-                .get(&wanted(view, acquire))
-                .is_some_and(|&h| h != thread)
+            && locks.writer(held) == Some(thread)
+            && locks
+                .writer(wanted(view, acquire))
+                .is_some_and(|h| h != thread)
     })
 }
 

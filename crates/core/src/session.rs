@@ -80,8 +80,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rvtrace::{
-    salvage_trace, validate_wait_links, IngestStats, JsonError, SalvageReport, StreamParser, Trace,
-    TraceData, WindowCursor,
+    admit_trace, IngestStats, JsonError, SalvageReport, StreamParser, Trace, TraceData,
+    WindowCursor,
 };
 
 use crate::config::DetectorConfig;
@@ -562,7 +562,7 @@ impl Session {
         self.parser.finish()?;
         let parser = std::mem::take(&mut self.parser);
         let ingest = parser.stats();
-        let (trace, salvage) = self.repair(parser.into_data())?;
+        let (trace, salvage) = admit_trace(parser.into_data(), self.config.lenient)?;
         let ingest_done = self.start.elapsed();
         let overlap = (!self.config.lenient).then(|| {
             self.first_dispatch
@@ -584,22 +584,10 @@ impl Session {
         ingest: Option<IngestStats>,
     ) -> Result<SessionOutcome, JsonError> {
         debug_assert_eq!(self.submitted, 0, "finish_parsed on a fed session");
-        let (trace, salvage) = self.repair(data)?;
+        let (trace, salvage) = admit_trace(data, self.config.lenient)?;
         self.start = Instant::now();
         *self.tenant.lock() = InOrderMerge::new(self.start, self.config.detector.kind);
         Ok(self.outcome(trace, ingest, salvage, None))
-    }
-
-    /// The trace detection runs on: salvaged in lenient sessions, wait
-    /// links validated in strict ones.
-    fn repair(&self, data: TraceData) -> Result<(Trace, Option<SalvageReport>), JsonError> {
-        if self.config.lenient {
-            let (trace, report) = salvage_trace(data);
-            Ok((trace, Some(report)))
-        } else {
-            validate_wait_links(&data)?;
-            Ok((Trace::from_data(data), None))
-        }
     }
 
     /// Solves the complete trace and packs the outcome with the session's

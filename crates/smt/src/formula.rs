@@ -184,11 +184,6 @@ impl FormulaBuilder {
         self.intern(Term::Bool(v))
     }
 
-    /// Number of free boolean variables allocated.
-    pub fn n_bool_vars(&self) -> usize {
-        self.n_bools as usize
-    }
-
     /// The atom `x − y ≤ k`. Constant-folds `x == y`; canonicalizes polarity
     /// so an atom and its negation share a node.
     pub fn diff_le(&mut self, x: IntVar, y: IntVar, k: i64) -> TermId {

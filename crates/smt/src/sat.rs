@@ -270,11 +270,6 @@ impl Sat {
         self.assign.len()
     }
 
-    /// Number of problem + learnt clauses.
-    pub fn n_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Search statistics.
     pub fn stats(&self) -> SatStats {
         self.stats

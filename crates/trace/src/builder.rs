@@ -419,11 +419,6 @@ impl TraceBuilder {
         self.data.events.is_empty()
     }
 
-    /// The id the next emitted event will get.
-    pub fn next_event_id(&self) -> EventId {
-        EventId(self.data.events.len() as u32)
-    }
-
     /// Finalizes the trace.
     pub fn finish(self) -> Trace {
         Trace::from_data(self.data)

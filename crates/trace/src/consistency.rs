@@ -12,20 +12,293 @@
 //!
 //! Branch events have no serial specification and may appear anywhere.
 //!
+//! The axioms are decided in one place, the `Axioms` state machine, which
+//! both [`check_consistency`] and [`salvage_trace`](crate::salvage_trace)
+//! drive. Its lock half, [`LockTable`], also replays lock holders for
+//! [`check_schedule`] and for deadlock witness validation.
+//!
 //! [`check_schedule`] validates a *reordering* of a window (a candidate race
 //! witness) against the requirements every τ-feasible trace must satisfy:
 //! per-thread prefix preservation (local determinism, data-abstract),
 //! fork/join edges, lock mutual exclusion, and wait/notify matching.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::error::TraceError;
-use crate::event::{EventId, EventKind, LockId, ThreadId, Value, VarId};
+use crate::event::{Event, EventId, EventKind, LockId, ThreadId, Value, VarId};
 use crate::trace::Trace;
 use crate::view::View;
 
-/// Checks full-trace consistency; returns all violations found.
+/// Who holds each lock: one write holder, or any number of read holds.
+///
+/// The lock half of the consistency state machine, and the holder replay
+/// of [`check_schedule`] and of deadlock witness validation. Its rule is
+/// plain mutual exclusion: a thread may stack read holds on a lock (a
+/// schedule may), while [`check_consistency`] additionally rejects a
+/// second read hold as non-reentrant.
+#[derive(Debug, Clone, Default)]
+pub struct LockTable {
+    writer: HashMap<LockId, ThreadId>,
+    readers: HashMap<LockId, Vec<ThreadId>>,
+}
+
+impl LockTable {
+    /// The holds open when `view` starts.
+    pub fn at_start(view: &View<'_>) -> Self {
+        let mut locks = LockTable::default();
+        for &(t, l) in view.held_at_start() {
+            locks.writer.insert(l, t);
+        }
+        for &(t, l) in view.held_read_at_start() {
+            locks.readers.entry(l).or_default().push(t);
+        }
+        locks
+    }
+
+    /// The thread holding `lock` in write mode.
+    pub fn writer(&self, lock: LockId) -> Option<ThreadId> {
+        self.writer.get(&lock).copied()
+    }
+
+    /// Whether `thread` holds a read hold on `lock`.
+    pub(crate) fn reads(&self, lock: LockId, thread: ThreadId) -> bool {
+        self.readers.get(&lock).is_some_and(|r| r.contains(&thread))
+    }
+
+    /// Whether mutual exclusion admits `thread` performing `kind` now: an
+    /// acquire needs the lock free, a read acquire no write holder, and a
+    /// release the thread's own hold of that mode. Other events are always
+    /// admitted.
+    pub(crate) fn admits(&self, thread: ThreadId, kind: &EventKind) -> bool {
+        match *kind {
+            EventKind::Acquire { lock } => {
+                !self.writer.contains_key(&lock)
+                    && self.readers.get(&lock).map_or(true, Vec::is_empty)
+            }
+            EventKind::Release { lock } => self.writer(lock) == Some(thread),
+            EventKind::AcquireRead { lock } => !self.writer.contains_key(&lock),
+            EventKind::ReleaseRead { lock } => self.reads(lock, thread),
+            _ => true,
+        }
+    }
+
+    /// Performs `thread`'s lock operation `kind`, which the caller has
+    /// checked [`admits`](LockTable::admits). Other events change nothing.
+    pub(crate) fn perform(&mut self, thread: ThreadId, kind: &EventKind) {
+        match *kind {
+            EventKind::Acquire { lock } => {
+                self.writer.insert(lock, thread);
+            }
+            EventKind::Release { lock } => {
+                self.writer.remove(&lock);
+            }
+            EventKind::AcquireRead { lock } => self.readers.entry(lock).or_default().push(thread),
+            EventKind::ReleaseRead { lock } => {
+                let readers = self.readers.entry(lock).or_default();
+                if let Some(p) = readers.iter().position(|&t| t == thread) {
+                    readers.swap_remove(p);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Performs `kind` if mutual exclusion admits it; returns whether it
+    /// did.
+    pub fn step(&mut self, thread: ThreadId, kind: &EventKind) -> bool {
+        let admitted = self.admits(thread, kind);
+        if admitted {
+            self.perform(thread, kind);
+        }
+        admitted
+    }
+}
+
+/// One thread's place in its begin/fork/end lifecycle.
+#[derive(Debug, Default, Clone, Copy)]
+struct Lifecycle {
+    forked: bool,
+    begun: bool,
+    ended: bool,
+    acted: bool,
+}
+
+/// The serial specifications of paper §2.2 as one state machine: thread
+/// lifecycles, the last value written to each variable, and a
+/// [`LockTable`]. Checking an event ([`violations`](Axioms::violations))
+/// and applying its effects ([`apply`](Axioms::apply)) are separate steps,
+/// so [`check_consistency`] reports every violation and applies every
+/// event, while [`salvage_trace`](crate::salvage_trace) applies only the
+/// events that violate nothing.
+pub(crate) struct Axioms<'a> {
+    initial: &'a BTreeMap<VarId, Value>,
+    /// Thread id -> index into `threads`: at most one hash lookup per
+    /// event finds the state both steps use, and none when the event's
+    /// thread is the last one looked up (threads run in bursts).
+    slots: HashMap<ThreadId, usize>,
+    last: Option<(ThreadId, usize)>,
+    threads: Vec<Lifecycle>,
+    values: HashMap<VarId, Value>,
+    locks: LockTable,
+}
+
+/// What checking an event learned that applying it needs: where its
+/// thread's state lives, and whether its lock operation was admitted.
+pub(crate) struct Checked {
+    slot: usize,
+    lock_ok: bool,
+}
+
+impl<'a> Axioms<'a> {
+    /// The machine at the start of a trace with these initial values.
+    pub(crate) fn new(initial: &'a BTreeMap<VarId, Value>) -> Self {
+        Axioms {
+            initial,
+            slots: HashMap::new(),
+            last: None,
+            threads: Vec::new(),
+            values: HashMap::new(),
+            locks: LockTable::default(),
+        }
+    }
+
+    fn slot(&mut self, thread: ThreadId) -> usize {
+        match self.last {
+            Some((t, slot)) if t == thread => slot,
+            _ => {
+                let n = self.threads.len();
+                let slot = *self.slots.entry(thread).or_insert(n);
+                if slot == n {
+                    self.threads.push(Lifecycle::default());
+                }
+                self.last = Some((thread, slot));
+                slot
+            }
+        }
+    }
+
+    fn lifecycle(&self, thread: ThreadId) -> Lifecycle {
+        self.slots
+            .get(&thread)
+            .map_or_else(Lifecycle::default, |&s| self.threads[s])
+    }
+
+    /// Hands each axiom `event` violates to `flag`, in order: acting
+    /// after its thread's end, then the begin checks, then the check of
+    /// its kind. Changes no state a later check can observe.
+    #[inline]
+    pub(crate) fn violations(
+        &mut self,
+        event: EventId,
+        e: &Event,
+        mut flag: impl FnMut(TraceError),
+    ) -> Checked {
+        let thread = e.thread;
+        let slot = self.slot(thread);
+        let st = self.threads[slot];
+        if st.ended {
+            flag(TraceError::EventAfterEnd { thread, event });
+        }
+        match e.kind {
+            EventKind::Begin => {
+                if st.acted {
+                    flag(TraceError::EventBeforeBegin { thread, event });
+                }
+                if !st.forked {
+                    flag(TraceError::BeginWithoutFork { thread, event });
+                }
+            }
+            EventKind::End => {}
+            _ if st.forked && !st.begun => flag(TraceError::EventBeforeBegin { thread, event }),
+            _ => {}
+        }
+        let mut lock_ok = true;
+        match e.kind {
+            EventKind::Read { var, value } => {
+                let expected = self
+                    .values
+                    .get(&var)
+                    .or_else(|| self.initial.get(&var))
+                    .copied()
+                    .unwrap_or_default();
+                if value != expected {
+                    flag(TraceError::InconsistentRead {
+                        read: event,
+                        var,
+                        expected,
+                        actual: value,
+                    });
+                }
+            }
+            EventKind::Acquire { lock } | EventKind::AcquireRead { lock } => {
+                // Read holds are non-reentrant per thread.
+                lock_ok = self.locks.admits(thread, &e.kind)
+                    && !(matches!(e.kind, EventKind::AcquireRead { .. })
+                        && self.locks.reads(lock, thread));
+                if !lock_ok {
+                    flag(TraceError::AcquireHeldLock {
+                        thread,
+                        lock,
+                        event,
+                    });
+                }
+            }
+            EventKind::Release { lock } | EventKind::ReleaseRead { lock } => {
+                lock_ok = self.locks.admits(thread, &e.kind);
+                if !lock_ok {
+                    flag(TraceError::ReleaseWithoutAcquire {
+                        thread,
+                        lock,
+                        event,
+                    });
+                }
+            }
+            EventKind::Fork { child } => {
+                if self.lifecycle(child).forked {
+                    flag(TraceError::DoubleFork {
+                        thread: child,
+                        event,
+                    });
+                }
+            }
+            EventKind::Join { child } => {
+                if !self.lifecycle(child).ended {
+                    flag(TraceError::JoinBeforeEnd {
+                        thread: child,
+                        event,
+                    });
+                }
+            }
+            _ => {}
+        }
+        Checked { slot, lock_ok }
+    }
+
+    /// Applies the effects of `e`, just checked: its lock operation only if
+    /// it was admitted, everything else unconditionally.
+    #[inline]
+    pub(crate) fn apply(&mut self, e: &Event, checked: Checked) {
+        let st = &mut self.threads[checked.slot];
+        st.acted = true;
+        match e.kind {
+            EventKind::Begin => st.begun = true,
+            EventKind::End => st.ended = true,
+            EventKind::Write { var, value } => {
+                self.values.insert(var, value);
+            }
+            EventKind::Fork { child } => {
+                let c = self.slot(child);
+                self.threads[c].forked = true;
+            }
+            _ if checked.lock_ok => self.locks.perform(e.thread, &e.kind),
+            _ => {}
+        }
+    }
+}
+
+/// Checks full-trace consistency; returns all violations found, in event
+/// order.
 ///
 /// # Examples
 ///
@@ -41,151 +314,10 @@ use crate::view::View;
 /// ```
 pub fn check_consistency(trace: &Trace) -> Vec<TraceError> {
     let mut errors = Vec::new();
-    let mut values: HashMap<VarId, Value> = HashMap::new();
-    let mut lock_holder: HashMap<LockId, ThreadId> = HashMap::new();
-    let mut read_holders: HashMap<LockId, Vec<ThreadId>> = HashMap::new();
-    #[derive(Default, Clone)]
-    struct Ts {
-        forked: u32,
-        begun: bool,
-        ended: bool,
-        seen_events: bool,
-    }
-    let mut ts: HashMap<ThreadId, Ts> = HashMap::new();
-
+    let mut axioms = Axioms::new(&trace.data().initial_values);
     for (i, e) in trace.events().iter().enumerate() {
-        let id = EventId(i as u32);
-        let st = ts.entry(e.thread).or_default();
-        if st.ended {
-            errors.push(TraceError::EventAfterEnd {
-                thread: e.thread,
-                event: id,
-            });
-        }
-        match e.kind {
-            EventKind::Begin => {
-                if st.seen_events {
-                    errors.push(TraceError::EventBeforeBegin {
-                        thread: e.thread,
-                        event: id,
-                    });
-                }
-                if st.forked == 0 {
-                    errors.push(TraceError::BeginWithoutFork {
-                        thread: e.thread,
-                        event: id,
-                    });
-                }
-                st.begun = true;
-            }
-            EventKind::End => {
-                st.ended = true;
-            }
-            _ => {
-                if st.forked > 0 && !st.begun {
-                    errors.push(TraceError::EventBeforeBegin {
-                        thread: e.thread,
-                        event: id,
-                    });
-                }
-            }
-        }
-        st.seen_events = true;
-
-        match e.kind {
-            EventKind::Read { var, value } => {
-                let expected = values
-                    .get(&var)
-                    .copied()
-                    .unwrap_or_else(|| trace.initial_value(var));
-                if value != expected {
-                    errors.push(TraceError::InconsistentRead {
-                        read: id,
-                        var,
-                        expected,
-                        actual: value,
-                    });
-                }
-            }
-            EventKind::Write { var, value } => {
-                values.insert(var, value);
-            }
-            EventKind::Acquire { lock }
-                if !lock_holder.contains_key(&lock)
-                    && read_holders.get(&lock).map_or(true, Vec::is_empty) =>
-            {
-                lock_holder.insert(lock, e.thread);
-            }
-            EventKind::Acquire { lock } => {
-                errors.push(TraceError::AcquireHeldLock {
-                    thread: e.thread,
-                    lock,
-                    event: id,
-                });
-            }
-            EventKind::Release { lock } => {
-                if lock_holder.get(&lock) == Some(&e.thread) {
-                    lock_holder.remove(&lock);
-                } else {
-                    errors.push(TraceError::ReleaseWithoutAcquire {
-                        thread: e.thread,
-                        lock,
-                        event: id,
-                    });
-                }
-            }
-            EventKind::AcquireRead { lock } => {
-                // A read hold coexists with other read holds but not with
-                // a write hold, and is non-reentrant per thread.
-                let readers = read_holders.entry(lock).or_default();
-                if lock_holder.contains_key(&lock) || readers.contains(&e.thread) {
-                    errors.push(TraceError::AcquireHeldLock {
-                        thread: e.thread,
-                        lock,
-                        event: id,
-                    });
-                } else {
-                    readers.push(e.thread);
-                }
-            }
-            EventKind::ReleaseRead { lock } => {
-                let readers = read_holders.entry(lock).or_default();
-                if let Some(p) = readers.iter().position(|&t| t == e.thread) {
-                    readers.swap_remove(p);
-                } else {
-                    errors.push(TraceError::ReleaseWithoutAcquire {
-                        thread: e.thread,
-                        lock,
-                        event: id,
-                    });
-                }
-            }
-            EventKind::Fork { child } => {
-                let cst = ts.entry(child).or_default();
-                cst.forked += 1;
-                if cst.forked > 1 {
-                    errors.push(TraceError::DoubleFork {
-                        thread: child,
-                        event: id,
-                    });
-                }
-            }
-            EventKind::Join { child } => {
-                let ended = ts.get(&child).map(|s| s.ended).unwrap_or(false);
-                if !ended {
-                    errors.push(TraceError::JoinBeforeEnd {
-                        thread: child,
-                        event: id,
-                    });
-                }
-            }
-            EventKind::Begin
-            | EventKind::End
-            | EventKind::Branch
-            | EventKind::Notify { .. }
-            | EventKind::Send { .. }
-            | EventKind::Recv { .. } => {}
-        }
+        let checked = axioms.violations(EventId(i as u32), e, |err| errors.push(err));
+        axioms.apply(e, checked);
     }
     errors
 }
@@ -277,14 +409,7 @@ pub fn check_schedule(view: &View<'_>, schedule: &Schedule) -> Result<(), Schedu
     let trace = view.trace();
     let mut next_pos: HashMap<ThreadId, usize> = HashMap::new();
     let mut scheduled: HashMap<EventId, usize> = HashMap::new();
-    let mut lock_holder: HashMap<LockId, ThreadId> = HashMap::new();
-    for &(t, l) in view.held_at_start() {
-        lock_holder.insert(l, t);
-    }
-    let mut read_holders: HashMap<LockId, Vec<ThreadId>> = HashMap::new();
-    for &(t, l) in view.held_read_at_start() {
-        read_holders.entry(l).or_default().push(t);
-    }
+    let mut locks = LockTable::at_start(view);
 
     for (step, &id) in schedule.0.iter().enumerate() {
         if !view.contains(id) || scheduled.contains_key(&id) {
@@ -302,6 +427,9 @@ pub fn check_schedule(view: &View<'_>, schedule: &Schedule) -> Result<(), Schedu
         }
         *pos += 1;
 
+        if !locks.step(e.thread, &e.kind) {
+            return Err(ScheduleError::MutexViolation(id));
+        }
         match e.kind {
             EventKind::Begin => {
                 // The fork must be scheduled earlier if it is in the view.
@@ -318,13 +446,7 @@ pub fn check_schedule(view: &View<'_>, schedule: &Schedule) -> Result<(), Schedu
                     }
                 }
             }
-            EventKind::Acquire { lock } => {
-                if lock_holder.contains_key(&lock)
-                    || !read_holders.get(&lock).map_or(true, Vec::is_empty)
-                {
-                    return Err(ScheduleError::MutexViolation(id));
-                }
-                lock_holder.insert(lock, e.thread);
+            EventKind::Acquire { .. } => {
                 // Wait re-acquire: its notify must be scheduled already.
                 if let Some(wl) = trace.wait_link_of_acquire(id) {
                     match wl.notify {
@@ -333,27 +455,6 @@ pub fn check_schedule(view: &View<'_>, schedule: &Schedule) -> Result<(), Schedu
                         }
                         _ => {}
                     }
-                }
-            }
-            EventKind::Release { lock } => {
-                if lock_holder.get(&lock) != Some(&e.thread) {
-                    return Err(ScheduleError::MutexViolation(id));
-                }
-                lock_holder.remove(&lock);
-            }
-            EventKind::AcquireRead { lock } => {
-                if lock_holder.contains_key(&lock) {
-                    return Err(ScheduleError::MutexViolation(id));
-                }
-                read_holders.entry(lock).or_default().push(e.thread);
-            }
-            EventKind::ReleaseRead { lock } => {
-                let readers = read_holders.entry(lock).or_default();
-                match readers.iter().position(|&t| t == e.thread) {
-                    Some(p) => {
-                        readers.swap_remove(p);
-                    }
-                    None => return Err(ScheduleError::MutexViolation(id)),
                 }
             }
             EventKind::Recv { .. } => {

@@ -72,11 +72,6 @@ pub enum TraceError {
         /// What the read claims to have returned.
         actual: crate::event::Value,
     },
-    /// The builder was asked to emit an event for an unknown thread.
-    UnknownThread {
-        /// The unknown thread.
-        thread: ThreadId,
-    },
 }
 
 impl TraceError {
@@ -92,7 +87,6 @@ impl TraceError {
             TraceError::ReleaseWithoutAcquire { .. } => "release-without-acquire",
             TraceError::AcquireHeldLock { .. } => "acquire-held-lock",
             TraceError::InconsistentRead { .. } => "inconsistent-read",
-            TraceError::UnknownThread { .. } => "unknown-thread",
         }
     }
 }
@@ -145,9 +139,6 @@ impl fmt::Display for TraceError {
                     f,
                     "{read}: read of {var} returned {actual} but last write was {expected}"
                 )
-            }
-            TraceError::UnknownThread { thread } => {
-                write!(f, "unknown thread {thread}")
             }
         }
     }

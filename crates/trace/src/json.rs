@@ -994,36 +994,26 @@ pub(crate) fn apply_metadata_field(
 /// panic deep inside detection.
 pub fn validate_wait_links(data: &TraceData) -> Result<(), JsonError> {
     let n_events = data.events.len();
-    let check = |what: &str, id: EventId| {
+    let check = |link: &str, what: &str, id: EventId| {
         if id.index() < n_events {
             Ok(())
         } else {
             Err(shape(format!(
-                "wait link {what} {} out of range (trace has {n_events} events)",
+                "{link} link {what} {} out of range (trace has {n_events} events)",
                 id.0
             )))
         }
     };
     for wl in &data.wait_links {
-        check("release", wl.release)?;
-        check("acquire", wl.acquire)?;
+        check("wait", "release", wl.release)?;
+        check("wait", "acquire", wl.acquire)?;
         if let Some(n) = wl.notify {
-            check("notify", n)?;
+            check("wait", "notify", n)?;
         }
     }
     for ml in &data.msg_links {
-        let check = |what: &str, id: EventId| {
-            if id.index() < n_events {
-                Ok(())
-            } else {
-                Err(shape(format!(
-                    "msg link {what} {} out of range (trace has {n_events} events)",
-                    id.0
-                )))
-            }
-        };
-        check("send", ml.send)?;
-        check("recv", ml.recv)?;
+        check("msg", "send", ml.send)?;
+        check("msg", "recv", ml.recv)?;
         if ml.send >= ml.recv {
             return Err(shape(format!(
                 "msg link send {} does not precede recv {}",

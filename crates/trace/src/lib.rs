@@ -59,7 +59,7 @@ mod view;
 
 pub use builder::{TraceBuilder, WaitToken};
 pub use consistency::{
-    check_consistency, check_schedule, schedule_read_values, Schedule, ScheduleError,
+    check_consistency, check_schedule, schedule_read_values, LockTable, Schedule, ScheduleError,
 };
 pub use error::TraceError;
 pub use event::{ChanId, Cop, Event, EventId, EventKind, Loc, LockId, ThreadId, Value, VarId};
@@ -68,7 +68,7 @@ pub use json::{
     escape_json, from_json, from_json_with_stats, parse_json, to_json, to_ndjson,
     validate_wait_links, IngestStats, JsonError, JsonValue,
 };
-pub use salvage::{salvage_trace, SalvageReport};
+pub use salvage::{admit_trace, salvage_trace, SalvageReport};
 pub use signature::{RaceSignature, SignatureDisplay};
 pub use stream::{read_trace, read_trace_data, StreamFormat, StreamParser};
 pub use trace::{MsgLink, Trace, TraceData, TraceStats, WaitLink};

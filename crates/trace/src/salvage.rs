@@ -5,12 +5,13 @@
 //! logger output is often imperfect — truncated files lose `end`/`join`
 //! events, torn writes corrupt read values, interleaved buffers drop
 //! acquires — and rejecting the whole trace throws away every window that
-//! was fine. [`salvage_trace`] instead replays the same consistency state
-//! machine event by event and **drops** each event that would violate an
-//! axiom, *without applying its state effects*, so one bad event cannot
-//! cascade into rejecting its neighbours. The result is a consistent trace
-//! by construction, plus a [`SalvageReport`] saying exactly what was
-//! dropped and why (per [`TraceError::category`](crate::TraceError::category) name).
+//! was fine. [`salvage_trace`] instead runs the strict check's own state
+//! machine (the crate's one encoding of the §2.2 axioms) event by event and
+//! **drops** each event that violates an axiom, *without applying its
+//! state effects*, so one bad event cannot cascade into rejecting its
+//! neighbours. The result is a consistent trace by construction, plus a
+//! [`SalvageReport`] saying exactly what was dropped and why (per
+//! [`TraceError::category`](crate::TraceError::category) name).
 //!
 //! Dropping events costs completeness, never soundness: detection runs on
 //! a sub-trace of what was observed, so every reported race still has a
@@ -19,7 +20,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use crate::event::{EventId, EventKind, LockId, ThreadId, Value, VarId};
+use crate::consistency::Axioms;
+use crate::event::EventId;
+use crate::json::{validate_wait_links, JsonError};
 use crate::trace::{MsgLink, Trace, TraceData, WaitLink};
 
 /// What lenient ingestion dropped, and why.
@@ -73,23 +76,15 @@ impl fmt::Display for SalvageReport {
     }
 }
 
-/// Per-thread salvage state, mirroring the consistency checker's.
-#[derive(Default, Clone)]
-struct Ts {
-    forked: bool,
-    begun: bool,
-    ended: bool,
-    seen_events: bool,
-}
-
 /// Salvages a consistent trace from damaged raw data.
 ///
-/// Replays [`check_consistency`](crate::consistency::check_consistency)'s
-/// state machine over the events in order; an event that would be flagged
-/// is dropped (its state effects are not applied) and counted under its
-/// error category. Kept events are renumbered densely; wait links are
-/// remapped to the new ids, and links whose release/acquire endpoint was
-/// dropped (or referenced a nonexistent event) are discarded as dangling.
+/// Runs [`check_consistency`](crate::consistency::check_consistency)'s
+/// state machine over the events in order; an event it flags is dropped
+/// (its state effects are not applied) and counted under the category of
+/// its first violation, the one the strict check lists first for it.
+/// Kept events are renumbered densely; wait links are remapped to the new
+/// ids, and links whose release/acquire endpoint was dropped (or
+/// referenced a nonexistent event) are discarded as dangling.
 /// Metadata (initial values, volatiles, names) passes through unchanged.
 ///
 /// # Examples
@@ -129,93 +124,21 @@ pub fn salvage_trace(data: TraceData) -> (Trace, SalvageReport) {
     let mut kept = Vec::with_capacity(events.len());
     // Old event id -> new event id, for wait-link remapping.
     let mut remap: HashMap<EventId, EventId> = HashMap::new();
-    let mut values: HashMap<VarId, Value> = HashMap::new();
-    let mut lock_holder: HashMap<LockId, ThreadId> = HashMap::new();
-    let mut read_holders: HashMap<LockId, Vec<ThreadId>> = HashMap::new();
-    let mut ts: HashMap<ThreadId, Ts> = HashMap::new();
+    let mut axioms = Axioms::new(&initial_values);
 
     for (i, e) in events.into_iter().enumerate() {
         let id = EventId(i as u32);
-        // First violated axiom wins the category; the event is dropped
-        // either way, so later axioms need not be consulted.
-        let violation = {
-            let st = ts.entry(e.thread).or_default();
-            if st.ended {
-                Some("event-after-end")
-            } else {
-                match e.kind {
-                    EventKind::Begin if st.seen_events => Some("event-before-begin"),
-                    EventKind::Begin if !st.forked => Some("begin-without-fork"),
-                    EventKind::Begin | EventKind::End => None,
-                    _ if st.forked && !st.begun => Some("event-before-begin"),
-                    EventKind::Read { var, value } => {
-                        let expected = values.get(&var).copied().unwrap_or_else(|| {
-                            initial_values.get(&var).copied().unwrap_or_default()
-                        });
-                        (value != expected).then_some("inconsistent-read")
-                    }
-                    EventKind::Acquire { lock } => (lock_holder.contains_key(&lock)
-                        || !read_holders.get(&lock).map_or(true, Vec::is_empty))
-                    .then_some("acquire-held-lock"),
-                    EventKind::Release { lock } => (lock_holder.get(&lock) != Some(&e.thread))
-                        .then_some("release-without-acquire"),
-                    EventKind::AcquireRead { lock } => (lock_holder.contains_key(&lock)
-                        || read_holders
-                            .get(&lock)
-                            .is_some_and(|r| r.contains(&e.thread)))
-                    .then_some("acquire-held-lock"),
-                    EventKind::ReleaseRead { lock } => (!read_holders
-                        .get(&lock)
-                        .is_some_and(|r| r.contains(&e.thread)))
-                    .then_some("release-without-acquire"),
-                    EventKind::Fork { child } => ts
-                        .get(&child)
-                        .is_some_and(|c| c.forked)
-                        .then_some("double-fork"),
-                    EventKind::Join { child } => {
-                        (!ts.get(&child).is_some_and(|c| c.ended)).then_some("join-before-end")
-                    }
-                    EventKind::Write { .. }
-                    | EventKind::Branch
-                    | EventKind::Notify { .. }
-                    | EventKind::Send { .. }
-                    | EventKind::Recv { .. } => None,
-                }
-            }
-        };
-        if let Some(category) = violation {
-            *report.dropped.entry(category).or_insert(0) += 1;
+        // The first violated axiom names the drop; a dropped event's
+        // effects are not applied.
+        let mut first = None;
+        let checked = axioms.violations(id, &e, |err| {
+            first.get_or_insert(err);
+        });
+        if let Some(err) = first {
+            *report.dropped.entry(err.category()).or_insert(0) += 1;
             continue;
         }
-        // Keep the event and apply its state effects.
-        let st = ts.entry(e.thread).or_default();
-        st.seen_events = true;
-        match e.kind {
-            EventKind::Begin => st.begun = true,
-            EventKind::End => st.ended = true,
-            EventKind::Write { var, value } => {
-                values.insert(var, value);
-            }
-            EventKind::Acquire { lock } => {
-                lock_holder.insert(lock, e.thread);
-            }
-            EventKind::Release { lock } => {
-                lock_holder.remove(&lock);
-            }
-            EventKind::AcquireRead { lock } => {
-                read_holders.entry(lock).or_default().push(e.thread);
-            }
-            EventKind::ReleaseRead { lock } => {
-                let readers = read_holders.entry(lock).or_default();
-                if let Some(p) = readers.iter().position(|&t| t == e.thread) {
-                    readers.swap_remove(p);
-                }
-            }
-            EventKind::Fork { child } => {
-                ts.entry(child).or_default().forked = true;
-            }
-            _ => {}
-        }
+        axioms.apply(&e, checked);
         remap.insert(id, EventId(kept.len() as u32));
         kept.push(e);
     }
@@ -267,11 +190,28 @@ pub fn salvage_trace(data: TraceData) -> (Trace, SalvageReport) {
     (trace, report)
 }
 
+/// Admits parsed trace data for detection: salvaged (with its report)
+/// when `lenient`, else with its links range-checked by
+/// [`validate_wait_links`]. A strict trace still has the consistency
+/// axioms to pass ([`check_consistency`](crate::check_consistency)).
+pub fn admit_trace(
+    data: TraceData,
+    lenient: bool,
+) -> Result<(Trace, Option<SalvageReport>), JsonError> {
+    if lenient {
+        let (trace, report) = salvage_trace(data);
+        Ok((trace, Some(report)))
+    } else {
+        validate_wait_links(&data)?;
+        Ok((Trace::from_data(data), None))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::consistency::check_consistency;
-    use crate::event::{Event, Loc};
+    use crate::event::{Event, EventKind, Loc, LockId, ThreadId, Value, VarId};
 
     fn ev(t: u32, kind: EventKind) -> Event {
         Event::new(ThreadId(t), kind, Loc(0))

@@ -533,14 +533,6 @@ impl<'a> View<'a> {
         &reads[..n]
     }
 
-    /// Branch events of thread `t` inside the view, in program order.
-    pub fn thread_branches(&self, t: ThreadId) -> &[EventId] {
-        match self.trace.thread_index(t) {
-            Some(i) => &self.branches_by_thread[i],
-            None => &[],
-        }
-    }
-
     /// The paper's `B_e`: for each thread, the *last* branch event that
     /// must-happen-before `e` (strictly). At most one entry per thread.
     pub fn last_branches_before(&self, e: EventId) -> Vec<EventId> {
@@ -572,11 +564,6 @@ impl<'a> View<'a> {
             .get(lock.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// All critical-section spans in the view.
-    pub fn all_critical_sections(&self) -> impl Iterator<Item = &CsSpan> {
-        self.cs_by_lock.iter().flatten()
     }
 
     /// Read-mode critical-section spans for `lock`, in trace order of

@@ -312,25 +312,22 @@ fn load_trace(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> Result<T
         "parsed {} events from {} bytes in {:?}",
         ingest.events, ingest.bytes, ingest.parse_time
     ));
-    let trace = if opts.lenient {
-        let (trace, report) = rvpredict::salvage_trace(raw);
+    let (trace, salvage) = match rvpredict::admit_trace(raw, opts.lenient) {
+        Ok(ok) => ok,
+        Err(e) => {
+            eprintln!("error: {path} is not a serialized trace: {e}");
+            return Err(ExitCode::from(EXIT_USAGE));
+        }
+    };
+    if let Some(report) = salvage {
         driver::record_salvage_metrics(&report, metrics);
         if !report.is_clean() {
             eprintln!("{report}");
         }
-        trace
-    } else {
-        if let Err(e) = rvpredict::validate_wait_links(&raw) {
-            eprintln!("error: {path} is not a serialized trace: {e}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        }
-        let trace = Trace::from_data(raw);
-        if let Some(diag) = driver::consistency_error(&trace) {
-            eprint!("{diag}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        }
-        trace
-    };
+    } else if let Some(diag) = driver::consistency_error(&trace) {
+        eprint!("{diag}");
+        return Err(ExitCode::from(EXIT_USAGE));
+    }
     driver::record_trace_metrics(&trace, metrics);
     Ok(trace)
 }

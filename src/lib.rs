@@ -62,10 +62,10 @@ pub use rvinstrument::{
 pub use rvsim::{execute, workloads, ExecConfig, Outcome, Program, Scheduler};
 pub use rvsmt::{Budget, FormulaBuilder, SmtResult, Solver};
 pub use rvtrace::{
-    check_consistency, check_schedule, escape_json, from_json, from_json_with_stats, parse_json,
-    read_frame, read_trace, read_trace_data, salvage_trace, schedule_read_values, to_json,
-    to_ndjson, validate_wait_links, write_frame, Cop, Event, EventId, EventKind, IngestStats,
-    JsonError, JsonValue, Loc, LockId, RaceSignature, SalvageReport, Schedule, ScheduleError,
-    StreamFormat, StreamParser, ThreadId, Trace, TraceBuilder, TraceData, TraceError, VarId, View,
-    ViewExt, WindowBoundary, WindowCursor, MAX_FRAME,
+    admit_trace, check_consistency, check_schedule, escape_json, from_json, from_json_with_stats,
+    parse_json, read_frame, read_trace, read_trace_data, salvage_trace, schedule_read_values,
+    to_json, to_ndjson, validate_wait_links, write_frame, Cop, Event, EventId, EventKind,
+    IngestStats, JsonError, JsonValue, Loc, LockId, RaceSignature, SalvageReport, Schedule,
+    ScheduleError, StreamFormat, StreamParser, ThreadId, Trace, TraceBuilder, TraceData,
+    TraceError, VarId, View, ViewExt, WindowBoundary, WindowCursor, MAX_FRAME,
 };

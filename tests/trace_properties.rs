@@ -1,10 +1,11 @@
 //! Property tests of the trace substrate over seeded random programs: the
-//! interpreter only ever produces consistent traces, JSON round-trips, and
-//! windowing agrees with the full view.
+//! interpreter only ever produces consistent traces, JSON round-trips,
+//! windowing agrees with the full view, and lenient salvage of a damaged
+//! trace agrees with the strict check.
 
 use rvpredict::{
-    check_consistency, check_schedule, from_json, to_json, EventId, Schedule, ThreadId, Trace,
-    TraceBuilder, ViewExt,
+    check_consistency, check_schedule, from_json, salvage_trace, to_json, Event, EventId,
+    EventKind, Loc, Schedule, ThreadId, Trace, TraceBuilder, TraceData, TraceError, ViewExt,
 };
 use rvsim::rng::SmallRng;
 use rvsim::stmts::*;
@@ -300,4 +301,136 @@ fn window_initial_values_replay() {
         }
         assert_eq!(pos, trace.len());
     });
+}
+
+/// Damages a consistent trace the way lossy loggers do, by `damage`: 0
+/// flips a read's value, 1 deletes an event, 2 duplicates an acquire, fork
+/// or end (the copy lands anywhere after the original), 3 moves an event
+/// past its thread's end. Every event's `loc` becomes unique (original
+/// events get their index, a copy gets the trace length), so a salvaged
+/// trace shows exactly which events it kept. `None` when the trace has
+/// nothing the chosen damage applies to.
+fn mutate(rng: &mut SmallRng, trace: &Trace, damage: u32) -> Option<TraceData> {
+    let mut data = trace.data().clone();
+    // Renumbering events would need link remapping; the generated
+    // programs neither wait nor send, so there are no links to remap.
+    assert!(data.wait_links.is_empty() && data.msg_links.is_empty());
+    let n = data.events.len();
+    for (i, e) in data.events.iter_mut().enumerate() {
+        e.loc = Loc(i as u32);
+    }
+    let events = &mut data.events;
+    let pick = |rng: &mut SmallRng, events: &[Event], want: &dyn Fn(&Event) -> bool| {
+        let hits: Vec<usize> = (0..events.len()).filter(|&i| want(&events[i])).collect();
+        (!hits.is_empty()).then(|| hits[rng.gen_range(0..hits.len())])
+    };
+    match damage {
+        0 => {
+            let i = pick(rng, events, &|e| matches!(e.kind, EventKind::Read { .. }))?;
+            if let EventKind::Read { ref mut value, .. } = events[i].kind {
+                value.0 += rng.gen_range(1..4i64);
+            }
+        }
+        1 => {
+            events.remove(rng.gen_range(0..n));
+        }
+        2 => {
+            let i = pick(rng, events, &|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Acquire { .. } | EventKind::Fork { .. } | EventKind::End
+                )
+            })?;
+            let copy = Event {
+                loc: Loc(n as u32),
+                ..events[i].clone()
+            };
+            events.insert(rng.gen_range(i + 1..n + 1), copy);
+        }
+        _ => {
+            let end = pick(rng, events, &|e| e.kind == EventKind::End)?;
+            let t = events[end].thread;
+            let i = pick(rng, &events[..end], &|e| e.thread == t)?;
+            let moved = events.remove(i);
+            // The end now sits at `end - 1`.
+            events.insert(rng.gen_range(end..n), moved);
+        }
+    }
+    Some(data)
+}
+
+/// The first event a strict check flags, with the category of its first
+/// violation. Every violation's message leads with its event (`e12: ...`).
+fn first_flagged(errors: &[TraceError]) -> Option<(usize, &'static str)> {
+    let first = errors.first()?;
+    let text = first.to_string();
+    let id = text
+        .strip_prefix('e')
+        .and_then(|rest| rest.split(':').next())
+        .and_then(|id| id.parse().ok())
+        .unwrap_or_else(|| panic!("violation names no event: {text}"));
+    Some((id, first.category()))
+}
+
+/// The first event salvage drops from `data`, with the category it was
+/// dropped under. Salvage decides each event from the events before it, so
+/// salvaging the prefix that ends at the first dropped event drops that
+/// event alone.
+fn first_dropped(data: &TraceData) -> Option<(usize, &'static str)> {
+    let (salvaged, _) = salvage_trace(data.clone());
+    let kept = salvaged.events();
+    let d =
+        (0..data.events.len()).find(|&i| kept.get(i).map(|e| e.loc) != Some(data.events[i].loc))?;
+    let prefix = TraceData {
+        events: data.events[..=d].to_vec(),
+        ..data.clone()
+    };
+    let (_, report) = salvage_trace(prefix);
+    let categories: Vec<&'static str> = report.dropped.into_keys().collect();
+    assert_eq!(categories.len(), 1, "the prefix drops its last event only");
+    Some((d, categories[0]))
+}
+
+/// Salvage and the strict check agree on every damaged trace: the salvaged
+/// trace is consistent, a clean trace passes through unchanged, and the
+/// first event the strict check flags is the first event salvage drops,
+/// under the same category.
+fn salvage_agrees_with_strict(master_seed: u64, traces: usize) {
+    let mut flagged = [0usize; 4];
+    for_traces(master_seed, traces, |rng, trace| {
+        let (clean, report) = salvage_trace(trace.data().clone());
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(clean.events(), trace.events());
+        assert_eq!(clean.wait_links(), trace.wait_links());
+        assert_eq!(clean.msg_links(), trace.msg_links());
+        for _ in 0..4 {
+            let damage = rng.gen_range(0..4u32);
+            let Some(mutant) = mutate(rng, trace, damage) else {
+                continue;
+            };
+            let (salvaged, report) = salvage_trace(mutant.clone());
+            let what = format!("{:?}", mutant.events);
+            assert!(check_consistency(&salvaged).is_empty(), "{report}: {what}");
+            assert_eq!(report.kept + report.n_dropped(), report.total);
+            let strict = first_flagged(&check_consistency(&Trace::from_data(mutant.clone())));
+            assert_eq!(strict, first_dropped(&mutant), "{what}");
+            flagged[damage as usize] += usize::from(strict.is_some());
+        }
+    });
+    assert!(
+        flagged.iter().all(|&n| n > 0),
+        "every kind of damage is caught at least once: {flagged:?}"
+    );
+}
+
+#[test]
+fn salvage_agrees_with_strict_on_damaged_traces() {
+    salvage_agrees_with_strict(0xDA7A, 64);
+}
+
+/// The same property over many more damaged traces.
+#[test]
+#[ignore = "long: about 16K damaged traces"]
+fn salvage_agrees_with_strict_on_damaged_traces_long() {
+    salvage_agrees_with_strict(0x5A1_7A6E, 4096);
 }
