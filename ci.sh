@@ -183,30 +183,34 @@ if [ "${1:-}" != "quick" ]; then
     done
     diff target/slice_smoke_sliced.stripped target/slice_smoke_unsliced.stripped
 
-    say "tier smoke (cascade vs --no-tiers vs --no-slice: identical witnesses)"
+    say "tier smoke (cascade vs --no-tiers vs --no-slice: identical witnesses, every kind)"
     # Every emit_trace workload (the sweep above emitted them) with the
     # tiered cascade on (the default), off, and with slicing off, all with
-    # --witnesses. A race's witness is the constructor's, or the canonical
-    # re-solve's when the constructor fails, whichever route decided the
-    # verdict, so the reports must match byte-for-byte modulo wall-clock
-    # (same strip as the other smokes).
+    # --witnesses, under --kind race and --kind all. A race's witness is
+    # the constructor's, or the canonical re-solve's when the constructor
+    # fails, whichever route decided the verdict, and deadlock and
+    # atomicity sessions encode the whole window in every mode, so the
+    # reports must match byte-for-byte modulo wall-clock (same strip as
+    # the other smokes).
     for name in $workloads; do
-        for mode in tiered untiered unsliced; do
-            case $mode in
-                tiered)   flag="" ;;
-                untiered) flag="--no-tiers" ;;
-                unsliced) flag="--no-slice" ;;
-            esac
-            out="target/tier_smoke_${name}_$mode"
-            # shellcheck disable=SC2086  # $flag is intentionally word-split
-            ./target/release/rvpredict $flag --witnesses \
-                "target/sweep_$name.json" > "$out.out" || [ $? -eq 1 ]
-            sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
+        for kind in race all; do
+            for mode in tiered untiered unsliced; do
+                case $mode in
+                    tiered)   flag="" ;;
+                    untiered) flag="--no-tiers" ;;
+                    unsliced) flag="--no-slice" ;;
+                esac
+                out="target/tier_smoke_${name}_${kind}_$mode"
+                # shellcheck disable=SC2086  # $flag is intentionally word-split
+                ./target/release/rvpredict $flag --kind "$kind" --witnesses \
+                    "target/sweep_$name.json" > "$out.out" || [ $? -eq 1 ]
+                sed -e 's/, solver .*//' -e '/window times:/d' "$out.out" > "$out.stripped"
+            done
+            diff "target/tier_smoke_${name}_${kind}_tiered.stripped" \
+                "target/tier_smoke_${name}_${kind}_untiered.stripped"
+            diff "target/tier_smoke_${name}_${kind}_tiered.stripped" \
+                "target/tier_smoke_${name}_${kind}_unsliced.stripped"
         done
-        diff "target/tier_smoke_${name}_tiered.stripped" \
-            "target/tier_smoke_${name}_untiered.stripped"
-        diff "target/tier_smoke_${name}_tiered.stripped" \
-            "target/tier_smoke_${name}_unsliced.stripped"
     done
 
     say "serve smoke (daemon sessions vs standalone CLI: identical responses)"

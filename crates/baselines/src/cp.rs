@@ -134,8 +134,7 @@ impl<'v, 't> CpIndex<'v, 't> {
         // Collect closed spans with their access summaries.
         let mut spans: Vec<Span> = Vec::new();
         let mut spans_by_lock: HashMap<rvtrace::LockId, Vec<usize>> = HashMap::new();
-        for lock_idx in 0..view.trace().n_locks() as u32 {
-            let lock = rvtrace::LockId(lock_idx);
+        for &lock in view.locks() {
             for cs in view.critical_sections(lock) {
                 let thread_evs = view.thread_events(cs.thread);
                 if thread_evs.is_empty() {

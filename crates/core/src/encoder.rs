@@ -22,11 +22,21 @@
 //! atomicity triple or a deadlock cycle — guarding only that goal's
 //! obligations. Every batched solver query in the detector, whatever its
 //! violation class, runs on an `encode_goals` formula.
+//!
+//! Both encode over a [`Cone`]: the COP's cone of influence when slicing
+//! applies, otherwise the whole-window [`Cone::full`]. So there is one
+//! `Φ_mhb` and one `Φ_lock` encoder, and the unsliced formula is the
+//! sliced encoder's output over the largest cone. Its constraint order is
+//! program order per thread (in [`Trace::threads`] order), the view's
+//! fork/join edges, its wait links, its message links, then locks in
+//! ascending id order.
+//!
+//! [`Trace::threads`]: rvtrace::Trace::threads
 
 use std::collections::HashMap;
 
 use rvsmt::{FormulaBuilder, IntVar, TermId};
-use rvtrace::{Cop, EventId, EventKind, View, WaitLink};
+use rvtrace::{Cop, EventId, EventKind, View};
 
 use crate::config::ConsistencyMode;
 use crate::slice::{Cone, WindowSkeleton};
@@ -146,9 +156,9 @@ struct Encoder<'v, 't> {
     /// substitution); in batch mode every event has its own variable and
     /// adjacency is an equality guarded by a per-COP selector.
     glued: Option<Cop>,
-    /// When slicing, the cone of influence: events outside it get no real
-    /// order variable and no constraints.
-    cone: Option<&'v Cone>,
+    /// The cone of influence (the whole window when not slicing): events
+    /// outside it get no real order variable and no constraints.
+    cone: &'v Cone,
     opts: EncoderOptions,
     cf_cache: HashMap<EventId, TermId>,
     n_mhb: usize,
@@ -157,12 +167,7 @@ struct Encoder<'v, 't> {
 }
 
 impl<'v, 't> Encoder<'v, 't> {
-    fn new(
-        view: &'v View<'t>,
-        glued: Option<Cop>,
-        cone: Option<&'v Cone>,
-        opts: EncoderOptions,
-    ) -> Self {
+    fn new(view: &'v View<'t>, glued: Option<Cop>, cone: &'v Cone, opts: EncoderOptions) -> Self {
         let mut fb = FormulaBuilder::new();
         let view_start = view.range().start;
         let mut ovars = Vec::with_capacity(view.len());
@@ -170,29 +175,17 @@ impl<'v, 't> Encoder<'v, 't> {
         // Sliced-out events all map to one dummy variable that no
         // constraint may mention (`o()` debug-asserts cone membership), so
         // `ovars` keeps its dense event→var indexing.
-        let dummy = match cone {
-            Some(c) if c.n_events() < view.len() => {
-                let v = fb.int_var();
-                debug_assert_eq!(v.index(), var_pos.len());
-                var_pos.push(0);
-                Some(v)
-            }
-            _ => None,
-        };
+        let dummy = (cone.n_events() < view.len()).then(|| {
+            var_pos.push(0);
+            fb.int_var()
+        });
         for id in view.ids() {
             if glued.map(|c| c.second) == Some(id) {
                 // O_a := O_b substitution (paper §4): the pair shares a var.
                 let first = ovars[glued.expect("checked").first.index() - view_start];
                 ovars.push(first);
-            } else if let (Some(d), Some(c)) = (dummy, cone) {
-                if c.contains(view, id) {
-                    let v = fb.int_var();
-                    debug_assert_eq!(v.index(), var_pos.len());
-                    var_pos.push(id.index() as i64);
-                    ovars.push(v);
-                } else {
-                    ovars.push(d);
-                }
+            } else if let Some(d) = dummy.filter(|_| !cone.contains(view, id)) {
+                ovars.push(d);
             } else {
                 let v = fb.int_var();
                 debug_assert_eq!(v.index(), var_pos.len());
@@ -219,7 +212,7 @@ impl<'v, 't> Encoder<'v, 't> {
     #[inline]
     fn o(&self, e: EventId) -> IntVar {
         debug_assert!(
-            self.cone.map_or(true, |c| c.contains(self.view, e)),
+            self.cone.contains(self.view, e),
             "order variable requested for sliced-out event {e:?}"
         );
         self.ovars[e.index() - self.view_start]
@@ -252,74 +245,28 @@ impl<'v, 't> Encoder<'v, 't> {
     }
 
     /// `Φ_mhb`: program order, fork→begin, end→join, and the wait/notify
-    /// matching constraints of paper §4. With a cone, only the cone's
-    /// per-thread prefixes, edges, and marked links are constrained; the
-    /// dropped tail is satisfiable in trace order (see DESIGN.md,
-    /// "Relevance slicing").
+    /// matching constraints of paper §4, over the cone: its per-thread
+    /// prefixes, edges and marked links. A dropped tail is satisfiable in
+    /// trace order (see DESIGN.md, "Relevance slicing").
     fn encode_mhb(&mut self) {
-        if let Some(cone) = self.cone {
-            self.encode_mhb_sliced(cone);
-            return;
-        }
         let view = self.view;
-        let trace = view.trace();
+        let cone = self.cone;
         // Program order: adjacent pairs suffice (IDL `<` is transitive).
-        for &t in trace.threads() {
-            let evs = view.thread_events(t);
-            for w in evs.windows(2) {
-                self.assert_lt(w[0], w[1]);
-            }
-        }
-        // fork→begin and end→join edges within the view.
-        for id in view.ids() {
-            let edge_from = match view.event(id).kind {
-                EventKind::Begin => view.fork_of(view.event(id).thread),
-                EventKind::Join { child } => view.end_of(child),
-                _ => None,
-            };
-            if let Some(from) = edge_from {
-                self.assert_lt(from, id);
-            }
-        }
-        // wait/notify: the notify is ordered inside its wait's
-        // release–acquire span and outside every other same-lock wait span.
-        self.encode_wait_links(&complete_wait_links(view));
-        // Channel matching: each linked recv observes its send.
-        let in_view = |e: EventId| view.contains(e);
-        let mlinks: Vec<rvtrace::MsgLink> = trace
-            .msg_links()
-            .iter()
-            .filter(|ml| in_view(ml.send) && in_view(ml.recv))
-            .copied()
-            .collect();
-        for ml in mlinks {
-            self.assert_lt(ml.send, ml.recv);
-        }
-    }
-
-    /// The cone-restricted `Φ_mhb`: program order over each thread's cone
-    /// prefix, the cone's fork/join edges, and the cone's wait links.
-    fn encode_mhb_sliced(&mut self, cone: &Cone) {
-        let view = self.view;
-        let threads: Vec<rvtrace::ThreadId> = view.trace().threads().to_vec();
-        for (ti, &t) in threads.iter().enumerate() {
+        for (ti, &t) in view.threads().iter().enumerate() {
             let evs = view.thread_events(t);
             let cut = cone.need(ti).min(evs.len());
             for w in evs[..cut].windows(2) {
                 self.assert_lt(w[0], w[1]);
             }
         }
-        let edges = cone.edges().to_vec();
-        for (src, dst) in edges {
+        for &(src, dst) in cone.edges() {
             self.assert_lt(src, dst);
         }
-        let links = cone.links().to_vec();
-        self.encode_wait_links(&links);
-        // Channel links whose endpoints both survived the cut. (Slicing is
-        // disabled for views with extended sync events, so this arm is a
-        // defensive no-op in the detector pipeline.)
-        let mlinks: Vec<rvtrace::MsgLink> = view.trace().msg_links().to_vec();
-        for ml in mlinks {
+        self.encode_wait_links(cone.links());
+        // Channel matching: each linked recv whose endpoints both survived
+        // the cut observes its send. (Slicing is disabled for views with
+        // extended sync events, so only the whole-window cone has any.)
+        for ml in view.trace().msg_links() {
             if view.contains(ml.send)
                 && view.contains(ml.recv)
                 && cone.contains(view, ml.send)
@@ -359,8 +306,8 @@ impl<'v, 't> Encoder<'v, 't> {
 
     /// `Φ_lock`: for every pair of same-lock critical sections by different
     /// threads (read-mode spans exclude write-mode spans but not each
-    /// other), one releases before the other acquires. With a cone, only
-    /// cone-held locks are constrained — a lock no cone event holds has
+    /// other), one releases before the other acquires. Only cone-held
+    /// locks are constrained — a lock no cone event holds has
     /// all its spans outside the cone (locksets cover the acquire and
     /// release endpoints), so the dropped disjunctions hold in trace order
     /// for any tail extension of a sliced model.
@@ -374,12 +321,9 @@ impl<'v, 't> Encoder<'v, 't> {
     /// such spans, which is exactly the one-holder-per-lock invariant of
     /// the deadlocked state.
     fn encode_lock(&mut self, d: Option<IntVar>) {
-        for lock_idx in 0..self.view.trace().n_locks() as u32 {
-            let lock = rvtrace::LockId(lock_idx);
-            if let Some(cone) = self.cone {
-                if !cone.lock_held(lock) {
-                    continue;
-                }
+        for &lock in self.view.locks() {
+            if !self.cone.lock_held(lock) {
+                continue;
             }
             let spans = self.view.critical_sections(lock);
             let rspans = self.view.read_critical_sections(lock);
@@ -593,18 +537,6 @@ impl<'v, 't> Encoder<'v, 't> {
     }
 }
 
-/// The wait links with release, notify and re-acquire all inside `view`:
-/// the exact set `Φ_mhb` constrains.
-pub(crate) fn complete_wait_links(view: &View<'_>) -> Vec<WaitLink> {
-    let in_view = |e: EventId| view.contains(e);
-    view.trace()
-        .wait_links()
-        .iter()
-        .filter(|wl| in_view(wl.release) && in_view(wl.acquire) && wl.notify.is_some_and(in_view))
-        .copied()
-        .collect()
-}
-
 /// The write sets of a read `r` (paper §3.2): `W^r`, every write on `r`'s
 /// variable not forced after it, and `W^r_v`, the same-value candidates it
 /// may match (shadow-pruned when `prune`). Shared between the encoder's
@@ -667,11 +599,16 @@ pub(crate) fn write_sets(view: &View<'_>, r: EventId, prune: bool) -> (Vec<Event
 /// assert_eq!(solver.solve(&Budget::UNLIMITED), SmtResult::Sat);
 /// ```
 pub fn encode(view: &View<'_>, cop: Cop, opts: EncoderOptions) -> Encoded {
-    if opts.slicing_active() && !view.has_extended_sync() {
-        let skel = WindowSkeleton::new(view);
-        return encode_with_skeleton(&skel, cop, opts);
+    match slices(view, opts) {
+        true => encode_with_skeleton(&WindowSkeleton::new(view), cop, opts),
+        false => encode_cop(view, cop, &Cone::full(view), opts),
     }
-    encode_cop(view, cop, None, opts)
+}
+
+/// Whether encodings over `view` slice. A window with rwlock/channel
+/// events is encoded whole: the cone analysis does not model their edges.
+fn slices(view: &View<'_>, opts: EncoderOptions) -> bool {
+    opts.slicing_active() && !view.has_extended_sync()
 }
 
 /// [`encode`] with a precomputed per-window [`WindowSkeleton`], so the
@@ -683,16 +620,15 @@ pub fn encode_with_skeleton(
     cop: Cop,
     opts: EncoderOptions,
 ) -> Encoded {
-    if !opts.slicing_active() || skel.view().has_extended_sync() {
-        // Conservative admission: a window with rwlock/channel events is
-        // encoded whole — the cone analysis does not model their edges.
-        return encode_cop(skel.view(), cop, None, opts);
-    }
-    let cone = skel.cone(std::slice::from_ref(&cop), opts.prune_write_sets);
-    encode_cop(skel.view(), cop, Some(&cone), opts)
+    let view = skel.view();
+    let cone = match slices(view, opts) {
+        true => skel.cone(std::slice::from_ref(&cop), opts.prune_write_sets),
+        false => Cone::full(view),
+    };
+    encode_cop(view, cop, &cone, opts)
 }
 
-fn encode_cop(view: &View<'_>, cop: Cop, cone: Option<&Cone>, opts: EncoderOptions) -> Encoded {
+fn encode_cop(view: &View<'_>, cop: Cop, cone: &Cone, opts: EncoderOptions) -> Encoded {
     debug_assert!(view.contains(cop.first) && view.contains(cop.second));
     let mut enc = Encoder::new(view, Some(cop), cone, opts);
     enc.encode_mhb();
@@ -732,7 +668,7 @@ fn encode_cop(view: &View<'_>, cop: Cop, cone: Option<&Cone>, opts: EncoderOptio
         n_read_matches: enc.n_read_matches,
         n_cf_vars,
         var_pos: enc.var_pos,
-        cone_events: cone.map_or(view.len(), |c| c.n_events()),
+        cone_events: cone.n_events(),
         window_events: view.len(),
         n_constraints,
     }
@@ -854,9 +790,11 @@ pub fn encode_goals(view: &View<'_>, goals: &[Goal], opts: EncoderOptions) -> En
             _ => None,
         })
         .collect();
-    let sliced = cops.len() == goals.len() && opts.slicing_active() && !view.has_extended_sync();
-    let cone = sliced.then(|| WindowSkeleton::new(view).cone(&cops, opts.prune_write_sets));
-    let mut enc = Encoder::new(view, None, cone.as_ref(), opts);
+    let cone = match cops.len() == goals.len() && slices(view, opts) {
+        true => WindowSkeleton::new(view).cone(&cops, opts.prune_write_sets),
+        false => Cone::full(view),
+    };
+    let mut enc = Encoder::new(view, None, &cone, opts);
     enc.encode_mhb();
     let kind = |g: &Goal| std::mem::discriminant(g);
     debug_assert!(
@@ -944,7 +882,7 @@ pub fn encode_goals(view: &View<'_>, goals: &[Goal], opts: EncoderOptions) -> En
         required_branches,
         dvar,
         var_pos: enc.var_pos,
-        cone_events: cone.as_ref().map_or(view.len(), |c| c.n_events()),
+        cone_events: cone.n_events(),
         window_events: view.len(),
         n_constraints,
     }

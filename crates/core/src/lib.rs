@@ -68,7 +68,7 @@ pub use detector::{GoalSession, PublishedSet, RaceDetector, WindowResult};
 pub use encoder::{
     encode, encode_goals, encode_with_skeleton, Encoded, EncodedWindow, EncoderOptions, Goal,
 };
-pub use metrics::{Histogram, Metrics, PhaseTimer, METRICS_SCHEMA_VERSION};
+pub use metrics::{Histogram, Metrics, METRICS_SCHEMA_VERSION};
 pub use oracle::{oracle_atomicity, oracle_deadlocks, oracle_races};
 pub use report::{
     DetectionReport, DetectionStats, FailedWindow, RaceReport, RaceReportDisplay, SolverTotals,

@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Version of the JSON document emitted by [`Metrics::to_json`]. Bumped on
 /// any incompatible change to the schema (section names, histogram shape).
@@ -405,48 +405,6 @@ fn write_json_key(out: &mut String, name: &str) {
         }
     }
     out.push_str("\":");
-}
-
-/// Measures one named phase; hand the elapsed time to a registry when the
-/// phase ends.
-///
-/// # Examples
-///
-/// ```
-/// use rvcore::{Metrics, PhaseTimer};
-///
-/// let mut m = Metrics::new();
-/// let t = PhaseTimer::start("detect");
-/// // ... work ...
-/// t.stop(&mut m);
-/// assert!(m.timing("detect") >= std::time::Duration::ZERO);
-/// ```
-#[derive(Debug)]
-pub struct PhaseTimer {
-    name: String,
-    start: Instant,
-}
-
-impl PhaseTimer {
-    /// Starts timing the phase `name`.
-    pub fn start(name: impl Into<String>) -> Self {
-        PhaseTimer {
-            name: name.into(),
-            start: Instant::now(),
-        }
-    }
-
-    /// Time elapsed since the phase started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Stops the phase, folds its duration into `metrics`, and returns it.
-    pub fn stop(self, metrics: &mut Metrics) -> Duration {
-        let elapsed = self.start.elapsed();
-        metrics.record_time(&self.name, elapsed);
-        elapsed
-    }
 }
 
 #[cfg(test)]

@@ -25,11 +25,17 @@
 //!    model's tail in trace order), and wait/notify links any of whose
 //!    three events entered the cone (all-or-nothing).
 //!
-//! The per-window [`WindowSkeleton`] hoists everything that does not
-//! depend on the COP — fork→begin/end→join edge lists, the view-filtered
-//! wait links with an event→link index, and the detection of malformed
-//! lock-span pairs whose `⊥` assertion is load-bearing — so computing one
-//! cone is near-`O(|cone|)` instead of `O(|window|)`.
+//! The window's order facts — its fork→begin/end→join edges, its complete
+//! wait links with their per-event lookup, and the locks it touches — are
+//! the [`View`]'s ([`View::mhb_edges`], [`View::wait_links`],
+//! [`View::locks`]); a cone keeps the subset it reaches. The per-window
+//! [`WindowSkeleton`] adds the one fact that is not the view's: the locks
+//! whose malformed span pairs make a `⊥` assertion load-bearing. So
+//! computing one cone is near-`O(|cone|)` instead of `O(|window|)`.
+//!
+//! No slicing is the largest cone: [`Cone::full`] holds every thread's
+//! whole in-view sequence, every edge, link and lock, and the encoder
+//! emits the unsliced formula by running over it.
 //!
 //! [`VectorClock`]: rvtrace::VectorClock
 
@@ -37,23 +43,12 @@ use std::collections::BTreeSet;
 
 use rvtrace::{Cop, EventId, EventKind, LockId, VarId, View, WaitLink};
 
-use crate::encoder::complete_wait_links;
-
-/// Per-window state shared by every cone computation: the parts of the
-/// encoding input that do not depend on the COP. Build one per window and
-/// reuse it for all of the window's COPs.
+/// Per-window state shared by every cone computation: the part of the
+/// encoding input that depends neither on the COP nor is a fact of the
+/// view. Build one per window and reuse it for all of the window's COPs.
 #[derive(Debug)]
 pub struct WindowSkeleton<'v, 'a> {
     view: &'v View<'a>,
-    /// fork→begin and end→join edges with both endpoints inside the view.
-    edges: Vec<(EventId, EventId)>,
-    /// Wait links whose release, acquire and notify are all inside the
-    /// view (the same filter the encoder applies).
-    links: Vec<WaitLink>,
-    /// Membership index: release/acquire/notify event → index into
-    /// [`WindowSkeleton::links`]. Dense arena over the view's contiguous
-    /// event range (`u32::MAX` = no link), probed once per cone event.
-    link_of: Vec<u32>,
     /// Locks with a cross-thread span pair that would assert `⊥` in
     /// `Φ_lock` (both ordering directions lack their endpoint events —
     /// malformed overlapping holds). The assertion is load-bearing, so
@@ -64,48 +59,22 @@ pub struct WindowSkeleton<'v, 'a> {
 impl<'v, 'a> WindowSkeleton<'v, 'a> {
     /// Builds the skeleton for one window view.
     pub fn new(view: &'v View<'a>) -> Self {
-        let trace = view.trace();
-        let mut edges = Vec::new();
-        for id in view.ids() {
-            let edge_from = match view.event(id).kind {
-                EventKind::Begin => view.fork_of(view.event(id).thread),
-                EventKind::Join { child } => view.end_of(child),
-                _ => None,
-            };
-            edges.extend(edge_from.map(|from| (from, id)));
-        }
-        let links = complete_wait_links(view);
-        let view_base = view.range().start;
-        let mut link_of = vec![u32::MAX; if links.is_empty() { 0 } else { view.len() }];
-        for (i, wl) in links.iter().enumerate() {
-            // All three endpoints are in-view (just filtered), so they
-            // index the contiguous view range directly.
-            link_of[wl.release.index() - view_base] = i as u32;
-            link_of[wl.acquire.index() - view_base] = i as u32;
-            link_of[wl.notify.expect("filtered").index() - view_base] = i as u32;
-        }
-        let mut forced_locks = Vec::new();
-        for lock_idx in 0..trace.n_locks() as u32 {
-            let lock = LockId(lock_idx);
-            let spans = view.critical_sections(lock);
-            let forced = spans.iter().enumerate().any(|(i, s1)| {
-                spans[i + 1..].iter().any(|s2| {
-                    s1.thread != s2.thread
-                        && (s1.release.is_none() || s2.acquire.is_none())
-                        && (s2.release.is_none() || s1.acquire.is_none())
+        let forced_locks = view
+            .locks()
+            .iter()
+            .copied()
+            .filter(|&lock| {
+                let spans = view.critical_sections(lock);
+                spans.iter().enumerate().any(|(i, s1)| {
+                    spans[i + 1..].iter().any(|s2| {
+                        s1.thread != s2.thread
+                            && (s1.release.is_none() || s2.acquire.is_none())
+                            && (s2.release.is_none() || s1.acquire.is_none())
+                    })
                 })
-            });
-            if forced {
-                forced_locks.push(lock);
-            }
-        }
-        WindowSkeleton {
-            view,
-            edges,
-            links,
-            link_of,
-            forced_locks,
-        }
+            })
+            .collect();
+        WindowSkeleton { view, forced_locks }
     }
 
     /// The window view the skeleton was built over.
@@ -123,8 +92,10 @@ impl<'v, 'a> WindowSkeleton<'v, 'a> {
         let trace = view.trace();
         let n_threads = trace.n_threads();
         let mut need = vec![0u32; n_threads];
-        let mut held = vec![false; trace.n_locks()];
-        let mut marked = vec![false; self.links.len()];
+        // Cone-held flags over `view.locks()`, marked flags over
+        // `view.wait_links()`.
+        let mut held = vec![false; view.locks().len()];
+        let mut marked = vec![false; view.wait_links().len()];
 
         // Prefix-extends the cone with the MHB closure of `e`: the clock
         // entry for thread `i` counts the events of `i` that are ⪯ e, and
@@ -192,12 +163,15 @@ impl<'v, 'a> WindowSkeleton<'v, 'a> {
         // 3. Lock and wait-link closure, to a fixpoint: newly admitted
         //    events can hold further locks, whose spans admit further
         //    events. Forced locks (load-bearing ⊥ pairs) are admitted
-        //    unconditionally.
+        //    unconditionally. A lock outside `view.locks()` has no span,
+        //    so admitting it would change nothing.
         let admit_lock = |lock: LockId, need: &mut [u32], held: &mut [bool]| {
-            if held[lock.index()] {
+            let Ok(i) = view.locks().binary_search(&lock) else {
+                return;
+            };
+            if std::mem::replace(&mut held[i], true) {
                 return;
             }
-            held[lock.index()] = true;
             for span in view.critical_sections(lock) {
                 if let Some(a) = span.acquire {
                     seed(view, need, a);
@@ -223,16 +197,10 @@ impl<'v, 'a> WindowSkeleton<'v, 'a> {
                     for &lock in view.lockset(e) {
                         admit_lock(lock, &mut need, &mut held);
                     }
-                    let li = self
-                        .link_of
-                        .get(e.index() - view_base)
-                        .copied()
-                        .unwrap_or(u32::MAX);
-                    if li != u32::MAX {
-                        let li = li as usize;
+                    if let Some(li) = view.wait_link_index(e) {
                         if !marked[li] {
                             marked[li] = true;
-                            let wl = self.links[li];
+                            let wl = view.wait_links()[li];
                             seed(view, &mut need, wl.release);
                             seed(view, &mut need, wl.acquire);
                             if let Some(n) = wl.notify {
@@ -258,8 +226,8 @@ impl<'v, 'a> WindowSkeleton<'v, 'a> {
         };
         // fork→begin / end→join edges whose target is in the cone (MHB
         // downward closure guarantees the source then is too).
-        let edges: Vec<(EventId, EventId)> = self
-            .edges
+        let edges: Vec<(EventId, EventId)> = view
+            .mhb_edges()
             .iter()
             .copied()
             .filter(|&(src, dst)| {
@@ -268,12 +236,19 @@ impl<'v, 'a> WindowSkeleton<'v, 'a> {
                 keep
             })
             .collect();
-        let links: Vec<WaitLink> = self
-            .links
+        let links: Vec<WaitLink> = view
+            .wait_links()
             .iter()
             .zip(&marked)
             .filter(|(_, &m)| m)
             .map(|(wl, _)| *wl)
+            .collect();
+        let held = view
+            .locks()
+            .iter()
+            .zip(&held)
+            .filter(|(_, &h)| h)
+            .map(|(&lock, _)| lock)
             .collect();
         Cone {
             need,
@@ -295,9 +270,9 @@ pub struct Cone {
     /// Per trace-thread index: how many leading events of that thread's
     /// in-view sequence are in the cone.
     need: Vec<u32>,
-    /// Per lock index: whether the lock is cone-held (its `Φ_lock` pairs
-    /// are encoded in full).
-    held: Vec<bool>,
+    /// The cone-held locks, ascending: their `Φ_lock` pairs are encoded in
+    /// full.
+    held: Vec<LockId>,
     /// fork→begin and end→join edges inside the cone.
     edges: Vec<(EventId, EventId)>,
     /// Wait links fully inside the cone (marked links are all-or-nothing).
@@ -309,8 +284,27 @@ pub struct Cone {
 }
 
 impl Cone {
+    /// The whole-window cone: every thread's whole in-view sequence, all of
+    /// the view's fork/join edges and wait links, and every lock it
+    /// touches. Encoding over it is encoding without slicing.
+    pub fn full(view: &View<'_>) -> Cone {
+        Cone {
+            need: (view.threads().iter())
+                .map(|&t| view.thread_events(t).len() as u32)
+                .collect(),
+            held: view.locks().to_vec(),
+            edges: view.mhb_edges().to_vec(),
+            links: view.wait_links().to_vec(),
+            n_events: view.len(),
+            window_events: view.len(),
+        }
+    }
+
     /// Whether `e` (an event of the cone's window) is inside the cone.
     pub fn contains(&self, view: &View<'_>, e: EventId) -> bool {
+        if self.n_events == self.window_events {
+            return true;
+        }
         let ti = view
             .trace()
             .thread_index(view.event(e).thread)
@@ -327,7 +321,7 @@ impl Cone {
     /// Whether `lock`'s critical sections are encoded (some cone event
     /// holds it, or its span structure is malformed).
     pub fn lock_held(&self, lock: LockId) -> bool {
-        self.held.get(lock.index()).copied().unwrap_or(false)
+        self.held.binary_search(&lock).is_ok()
     }
 
     /// fork→begin and end→join edges with both endpoints in the cone.

@@ -40,11 +40,11 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use rvtrace::{Cop, EventId, EventKind, View, WaitLink};
+use rvtrace::{Cop, EventId, EventKind, View};
 
 use crate::config::ConsistencyMode;
-use crate::encoder::{complete_wait_links, write_sets};
-use crate::witness::{construct_with_links, Witness};
+use crate::encoder::write_sets;
+use crate::witness::{construct, Witness};
 
 /// Which stage of the detection cascade decided a COP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,8 +165,8 @@ fn thread_of(view: &View<'_>, e: EventId) -> usize {
 }
 
 /// The per-window tier state: the entailed edges beyond MHB, memoized
-/// per-read facts, the wait links and undischarged lock disjunctions, and
-/// the per-tier time accumulators the detector folds into its report.
+/// per-read facts and undischarged lock disjunctions, and the per-tier
+/// time accumulators the detector folds into its report.
 #[derive(Debug)]
 pub struct TierAnalysis<'a> {
     view: &'a View<'a>,
@@ -177,8 +177,6 @@ pub struct TierAnalysis<'a> {
     sparse: Vec<(EventId, EventId)>,
     /// True when the window formula is `Unsat` regardless of the COP.
     refute_all: bool,
-    /// Complete in-view wait links (the exact set the encoder constrains).
-    links: Vec<WaitLink>,
     /// Both-disjunct lock pairs left undischarged by the base fixpoint
     /// (whole-trace mode only).
     cs_pairs: Vec<CsPair>,
@@ -206,7 +204,6 @@ impl<'a> TierAnalysis<'a> {
             prune,
             sparse: Vec::new(),
             refute_all: false,
-            links: Vec::new(),
             cs_pairs: Vec::new(),
             cond_pairs: Vec::new(),
             facts: HashMap::new(),
@@ -231,10 +228,8 @@ impl<'a> TierAnalysis<'a> {
 
     fn build_base(&mut self) {
         let view = self.view;
-        let trace = view.trace();
         // Complete in-view wait links: release < notify < re-acquire.
-        self.links = complete_wait_links(view);
-        for wl in self.links.clone() {
+        for &wl in view.wait_links() {
             let n = wl.notify.expect("filtered");
             self.add_edge(wl.release, n);
             self.add_edge(n, wl.acquire);
@@ -246,8 +241,8 @@ impl<'a> TierAnalysis<'a> {
         // mode matches the *conditional* `Φ_lock` instead: every pair keeps
         // its acquire escape hatches and is discharged per COP, because a
         // span acquired past the racing pair constrains nothing.
-        'locks: for lock_idx in 0..trace.n_locks() as u32 {
-            let spans = view.critical_sections(rvtrace::LockId(lock_idx));
+        'locks: for &lock in view.locks() {
+            let spans = view.critical_sections(lock);
             for (i, s1) in spans.iter().enumerate() {
                 for s2 in &spans[i + 1..] {
                     if s1.thread == s2.thread {
@@ -423,7 +418,7 @@ impl<'a> TierAnalysis<'a> {
             return TierDecision::Refuted;
         }
         let t0 = Instant::now();
-        self.witness = construct_with_links(self.view, *cop, self.mode, &self.links);
+        self.witness = construct(self.view, *cop, self.mode);
         self.tier_a_time += t0.elapsed();
         if self.witness.is_some() {
             TierDecision::Confirmed

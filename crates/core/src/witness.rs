@@ -31,11 +31,10 @@ use std::collections::{HashMap, HashSet};
 use rvsmt::Solver;
 use rvtrace::{
     check_schedule, schedule_read_values, Cop, CsSpan, EventId, EventKind, LockId, Schedule, View,
-    WaitLink,
 };
 
 use crate::config::ConsistencyMode;
-use crate::encoder::{complete_wait_links, Encoded};
+use crate::encoder::Encoded;
 
 /// A validated race witness.
 #[derive(Debug, Clone)]
@@ -84,16 +83,6 @@ impl std::error::Error for WitnessError {}
 /// Only the `first, second` orientation is tried, because it is the only
 /// one the glued encoding can express (`lt(first, second)` folds to `tt`).
 pub fn construct(view: &View<'_>, cop: Cop, mode: ConsistencyMode) -> Option<Witness> {
-    construct_with_links(view, cop, mode, &complete_wait_links(view))
-}
-
-/// [`construct`] with the view's complete wait links precomputed.
-pub(crate) fn construct_with_links(
-    view: &View<'_>,
-    cop: Cop,
-    mode: ConsistencyMode,
-    links: &[WaitLink],
-) -> Option<Witness> {
     let (a, b) = (cop.first, cop.second);
     if !view.contains(a) || !view.contains(b) {
         return None;
@@ -119,7 +108,7 @@ pub(crate) fn construct_with_links(
     }
     .ok()?;
     check_adjacent(&witness.schedule, cop, mode).ok()?;
-    wait_links_non_overlapping(view, links, &witness.schedule).then_some(witness)
+    wait_links_non_overlapping(view, &witness.schedule).then_some(witness)
 }
 
 /// Builds and validates a witness schedule from a satisfying model of the
@@ -177,7 +166,8 @@ fn check_adjacent(
 /// release–acquire span. Checked on the schedule's completion — the
 /// schedule, then the unscheduled window events in trace order — which
 /// is the model a constructed witness stands for.
-fn wait_links_non_overlapping(view: &View<'_>, links: &[WaitLink], schedule: &Schedule) -> bool {
+fn wait_links_non_overlapping(view: &View<'_>, schedule: &Schedule) -> bool {
+    let links = view.wait_links();
     if links.len() < 2 {
         return true;
     }

@@ -168,12 +168,18 @@ impl Trace {
         let mut n_vars = 0usize;
         let mut n_locks = 0usize;
         let mut n_chans = 0usize;
+        // Threads run in bursts: the map is consulted only when the thread
+        // changes (and for a fork/join child below).
+        let mut last_thread = None;
         for (i, e) in data.events.iter().enumerate() {
-            thread_index.entry(e.thread).or_insert_with(|| {
-                threads.push(e.thread);
-                fork_of.push(None);
-                threads.len() - 1
-            });
+            if last_thread != Some(e.thread) {
+                last_thread = Some(e.thread);
+                thread_index.entry(e.thread).or_insert_with(|| {
+                    threads.push(e.thread);
+                    fork_of.push(None);
+                    threads.len() - 1
+                });
+            }
             if let Some(v) = e.kind.var() {
                 n_vars = n_vars.max(v.index() + 1);
             }

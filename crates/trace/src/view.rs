@@ -9,13 +9,17 @@
 //! * locks held at window start (for boundary-crossing critical sections),
 //! * must-happen-before vector clocks,
 //! * per-event locksets,
-//! * read/write/branch indexes and critical-section spans.
+//! * read/write/branch indexes and critical-section spans,
+//! * the window's order facts: its fork→begin/end→join edges, its
+//!   complete wait links and the locks it touches — derived here once, so
+//!   the encoder, the slicer, the tier screens and the baselines all read
+//!   the same lists.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 
 use crate::event::{Cop, Event, EventId, EventKind, LockId, ThreadId, Value, VarId};
-use crate::trace::Trace;
+use crate::trace::{Trace, WaitLink};
 use crate::vector_clock::VectorClock;
 
 /// A maximal same-lock region `[acquire, release]` within a view.
@@ -180,6 +184,15 @@ pub struct View<'a> {
     /// Whether the window contains extended-vocabulary synchronization
     /// (RwLock read mode, channel send/recv).
     has_extended: bool,
+    /// In-view fork→begin and end→join edges, in event order of the target.
+    mhb_edges: Vec<(EventId, EventId)>,
+    /// Wait links with release, notify and re-acquire all in the view.
+    wait_links: Vec<WaitLink>,
+    /// Per view offset: the index into `wait_links` of the link the event
+    /// is an endpoint of (`u32::MAX` = none; empty when there are no links).
+    link_of: Vec<u32>,
+    /// Ascending ids of the locks with a write or read span in the view.
+    locks: Vec<LockId>,
 }
 
 impl<'a> View<'a> {
@@ -223,6 +236,9 @@ impl<'a> View<'a> {
         let mut cur_clock: Vec<VectorClock> = vec![VectorClock::new(n_threads); n_threads];
         let mut fork_clock: Vec<Option<VectorClock>> = vec![None; n_threads];
         let mut end_clock: Vec<Option<VectorClock>> = vec![None; n_threads];
+        // Begin and join events: the targets of the view's fork/join edges,
+        // resolved once every thread's in-view sequence is known.
+        let mut edge_targets: Vec<EventId> = Vec::new();
 
         for i in start..end {
             let id = EventId(i as u32);
@@ -233,12 +249,14 @@ impl<'a> View<'a> {
             // Vector clock: join incoming MHB edges before counting the event.
             match e.kind {
                 EventKind::Begin => {
+                    edge_targets.push(id);
                     if let Some(fc) = &fork_clock[ti] {
                         let fc = fc.clone();
                         cur_clock[ti].join(&fc);
                     }
                 }
                 EventKind::Join { child } => {
+                    edge_targets.push(id);
                     if let Some(ci) = trace.thread_index(child) {
                         if let Some(ec) = &end_clock[ci] {
                             let ec = ec.clone();
@@ -338,28 +356,46 @@ impl<'a> View<'a> {
                 _ => {}
             }
         }
-        for (li, open) in open_by_lock.into_iter().enumerate() {
+        let mut locks = Vec::new();
+        for (li, (open, open_read)) in open_by_lock.into_iter().zip(open_read_by_lock).enumerate() {
+            let lock = LockId(li as u32);
             if let Some((t, acquire)) = open {
                 cs_by_lock[li].push(CsSpan {
                     thread: t,
-                    lock: LockId(li as u32),
+                    lock,
                     acquire,
                     release: None,
                 });
             }
-        }
-        for (li, open) in open_read_by_lock.into_iter().enumerate() {
-            for (t, acquire) in open {
+            for (t, acquire) in open_read {
                 read_cs_by_lock[li].push(CsSpan {
                     thread: t,
-                    lock: LockId(li as u32),
+                    lock,
                     acquire,
                     release: None,
                 });
+            }
+            if !cs_by_lock[li].is_empty() || !read_cs_by_lock[li].is_empty() {
+                locks.push(lock);
+            }
+        }
+        let in_view = |e: EventId| (start..end).contains(&e.index());
+        let wait_links: Vec<WaitLink> = trace
+            .wait_links()
+            .iter()
+            .filter(|wl| {
+                in_view(wl.release) && in_view(wl.acquire) && wl.notify.is_some_and(in_view)
+            })
+            .copied()
+            .collect();
+        let mut link_of = vec![u32::MAX; if wait_links.is_empty() { 0 } else { len }];
+        for (li, wl) in wait_links.iter().enumerate() {
+            for e in [wl.release, wl.acquire, wl.notify.expect("filtered")] {
+                link_of[e.index() - start] = li as u32;
             }
         }
 
-        View {
+        let mut view = View {
             trace,
             start,
             end,
@@ -378,7 +414,22 @@ impl<'a> View<'a> {
             lockset_pool,
             clocks,
             has_extended,
-        }
+            mhb_edges: Vec::new(),
+            wait_links,
+            link_of,
+            locks,
+        };
+        view.mhb_edges = edge_targets
+            .into_iter()
+            .filter_map(|id| {
+                let from = match view.event(id).kind {
+                    EventKind::Join { child } => view.end_of(child),
+                    _ => view.fork_of(view.event(id).thread),
+                };
+                from.map(|from| (from, id))
+            })
+            .collect();
+        view
     }
 
     /// The underlying trace.
@@ -586,6 +637,36 @@ impl<'a> View<'a> {
     /// Threads of the underlying trace (clock dimension).
     pub fn threads(&self) -> &[ThreadId] {
         self.trace.threads()
+    }
+
+    /// The fork→begin and end→join edges with both endpoints in the view,
+    /// in event order of their targets: with program order, the edges of
+    /// `Φ_mhb` (paper §3.2).
+    pub fn mhb_edges(&self) -> &[(EventId, EventId)] {
+        &self.mhb_edges
+    }
+
+    /// The wait links whose release, notify and re-acquire all fall in the
+    /// view, in [`Trace::wait_links`] order: the links `Φ_mhb` constrains
+    /// (paper §4).
+    pub fn wait_links(&self) -> &[WaitLink] {
+        &self.wait_links
+    }
+
+    /// The index into [`View::wait_links`] of the link `e` is the release,
+    /// notify or re-acquire of (the last such link, on malformed input
+    /// where links share an event).
+    pub fn wait_link_index(&self, e: EventId) -> Option<usize> {
+        match self.link_of.get(self.offset(e)) {
+            Some(&i) if i != u32::MAX => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// Ascending ids of the locks with a write-mode or read-mode critical
+    /// section in the view: the only locks `Φ_lock` can constrain.
+    pub fn locks(&self) -> &[LockId] {
+        &self.locks
     }
 }
 

@@ -103,54 +103,23 @@ use rvpredict::driver::{
     self, SessionRequest, SessionResponse, EXIT_CLOSED_STDOUT, EXIT_RACES, EXIT_USAGE,
 };
 use rvpredict::{
-    read_frame, write_frame, CpDetector, Fault, HbDetector, JsonError, Kind, Metrics,
-    RaceDetectorTool, SaidDetector, SessionManager, Trace, WindowMode,
+    read_frame, write_frame, CpDetector, HbDetector, JsonError, Kind, Metrics, RaceDetectorTool,
+    SaidDetector, SessionManager, Trace,
 };
 
 struct Options {
+    /// The detector settings as the daemon protocol's request header —
+    /// also the single source of the local `rv` configuration, so a
+    /// `--connect` run and an in-process run are configured identically.
+    req: SessionRequest,
     detector: String,
-    kind: Kind,
-    window: usize,
-    budget: Duration,
-    timeout_ms: Option<u64>,
     jobs: Option<usize>,
-    window_mode: WindowMode,
-    spill_budget: Option<usize>,
     connect: Option<String>,
     stream: bool,
-    witnesses: bool,
-    lenient: bool,
-    no_slice: bool,
-    no_tiers: bool,
-    faults: Vec<(usize, usize, Fault)>,
     metrics: Option<String>,
     trace_log: bool,
     demo: bool,
     path: Option<String>,
-}
-
-impl Options {
-    /// The detector settings as the daemon protocol's request header —
-    /// also the single source of the local `rv` configuration, so a
-    /// `--connect` run and an in-process run are configured identically.
-    fn session_request(&self) -> SessionRequest {
-        SessionRequest {
-            window: self.window,
-            budget_secs: self.budget.as_secs(),
-            timeout_ms: self.timeout_ms,
-            witnesses: self.witnesses,
-            lenient: self.lenient,
-            no_slice: self.no_slice,
-            no_tiers: self.no_tiers,
-            faults: self.faults.clone(),
-            window_mode: self.window_mode,
-            spill_budget: self
-                .spill_budget
-                .unwrap_or(SessionRequest::default().spill_budget),
-            want_metrics: self.metrics.is_some(),
-            kind: self.kind,
-        }
-    }
 }
 
 /// The `--trace-log` phase logger: human-readable progress lines on stderr,
@@ -178,26 +147,17 @@ impl PhaseLog {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
+        req: SessionRequest::default(),
         detector: "rv".into(),
-        kind: Kind::default(),
-        window: 10_000,
-        budget: Duration::from_secs(60),
-        timeout_ms: None,
         jobs: None,
-        window_mode: WindowMode::default(),
-        spill_budget: None,
         connect: None,
         stream: false,
-        witnesses: false,
-        lenient: false,
-        no_slice: false,
-        no_tiers: false,
-        faults: Vec::new(),
         metrics: None,
         trace_log: false,
         demo: false,
         path: None,
     };
+    let req = &mut opts.req;
     let mut args = std::env::args().skip(1);
     let args = &mut args;
     while let Some(arg) = args.next() {
@@ -205,20 +165,17 @@ fn parse_args() -> Result<Options, String> {
             "--detector" => opts.detector = driver::flag_value(args, "--detector", "a value")?,
             "--kind" => {
                 let name: String = driver::flag_value(args, "--kind", "a value")?;
-                opts.kind = driver::parse_kind(&name)?;
+                req.kind = driver::parse_kind(&name)?;
             }
             "--window" => {
-                opts.window = driver::flag_value(args, "--window", "a value")?;
-                if opts.window == 0 {
+                req.window = driver::flag_value(args, "--window", "a value")?;
+                if req.window == 0 {
                     return Err("--window must be at least 1".into());
                 }
             }
-            "--budget" => {
-                let secs = driver::flag_value(args, "--budget", "a value")?;
-                opts.budget = Duration::from_secs(secs);
-            }
+            "--budget" => req.budget_secs = driver::flag_value(args, "--budget", "a value")?,
             "--timeout-ms" => {
-                opts.timeout_ms = Some(driver::flag_value(args, "--timeout-ms", "a value")?)
+                req.timeout_ms = Some(driver::flag_value(args, "--timeout-ms", "a value")?)
             }
             "--connect" => {
                 opts.connect = Some(driver::flag_value(args, "--connect", "a socket path")?)
@@ -232,22 +189,23 @@ fn parse_args() -> Result<Options, String> {
             }
             "--window-mode" => {
                 let name: String = driver::flag_value(args, "--window-mode", "a value")?;
-                opts.window_mode = driver::parse_window_mode(&name)?;
+                req.window_mode = driver::parse_window_mode(&name)?;
             }
             "--spill-budget" => {
-                opts.spill_budget = Some(driver::flag_value(args, "--spill-budget", "a value")?)
+                req.spill_budget = driver::flag_value(args, "--spill-budget", "a value")?
             }
             "--stream" => opts.stream = true,
-            "--witnesses" => opts.witnesses = true,
-            "--lenient" => opts.lenient = true,
-            "--no-slice" => opts.no_slice = true,
-            "--no-tiers" => opts.no_tiers = true,
+            "--witnesses" => req.witnesses = true,
+            "--lenient" => req.lenient = true,
+            "--no-slice" => req.no_slice = true,
+            "--no-tiers" => req.no_tiers = true,
             "--inject-fault" => {
                 let spec: String = driver::flag_value(args, "--inject-fault", "W:C:KIND")?;
-                opts.faults.push(driver::parse_fault_spec(&spec)?);
+                req.faults.push(driver::parse_fault_spec(&spec)?);
             }
             "--metrics" => {
-                opts.metrics = Some(driver::flag_value(args, "--metrics", "an output path")?)
+                opts.metrics = Some(driver::flag_value(args, "--metrics", "an output path")?);
+                req.want_metrics = true;
             }
             "--trace-log" => opts.trace_log = true,
             "--demo" => opts.demo = true,
@@ -312,7 +270,7 @@ fn load_trace(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> Result<T
         "parsed {} events from {} bytes in {:?}",
         ingest.events, ingest.bytes, ingest.parse_time
     ));
-    let (trace, salvage) = match rvpredict::admit_trace(raw, opts.lenient) {
+    let (trace, salvage) = match rvpredict::admit_trace(raw, opts.req.lenient) {
         Ok(ok) => ok,
         Err(e) => {
             eprintln!("error: {path} is not a serialized trace: {e}");
@@ -388,7 +346,7 @@ fn relay(opts: &Options, path: &str, resp: &SessionResponse, log: &PhaseLog) -> 
 /// feeds a connection. Its outcome is composed into the response a daemon
 /// would send.
 fn run_local(opts: &Options, path: &str, log: &PhaseLog) -> Result<SessionResponse, ExitCode> {
-    let req = opts.session_request();
+    let req = &opts.req;
     let jobs = opts
         .jobs
         .unwrap_or_else(|| req.detector_config().parallelism);
@@ -396,8 +354,8 @@ fn run_local(opts: &Options, path: &str, log: &PhaseLog) -> Result<SessionRespon
     let config = req.session_config(manager.in_process_residency());
     log.log(&format!(
         "detection starting: detector=rv kind={} window={} jobs={jobs}",
-        driver::kind_name(opts.kind),
-        opts.window
+        driver::kind_name(req.kind),
+        req.window
     ));
     let finished = if opts.demo {
         let trace = rvsim::workloads::figures::figure1().trace;
@@ -451,7 +409,7 @@ fn run_local(opts: &Options, path: &str, log: &PhaseLog) -> Result<SessionRespon
             report.stats.wall_time
         ));
     }
-    Ok(driver::compose_response(&req, &finished))
+    Ok(driver::compose_response(req, &finished))
 }
 
 /// The `--connect` client: stream the trace bytes to an `rvserved`
@@ -484,7 +442,7 @@ fn run_client(opts: &Options, log: &PhaseLog) -> ExitCode {
         }
     };
     log.log(&format!("connected to daemon at {sock}"));
-    let header = opts.session_request().to_json();
+    let header = opts.req.to_json();
     if let Err(e) = write_frame(&mut stream, header.as_bytes()) {
         eprintln!("error: cannot send session request to {sock}: {e}");
         return ExitCode::from(EXIT_USAGE);
@@ -550,10 +508,10 @@ fn main() -> ExitCode {
 
     // The deadlock/atomicity analyses are defined over the rv machinery
     // only; the baselines have no notion of them.
-    if opts.kind != Kind::Race && opts.detector != "rv" {
+    if opts.req.kind != Kind::Race && opts.detector != "rv" {
         eprintln!(
             "error: --kind {} requires the rv detector",
-            driver::kind_name(opts.kind)
+            driver::kind_name(opts.req.kind)
         );
         usage();
         return ExitCode::from(EXIT_USAGE);
@@ -591,26 +549,27 @@ fn main() -> ExitCode {
 
     match opts.detector.as_str() {
         name @ ("said" | "cp" | "hb") => {
+            let window_size = opts.req.window;
             let tool: Box<dyn RaceDetectorTool> = match name {
                 "said" => {
                     let mut d = SaidDetector::default();
-                    d.config.window_size = opts.window;
-                    d.config.solver_timeout = opts.budget;
+                    d.config.window_size = window_size;
+                    d.config.solver_timeout = Duration::from_secs(opts.req.budget_secs);
                     Box::new(d)
                 }
                 "cp" => Box::new(CpDetector {
-                    window_size: opts.window,
+                    window_size,
                     ..Default::default()
                 }),
                 _ => Box::new(HbDetector {
-                    window_size: opts.window,
+                    window_size,
                     ..Default::default()
                 }),
             };
             log.log(&format!(
                 "detection starting: detector={} window={} events={}",
                 name,
-                opts.window,
+                window_size,
                 trace.len()
             ));
             let r = tool.detect_races(&trace);

@@ -47,9 +47,9 @@ pub use rvcore::{
     oracle_deadlocks, oracle_races, AtomicPair, AtomicityDetector, AtomicityReport,
     AtomicityViolation, Cone, ConsistencyMode, DeadlockCycle, DeadlockDetector, DeadlockReport,
     DetectionReport, DetectionStats, DetectorConfig, EncoderOptions, FailedWindow, Fault,
-    FaultPlan, Histogram, Kind, Metrics, PhaseTimer, PublishedSet, RaceDetector, RaceReport,
-    SolverTotals, Tier, TierAnalysis, TierDecision, UndecidedReason, WindowMode, WindowResult,
-    WindowSkeleton, Witness, METRICS_SCHEMA_VERSION, SPILL_EVENT_BYTES,
+    FaultPlan, Histogram, Kind, Metrics, PublishedSet, RaceDetector, RaceReport, SolverTotals,
+    Tier, TierAnalysis, TierDecision, UndecidedReason, WindowMode, WindowResult, WindowSkeleton,
+    Witness, METRICS_SCHEMA_VERSION, SPILL_EVENT_BYTES,
 };
 // `rvinstrument::Session` (below) already owns the bare `Session` name, so
 // the daemon-side detection session is re-exported as `DetectionSession`.

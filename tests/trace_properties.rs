@@ -1,15 +1,18 @@
 //! Property tests of the trace substrate over seeded random programs: the
 //! interpreter only ever produces consistent traces, JSON round-trips,
-//! windowing agrees with the full view, and lenient salvage of a damaged
-//! trace agrees with the strict check.
+//! windowing agrees with the full view, lenient salvage of a damaged trace
+//! agrees with the strict check, and each view's order facts (fork/join
+//! edges, wait links, touched locks) match their brute-force definitions.
 
 use rvpredict::{
     check_consistency, check_schedule, from_json, salvage_trace, to_json, Event, EventId,
-    EventKind, Loc, Schedule, ThreadId, Trace, TraceBuilder, TraceData, TraceError, ViewExt,
+    EventKind, Loc, LockId, Schedule, ThreadId, Trace, TraceBuilder, TraceData, TraceError, View,
+    ViewExt, WindowCursor,
 };
 use rvsim::rng::SmallRng;
 use rvsim::stmts::*;
 use rvsim::{execute, ExecConfig, Expr, GlobalId, Local, LockRef, ProcId, Program, Stmt};
+use rvtrace::WaitLink;
 
 #[derive(Debug, Clone)]
 enum A {
@@ -433,4 +436,119 @@ fn salvage_agrees_with_strict_on_damaged_traces() {
 #[ignore = "long: about 16K damaged traces"]
 fn salvage_agrees_with_strict_on_damaged_traces_long() {
     salvage_agrees_with_strict(0x5A1_7A6E, 4096);
+}
+
+/// The brute-force order facts of one view, checked against the view's
+/// own lists: the fork/join scan over the view's events, the complete
+/// wait-link filter over the trace's links (with the last link each event
+/// is an endpoint of), and a "has a span" filter over every lock id of the
+/// trace.
+fn assert_order_facts(view: &View<'_>) {
+    let trace = view.trace();
+    let range = view.range();
+    let in_view = |e: EventId| range.contains(&e.index());
+    let last_of = |t: ThreadId| view.ids().filter(|&x| trace.event(x).thread == t).last();
+    let mut edges = Vec::new();
+    for id in view.ids() {
+        let e = trace.event(id);
+        let from = match e.kind {
+            EventKind::Begin => trace.fork_of(e.thread).filter(|&f| in_view(f)),
+            EventKind::Join { child } => {
+                last_of(child).filter(|&x| matches!(trace.event(x).kind, EventKind::End))
+            }
+            _ => None,
+        };
+        edges.extend(from.map(|from| (from, id)));
+    }
+    assert_eq!(view.mhb_edges(), &edges[..], "edges of {range:?}");
+    let links: Vec<WaitLink> = (trace.wait_links().iter())
+        .filter(|wl| in_view(wl.release) && in_view(wl.acquire) && wl.notify.is_some_and(in_view))
+        .copied()
+        .collect();
+    assert_eq!(view.wait_links(), &links[..], "links of {range:?}");
+    for id in view.ids() {
+        let expect = (links.iter())
+            .rposition(|wl| [Some(wl.release), Some(wl.acquire), wl.notify].contains(&Some(id)));
+        assert_eq!(
+            view.wait_link_index(id),
+            expect,
+            "link of {id} in {range:?}"
+        );
+    }
+    let locks: Vec<LockId> = (0..trace.n_locks() as u32)
+        .map(LockId)
+        .filter(|&l| {
+            !view.critical_sections(l).is_empty() || !view.read_critical_sections(l).is_empty()
+        })
+        .collect();
+    assert_eq!(view.locks(), &locks[..], "locks of {range:?}");
+}
+
+/// Checks the order facts of every window of `trace` at several sizes,
+/// and of the extended view of every straddle plan a cone-mode cursor
+/// makes (at its start and at its budget floor).
+fn assert_windowed_order_facts(trace: &Trace) {
+    assert_order_facts(&trace.full_view());
+    for size in [1, 2, 5, 13, 64] {
+        for window in trace.windows(size) {
+            assert_order_facts(&window);
+        }
+        let mut cursor = WindowCursor::new(size, Some(256));
+        while let Some(window) = cursor.next(trace, true) {
+            if let Some(plan) = &window.plan {
+                for at in [plan.ext_start, plan.floor] {
+                    assert_order_facts(&plan.extended_view(trace, at));
+                }
+            }
+        }
+    }
+}
+
+/// The view's fork/join edges, wait links (with their per-event lookup)
+/// and touched locks equal their brute-force definitions, on interpreter
+/// traces (fork/join, locks, branches) and on generated workloads with
+/// wait/notify, rwlock and channel events, cut into windows of several
+/// sizes and extended across window boundaries.
+#[test]
+fn view_order_facts_match_brute_force() {
+    for_traces(0x0FAC7, 32, |_, trace| assert_windowed_order_facts(trace));
+    use rvsim::workloads::{synthetic, systems};
+    let mut traces: Vec<Trace> = (systems::profiles().into_iter())
+        .filter(|p| p.wait_notify)
+        .flat_map(|p| {
+            (1..=3).map(move |seed| {
+                let p = systems::SystemProfile { seed, ..p.clone() }.scaled(0.1);
+                systems::generate(&p).trace
+            })
+        })
+        .collect();
+    assert!(!traces.is_empty() && traces.iter().all(|t| !t.wait_links().is_empty()));
+    traces.extend(
+        [
+            synthetic::rwlock_workload("rw", 3),
+            synthetic::rwlock_racy_workload("rw_racy"),
+            synthetic::channel_workload("chan", 4),
+            synthetic::deadlock_workload("deadlock", 2),
+            synthetic::tenant_mix_workload("tenants", 2),
+        ]
+        .map(|w| w.trace),
+    );
+    // A notified wait, then a spurious wake-up: a link with no notify,
+    // which no view lists.
+    let mut b = TraceBuilder::new();
+    let l = b.new_lock("l");
+    let t2 = b.fork(ThreadId::MAIN);
+    b.acquire(ThreadId::MAIN, l);
+    let woken = b.wait_begin(ThreadId::MAIN, l);
+    b.acquire(t2, l);
+    let n = b.notify(t2, l);
+    b.release(t2, l);
+    b.wait_end(woken, Some(n));
+    let spurious = b.wait_begin(ThreadId::MAIN, l);
+    b.wait_end(spurious, None);
+    b.release(ThreadId::MAIN, l);
+    traces.push(b.finish());
+    for trace in &traces {
+        assert_windowed_order_facts(trace);
+    }
 }
